@@ -11,16 +11,8 @@ import argparse
 import sys
 import time
 
-from lorentzdomains.domain import (
-    build_polyhedron,
-    detect_symmetry,
-    edge_cycle_check,
-    enumerate_vertices,
-    find_pairings,
-    series_constraints,
-)
-from lorentzdomains.export import report_dict, write_artifacts
-from lorentzdomains.reduction import check_reduction_bound
+from lorentzdomains.cli import build_domain
+from lorentzdomains.export import write_artifacts
 
 
 def main(argv=None) -> int:
@@ -38,22 +30,14 @@ def main(argv=None) -> int:
             if k % 3 == 0:
                 continue
             t1 = time.time()
-            cs = series_constraints(series, k)
-            poly = build_polyhedron(cs, enumerate_vertices(cs))
-            rep = find_pairings(poly, cs)
-            sym = detect_symmetry(poly, cs)
-            cycles = edge_cycle_check(poly, rep)
-            reduction = check_reduction_bound(series, k)
-            report = report_dict(
-                cs, poly, rep,
-                symmetry_angle=sym, edge_cycles=cycles, reduction=reduction,
-            )
-            write_artifacts(args.out, series, k, poly, report, formats)
+            build = build_domain(series, k)
+            poly = build.poly
+            write_artifacts(args.out, series, k, poly, build.report, formats)
             built += 1
             print(
                 f"{series} k={k}: V={len(poly.vertices)} E={len(poly.edges)} "
-                f"F={len(poly.faces)} unpaired={len(rep.unpaired)} "
-                f"margin={reduction.margin:.4f} [{time.time() - t1:.1f}s]"
+                f"F={len(poly.faces)} unpaired={len(build.pairings.unpaired)} "
+                f"margin={build.reduction.margin:.4f} [{time.time() - t1:.1f}s]"
             )
     print(f"built {built} cases into {args.out}/ in {time.time() - t0:.1f}s")
     return 0

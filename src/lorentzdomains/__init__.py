@@ -56,7 +56,6 @@ from .domain import (
     edge_cycle_check,
     enumerate_vertices,
     find_pairings,
-    lie_project,
     linearize,
     membership_mask,
     series_constraints,
@@ -108,7 +107,6 @@ __all__ = [
     "edge_cycle_check",
     "enumerate_vertices",
     "find_pairings",
-    "lie_project",
     "linearize",
     "membership_mask",
     "series_constraints",

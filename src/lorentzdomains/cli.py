@@ -1,16 +1,22 @@
 """Command-line interface: build, verify, and inspect fundamental domains.
 
-Exit codes: 0 success, 2 invalid request (bad series/level), 1 internal
-verification failure.  Errors are reported as a single JSON object on
-stdout so callers never have to parse prose.
+Exit codes: 0 success, 2 invalid request (bad series, level, format or
+sample count), 1 failed verification (a stage check fails, faces stay
+unpaired, or the sampled descriptions disagree).  Errors are reported as
+a single JSON object on stdout so callers never have to parse prose.
 """
 
 import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Optional
 
 from .domain import (
+    ConstraintSet,
+    PairingReport,
+    Polyhedron,
     build_polyhedron,
     detect_symmetry,
     edge_cycle_check,
@@ -18,15 +24,50 @@ from .domain import (
     find_pairings,
     series_constraints,
 )
-from .export import (
-    json_text,
-    report_dict,
-    singularity_label,
-    write_artifacts,
+from .export import WRITERS, report_dict, singularity_label, write_artifacts
+from .reduction import (
+    ReductionReport,
+    check_reduction_bound,
+    sample_equivalence,
+    series_signature,
 )
-from .reduction import check_reduction_bound, sample_equivalence, series_signature
 
 DEFAULT_FORMATS = "off,obj,json,svg"
+
+
+@dataclass(frozen=True)
+class DomainBuild:
+    """Everything one build produces; `report` is the JSON run record."""
+
+    cs: ConstraintSet
+    poly: Polyhedron
+    pairings: PairingReport
+    symmetry_angle: Optional[float]
+    edge_cycles: list
+    reduction: ReductionReport
+    report: dict
+
+
+def build_domain(series: str, k: int, word_budget: int = 8) -> DomainBuild:
+    """Construct and certify the fundamental polyhedron for one series level.
+
+    Raises ValueError for an invalid request (unknown series, level
+    divisible by 3) and RuntimeError or ArithmeticError when a stage fails
+    its own check.
+    """
+    cs = series_constraints(series, k)
+    poly = build_polyhedron(cs, enumerate_vertices(cs))
+    pairings = find_pairings(poly, cs, max_word_len=word_budget)
+    symmetry_angle = detect_symmetry(poly, cs)
+    edge_cycles = edge_cycle_check(poly, pairings)
+    reduction = check_reduction_bound(series, k)
+    report = report_dict(
+        cs, poly, pairings,
+        symmetry_angle=symmetry_angle,
+        edge_cycles=edge_cycles,
+        reduction=reduction,
+    )
+    return DomainBuild(cs, poly, pairings, symmetry_angle, edge_cycles, reduction, report)
 
 
 def _out_dir(value):
@@ -35,23 +76,23 @@ def _out_dir(value):
     return os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
 
 
-def _fail(payload: dict, code: int = 2) -> int:
-    print(json.dumps(payload, sort_keys=True))
+def _fail(args, error: str, code: int = 2) -> int:
+    print(json.dumps({"error": error, "series": args.series, "k": args.k}, sort_keys=True))
     return code
 
 
 def cmd_info(args) -> int:
     try:
         p, q, r = series_signature(args.series, args.k)
-        cs = series_constraints(args.series, args.k, args.p_reading)
+        cs = series_constraints(args.series, args.k)
     except ValueError as exc:
-        return _fail({"error": str(exc), "series": args.series, "k": args.k})
+        return _fail(args, str(exc))
     info = {
         "series": args.series,
         "k": args.k,
         "signature": [p, q, r],
         "singularity": singularity_label(args.series, args.k),
-        "p_reading": cs.p_reading,
+        "p_reading": "tri",  # the only reading; the key is kept for callers
         "p_lcm": cs.config.p_lcm,
         "lam": cs.config.lam,
         "central_corrections": list(cs.config.central_corrections),
@@ -63,34 +104,27 @@ def cmd_info(args) -> int:
 
 
 def cmd_build(args) -> int:
-    try:
-        cs = series_constraints(args.series, args.k, args.p_reading)
-    except ValueError as exc:
-        return _fail({"error": str(exc), "series": args.series, "k": args.k})
-    poly = build_polyhedron(cs, enumerate_vertices(cs))
-    rep = find_pairings(poly, cs, max_word_len=args.word_budget)
-    sym = detect_symmetry(poly, cs)
-    cycles = edge_cycle_check(poly, rep)
-    reduction = check_reduction_bound(args.series, args.k)
-    report = report_dict(
-        cs, poly, rep,
-        symmetry_angle=sym,
-        edge_cycles=cycles,
-        reduction=reduction,
-    )
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    out_dir = _out_dir(args.out)
+    unknown = [fmt for fmt in formats if fmt not in WRITERS]
+    if unknown:
+        return _fail(args, f"unknown format {unknown[0]!r}")
     try:
-        written = write_artifacts(out_dir, args.series, args.k, poly, report, formats)
+        build = build_domain(args.series, args.k, word_budget=args.word_budget)
     except ValueError as exc:
-        return _fail({"error": str(exc), "series": args.series, "k": args.k})
+        return _fail(args, str(exc))
+    except (RuntimeError, ArithmeticError) as exc:
+        return _fail(args, str(exc), code=1)
+    report = build.report
+    written = write_artifacts(
+        _out_dir(args.out), args.series, args.k, build.poly, report, formats
+    )
     summary = {
         "series": args.series,
         "k": args.k,
         "singularity": report["singularity"],
         "counts": report["counts"],
         "unpaired": report["unpaired"],
-        "reduction_holds": reduction.holds,
+        "reduction_holds": build.reduction.holds,
         "artifacts": {fmt: written[fmt] for fmt in sorted(written)},
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -98,13 +132,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        return _fail(args, f"--samples must be at least 1, got {args.samples}")
     try:
         reduction = check_reduction_bound(args.series, args.k)
         stats = sample_equivalence(
             args.series, args.k, n_samples=args.samples, seed=args.seed
         )
     except ValueError as exc:
-        return _fail({"error": str(exc), "series": args.series, "k": args.k})
+        return _fail(args, str(exc))
+    except (RuntimeError, ArithmeticError) as exc:
+        return _fail(args, str(exc), code=1)
     result = {
         "series": args.series,
         "k": args.k,
@@ -124,7 +162,7 @@ def cmd_verify(args) -> int:
         },
     }
     print(json.dumps(result, indent=2, sort_keys=True))
-    ok = reduction.holds and stats.n_agree == stats.n_evaluated
+    ok = reduction.holds and 0 < stats.n_evaluated == stats.n_agree
     return 0 if ok else 1
 
 
@@ -138,10 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--series", required=True, choices=("E", "Z"))
         p.add_argument("--k", required=True, type=int, help="level (3 must not divide k)")
-        p.add_argument(
-            "--p-reading", default="tri", choices=("tri", "lcm"),
-            help="which rotation order the series parameter names",
-        )
 
     p_info = sub.add_parser("info", help="signature and level data, no geometry")
     common(p_info)

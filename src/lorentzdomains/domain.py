@@ -11,7 +11,7 @@ when every indexed union captures it.
 The construction pipeline is
 
     series_constraints -> enumerate_vertices -> build_polyhedron
-        -> find_pairings / detect_symmetry / lie_project
+        -> find_pairings / detect_symmetry -> edge_cycle_check
 
 with honesty checks at each stage: the linear functionals are validated
 against the exact sheet-aware membership predicate, the face complex must
@@ -29,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from .cover import (
-    CENTRAL_Z_TOL,
     CoverElement,
     as_central_power,
     axis_rotation,
@@ -172,17 +171,12 @@ class Wall:
 class ConstraintSet:
     series: str
     k: int
-    p_reading: str
-    p_hat: int
     period: int
     config: object
     tri: TriangleGroupData
     D: CoverElement
-    a0: CoverElement
     groups: tuple  # tuple of tuples of Wall, one tuple per union index m
     slab: tuple  # the two H-side Walls
-    dropped_members: tuple
-    dropped_groups: tuple
 
     def union_groups(self):
         return [[w.g for w in grp] for grp in self.groups]
@@ -206,15 +200,15 @@ def _wall_range_on_slab(fn: AffineFunctional, config) -> tuple[float, float]:
     return fn.constant - radial - axial, fn.constant + radial + axial
 
 
-def series_constraints(series: str, k: int, p_reading: str = "tri") -> ConstraintSet:
+def series_constraints(series: str, k: int) -> ConstraintSet:
     """Constraint families of the fundamental domain for one series level.
 
     The base element is a0 = R_v(8 pi / 3) D^(2 lam p - 1) C^(-2(lam k + 2)/3)
-    for series E, with D-exponent 2 lam p - 2 for series Z, where p follows
-    p_reading: the triangle order itself ("tri") or its lcm with 3 ("lcm").
+    for series E, with D-exponent 2 lam p - 2 for series Z, where p is the
+    triangle order.
     The indexed family comes from conjugation by half-step rotations about
     the origin, b by a trailing D (and c by one more for series Z); the
-    family is exactly periodic with period 2 p_hat because the full-turn
+    family is exactly periodic with period 2 p because the full-turn
     conjugator is central, so only one period of indices is kept, further
     pruned to members whose wall plane meets the closed slab.
     """
@@ -225,14 +219,8 @@ def series_constraints(series: str, k: int, p_reading: str = "tri") -> Constrain
     tri = build_triangle_group(p_tri, q, r)
     gens = lifted_generators(config)
     D = gens["D"]
-    if p_reading == "tri":
-        p_hat = p_tri
-    elif p_reading == "lcm":
-        p_hat = config.p_lcm
-    else:
-        raise ValueError(f"unknown p_reading {p_reading!r}")
     lam = config.lam
-    exp_d = 2 * lam * p_hat - (1 if series == "E" else 2)
+    exp_d = 2 * lam * p_tri - (1 if series == "E" else 2)
     num = 2 * (lam * k + 2)
     if num % 3 != 0:
         raise AssertionError("central exponent must be integral for admissible k")
@@ -242,16 +230,14 @@ def series_constraints(series: str, k: int, p_reading: str = "tri") -> Constrain
         central(exp_c),
     )
 
-    step = axis_rotation(Fraction(1, 2 * p_hat))
-    period = 2 * p_hat
+    step = axis_rotation(Fraction(1, 2 * p_tri))
+    period = 2 * p_tri
     full_turn = cover_pow(step, period)
     if as_central_power(full_turn) != 1:
         raise AssertionError("conjugator full turn is not the central generator")
 
     letters = "ab" if series == "E" else "abc"
     groups = []
-    dropped_members = []
-    dropped_groups = []
     for m in range(period):
         conj = cover_pow(step, m)
         conj_inv = cover_pow(step, -m)
@@ -270,11 +256,9 @@ def series_constraints(series: str, k: int, p_reading: str = "tri") -> Constrain
                 group_auto_true = True
                 break
             if lo > -1.0:
-                dropped_members.append(c.label)
                 continue
             walls.append(Wall(c.label, g, "I", fn))
         if group_auto_true or not walls:
-            dropped_groups.append(m)
             continue
         groups.append(tuple(walls))
     if not groups:
@@ -289,17 +273,12 @@ def series_constraints(series: str, k: int, p_reading: str = "tri") -> Constrain
     return ConstraintSet(
         series=series,
         k=k,
-        p_reading=p_reading,
-        p_hat=p_hat,
         period=period,
         config=config,
         tri=tri,
         D=D,
-        a0=a0,
         groups=tuple(groups),
         slab=tuple(slab_walls),
-        dropped_members=tuple(dropped_members),
-        dropped_groups=tuple(dropped_groups),
     )
 
 
@@ -392,30 +371,21 @@ def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENC
     return _active_from_tables(cs, vals, windows, tol)
 
 
-def enumerate_vertices(
-    cs: ConstraintSet,
-    extra_planes=None,
-    allow_empty: bool = False,
-) -> np.ndarray:
+def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     """Vertices of the domain: all valid triple-plane intersections.
 
-    Planes are the wall planes of every family member, the two slab planes,
-    and any caller-supplied (normal, offset) extras.  Triples are solved in
-    batch; ill-conditioned triples are discarded, candidate points outside
-    the cone or failing the membership predicate are dropped, survivors are
-    merged at VERTEX_MERGE_TOL and returned in a deterministic order.
+    Planes are the wall planes of every family member and the two slab
+    planes.  Triples are solved in batch; ill-conditioned triples are
+    discarded, candidate points outside the cone or failing the membership
+    predicate are dropped, survivors are merged at VERTEX_MERGE_TOL and
+    returned in a deterministic order.
     """
-    planes = [(w.normal_hat, w.offset) for w in cs.all_walls()]
-    if extra_planes:
-        for n, b in extra_planes:
-            n = np.asarray(n, dtype=float)
-            scale = float(np.linalg.norm(n))
-            planes.append((n / scale, b / scale))
-    normals = np.array([p[0] for p in planes])
-    offsets = np.array([p[1] for p in planes])
+    walls = cs.all_walls()
+    normals = np.array([w.normal_hat for w in walls])
+    offsets = np.array([w.offset for w in walls])
 
     triples = np.array(
-        list(itertools.combinations(range(len(planes)), 3)), dtype=int
+        list(itertools.combinations(range(len(walls)), 3)), dtype=int
     )
     A = normals[triples]
     b = offsets[triples]
@@ -435,22 +405,14 @@ def enumerate_vertices(
         candidates = candidates[inside]
 
     # keep only candidates pinned by rank-3 many active boundary planes
-    # (extra caller planes count as always-active)
     if len(candidates):
         act = active_walls(cs, candidates)
-        wall_normals = np.array([w.normal_hat for w in cs.all_walls()])
-        n_extra = len(planes) - len(wall_normals)
-        extra_n = normals[len(wall_normals):]
-        extra_b = offsets[len(wall_normals):]
         keep = []
         for col in range(len(candidates)):
-            rows = [wall_normals[i] for i in np.flatnonzero(act[:, col])]
-            if n_extra:
-                hit = np.abs(extra_n @ candidates[col] - extra_b) <= PLANE_INCIDENCE_TOL
-                rows.extend(extra_n[hit])
+            rows = normals[act[:, col]]
             if len(rows) < 3:
                 continue
-            if np.linalg.matrix_rank(np.array(rows), tol=1e-8) == 3:
+            if np.linalg.matrix_rank(rows, tol=1e-8) == 3:
                 keep.append(col)
         candidates = candidates[keep]
 
@@ -468,19 +430,8 @@ def enumerate_vertices(
             continue
         merged.append(p)
     if not merged:
-        if allow_empty:
-            return np.zeros((0, 3))
         raise ValueError("no vertices found; the constraint set is degenerate")
-    verts = np.array(merged)
-
-    order = np.lexsort(
-        (
-            np.round(verts[:, 1], 9),
-            np.round(verts[:, 0], 9),
-            np.round(verts[:, 2], 9),
-        )
-    )
-    return verts[order]
+    return np.array(merged)
 
 
 @dataclass(frozen=True)
@@ -488,8 +439,6 @@ class Face:
     label: str
     wall: Wall
     loop: tuple
-    normal: np.ndarray
-    offset: float
 
     @property
     def is_slab(self) -> bool:
@@ -501,7 +450,6 @@ class Polyhedron:
     vertices: np.ndarray
     faces: tuple
     edges: tuple
-    pairings: Optional[object] = None
 
     @property
     def euler_characteristic(self) -> int:
@@ -618,15 +566,7 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
             pivot = loop.index(min(loop))
             loop = loop[pivot:] + loop[:pivot]
             label = wall.label if len(loops) == 1 else f"{wall.label}#{li}"
-            faces.append(
-                Face(
-                    label=label,
-                    wall=wall,
-                    loop=tuple(loop),
-                    normal=outward,
-                    offset=float(outward @ vertices[loop[0]]),
-                )
-            )
+            faces.append(Face(label=label, wall=wall, loop=tuple(loop)))
 
     faces.sort(
         key=lambda f: (
@@ -674,7 +614,7 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
 
 def detect_symmetry(poly: Polyhedron, cs: ConstraintSet) -> Optional[float]:
     """Smallest chart rotation about the s-axis mapping vertices to vertices."""
-    for psi in (math.pi / cs.p_hat, 2.0 * math.pi / cs.p_hat):
+    for psi in (math.pi / cs.tri.p, 2.0 * math.pi / cs.tri.p):
         c, s = math.cos(psi), math.sin(psi)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         image = poly.vertices @ rot.T
@@ -956,18 +896,6 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     return PairingReport(pairings=pairings, unpaired=unpaired)
 
 
-def _try_central(g: CoverElement) -> Optional[int]:
-    """The central exponent of g, or None if g is not central."""
-    if abs(g.z) > CENTRAL_Z_TOL:
-        return None
-    n = round(-g.phi / math.pi)
-    if abs(g.phi + n * math.pi) > CENTRAL_Z_TOL:
-        return None
-    if abs(g.w - (-1.0) ** (n % 2)) > 10.0 * CENTRAL_Z_TOL:
-        return None
-    return n
-
-
 def edge_cycle_check(poly: Polyhedron, report: PairingReport):
     """Develop the domain around every edge class; each cycle must close.
 
@@ -1012,12 +940,12 @@ def edge_cycle_check(poly: Polyhedron, report: PairingReport):
                     raise RuntimeError(f"edge {e2} has ambiguous continuation")
                 steps += 1
                 f, e = others[0], e2
-                n1 = _try_central(g_tot1)
-                n2 = _try_central(g_tot2)
-                if n1 is not None and n2 is not None:
+                try:
+                    n1, n2 = as_central_power(g_tot1), as_central_power(g_tot2)
                     break
-                if steps > 200:
-                    raise RuntimeError("edge cycle failed to close")
+                except ArithmeticError:
+                    if steps > 200:
+                        raise RuntimeError("edge cycle failed to close") from None
             if boundary:
                 continue
             if (f, e) != (f0, edge):
@@ -1030,29 +958,3 @@ def edge_cycle_check(poly: Polyhedron, report: PairingReport):
                 )
             records.append((n1, steps))
     return records
-
-
-@dataclass(frozen=True)
-class LieMesh:
-    """Euclidean mesh of the domain in tangent-space coordinates.
-
-    The chart coordinates (x1, x2, s) are reused verbatim; the ambient
-    quadratic form restricted to the chart is x1^2 + x2^2 - s^2, and the
-    mesh is meant to be drawn with the flat Euclidean metric instead (the
-    sign of the distinguished vertical axis direction is flipped).  Slab
-    faces are flagged removable.
-    """
-
-    vertices: np.ndarray
-    faces: tuple
-    labels: tuple
-    removable: tuple
-
-
-def lie_project(poly: Polyhedron) -> LieMesh:
-    return LieMesh(
-        vertices=poly.vertices.copy(),
-        faces=tuple(f.loop for f in poly.faces),
-        labels=tuple(f.label for f in poly.faces),
-        removable=tuple(f.is_slab for f in poly.faces),
-    )

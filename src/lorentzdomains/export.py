@@ -95,7 +95,6 @@ def report_dict(
     symmetry_angle=None,
     edge_cycles=None,
     reduction=None,
-    equivalence=None,
 ) -> dict:
     """Full run record; every group element is (Re z, Im z, Re w, Im w, phi)."""
     report = {
@@ -103,7 +102,8 @@ def report_dict(
         "series": cs.series,
         "k": cs.k,
         "singularity": singularity_label(cs.series, cs.k),
-        "p_reading": cs.p_reading,
+        # the only reading there is; kept so schema_version 1 files are unchanged
+        "p_reading": "tri",
         "signature": [cs.tri.p, cs.tri.q, cs.tri.r],
         "level": {
             "k": cs.config.k,
@@ -153,16 +153,6 @@ def report_dict(
             "holds": reduction.holds,
             "margin": reduction.margin,
             "orbit_premise_ok": reduction.orbit_premise_ok,
-        }
-    if equivalence is not None:
-        report["equivalence"] = {
-            "n_samples": equivalence.n_samples,
-            "n_evaluated": equivalence.n_evaluated,
-            "n_agree": equivalence.n_agree,
-            "n_in_both": equivalence.n_in_both,
-            "n_in_neither": equivalence.n_in_neither,
-            "agreement": equivalence.agreement,
-            "seed": equivalence.seed,
         }
     return report
 

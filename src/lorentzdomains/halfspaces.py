@@ -161,8 +161,8 @@ def cylinder_bounds(x: complex, config: LevelConfig):
 
 
 # ---------------------------------------------------------------------------
-# vectorised variants used by the sampling verifiers; results are identical
-# to the scalar predicates, evaluation order is deterministic
+# vectorised form of _wall_data used by the sampling verifiers and the
+# domain builder; results are identical to the scalar predicates
 
 
 def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
@@ -177,14 +177,3 @@ def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
     phi = -g.phi + PHI + np.angle(bracket)
     return val, phi
 
-
-def batch_in_I(g: CoverElement, Z, W, PHI):
-    """Vectorised membership in I_g."""
-    val, phi = batch_wall(g, Z, W, PHI)
-    return (val <= -1.0) & (np.abs(phi) < math.pi / 2.0)
-
-
-def batch_violates_H(g: CoverElement, Z, W, PHI):
-    """Vectorised membership in the complement of H_g (the open inside)."""
-    val, phi = batch_wall(g, Z, W, PHI)
-    return (val < -1.0) & (np.abs(phi) < math.pi / 2.0)

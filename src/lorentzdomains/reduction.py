@@ -205,13 +205,12 @@ class EquivalenceStats:
     n_boundary_excluded: int
     n_evaluated: int
     n_agree: int
-    n_in_both: int
-    n_in_neither: int
 
     @property
-    def agreement(self) -> float:
+    def agreement(self) -> Optional[float]:
+        """Share of evaluated points that agree; None when none was evaluated."""
         if self.n_evaluated == 0:
-            return float("nan")
+            return None
         return self.n_agree / self.n_evaluated
 
 
@@ -259,10 +258,8 @@ def sample_equivalence(
             f"reduction bound fails for {series}, k={k}; sampling is meaningless"
         )
 
-    p_tri, q, r = series_signature(series, k)
-    config = lift_level(p_tri, q, r, k)
-    tri = build_triangle_group(p_tri, q, r)
     cons = series_constraints(series, k)
+    config, tri = cons.config, cons.tri
 
     half = math.tan(math.pi * k / (2 * config.p_lcm))
     rng = np.random.default_rng(seed)
@@ -339,6 +336,4 @@ def sample_equivalence(
         n_boundary_excluded=int(np.sum(~ok)),
         n_evaluated=int(np.sum(ok)),
         n_agree=int(np.sum(agree)),
-        n_in_both=int(np.sum(in_linear & in_prism_complement & ok)),
-        n_in_neither=int(np.sum(~in_linear & ~in_prism_complement & ok)),
     )

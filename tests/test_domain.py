@@ -12,7 +12,6 @@ from lorentzdomains.domain import (
     edge_cycle_check,
     enumerate_vertices,
     find_pairings,
-    lie_project,
     linearize,
     membership_mask,
     series_constraints,
@@ -210,36 +209,6 @@ def test_membership_rejects_far_points(e2):
     h = math.tan(math.pi * cs.k / (2 * cs.config.p_lcm))
     outside = np.array([[0.0, 0.0, 3.0 * h]])
     assert not membership_mask(cs, outside)[0]
-
-
-def test_enumerate_vertices_with_box():
-    """Slab planes alone carry no vertices; a box closes them off."""
-    cs = series_constraints("E", 2)
-    h = math.tan(math.pi * cs.k / (2 * cs.config.p_lcm))
-    planes = []
-    for s in (1.0, -1.0):
-        planes.append((np.array([s, 0.0, 0.0]), 0.3))
-        planes.append((np.array([0.0, s, 0.0]), 0.3))
-    verts = enumerate_vertices(cs, extra_planes=planes)
-    # the box meets the two slab planes in 8 corners, all inside the domain
-    corner_count = sum(
-        1
-        for v in verts
-        if abs(abs(v[0]) - 0.3) < 1e-9
-        and abs(abs(v[1]) - 0.3) < 1e-9
-        and abs(abs(v[2]) - h) < 1e-9
-    )
-    assert corner_count == 8
-
-
-def test_lie_projection(e2):
-    _, poly, _ = e2
-    mesh = lie_project(poly)
-    assert mesh.vertices.shape == poly.vertices.shape
-    assert len(mesh.faces) == len(poly.faces)
-    assert sum(mesh.removable) == 2
-    for face, loop in zip(poly.faces, mesh.faces):
-        assert tuple(face.loop) == tuple(loop)
 
 
 def test_vertices_respect_symmetry(e2):

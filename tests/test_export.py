@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from lorentzdomains import cli
 from lorentzdomains.cli import main
 from lorentzdomains.domain import (
     Face,
@@ -39,7 +40,7 @@ def _tetrahedron() -> Polyhedron:
     )
     loops = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]
     faces = tuple(
-        Face(label=f"a[{i}]", wall=None, loop=loop, normal=np.zeros(3), offset=0.0)
+        Face(label=f"a[{i}]", wall=None, loop=loop)
         for i, loop in enumerate(loops)
     )
     edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -209,3 +210,51 @@ def test_cli_out_dir_env(tmp_path, capsys, monkeypatch):
     assert code == 0
     capsys.readouterr()
     assert os.path.exists(tmp_path / "envout" / "fund_E_k1.off")
+
+
+def test_cli_build_stage_failure_is_json(tmp_path, capsys):
+    """A stage that fails its check exits 1 with one JSON error object."""
+    code = main(
+        [
+            "build", "--series", "E", "--k", "1", "--word-budget", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"error", "series", "k"}
+    assert out["series"] == "E" and out["k"] == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_build_rejects_unknown_format_before_building(tmp_path, capsys):
+    code = main(
+        [
+            "build", "--series", "E", "--k", "1",
+            "--out", str(tmp_path), "--formats", "off,xyz",
+        ]
+    )
+    assert code == 2
+    out = json.loads(capsys.readouterr().out)
+    assert "xyz" in out["error"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_verify_needs_evidence(capsys, monkeypatch):
+    """No samples is a bad request, and zero evaluated points never pass."""
+    code = main(["verify", "--series", "E", "--k", "1", "--samples", "0"])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+
+    real = cli.sample_equivalence
+    monkeypatch.setattr(
+        cli, "sample_equivalence",
+        lambda series, k, n_samples, seed: real(series, k, n_samples=0, seed=seed),
+    )
+    code = main(["verify", "--series", "E", "--k", "1", "--samples", "5"])
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "NaN" not in text
+    out = json.loads(text)
+    assert out["equivalence"]["n_evaluated"] == 0
+    assert out["equivalence"]["agreement"] is None

@@ -4,7 +4,10 @@
 Usage: python3 scripts/build_all.py [--out DIR] [--kmax N] [--formats LIST]
 
 Levels divisible by 3 are skipped (no lift exists there).  Prints one
-summary line per case and a totals line at the end.
+summary line per case, a FAIL line for each level whose build fails a
+stage check, and a totals line at the end.  Exit codes: 0 when every level
+built, 1 when some level failed, 2 for an unknown format (checked before
+anything is built).
 """
 
 import argparse
@@ -12,7 +15,7 @@ import sys
 import time
 
 from lorentzdomains.cli import build_domain
-from lorentzdomains.export import write_artifacts
+from lorentzdomains.export import WRITERS, write_artifacts
 
 
 def main(argv=None) -> int:
@@ -22,15 +25,25 @@ def main(argv=None) -> int:
     ap.add_argument("--formats", default="off,obj,json,svg")
     args = ap.parse_args(argv)
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
+    unknown = [fmt for fmt in formats if fmt not in WRITERS]
+    if unknown:
+        print(f"unknown format {unknown[0]!r}; known: {', '.join(sorted(WRITERS))}")
+        return 2
 
     t0 = time.time()
     built = 0
+    failed = 0
     for series in ("E", "Z"):
         for k in range(1, args.kmax + 1):
             if k % 3 == 0:
                 continue
             t1 = time.time()
-            build = build_domain(series, k)
+            try:
+                build = build_domain(series, k)
+            except (RuntimeError, ArithmeticError) as exc:
+                failed += 1
+                print(f"FAIL {series} k={k}: {exc}")
+                continue
             poly = build.poly
             write_artifacts(args.out, series, k, poly, build.report, formats)
             built += 1
@@ -39,8 +52,11 @@ def main(argv=None) -> int:
                 f"F={len(poly.faces)} unpaired={len(build.pairings.unpaired)} "
                 f"margin={build.reduction.margin:.4f} [{time.time() - t1:.1f}s]"
             )
-    print(f"built {built} cases into {args.out}/ in {time.time() - t0:.1f}s")
-    return 0
+    print(
+        f"built {built} cases into {args.out}/ in {time.time() - t0:.1f}s"
+        + (f", {failed} failed" if failed else "")
+    )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

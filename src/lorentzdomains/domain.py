@@ -40,7 +40,13 @@ from .cover import (
     lifted_generators,
     R_param,
 )
-from .disc import GroupElement, TriangleGroupData, build_triangle_group, mobius_apply
+from .disc import (
+    GroupElement,
+    TriangleGroupData,
+    build_triangle_group,
+    group_mul,
+    mobius_apply,
+)
 from .halfspaces import HalfSpaceConstraint, batch_wall
 
 VERTEX_MERGE_TOL = 1e-8
@@ -304,25 +310,6 @@ def _wall_tables(cs: ConstraintSet, pts: np.ndarray):
     return vals, windows
 
 
-def _masks_from_tables(cs, pts, vals, windows, tol):
-    groups_idx, slab_idx = _wall_index(cs)
-    walls = cs.all_walls()
-    in_exact = np.ones(len(pts), dtype=bool)
-    in_linear = np.ones(len(pts), dtype=bool)
-    for i in slab_idx:
-        in_exact &= ~((vals[i] < -1.0 - tol) & windows[i])
-        in_linear &= ~(walls[i].functional.value(pts) < -1.0 - tol)
-    for members in groups_idx:
-        cap_exact = np.zeros(len(pts), dtype=bool)
-        cap_linear = np.zeros(len(pts), dtype=bool)
-        for i in members:
-            cap_exact |= (vals[i] <= -1.0 + tol) & windows[i]
-            cap_linear |= walls[i].functional.value(pts) <= -1.0 + tol
-        in_exact &= cap_exact
-        in_linear &= cap_linear
-    return in_exact, in_linear
-
-
 def _active_from_tables(cs, vals, windows, tol):
     """Which wall planes carry boundary at each point.
 
@@ -346,21 +333,57 @@ def _active_from_tables(cs, vals, windows, tol):
 
 
 def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
-    """Exact sheet-aware membership of chart points in the domain."""
+    """Exact sheet-aware membership of chart points in the domain.
+
+    Membership is a conjunction of terms: the two slab walls (H side), then
+    one term per union group, which holds where any of its members (I side)
+    holds.  Each term is decided twice, by the exact predicate (form value
+    and sheet window) and by the linear chart functional, and the two
+    conjunctions must agree on every point, else the linear model is wrong
+    and this raises.  The conjunction short-circuits: a term is evaluated
+    only on the points where the exact or the linear verdict is still True,
+    and a point is dropped once both are False, since no later term can
+    change either.  The masks and the agreement check are thus those of the
+    full walls-by-points table, at the cost of one vector per term.
+    Dropping points skips no bracket check of `batch_wall` that could fire:
+    every wall element has |z_g| < |w_g| and every cone point |Z| < |W|, so
+    the cocycle bracket has positive real part on the whole cone.
+    """
     pts = np.asarray(pts, dtype=float)
     cone_ok = pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)
-    out = np.zeros(len(pts), dtype=bool)
-    if np.any(cone_ok):
-        sub = pts[cone_ok]
-        vals, windows = _wall_tables(cs, sub)
-        exact, linear = _masks_from_tables(cs, sub, vals, windows, tol)
-        if np.any(exact != linear):
-            bad = sub[exact != linear]
-            raise RuntimeError(
-                "linear chart model disagrees with the sheet-aware predicate "
-                f"at {bad[0]}; the phi window is active inside the slab"
+    live = np.flatnonzero(cone_ok)  # original rows of the undecided points
+    sub = pts[live]
+    Z, W, PHI = _chart_parts(sub)
+    exact = np.ones(len(live), dtype=bool)
+    linear = np.ones(len(live), dtype=bool)
+    for members in [(wall,) for wall in cs.slab] + list(cs.groups):
+        cap_exact = np.zeros(len(live), dtype=bool)
+        cap_linear = np.zeros(len(live), dtype=bool)
+        for wall in members:
+            val, phi = batch_wall(wall.g, Z, W, PHI)
+            window = np.abs(phi) < math.pi / 2.0
+            lin = wall.functional.value(sub)
+            if wall.side == "H":
+                cap_exact |= ~((val < -1.0 - tol) & window)
+                cap_linear |= ~(lin < -1.0 - tol)
+            else:
+                cap_exact |= (val <= -1.0 + tol) & window
+                cap_linear |= lin <= -1.0 + tol
+        exact &= cap_exact
+        linear &= cap_linear
+        undecided = exact | linear
+        if not undecided.all():
+            live, sub, Z, W, PHI, exact, linear = (
+                a[undecided] for a in (live, sub, Z, W, PHI, exact, linear)
             )
-        out[cone_ok] = exact
+    if np.any(exact != linear):
+        bad = sub[exact != linear]
+        raise RuntimeError(
+            "linear chart model disagrees with the sheet-aware predicate "
+            f"at {bad[0]}; the phi window is active inside the slab"
+        )
+    out = np.zeros(len(pts), dtype=bool)
+    out[live[exact]] = True
     return out
 
 
@@ -371,30 +394,47 @@ def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENC
     return _active_from_tables(cs, vals, windows, tol)
 
 
+def _triples(n: int) -> np.ndarray:
+    """All index triples i < j < l < n, in itertools.combinations order."""
+    first, second = np.triu_indices(n, 1)
+    counts = n - 1 - second  # third indices second+1 .. n-1 per pair
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    first, second = np.repeat(first, counts), np.repeat(second, counts)
+    third = second + 1 + np.arange(len(second)) - starts
+    return np.column_stack([first, second, third])
+
+
 def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     """Vertices of the domain: all valid triple-plane intersections.
 
     Planes are the wall planes of every family member and the two slab
-    planes.  Triples are solved in batch; ill-conditioned triples are
-    discarded, candidate points outside the cone or failing the membership
-    predicate are dropped, survivors are merged at VERTEX_MERGE_TOL and
-    returned in a deterministic order.
+    planes.  Triples are solved in batch; singular triples (|det| at most
+    _DET_FLOOR) and ill-conditioned ones (cond >= _COND_LIMIT) are
+    discarded.  The rows of each system are unit normals, so the largest
+    singular value is at most sqrt(3) and cond(A) <= 3 sqrt(3) / |det A|;
+    the SVD behind `np.linalg.cond` therefore runs only on the triples that
+    bound cannot clear (with a factor 6 of slack for rounding).  Candidate
+    points outside the cone or failing the membership predicate are
+    dropped (`membership_mask` short-circuits, so most candidates cost one
+    or two wall evaluations), survivors pinned by fewer than three
+    independent active planes are dropped too, and the rest are merged at
+    VERTEX_MERGE_TOL, first candidate in (s, x1, x2) order wins, and
+    returned in that order.
     """
     walls = cs.all_walls()
     normals = np.array([w.normal_hat for w in walls])
     offsets = np.array([w.offset for w in walls])
 
-    triples = np.array(
-        list(itertools.combinations(range(len(walls)), 3)), dtype=int
-    )
+    triples = _triples(len(walls))
     A = normals[triples]
     b = offsets[triples]
     dets = np.abs(np.linalg.det(A))
     keep = dets > _DET_FLOOR
-    A, b = A[keep], b[keep]
-    if len(A):
-        conds = np.linalg.cond(A)
-        good = conds < _COND_LIMIT
+    A, b, dets = A[keep], b[keep], dets[keep]
+    doubtful = np.flatnonzero(dets * _COND_LIMIT <= 6.0 * 3.0 * math.sqrt(3.0))
+    if len(doubtful):
+        good = np.ones(len(A), dtype=bool)
+        good[doubtful] = np.linalg.cond(A[doubtful]) < _COND_LIMIT
         A, b = A[good], b[good]
     candidates = (
         np.linalg.solve(A, b[..., None])[..., 0] if len(A) else np.zeros((0, 3))
@@ -415,23 +455,24 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
             if np.linalg.matrix_rank(rows, tol=1e-8) == 3:
                 keep.append(col)
         candidates = candidates[keep]
+    if not len(candidates):
+        raise ValueError("no vertices found; the constraint set is degenerate")
 
-    merged: list[np.ndarray] = []
     order = np.lexsort(
         (
             np.round(candidates[:, 1], 10),
             np.round(candidates[:, 0], 10),
             np.round(candidates[:, 2], 10),
         )
-    ) if len(candidates) else []
-    for idx in order:
-        p = candidates[idx]
-        if any(np.linalg.norm(p - q) <= VERTEX_MERGE_TOL for q in merged):
+    )
+    merged = np.empty((len(order), 3))
+    n = 0
+    for p in candidates[order]:
+        if n and np.min(np.linalg.norm(merged[:n] - p, axis=1)) <= VERTEX_MERGE_TOL:
             continue
-        merged.append(p)
-    if not merged:
-        raise ValueError("no vertices found; the constraint set is degenerate")
-    return np.array(merged)
+        merged[n] = p
+        n += 1
+    return merged[:n].copy()
 
 
 @dataclass(frozen=True)
@@ -652,15 +693,6 @@ class PairingReport:
         return {p.face_i: p for p in self.pairings}
 
 
-def _disc_pow(g: GroupElement, n: int) -> GroupElement:
-    from .disc import group_mul
-
-    out = GroupElement(0j, 1.0 + 0j)
-    for _ in range(n):
-        out = group_mul(out, g)
-    return out
-
-
 def _schreier_syllables(tri: TriangleGroupData, target: complex, depth: int = 8):
     """Generator word carrying the base point to `target` in the disc.
 
@@ -672,12 +704,11 @@ def _schreier_syllables(tri: TriangleGroupData, target: complex, depth: int = 8)
     if abs(target) < 1e-7:
         return []
     moves = []
-    for t in range(1, tri.p):
-        power = t if 2 * t <= tri.p else t - tri.p
-        moves.append(("u", power, _disc_pow(tri.gen_u, t)))
-    for t in range(1, tri.q):
-        power = t if 2 * t <= tri.q else t - tri.q
-        moves.append(("v", power, _disc_pow(tri.gen_v, t)))
+    for letter, gen, order in (("u", tri.gen_u, tri.p), ("v", tri.gen_v, tri.q)):
+        acc = GroupElement(0j, 1.0 + 0j)
+        for t in range(1, order):
+            acc = group_mul(acc, gen)  # gen^t
+            moves.append((letter, t if 2 * t <= order else t - order, acc))
     frontier = [(0j, ())]
     seen = {(0.0, 0.0)}
     for _ in range(depth):
@@ -808,8 +839,9 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     image of the face's vertex loop is another face's loop (bijectively,
     respecting the cycle) and the left factor admits a word certificate in
     the acting group within the syllable budget.  The partner face is then
-    assigned the inverse map, and faces left unpaired are reported, never
-    silently dropped.
+    assigned the inverse map, provided the inverse's left factor has a word
+    certificate within the budget too; otherwise neither face is paired.
+    Faces left unpaired are reported, never silently dropped.
 
     The two slab faces fall out of the same scan: their wall elements are
     the axis steps D and D^-1, so the family degenerates to pure axis
@@ -868,7 +900,6 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
         if not found:
             continue
         fj, g1, g2, vmap, (count, word) = found
-        paired[fi] = Pairing(fi, fj, g1, g2, tuple(sorted(vmap.items())), count, word)
         if fj != fi:
             g1_inv, g2_inv = cover_inv(g1), cover_inv(g2)
             back = _chart_image(g1_inv, g2, poly.vertices[list(poly.faces[fj].loop)])
@@ -883,12 +914,15 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
                 raise RuntimeError("pairing inverse does not invert the vertex map")
             cert_back = _gamma1_certificate(g1_inv, cs, max_word_len)
             if cert_back is None:
-                raise RuntimeError("pairing inverse fails the word certificate")
+                # no word for the inverse within the budget: both faces
+                # stay unpaired and are reported as such
+                continue
             paired[fj] = Pairing(
                 fj, fi, g1_inv, g2_inv,
                 tuple(sorted(rmap.items())),
                 cert_back[0], cert_back[1],
             )
+        paired[fi] = Pairing(fi, fj, g1, g2, tuple(sorted(vmap.items())), count, word)
     unpaired = tuple(
         poly.faces[i].label for i in range(len(poly.faces)) if i not in paired
     )

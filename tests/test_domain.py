@@ -1,12 +1,23 @@
+import dataclasses
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lorentzdomains.cover import CoverElement, axis_rotation, cover_inv, cover_mul
 from lorentzdomains.domain import (
+    _COND_LIMIT,
+    _DET_FLOOR,
+    EDGE_PROBE_TOL,
+    MEMBERSHIP_TOL,
+    VERTEX_MERGE_TOL,
     AffineFunctional,
+    _chart_parts,
+    active_walls,
     build_polyhedron,
     detect_symmetry,
     edge_cycle_check,
@@ -16,7 +27,12 @@ from lorentzdomains.domain import (
     membership_mask,
     series_constraints,
 )
-from lorentzdomains.halfspaces import HalfSpaceConstraint, chart_point, pairing_form
+from lorentzdomains.halfspaces import (
+    HalfSpaceConstraint,
+    batch_wall,
+    chart_point,
+    pairing_form,
+)
 
 # frozen combinatorics of the verified builds; p1 is the primary rotation
 # order (k+3 resp. 2k+3) and every count below is linear in it
@@ -220,3 +236,154 @@ def test_vertices_respect_symmetry(e2):
     mapped = poly.vertices @ rot.T
     for row in mapped:
         assert np.min(np.linalg.norm(poly.vertices - row, axis=1)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# reference enumeration: every wall evaluated on every point, every triple
+# through the SVD, and a list-based merge; the short-circuit membership and
+# the determinant-bounded conditioning check must reproduce it bit for bit
+
+ORACLE_LEVELS = [(series, k) for series in ("E", "Z") for k in (1, 2, 4, 5, 7)]
+
+
+def _reference_membership(cs, pts, tol):
+    pts = np.asarray(pts, dtype=float)
+    cone_ok = pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)
+    out = np.zeros(len(pts), dtype=bool)
+    sub = pts[cone_ok]
+    Z, W, PHI = _chart_parts(sub)
+    vals, windows = {}, {}
+    for wall in cs.all_walls():
+        val, phi = batch_wall(wall.g, Z, W, PHI)
+        vals[wall.label] = val
+        windows[wall.label] = np.abs(phi) < math.pi / 2.0
+    exact = np.ones(len(sub), dtype=bool)
+    linear = np.ones(len(sub), dtype=bool)
+    for wall in cs.slab:
+        exact &= ~((vals[wall.label] < -1.0 - tol) & windows[wall.label])
+        linear &= ~(wall.functional.value(sub) < -1.0 - tol)
+    for grp in cs.groups:
+        cap_exact = np.zeros(len(sub), dtype=bool)
+        cap_linear = np.zeros(len(sub), dtype=bool)
+        for wall in grp:
+            cap_exact |= (vals[wall.label] <= -1.0 + tol) & windows[wall.label]
+            cap_linear |= wall.functional.value(sub) <= -1.0 + tol
+        exact &= cap_exact
+        linear &= cap_linear
+    assert np.array_equal(exact, linear)
+    out[cone_ok] = exact
+    return out
+
+
+def _reference_vertices(cs):
+    walls = cs.all_walls()
+    normals = np.array([w.normal_hat for w in walls])
+    offsets = np.array([w.offset for w in walls])
+    triples = np.array(list(itertools.combinations(range(len(walls)), 3)), dtype=int)
+    A, b = normals[triples], offsets[triples]
+    keep = np.abs(np.linalg.det(A)) > _DET_FLOOR
+    A, b = A[keep], b[keep]
+    good = np.linalg.cond(A) < _COND_LIMIT
+    A, b = A[good], b[good]
+    candidates = np.linalg.solve(A, b[..., None])[..., 0]
+    candidates = candidates[_reference_membership(cs, candidates, MEMBERSHIP_TOL)]
+    act = active_walls(cs, candidates)
+    keep = [
+        col for col in range(len(candidates))
+        if act[:, col].sum() >= 3
+        and np.linalg.matrix_rank(normals[act[:, col]], tol=1e-8) == 3
+    ]
+    candidates = candidates[keep]
+    order = np.lexsort(
+        (
+            np.round(candidates[:, 1], 10),
+            np.round(candidates[:, 0], 10),
+            np.round(candidates[:, 2], 10),
+        )
+    )
+    merged = []
+    for idx in order:
+        p = candidates[idx]
+        if any(np.linalg.norm(p - q) <= VERTEX_MERGE_TOL for q in merged):
+            continue
+        merged.append(p)
+    return np.array(merged)
+
+
+def _probe_points(cs, rng, n=3000):
+    """Points inside the slab, beyond it, outside the cone, and on every wall plane."""
+    h = math.tan(math.pi * cs.k / (2 * cs.config.p_lcm))
+    rho = math.sqrt(1.0 + h * h)
+    inside = np.column_stack(
+        [rng.uniform(-rho, rho, n), rng.uniform(-rho, rho, n), rng.uniform(-h, h, n)]
+    )
+    beyond = inside.copy()
+    beyond[:, 2] = np.sign(beyond[:, 2]) * rng.uniform(h, 3.0 * h, n)
+    r = np.sqrt(1.0 + inside[:, 2] ** 2) * rng.uniform(1.0, 1.5, n)
+    ang = rng.uniform(0.0, 2.0 * math.pi, n)
+    off_cone = np.column_stack([r * np.cos(ang), r * np.sin(ang), inside[:, 2]])
+    # on each wall plane, and shifted off it so that the wall functional
+    # reads -1 +- 0.5 tol and -1 +- 1.5 tol for both tolerances in use
+    shifts = [0.0] + [
+        sign * f * tol
+        for tol in (MEMBERSHIP_TOL, EDGE_PROBE_TOL)
+        for f in (0.5, 1.5)
+        for sign in (-1.0, 1.0)
+    ]
+    on_walls = []
+    for wall in cs.all_walls():
+        seed = inside[rng.integers(0, n, 40)]
+        plane = seed - np.outer(seed @ wall.normal_hat - wall.offset, wall.normal_hat)
+        normal = wall.functional.normal
+        for delta in shifts:
+            on_walls.append(plane + (delta / (normal @ normal)) * normal)
+    return np.vstack([inside, beyond, off_cone] + on_walls)
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+def test_membership_mask_matches_full_table(series, k):
+    cs = series_constraints(series, k)
+    pts = _probe_points(cs, np.random.default_rng(k))
+    for tol in (MEMBERSHIP_TOL, EDGE_PROBE_TOL):
+        got = membership_mask(cs, pts, tol=tol)
+        ref = _reference_membership(cs, pts, tol)
+        assert got.tobytes() == ref.tobytes()
+        assert 0 < got.sum() < len(pts)
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+def test_enumerate_vertices_matches_reference(series, k):
+    cs = series_constraints(series, k)
+    got = enumerate_vertices(cs)
+    ref = _reference_vertices(cs)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()
+
+
+unit_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@given(st.lists(unit_entries, min_size=9, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_condition_number_bounded_by_determinant(entries):
+    """Unit rows: sigma_max <= sqrt(3) and |det| <= sigma_max^2 sigma_min."""
+    A = np.array(entries).reshape(3, 3)
+    norms = np.linalg.norm(A, axis=1)
+    assume(np.all(norms > 1e-3))
+    A = A / norms[:, None]
+    det = abs(np.linalg.det(A))
+    assume(det > 1e-7)
+    assert np.linalg.cond(A) <= 3.0 * math.sqrt(3.0) / det * (1.0 + 1e-6)
+
+
+def test_membership_mask_raises_on_model_disagreement():
+    """A point kept by the linear model alone still reaches the agreement check."""
+    cs = series_constraints("E", 2)
+    wall = cs.groups[0][0]
+    loose = AffineFunctional(wall.functional.normal, wall.functional.constant - 0.05)
+    groups = ((dataclasses.replace(wall, functional=loose),) + cs.groups[0][1:],)
+    broken = dataclasses.replace(cs, groups=groups + cs.groups[1:])
+    pts = _probe_points(cs, np.random.default_rng(0))
+    assert membership_mask(cs, pts).any()
+    with pytest.raises(RuntimeError, match="disagrees"):
+        membership_mask(broken, pts)

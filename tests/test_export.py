@@ -212,8 +212,22 @@ def test_cli_out_dir_env(tmp_path, capsys, monkeypatch):
     assert os.path.exists(tmp_path / "envout" / "fund_E_k1.off")
 
 
-def test_cli_build_stage_failure_is_json(tmp_path, capsys):
+def test_cli_build_stage_failure_is_json(tmp_path, capsys, monkeypatch):
     """A stage that fails its check exits 1 with one JSON error object."""
+
+    def failing_stage(cs):
+        raise RuntimeError("forced stage failure")
+
+    monkeypatch.setattr(cli, "enumerate_vertices", failing_stage)
+    code = main(["build", "--series", "E", "--k", "1", "--out", str(tmp_path)])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "forced stage failure", "series": "E", "k": 1}
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_build_low_word_budget_reports_unpaired(tmp_path, capsys):
+    """Pairings whose words exceed the budget leave faces unpaired, not a crash."""
     code = main(
         [
             "build", "--series", "E", "--k", "1", "--word-budget", "1",
@@ -222,9 +236,16 @@ def test_cli_build_stage_failure_is_json(tmp_path, capsys):
     )
     assert code == 1
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"error", "series", "k"}
-    assert out["series"] == "E" and out["k"] == 1
-    assert os.listdir(tmp_path) == []
+    assert out["counts"]["faces"] == 18
+    assert out["unpaired"] and "slab[D]" in out["unpaired"]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"fund_E_k1.{fmt}" for fmt in ("json", "obj", "off", "svg")
+    )
+    report = json.loads((tmp_path / "fund_E_k1.json").read_text())
+    assert report["unpaired"] == out["unpaired"]
+    # every pairing that is reported comes with its inverse
+    pairs = {(p["face_i"], p["face_j"]) for p in report["pairings"]}
+    assert all((j, i) in pairs for i, j in pairs)
 
 
 def test_cli_build_rejects_unknown_format_before_building(tmp_path, capsys):

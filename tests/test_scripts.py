@@ -33,3 +33,32 @@ def test_verify_reduction_passes(capsys):
     assert _load("verify_reduction").main(["--kmax", "2", "--samples", "500"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_build_all_rejects_unknown_format_before_building(tmp_path, capsys):
+    out_dir = tmp_path / "all"
+    out_dir.mkdir()
+    code = _load("build_all").main(["--kmax", "1", "--out", str(out_dir), "--formats", "off,xyz"])
+    assert code == 2
+    assert "xyz" in capsys.readouterr().out
+    assert os.listdir(out_dir) == []
+
+
+def test_build_all_reports_failed_level_and_goes_on(tmp_path, monkeypatch, capsys):
+    build_all = _load("build_all")
+    real = build_all.build_domain
+
+    def flaky(series, k):
+        if (series, k) == ("E", 2):
+            raise RuntimeError("forced stage failure")
+        return real(series, k)
+
+    monkeypatch.setattr(build_all, "build_domain", flaky)
+    code = build_all.main(["--kmax", "2", "--out", str(tmp_path), "--formats", "json"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL E k=2: forced stage failure" in lines
+    assert any(line.startswith("Z k=2:") for line in lines)
+    assert sorted(os.listdir(tmp_path)) == [
+        "fund_E_k1.json", "fund_Z_k1.json", "fund_Z_k2.json",
+    ]

@@ -6,7 +6,8 @@ Usage: python3 scripts/verify_reduction.py [--kmax N] [--samples N]
 For each admissible level the script prints the two sides of the
 inequality and the margin, then cross-checks the half-space description
 of the domain against the prism-complement description on random points.
-Exits nonzero if any margin fails or any sampled point disagrees.
+Exits 1 if any margin fails, any sampled point disagrees or a case has
+no point to evaluate, and 2 if --samples is below 1.
 """
 
 import argparse
@@ -21,6 +22,9 @@ def main(argv=None) -> int:
     ap.add_argument("--samples", type=int, default=4000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.samples < 1:
+        print("--samples must be at least 1")
+        return 2
 
     failures = 0
     print(f"{'case':>8}  {'ell^-(sec)':>12}  {'rhs':>12}  {'margin':>10}  premise")
@@ -40,7 +44,7 @@ def main(argv=None) -> int:
     for series in ("E", "Z"):
         for k in (1, 2, 4, 5):
             st = sample_equivalence(series, k, n_samples=args.samples, seed=args.seed)
-            agree = st.n_agree == st.n_evaluated
+            agree = st.n_evaluated > 0 and st.n_agree == st.n_evaluated
             if not agree:
                 failures += 1
             print(

@@ -288,48 +288,32 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     )
 
 
-def _wall_index(cs: ConstraintSet):
-    """Wall indices in all_walls() order: (per-group index lists, slab list)."""
-    idx = 0
-    groups_idx = []
-    for grp in cs.groups:
-        groups_idx.append(list(range(idx, idx + len(grp))))
-        idx += len(grp)
-    return groups_idx, [idx, idx + 1]
+def _active_rows(cs: ConstraintSet, pts: np.ndarray, tol: float):
+    """Which wall planes carry boundary at each point, one group at a time.
 
-
-def _wall_tables(cs: ConstraintSet, pts: np.ndarray):
-    """Exact wall values and sheet windows, one row per wall of all_walls()."""
-    Z, W, PHI = _chart_parts(pts)
-    vals = np.empty((len(cs.all_walls()), len(pts)))
-    windows = np.empty_like(vals, dtype=bool)
-    for i, wall in enumerate(cs.all_walls()):
-        val, phi = batch_wall(wall.g, Z, W, PHI)
-        vals[i] = val
-        windows[i] = np.abs(phi) < math.pi / 2.0
-    return vals, windows
-
-
-def _active_from_tables(cs, vals, windows, tol):
-    """Which wall planes carry boundary at each point.
-
-    Intersection-type walls (slab) are active where the functional sits at
-    the wall value.  A union member is active only when additionally no
+    Yields (slice of all_walls(), one boolean row per member), for the
+    union groups in order and then each slab wall as a group of one.  A
+    wall is active where its functional sits at the wall value inside the
+    sheet window.  A union member is active only when additionally no
     sibling of its group holds strictly: if a sibling is strictly inside,
     the whole group is slack there and the member's plane, even if the
-    point lies on it, is invisible to the region's boundary.
+    point lies on it, is invisible to the region's boundary.  A point on a
+    slab plane never holds strictly, so for the slab walls (intersection
+    type) the sibling condition is void.  Only one group's rows are in
+    memory at a time.
     """
-    groups_idx, slab_idx = _wall_index(cs)
-    active = np.zeros_like(vals, dtype=bool)
-    for i in slab_idx:
-        active[i] = (np.abs(vals[i] + 1.0) <= tol) & windows[i]
-    for members in groups_idx:
-        strict = np.zeros(vals.shape[1], dtype=bool)
-        for i in members:
-            strict |= (vals[i] < -1.0 - tol) & windows[i]
-        for i in members:
-            active[i] = (np.abs(vals[i] + 1.0) <= tol) & windows[i] & ~strict
-    return active
+    Z, W, PHI = _chart_parts(pts)
+    start = 0
+    for members in list(cs.groups) + [(wall,) for wall in cs.slab]:
+        on_plane = []
+        strict = np.zeros(len(pts), dtype=bool)
+        for wall in members:
+            val, phi = batch_wall(wall.g, Z, W, PHI)
+            window = np.abs(phi) < math.pi / 2.0
+            on_plane.append((np.abs(val + 1.0) <= tol) & window)
+            strict |= (val < -1.0 - tol) & window
+        yield slice(start, start + len(members)), [row & ~strict for row in on_plane]
+        start += len(members)
 
 
 def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
@@ -390,8 +374,10 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
 def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENCE_TOL):
     """Boolean matrix (walls x points) of active boundary incidences."""
     pts = np.asarray(pts, dtype=float)
-    vals, windows = _wall_tables(cs, pts)
-    return _active_from_tables(cs, vals, windows, tol)
+    active = np.empty((len(cs.all_walls()), len(pts)), dtype=bool)
+    for index, rows in _active_rows(cs, pts, tol):
+        active[index] = rows
+    return active
 
 
 def _triples(n: int) -> np.ndarray:
@@ -444,16 +430,21 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
         inside = membership_mask(cs, candidates)
         candidates = candidates[inside]
 
-    # keep only candidates pinned by rank-3 many active boundary planes
+    # keep only candidates pinned by rank-3 many active boundary planes;
+    # the active planes are counted group by group, and the walls-by-points
+    # table is built only for the few points with three or more
     if len(candidates):
-        act = active_walls(cs, candidates)
-        keep = []
-        for col in range(len(candidates)):
-            rows = normals[act[:, col]]
-            if len(rows) < 3:
-                continue
-            if np.linalg.matrix_rank(rows, tol=1e-8) == 3:
-                keep.append(col)
+        n_active = np.zeros(len(candidates), dtype=int)
+        for _, rows in _active_rows(cs, candidates, PLANE_INCIDENCE_TOL):
+            for row in rows:
+                n_active += row
+        cols = np.flatnonzero(n_active >= 3)
+        act = active_walls(cs, candidates[cols])
+        keep = [
+            col for i, col in enumerate(cols)
+            if act[:, i].sum() >= 3
+            and np.linalg.matrix_rank(normals[act[:, i]], tol=1e-8) == 3
+        ]
         candidates = candidates[keep]
     if not len(candidates):
         raise ValueError("no vertices found; the constraint set is degenerate")
@@ -735,15 +726,15 @@ def _schreier_syllables(tri: TriangleGroupData, target: complex, depth: int = 8)
     return None
 
 
-def _gamma1_certificate(g1: CoverElement, cs: ConstraintSet, budget: int):
+def _gamma1_certificate(g1: CoverElement, cs: ConstraintSet, gens: dict, budget: int):
     """Express g1 as a word in the acting group's generators, or None.
 
     The disc image of the base point is pulled back by a Schreier word in
-    the lifted u/v generators; the residue must be a power of the lifted
-    stabilizer generator D^3 times a central element C^(k j).  Syllable
-    count (each generator power is one syllable) must fit the budget.
+    the lifted u/v generators (`gens` is `lifted_generators(cs.config)`);
+    the residue must be a power of the lifted stabilizer generator D^3
+    times a central element C^(k j).  Syllable count (each generator power
+    is one syllable) must fit the budget.
     """
-    gens = lifted_generators(cs.config)
     p_tri = cs.tri.p
     k = cs.k
     target = mobius_apply(GroupElement(g1.z, g1.w), 0j)
@@ -827,6 +818,52 @@ def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
     return deltas == {1} or deltas == {n - 1}
 
 
+def _quick_survivors(vertex, g1_row, g2_inv_row, vertices: np.ndarray):
+    """Candidates (t, u) whose image of one chart point lands near a vertex.
+
+    Broadcast form of the scalar quick check: `_chart_image(g1, g2_inv,
+    [vertex])` for every g1 in `g1_row` (index t) and every g2_inv in
+    `g2_inv_row` (index u), then the distance to the nearest vertex at
+    PAIRING_QUICK_TOL.  Every g2_inv rotates about the origin (z = 0), so
+    the right factor only rotates the left product: the image is one row
+    of `cover_mul(g1, p)` times one column of w factors.  Returns a
+    (t, u) boolean mask.  It is a prefilter only: a candidate the full
+    scalar check accepts has its first image within PAIRING_MATCH_TOL of a
+    vertex, ten times inside PAIRING_QUICK_TOL, and there the sheet guard
+    is far from its limits, so rounding differences between numpy and
+    scalar complex arithmetic cannot drop it.
+    """
+    x1, x2, s = vertex
+    z2, w2, phi2 = complex(x1, x2), complex(1.0, s), math.atan(s)
+    z1 = np.array([g.z for g in g1_row])
+    w1 = np.array([g.w for g in g1_row])
+    phi1 = np.array([g.phi for g in g1_row])
+    # cover_mul(g1, p), one entry per t
+    z3 = np.conjugate(w1) * z2 + z1 * w2
+    w3 = np.conjugate(z1) * z2 + w1 * w2
+    bracket = 1.0 + (np.conjugate(z1) * z2) / (w1 * w2)
+    if not (bracket.real > 0.0).all():
+        raise ArithmeticError("cocycle bracket left the principal branch")
+    phi3 = phi1 + phi2 + np.angle(bracket)
+    # times g2_inv, one column per u
+    w_right = np.array([g.w for g in g2_inv_row])
+    qz = z3[:, None] * w_right
+    qw = w3[:, None] * w_right
+    qphi = phi3[:, None] + np.array([g.phi for g in g2_inv_row])
+    on_sheet = np.flatnonzero((qw.real > 1e-9) & (np.abs(qphi) < math.pi / 2.0))
+    qz, qw = qz.ravel()[on_sheet], qw.ravel()[on_sheet]
+    image = np.column_stack([qz.real / qw.real, qz.imag / qw.real, qw.imag / qw.real])
+    # an image outside the vertices' bounding box, widened by the
+    # tolerance, is farther than the tolerance from every vertex
+    lo = vertices.min(axis=0) - PAIRING_QUICK_TOL
+    hi = vertices.max(axis=0) + PAIRING_QUICK_TOL
+    boxed = np.flatnonzero(((image >= lo) & (image <= hi)).all(axis=1))
+    dists = np.linalg.norm(vertices[None, :, :] - image[boxed, None, :], axis=2)
+    keep = np.zeros(qphi.size, dtype=bool)
+    keep[on_sheet[boxed]] = dists.min(axis=1) <= PAIRING_QUICK_TOL
+    return keep.reshape(qphi.shape)
+
+
 def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     """Discover the side-face identifications of the domain.
 
@@ -835,24 +872,37 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     onto the central one, so its left factor has the form (wall-rotation
     power) * (wall element inverse), while the right factor ranges over
     small powers of the second acting group's generator.  Candidates are
-    scanned in that two-parameter family; one is accepted when the chart
-    image of the face's vertex loop is another face's loop (bijectively,
-    respecting the cycle) and the left factor admits a word certificate in
-    the acting group within the syllable budget.  The partner face is then
-    assigned the inverse map, provided the inverse's left factor has a word
+    scanned in that two-parameter family (t over the axis powers D^t, u
+    over the powers h^u); one is accepted when the chart image of the
+    face's vertex loop is another face's loop (bijectively, respecting the
+    cycle) and the left factor admits a word certificate in the acting
+    group within the syllable budget.  The partner face is then assigned
+    the inverse map, provided the inverse's left factor has a word
     certificate within the budget too; otherwise neither face is paired.
     Faces left unpaired are reported, never silently dropped.
+
+    The axis powers, the powers of h with their inverses and the lifted
+    generators are built once per call, and each face builds its row of
+    left factors once.  A broadcast prefilter (`_quick_survivors`) maps the
+    face's first vertex under every (t, u) at once and keeps the
+    candidates landing within PAIRING_QUICK_TOL of a vertex; only those
+    go through the scalar check on all vertices, t first, then u, and the
+    first that passes wins.
 
     The two slab faces fall out of the same scan: their wall elements are
     the axis steps D and D^-1, so the family degenerates to pure axis
     powers, and the certificate only accepts the ones lying in the acting
     groups.  That is the top-to-bottom gluing.
     """
+    gens = lifted_generators(cs.config)
     h_gen = cover_pow(cs.D, cs.tri.p)
+    t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
+    d_powers = [cover_pow(cs.D, t) for t in t_range]
+    h_powers = [cover_pow(h_gen, u) for u in range(-4, 5)]
+    h_inverses = [cover_inv(g2) for g2 in h_powers]
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
     order += [i for i, f in enumerate(poly.faces) if f.is_slab]
     loop_lookup = {frozenset(f.loop): i for i, f in enumerate(poly.faces)}
-    t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
     paired: dict[int, Pairing] = {}
     for fi in order:
         if fi in paired:
@@ -861,47 +911,37 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
         loop_i = list(face_i.loop)
         verts_i = poly.vertices[loop_i]
         w_inv = cover_inv(face_i.wall.g)
+        g1_row = [cover_mul(d, w_inv) for d in d_powers]
+        survivors = _quick_survivors(verts_i[0], g1_row, h_inverses, poly.vertices)
         found = None
-        for t in t_range:
-            g1 = cover_mul(cover_pow(cs.D, t), w_inv)
-            for u in range(-4, 5):
-                g2 = cover_pow(h_gen, u)
-                g2_inv = cover_inv(g2)
-                quick = _chart_image(g1, g2_inv, verts_i[:1])
-                if quick is None:
-                    continue
-                if np.min(
-                    np.linalg.norm(poly.vertices - quick[0], axis=1)
-                ) > PAIRING_QUICK_TOL:
-                    continue
-                image = _chart_image(g1, g2_inv, verts_i)
-                if image is None:
-                    continue
-                matched = _match_vertices(image, poly.vertices)
-                if matched is None:
-                    continue
-                fj = loop_lookup.get(frozenset(matched))
-                if fj is None or fj in paired:
-                    continue
-                if poly.faces[fj].is_slab != face_i.is_slab:
-                    continue
-                vmap = dict(zip(loop_i, matched))
-                if fj == fi and all(a == b for a, b in vmap.items()):
-                    continue
-                if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
-                    continue
-                cert = _gamma1_certificate(g1, cs, max_word_len)
-                if cert is None:
-                    continue
-                found = (fj, g1, g2, vmap, cert)
-                break
-            if found:
-                break
+        for ti, ui in np.argwhere(survivors):
+            g1, g2, g2_inv = g1_row[ti], h_powers[ui], h_inverses[ui]
+            image = _chart_image(g1, g2_inv, verts_i)
+            if image is None:
+                continue
+            matched = _match_vertices(image, poly.vertices)
+            if matched is None:
+                continue
+            fj = loop_lookup.get(frozenset(matched))
+            if fj is None or fj in paired:
+                continue
+            if poly.faces[fj].is_slab != face_i.is_slab:
+                continue
+            vmap = dict(zip(loop_i, matched))
+            if fj == fi and all(a == b for a, b in vmap.items()):
+                continue
+            if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
+                continue
+            cert = _gamma1_certificate(g1, cs, gens, max_word_len)
+            if cert is None:
+                continue
+            found = (fj, g1, g2, g2_inv, vmap, cert)
+            break
         if not found:
             continue
-        fj, g1, g2, vmap, (count, word) = found
+        fj, g1, g2, g2_inv, vmap, (count, word) = found
         if fj != fi:
-            g1_inv, g2_inv = cover_inv(g1), cover_inv(g2)
+            g1_inv = cover_inv(g1)
             back = _chart_image(g1_inv, g2, poly.vertices[list(poly.faces[fj].loop)])
             if back is None:
                 raise RuntimeError("pairing inverse left the chart sheet")
@@ -912,7 +952,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
                 for v, m in zip(poly.faces[fj].loop, back_match)
             ):
                 raise RuntimeError("pairing inverse does not invert the vertex map")
-            cert_back = _gamma1_certificate(g1_inv, cs, max_word_len)
+            cert_back = _gamma1_certificate(g1_inv, cs, gens, max_word_len)
             if cert_back is None:
                 # no word for the inverse within the budget: both faces
                 # stay unpaired and are reported as such

@@ -8,15 +8,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lorentzdomains.cover import CoverElement, axis_rotation, cover_inv, cover_mul
+from lorentzdomains.cover import (
+    CoverElement,
+    axis_rotation,
+    cover_inv,
+    cover_mul,
+    cover_pow,
+    lifted_generators,
+)
 from lorentzdomains.domain import (
     _COND_LIMIT,
     _DET_FLOOR,
     EDGE_PROBE_TOL,
     MEMBERSHIP_TOL,
+    PAIRING_QUICK_TOL,
     VERTEX_MERGE_TOL,
     AffineFunctional,
+    Pairing,
+    PairingReport,
+    _chart_image,
     _chart_parts,
+    _cyclic_adjacent,
+    _gamma1_certificate,
+    _match_vertices,
+    _quick_survivors,
     active_walls,
     build_polyhedron,
     detect_symmetry,
@@ -340,6 +355,43 @@ def _probe_points(cs, rng, n=3000):
     return np.vstack([inside, beyond, off_cone] + on_walls)
 
 
+def _reference_active(cs, pts, tol):
+    """Active incidences and on-plane incidences from the full tables."""
+    Z, W, PHI = _chart_parts(np.asarray(pts, dtype=float))
+    walls = cs.all_walls()
+    vals = np.empty((len(walls), len(Z)))
+    windows = np.empty_like(vals, dtype=bool)
+    for i, wall in enumerate(walls):
+        val, phi = batch_wall(wall.g, Z, W, PHI)
+        vals[i] = val
+        windows[i] = np.abs(phi) < math.pi / 2.0
+    on_plane = (np.abs(vals + 1.0) <= tol) & windows
+    active = np.zeros_like(on_plane)
+    n_group_walls = len(walls) - len(cs.slab)
+    active[n_group_walls:] = on_plane[n_group_walls:]
+    start = 0
+    for grp in cs.groups:
+        rows = slice(start, start + len(grp))
+        strict = ((vals[rows] < -1.0 - tol) & windows[rows]).any(axis=0)
+        active[rows] = on_plane[rows] & ~strict
+        start += len(grp)
+    return active, on_plane
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+def test_active_walls_matches_full_table(series, k):
+    cs = series_constraints(series, k)
+    pts = _probe_points(cs, np.random.default_rng(k))
+    # wall values are defined on the cone only
+    pts = pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)]
+    for tol in (MEMBERSHIP_TOL, EDGE_PROBE_TOL):
+        got = active_walls(cs, pts, tol=tol)
+        ref, on_plane = _reference_active(cs, pts, tol)
+        assert got.tobytes() == ref.tobytes()
+        # both rules fire: incidences kept, and on-plane ones a sibling hides
+        assert got.any() and (on_plane & ~got).any()
+
+
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_membership_mask_matches_full_table(series, k):
     cs = series_constraints(series, k)
@@ -387,3 +439,163 @@ def test_membership_mask_raises_on_model_disagreement():
     assert membership_mask(cs, pts).any()
     with pytest.raises(RuntimeError, match="disagrees"):
         membership_mask(broken, pts)
+
+
+# ---------------------------------------------------------------------------
+# reference pairing scan: every (t, u) candidate built from scratch with
+# cover_pow and checked by the scalar chart image of its first vertex; the
+# table-driven scan with its broadcast prefilter must reproduce its report
+
+
+def _reference_pairings(poly, cs, max_word_len=8):
+    gens = lifted_generators(cs.config)
+    h_gen = cover_pow(cs.D, cs.tri.p)
+    order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
+    order += [i for i, f in enumerate(poly.faces) if f.is_slab]
+    loop_lookup = {frozenset(f.loop): i for i, f in enumerate(poly.faces)}
+    t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
+    paired = {}
+    for fi in order:
+        if fi in paired:
+            continue
+        face_i = poly.faces[fi]
+        loop_i = list(face_i.loop)
+        verts_i = poly.vertices[loop_i]
+        w_inv = cover_inv(face_i.wall.g)
+        found = None
+        for t in t_range:
+            g1 = cover_mul(cover_pow(cs.D, t), w_inv)
+            for u in range(-4, 5):
+                g2 = cover_pow(h_gen, u)
+                g2_inv = cover_inv(g2)
+                if not _scalar_quick_check(g1, g2_inv, verts_i[0], poly.vertices):
+                    continue
+                image = _chart_image(g1, g2_inv, verts_i)
+                if image is None:
+                    continue
+                matched = _match_vertices(image, poly.vertices)
+                if matched is None:
+                    continue
+                fj = loop_lookup.get(frozenset(matched))
+                if fj is None or fj in paired:
+                    continue
+                if poly.faces[fj].is_slab != face_i.is_slab:
+                    continue
+                vmap = dict(zip(loop_i, matched))
+                if fj == fi and all(a == b for a, b in vmap.items()):
+                    continue
+                if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
+                    continue
+                cert = _gamma1_certificate(g1, cs, gens, max_word_len)
+                if cert is None:
+                    continue
+                found = (fj, g1, g2, vmap, cert)
+                break
+            if found:
+                break
+        if not found:
+            continue
+        fj, g1, g2, vmap, (count, word) = found
+        if fj != fi:
+            g1_inv, g2_inv = cover_inv(g1), cover_inv(g2)
+            back = _chart_image(g1_inv, g2, poly.vertices[list(poly.faces[fj].loop)])
+            assert back is not None
+            rmap = {b: a for a, b in vmap.items()}
+            assert _match_vertices(back, poly.vertices) == [
+                rmap[v] for v in poly.faces[fj].loop
+            ]
+            cert_back = _gamma1_certificate(g1_inv, cs, gens, max_word_len)
+            if cert_back is None:
+                continue
+            paired[fj] = Pairing(
+                fj, fi, g1_inv, g2_inv, tuple(sorted(rmap.items())), *cert_back
+            )
+        paired[fi] = Pairing(fi, fj, g1, g2, tuple(sorted(vmap.items())), count, word)
+    unpaired = tuple(
+        poly.faces[i].label for i in range(len(poly.faces)) if i not in paired
+    )
+    return PairingReport(tuple(paired[i] for i in sorted(paired)), unpaired)
+
+
+def _scalar_quick_check(g1, g2_inv, vertex, vertices):
+    quick = _chart_image(g1, g2_inv, vertex[None, :])
+    if quick is None:
+        return False
+    return np.min(np.linalg.norm(vertices - quick[0], axis=1)) <= PAIRING_QUICK_TOL
+
+
+def _element_bits(g):
+    return (
+        np.array([g.z, g.w], dtype=complex).tobytes(),
+        np.float64(g.phi).tobytes(),
+        g.axis_turns,
+    )
+
+
+def _report_bits(rep):
+    return (
+        [
+            (p.face_i, p.face_j, _element_bits(p.g1), _element_bits(p.g2),
+             p.vertex_map, p.syllables, p.word)
+            for p in rep.pairings
+        ],
+        rep.unpaired,
+    )
+
+
+def _polyhedron(series, k):
+    cs = series_constraints(series, k)
+    return cs, build_polyhedron(cs, enumerate_vertices(cs))
+
+
+@pytest.mark.parametrize(
+    "series,k,budget", [(s, k, 8) for s, k in ORACLE_LEVELS] + [("E", 1, 1)]
+)
+def test_find_pairings_matches_reference_scan(series, k, budget):
+    cs, poly = _polyhedron(series, k)
+    got = find_pairings(poly, cs, max_word_len=budget)
+    ref = _reference_pairings(poly, cs, max_word_len=budget)
+    assert got == ref
+    assert _report_bits(got) == _report_bits(ref)
+    if budget == 1:
+        assert got.unpaired
+    else:
+        assert got.unpaired == () and len(got.pairings) == len(poly.faces)
+
+
+@pytest.mark.parametrize("series,k", [("E", 2), ("Z", 4)])
+def test_quick_survivors_keep_every_scalar_survivor(series, k):
+    """The broadcast prefilter never drops a candidate the scalar check keeps."""
+    cs, poly = _polyhedron(series, k)
+    t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
+    h_gen = cover_pow(cs.D, cs.tri.p)
+    h_inverses = [cover_inv(cover_pow(h_gen, u)) for u in range(-4, 5)]
+    n_scalar = n_broadcast = 0
+    for face in poly.faces:
+        w_inv = cover_inv(face.wall.g)
+        g1_row = [cover_mul(cover_pow(cs.D, t), w_inv) for t in t_range]
+        vertex = poly.vertices[face.loop[0]]
+        mask = _quick_survivors(vertex, g1_row, h_inverses, poly.vertices)
+        assert mask.shape == (len(t_range), len(h_inverses))
+        for ti, g1 in enumerate(g1_row):
+            for ui, g2_inv in enumerate(h_inverses):
+                if _scalar_quick_check(g1, g2_inv, vertex, poly.vertices):
+                    assert mask[ti, ui], (face.label, ti, ui)
+                    n_scalar += 1
+        n_broadcast += int(mask.sum())
+    # every face has a partner, and the prefilter drops most candidates
+    assert len(poly.faces) <= n_scalar <= n_broadcast
+    assert n_broadcast < len(poly.faces) * len(t_range) * len(h_inverses) // 10
+
+
+def test_quick_survivors_reject_a_bracket_off_the_principal_branch():
+    """The broadcast raises where the scalar cocycle check would."""
+    cs, poly = _polyhedron("E", 1)
+    x1, x2, s = vertex = poly.vertices[poly.faces[0].loop[0]]
+    p = CoverElement(complex(x1, x2), complex(1.0, s), math.atan(s))
+    # |z| > |w| is no group element: its bracket with p is 1 - 10 = -9
+    bad = CoverElement((-10.0 * p.w / p.z).conjugate(), 1.0 + 0j, 0.0)
+    with pytest.raises(ArithmeticError, match="principal branch"):
+        cover_mul(bad, p)
+    with pytest.raises(ArithmeticError, match="principal branch"):
+        _quick_survivors(vertex, [cs.D, bad], [cs.D], poly.vertices)

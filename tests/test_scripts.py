@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 
@@ -33,6 +34,38 @@ def test_verify_reduction_passes(capsys):
     assert _load("verify_reduction").main(["--kmax", "2", "--samples", "500"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_verify_reduction_rejects_samples_below_one(monkeypatch, capsys):
+    verify_reduction = _load("verify_reduction")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no case may run")
+
+    monkeypatch.setattr(verify_reduction, "check_reduction_bound", no_work)
+    monkeypatch.setattr(verify_reduction, "sample_equivalence", no_work)
+    for samples in ("0", "-3"):
+        assert verify_reduction.main(["--kmax", "1", "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().out
+
+
+def test_verify_reduction_fails_a_case_with_no_evidence(monkeypatch, capsys):
+    verify_reduction = _load("verify_reduction")
+    real = verify_reduction.sample_equivalence
+
+    def nothing_evaluated(series, k, n_samples, seed):
+        st = real(series, k, n_samples=n_samples, seed=seed)
+        if (series, k) != ("Z", 4):
+            return st
+        return dataclasses.replace(
+            st, n_boundary_excluded=st.n_samples, n_evaluated=0, n_agree=0
+        )
+
+    monkeypatch.setattr(verify_reduction, "sample_equivalence", nothing_evaluated)
+    assert verify_reduction.main(["--kmax", "1", "--samples", "50"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "equivalence Z k=4: 0/0 agree (FAIL)" in lines
+    assert sum(line.endswith("(FAIL)") for line in lines) == 1
 
 
 def test_build_all_rejects_unknown_format_before_building(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Command-line interface: build, verify, and inspect fundamental domains.
 
-Exit codes: 0 success, 2 invalid request (bad series, level, format or
-sample count), 1 failed verification (a stage check fails, faces stay
-unpaired, or the sampled descriptions disagree).  Errors are reported as
-a single JSON object on stdout so callers never have to parse prose.
+Exit codes: 0 success, 2 invalid request (a command line the parser
+rejects, or a bad series, level, format, word budget or sample count), 1
+failed verification (a stage check fails, faces stay unpaired, or the
+sampled descriptions disagree).  Errors are reported as a single JSON
+object {"error", "series", "k"} on stdout, with null for a series or level
+that did not parse, so callers never have to parse prose.
 """
 
 import argparse
@@ -76,9 +78,13 @@ def _out_dir(value):
     return os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
 
 
-def _fail(args, error: str, code: int = 2) -> int:
-    print(json.dumps({"error": error, "series": args.series, "k": args.k}, sort_keys=True))
+def _error(error: str, series, k, code: int = 2) -> int:
+    print(json.dumps({"error": error, "series": series, "k": k}, sort_keys=True))
     return code
+
+
+def _fail(args, error: str, code: int = 2) -> int:
+    return _error(error, args.series, args.k, code)
 
 
 def cmd_info(args) -> int:
@@ -104,6 +110,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_build(args) -> int:
+    if args.word_budget < 1:
+        return _fail(args, f"--word-budget must be at least 1, got {args.word_budget}")
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     unknown = [fmt for fmt in formats if fmt not in WRITERS]
     if unknown:
@@ -166,8 +174,34 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _parsed_request(argv):
+    """The series and the level of a rejected command line, each None
+    unless it parses to a valid value."""
+    echo = _Parser(add_help=False)
+    echo.add_argument("--series", nargs="?")
+    echo.add_argument("--k", nargs="?")
+    args, _ = echo.parse_known_args(argv)
+    series = args.series if args.series in ("E", "Z") else None
+    try:
+        k = int(args.k)
+    except (TypeError, ValueError):
+        k = None
+    return series, k
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorentzdomains",
         description="Polyhedral fundamental domains for Lorentz bi-quotients.",
     )
@@ -201,7 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _error(str(exc), *_parsed_request(argv))
     return args.func(args)
 
 

@@ -20,7 +20,6 @@ geometric vertex-matching certificate and a word certificate placing the
 left factor in the acting group.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -517,10 +516,10 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     pair_shared: dict[tuple[int, int], tuple] = {}
     probe_pts = []
     probe_owner = []
-    for i, j in itertools.combinations(range(nv), 2):
+    # the vertex pairs sharing two walls, in itertools.combinations order
+    inc = incidence.astype(np.int64)
+    for i, j in np.argwhere(np.triu(inc.T @ inc >= 2, 1)).tolist():
         shared = np.flatnonzero(incidence[:, i] & incidence[:, j])
-        if len(shared) < 2:
-            continue
         span = np.array([walls[w].normal_hat for w in shared])
         if np.linalg.matrix_rank(span, tol=1e-8) < 2:
             continue

@@ -168,7 +168,9 @@ def cylinder_bounds(x: complex, config: LevelConfig):
 def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
     """Form values <g, p> and sheet coordinates phi(g^{-1} p), vectorised.
 
-    Z, W, PHI are parallel arrays describing cone points.
+    Z, W, PHI are parallel arrays describing cone points.  g is one wall,
+    or one wall per point: a CoverElement whose z, w and phi are arrays
+    parallel to Z.  The elementwise arithmetic is the same either way.
     """
     val = (np.conjugate(g.z) * Z - np.conjugate(g.w) * W).real
     bracket = 1.0 + (-np.conjugate(g.z) * Z) / (np.conjugate(g.w) * W)

@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 
 from .cover import (
+    CoverElement,
     LevelConfig,
     cover_mul,
     cover_pow,
@@ -237,6 +238,148 @@ def _corona_lifts(tri: TriangleGroupData, config: LevelConfig):
     return pairs
 
 
+def _slab_samples(config: LevelConfig, n_samples: int, seed: int):
+    """Uniform points of the slab cylinder, as parallel arrays Z, W, PHI."""
+    half = math.tan(math.pi * config.k / (2 * config.p_lcm))
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-half, half, n_samples)
+    theta = rng.uniform(-math.pi, math.pi, n_samples)
+    rad = np.sqrt(rng.uniform(0.0, 1.0, n_samples)) * np.sqrt(1.0 + s * s)
+    return rad * np.exp(1j * theta), 1.0 + 1j * s, np.arctan(s)
+
+
+def _window_masks(val, phi):
+    """Capture and boundary masks of walls evaluated by `batch_wall`.
+
+    A wall captures a point when <g, p> <= -1 inside the sheet window.  The
+    point is near the wall's boundary when it is within BOUNDARY_BAND of the
+    level -1 inside the window, or of the window edge |phi| = pi/2 on the
+    closed side of the form.
+    """
+    window = np.abs(phi) < math.pi / 2.0
+    inside = (val <= -1.0) & window
+    near = (window & (np.abs(val + 1.0) < BOUNDARY_BAND)) | (
+        (val <= -1.0 + BOUNDARY_BAND)
+        & (np.abs(np.abs(phi) - math.pi / 2.0) < BOUNDARY_BAND)
+    )
+    return inside, near
+
+
+def _open_window_range(phi0, step: float, half_width: int):
+    """Per point, the inclusive range lo..hi of the n in [-half_width,
+    half_width] with |phi0 + n step| < pi/2 + 2 BOUNDARY_BAND (empty when
+    lo > hi).
+
+    A wall whose sheet coordinate lies beyond pi/2 + BOUNDARY_BAND neither
+    captures the point nor puts it near a boundary (`_window_masks`); the
+    second band is the margin for the drift of the computed coordinate from
+    the line phi0 + n step.
+    """
+    reach = math.pi / 2.0 + 2.0 * BOUNDARY_BAND
+    lo = np.maximum(np.ceil((-reach - phi0) / step), -half_width)
+    hi = np.minimum(np.floor((reach - phi0) / step), half_width)
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def _prism_scan(g: CoverElement, d_list, step: float, Z, W, PHI):
+    """Violation masks of the prism over the corona lift g, and its
+    boundary mask.
+
+    `d_list` holds D^n for n = -2N..2N.  Returns (violated_n, violated_2n,
+    near): whether a point strictly violates some wall g D^n with |n| <= N,
+    resp. |n| <= 2N, and whether it lies near the boundary of any of them.
+
+    D^n is an axis rotation, so on a fixed point every wall g D^n has the
+    cocycle bracket of g, and its sheet coordinate is phi_0 + n step.  The
+    n = 0 wall is evaluated on every point, which checks every bracket;
+    each other wall only on the points whose sheet window it can open.
+    Every evaluated coordinate must stay within BOUNDARY_BAND of that line,
+    or the skip is not justified and RuntimeError is raised.
+    """
+    two_n = len(d_list) // 2
+    walls = [cover_mul(g, d) for d in d_list]
+    val0, phi0 = batch_wall(walls[two_n], Z, W, PHI)
+    hit0, near = _window_masks(val0, phi0)
+
+    lo, hi = _open_window_range(phi0, step, two_n)
+    wz = np.array([w.z for w in walls])
+    ww = np.array([w.w for w in walls])
+    wphi = np.array([w.phi for w in walls])
+    violated_n = hit0.copy()
+    violated_2n = hit0.copy()
+    # one call per offset into the ranges: each holds at most one wall per
+    # point, so its arrays stay the size of the sample
+    for offset in range(int(np.max(hi - lo, initial=-1)) + 1):
+        n = lo + offset
+        point = np.flatnonzero((n <= hi) & (n != 0))
+        n = n[point]
+        row = n + two_n
+        val, phi = batch_wall(
+            CoverElement(wz[row], ww[row], wphi[row]), Z[point], W[point], PHI[point]
+        )
+        if np.any(np.abs(phi - (phi0[point] + n * step)) > BOUNDARY_BAND):
+            raise RuntimeError(
+                f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}"
+            )
+        hit, near_wall = _window_masks(val, phi)
+        near[point[near_wall]] = True
+        violated_2n[point[hit]] = True
+        violated_n[point[hit & (np.abs(n) <= two_n // 2)]] = True
+    return violated_n, violated_2n, near
+
+
+def _description_masks(cons, Z, W, PHI):
+    """Membership in the finite half-space description and in the prism
+    complement, and the boundary mask, for the cone points Z, W, PHI.
+
+    `cons` is the `series_constraints` result.  Raises RuntimeError when a
+    prism verdict off the boundary changes as the wall scan doubles.
+    """
+    config, tri = cons.config, cons.tri
+    near_boundary = np.zeros(len(Z), dtype=bool)
+
+    def wall_masks(g):
+        inside, near = _window_masks(*batch_wall(g, Z, W, PHI))
+        near_boundary[near] = True
+        return inside
+
+    # Finite description: every indexed union must capture the point, and
+    # neither slab-face half-space may be strictly violated.
+    in_linear = np.ones(len(Z), dtype=bool)
+    for group in cons.union_groups():
+        captured = np.zeros(len(Z), dtype=bool)
+        for g in group:
+            captured |= wall_masks(g)
+        in_linear &= captured
+    for g in cons.slab_walls():
+        in_linear &= ~wall_masks(g)
+
+    # Prism description: the point must escape the prism over every corona
+    # point, i.e. strictly violate at least one of its translated walls.
+    # Walls are scanned over two window sizes; the verdicts must match once
+    # boundary-skin points are set aside, otherwise the truncation of the
+    # wall family was too short to trust.
+    D = axis_step(config)
+    N = 2 * config.p_lcm
+    d_list = [cover_pow(D, n) for n in range(-2 * N, 2 * N + 1)]
+    step = math.pi * config.k / config.p_lcm
+
+    scans = []
+    for x, g in _corona_lifts(tri, config):
+        violated_n, violated_2n, near = _prism_scan(g, d_list, step, Z, W, PHI)
+        near_boundary |= near
+        scans.append((x, violated_n, violated_2n))
+
+    in_prism_complement = np.ones(len(Z), dtype=bool)
+    for x, violated_n, violated_2n in scans:
+        if np.any((violated_n != violated_2n) & ~near_boundary):
+            raise RuntimeError(
+                f"prism wall scan did not stabilise for corona point {x}"
+            )
+        in_prism_complement &= violated_2n
+    return in_linear, in_prism_complement, near_boundary
+
+
 def sample_equivalence(
     series: str,
     k: int,
@@ -259,72 +402,8 @@ def sample_equivalence(
         )
 
     cons = series_constraints(series, k)
-    config, tri = cons.config, cons.tri
-
-    half = math.tan(math.pi * k / (2 * config.p_lcm))
-    rng = np.random.default_rng(seed)
-    s = rng.uniform(-half, half, n_samples)
-    theta = rng.uniform(-math.pi, math.pi, n_samples)
-    rad = np.sqrt(rng.uniform(0.0, 1.0, n_samples)) * np.sqrt(1.0 + s * s)
-    Z = rad * np.exp(1j * theta)
-    W = 1.0 + 1j * s
-    PHI = np.arctan(s)
-
-    near_boundary = np.zeros(n_samples, dtype=bool)
-
-    def wall_masks(g):
-        val, phi = batch_wall(g, Z, W, PHI)
-        window = np.abs(phi) < math.pi / 2.0
-        inside = (val <= -1.0) & window
-        nonlocal near_boundary
-        near_boundary |= window & (np.abs(val + 1.0) < BOUNDARY_BAND)
-        near_boundary |= (val <= -1.0 + BOUNDARY_BAND) & (
-            np.abs(np.abs(phi) - math.pi / 2.0) < BOUNDARY_BAND
-        )
-        return inside
-
-    # Finite description: every indexed union must capture the point, and
-    # neither slab-face half-space may be strictly violated.
-    in_linear = np.ones(n_samples, dtype=bool)
-    for group in cons.union_groups():
-        captured = np.zeros(n_samples, dtype=bool)
-        for g in group:
-            captured |= wall_masks(g)
-        in_linear &= captured
-    for g in cons.slab_walls():
-        in_linear &= ~wall_masks(g)
-
-    # Prism description: the point must escape the prism over every corona
-    # point, i.e. strictly violate at least one of its translated walls.
-    # Walls are scanned over two window sizes; the verdicts must match once
-    # boundary-skin points are set aside, otherwise the truncation of the
-    # wall family was too short to trust.
-    D = axis_step(config)
-    N = 2 * config.p_lcm
-    d_list = {}
-    cur = cover_pow(D, -2 * N)
-    for n in range(-2 * N, 2 * N + 1):
-        d_list[n] = cur
-        cur = cover_mul(cur, D)
-
-    scans = []
-    for x, g in _corona_lifts(tri, config):
-        violated_n = np.zeros(n_samples, dtype=bool)
-        violated_2n = np.zeros(n_samples, dtype=bool)
-        for n in range(-2 * N, 2 * N + 1):
-            hit = wall_masks(cover_mul(g, d_list[n]))
-            violated_2n |= hit
-            if abs(n) <= N:
-                violated_n |= hit
-        scans.append((x, violated_n, violated_2n))
-
-    in_prism_complement = np.ones(n_samples, dtype=bool)
-    for x, violated_n, violated_2n in scans:
-        if np.any((violated_n != violated_2n) & ~near_boundary):
-            raise RuntimeError(
-                f"prism wall scan did not stabilise for corona point {x}"
-            )
-        in_prism_complement &= violated_2n
+    Z, W, PHI = _slab_samples(cons.config, n_samples, seed)
+    in_linear, in_prism_complement, near_boundary = _description_masks(cons, Z, W, PHI)
 
     ok = ~near_boundary
     agree = (in_linear == in_prism_complement) & ok

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentzdomains import cli
 from lorentzdomains.cli import main
@@ -279,3 +284,97 @@ def test_cli_verify_needs_evidence(capsys, monkeypatch):
     out = json.loads(text)
     assert out["equivalence"]["n_evaluated"] == 0
     assert out["equivalence"]["agreement"] is None
+
+
+def test_cli_parser_errors_are_json(capsys):
+    """A command line the parser rejects exits 2 with one JSON object on
+    stdout and nothing on stderr; a series or level that did not parse is
+    null."""
+    cases = [
+        (["info", "--series", "X", "--k", "2"], None, 2),
+        (["info", "--series", "E", "--k", "abc"], "E", None),
+        (["info", "--series", "Z"], "Z", None),
+        (["verify", "--k", "1"], None, 1),
+        (["build", "--series", "E", "--k", "1", "--bogus"], "E", 1),
+        (["info", "--series", "E", "--k"], "E", None),
+        ([], None, None),
+    ]
+    for argv, series, k in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == "", argv
+        out = json.loads(captured.out)
+        assert set(out) == {"error", "series", "k"} and out["error"], argv
+        assert (out["series"], out["k"]) == (series, k), argv
+
+
+def test_cli_build_rejects_word_budget_below_one(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(cli, "build_domain", no_build)
+    for budget in ("0", "-3"):
+        argv = ["build", "--series", "E", "--k", "1", "--word-budget", budget,
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert "--word-budget" in out["error"] and (out["series"], out["k"]) == ("E", 1)
+    assert os.listdir(tmp_path) == []
+
+
+def _flag(name, good, bad):
+    """`name value` with a good value about two times in three; otherwise a
+    bad value, the flag without a value, or no flag at all (None)."""
+    good = st.sampled_from([[name, v] for v in good])
+    bad = st.sampled_from([[name, v] for v in bad] + [[name], None])
+    return st.one_of(good, good, bad)
+
+
+_SERIES = _flag("--series", ["E", "Z"], ["X", ""])
+_LEVEL = _flag("--k", ["1", "2"], ["3", "0", "-1", "abc"])
+_COMMANDS = {
+    "info": [_SERIES, _LEVEL | st.integers(-2, 40).map(lambda k: ["--k", str(k)])],
+    "build": [
+        _SERIES, _LEVEL,
+        _flag("--word-budget", ["1", "8"], ["0", "-2", "x"]),
+        _flag("--formats", ["json"], ["off,xyz", ""]).filter(bool),
+    ],
+    "verify": [
+        _SERIES, _LEVEL,
+        _flag("--samples", ["30"], ["0", "-1", "x"]).filter(bool),
+        _flag("--seed", ["0", "7"], ["q"]),
+    ],
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """Command lines of `info`, and of `build` and `verify` at k <= 2 that
+    always name a small sample count and one output format."""
+    command = draw(st.sampled_from(["info", "build", "verify"] * 2 + ["frob", None]))
+    groups = [draw(flag) for flag in _COMMANDS.get(command, [_SERIES, _LEVEL])]
+    groups = [g for g in groups if g is not None]
+    if draw(st.integers(0, 3)) == 0:
+        groups.append(["--bogus"])
+    groups = draw(st.permutations(groups))
+    head = [] if command is None else [command]
+    return head + [arg for group in groups for arg in group]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_any_argv_exits_with_one_json_object(argv):
+    """Any command line ends with exit 0, 1 or 2 and exactly one JSON
+    object on stdout."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out_dir:
+        if argv[:1] == ["build"]:
+            argv = argv + ["--out", out_dir]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert stderr.getvalue() == ""
+    out = json.loads(stdout.getvalue())
+    assert isinstance(out, dict)
+    if code == 2:
+        assert set(out) == {"error", "series", "k"}

@@ -1,15 +1,26 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from lorentzdomains.cover import lift_level
+from lorentzdomains.cover import CoverElement, cover_mul, cover_pow, lift_level
 from lorentzdomains.disc import build_triangle_group
+from lorentzdomains.domain import series_constraints
+from lorentzdomains.halfspaces import axis_step, batch_wall
 from lorentzdomains.reduction import (
+    BOUNDARY_BAND,
     _closed_quantities,
+    _corona_lifts,
+    _description_masks,
+    _open_window_range,
+    _prism_scan,
+    _slab_samples,
+    _window_masks,
     check_reduction_bound,
     ell,
     f_bound,
+    sample_equivalence,
     series_signature,
 )
 
@@ -192,3 +203,171 @@ def test_extended_precision_route_consistent():
     assert abs(R - E2_R) < 1e-14
     assert abs(e - E2_ELL) < 1e-14
     assert abs(rhs - E2_RHS) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the prism scan of sample_equivalence against the full-window scan
+
+
+def _reference_description_masks(cons, Z, W, PHI):
+    """The full-window scan: every wall g D^n, |n| <= 4 p_lcm, of every
+    corona lift on every point, one `batch_wall` call per wall."""
+    config, tri = cons.config, cons.tri
+    near_boundary = np.zeros(len(Z), dtype=bool)
+
+    def wall_masks(g):
+        val, phi = batch_wall(g, Z, W, PHI)
+        window = np.abs(phi) < math.pi / 2.0
+        inside = (val <= -1.0) & window
+        nonlocal near_boundary
+        near_boundary |= window & (np.abs(val + 1.0) < BOUNDARY_BAND)
+        near_boundary |= (val <= -1.0 + BOUNDARY_BAND) & (
+            np.abs(np.abs(phi) - math.pi / 2.0) < BOUNDARY_BAND
+        )
+        return inside
+
+    in_linear = np.ones(len(Z), dtype=bool)
+    for group in cons.union_groups():
+        captured = np.zeros(len(Z), dtype=bool)
+        for g in group:
+            captured |= wall_masks(g)
+        in_linear &= captured
+    for g in cons.slab_walls():
+        in_linear &= ~wall_masks(g)
+
+    D = axis_step(config)
+    N = 2 * config.p_lcm
+    d_list = {}
+    cur = cover_pow(D, -2 * N)
+    for n in range(-2 * N, 2 * N + 1):
+        d_list[n] = cur
+        cur = cover_mul(cur, D)
+
+    scans = []
+    for x, g in _corona_lifts(tri, config):
+        violated_n = np.zeros(len(Z), dtype=bool)
+        violated_2n = np.zeros(len(Z), dtype=bool)
+        for n in range(-2 * N, 2 * N + 1):
+            hit = wall_masks(cover_mul(g, d_list[n]))
+            violated_2n |= hit
+            if abs(n) <= N:
+                violated_n |= hit
+        scans.append((x, violated_n, violated_2n))
+
+    in_prism_complement = np.ones(len(Z), dtype=bool)
+    for x, violated_n, violated_2n in scans:
+        if np.any((violated_n != violated_2n) & ~near_boundary):
+            raise RuntimeError(
+                f"prism wall scan did not stabilise for corona point {x}"
+            )
+        in_prism_complement &= violated_2n
+    return in_linear, in_prism_complement, near_boundary
+
+
+def _probe_points(cons, n_samples, seed):
+    """Slab samples, plus points placed on the boundaries the scan tests.
+
+    Some sit on the level -1 of a wall (a prism wall g D^n near the middle
+    of its range, or a wall of the finite description) or 0.5 and 1.5
+    bands off it.  Others are turned about the axis, which shifts every
+    sheet coordinate alike, until the sheet coordinate of the last prism
+    wall in a point's range is pi/2 or 0.5, 1.5 or 2.5 bands beyond it.
+    """
+    config = cons.config
+    rng = np.random.default_rng(seed)
+    Z, W, PHI = _slab_samples(config, n_samples, seed)
+    D = axis_step(config)
+    step = math.pi * config.k / config.p_lcm
+    lifts = [g for _, g in _corona_lifts(cons.tri, config)]
+    linear = [g for grp in cons.union_groups() for g in grp]
+    shifts = BOUNDARY_BAND * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
+    zs, ws, phis = [Z], [W], [PHI]
+    for i in range(0, n_samples, 3):
+        if i % 2:
+            g = cover_mul(lifts[i % len(lifts)], cover_pow(D, int(rng.integers(-2, 3))))
+        else:
+            g = linear[i % len(linear)]
+        val, _ = batch_wall(g, Z[i:i + 1], W[i:i + 1], PHI[i:i + 1])
+        z = Z[i] + (-1.0 + shifts - val[0]) * g.z / abs(g.z) ** 2
+        keep = np.abs(z) < abs(W[i])
+        zs.append(z[keep])
+        ws.append(np.full(keep.sum(), W[i]))
+        phis.append(np.full(keep.sum(), PHI[i]))
+    edge = math.pi / 2.0 + BOUNDARY_BAND * np.array([0.0, 0.5, 1.5, 2.5])
+    for i in range(1, n_samples, 3):
+        g = lifts[i % len(lifts)]
+        _, phi0 = batch_wall(g, Z[i:i + 1], W[i:i + 1], PHI[i:i + 1])
+        sign = 1.0 if i % 2 else -1.0
+        n = math.floor((math.pi / 2.0 - sign * phi0[0]) / step)
+        turn = sign * edge - (phi0[0] + sign * n * step)
+        zs.append(Z[i] * np.exp(1j * turn))
+        ws.append(W[i] * np.exp(1j * turn))
+        phis.append(PHI[i] + turn)
+    return np.concatenate(zs), np.concatenate(ws), np.concatenate(phis)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 7])
+@pytest.mark.parametrize("series", ["E", "Z"])
+def test_description_masks_match_full_window_scan(series, k):
+    cons = series_constraints(series, k)
+    Z, W, PHI = _probe_points(cons, 1500, seed=k)
+    got = _description_masks(cons, Z, W, PHI)
+    want = _reference_description_masks(cons, Z, W, PHI)
+    for name, a, b in zip(("linear", "prism complement", "near boundary"), got, want):
+        assert np.array_equal(a, b), name
+    assert want[2].sum() > 0.1 * (len(Z) - 1500)
+
+    in_linear, in_prism, near = _reference_description_masks(
+        cons, *_slab_samples(cons.config, 2000, 11)
+    )
+    stats = sample_equivalence(series, k, n_samples=2000, seed=11)
+    assert (stats.n_boundary_excluded, stats.n_evaluated, stats.n_agree) == (
+        int(near.sum()),
+        int((~near).sum()),
+        int(((in_linear == in_prism) & ~near).sum()),
+    )
+
+
+@pytest.mark.parametrize("series, k", [("E", 1), ("Z", 4)])
+def test_skipped_prism_walls_are_inert(series, k):
+    """Every wall the scan skips has its sheet window closed on the point
+    and is not near it; every wall it keeps evaluates, one wall per point,
+    bit for bit as the one wall on all points."""
+    cons = series_constraints(series, k)
+    config = cons.config
+    Z, W, PHI = _probe_points(cons, 1500, seed=3)
+    D = axis_step(config)
+    two_n = 4 * config.p_lcm
+    step = math.pi * k / config.p_lcm
+    n_skipped = 0
+    for _, g in _corona_lifts(cons.tri, config):
+        _, phi0 = batch_wall(cover_mul(g, cover_pow(D, 0)), Z, W, PHI)
+        lo, hi = _open_window_range(phi0, step, two_n)
+        for n in range(-two_n, two_n + 1):
+            wall = cover_mul(g, cover_pow(D, n))
+            val, phi = batch_wall(wall, Z, W, PHI)
+            kept = (lo <= n) & (n <= hi)
+            _, near = _window_masks(val, phi)
+            assert not np.any(~kept & ((np.abs(phi) < math.pi / 2.0) | near))
+            n_skipped += int((~kept).sum())
+            m = int(kept.sum())
+            per_point = CoverElement(
+                np.full(m, wall.z), np.full(m, wall.w), np.full(m, wall.phi)
+            )
+            val_k, phi_k = batch_wall(per_point, Z[kept], W[kept], PHI[kept])
+            assert val_k.tobytes() == val[kept].tobytes()
+            assert phi_k.tobytes() == phi[kept].tobytes()
+    assert n_skipped > 0.8 * len(Z) * (2 * two_n + 1) * 2 * cons.tri.p
+
+
+def test_prism_scan_rejects_sheet_coordinates_off_the_line():
+    cons = series_constraints("E", 2)
+    config = cons.config
+    Z, W, PHI = _slab_samples(config, 200, 0)
+    D = axis_step(config)
+    d_list = [cover_pow(D, n) for n in range(-4 * config.p_lcm, 4 * config.p_lcm + 1)]
+    step = math.pi * config.k / config.p_lcm
+    _, g = _corona_lifts(cons.tri, config)[0]
+    _prism_scan(g, d_list, step, Z, W, PHI)
+    with pytest.raises(RuntimeError, match="sheet coordinates"):
+        _prism_scan(g, d_list, step * (1.0 + 1e-3), Z, W, PHI)

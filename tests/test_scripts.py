@@ -36,6 +36,24 @@ def test_verify_reduction_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_reduction_samples_every_level_up_to_kmax(monkeypatch, capsys):
+    verify_reduction = _load("verify_reduction")
+    real = verify_reduction.sample_equivalence
+    sampled = []
+
+    def recording(series, k, n_samples, seed):
+        sampled.append((series, k))
+        return real(series, k, n_samples=n_samples, seed=seed)
+
+    monkeypatch.setattr(verify_reduction, "sample_equivalence", recording)
+    assert verify_reduction.main(["--kmax", "2", "--samples", "50"]) == 0
+    assert sampled == [("E", 1), ("E", 2), ("Z", 1), ("Z", 2)]
+    sampled.clear()
+    assert verify_reduction.main(["--kmax", "7", "--samples", "50"]) == 0
+    assert sampled == [(s, k) for s in "EZ" for k in (1, 2, 4, 5, 7)]
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_reduction_rejects_samples_below_one(monkeypatch, capsys):
     verify_reduction = _load("verify_reduction")
 
@@ -55,7 +73,7 @@ def test_verify_reduction_fails_a_case_with_no_evidence(monkeypatch, capsys):
 
     def nothing_evaluated(series, k, n_samples, seed):
         st = real(series, k, n_samples=n_samples, seed=seed)
-        if (series, k) != ("Z", 4):
+        if (series, k) != ("Z", 1):
             return st
         return dataclasses.replace(
             st, n_boundary_excluded=st.n_samples, n_evaluated=0, n_agree=0
@@ -64,7 +82,7 @@ def test_verify_reduction_fails_a_case_with_no_evidence(monkeypatch, capsys):
     monkeypatch.setattr(verify_reduction, "sample_equivalence", nothing_evaluated)
     assert verify_reduction.main(["--kmax", "1", "--samples", "50"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "equivalence Z k=4: 0/0 agree (FAIL)" in lines
+    assert "equivalence Z k=1: 0/0 agree (FAIL)" in lines
     assert sum(line.endswith("(FAIL)") for line in lines) == 1
 
 

@@ -5,9 +5,10 @@ Usage: python3 scripts/build_all.py [--out DIR] [--kmax N] [--formats LIST]
 
 Levels divisible by 3 are skipped (no lift exists there).  Prints one
 summary line per case, a FAIL line for each level whose build fails a
-stage check, and a totals line at the end.  Exit codes: 0 when every level
-built, 1 when some level failed, 2 for an unknown format (checked before
-anything is built).
+stage check, leaves faces unpaired, or whose reduction inequality or orbit
+premise fails (its artifacts are still written), and a totals line at the
+end.  Exit codes: 0 when every level built and certified, 1 when some
+level failed, 2 for an unknown format (checked before anything is built).
 """
 
 import argparse
@@ -52,6 +53,13 @@ def main(argv=None) -> int:
                 f"F={len(poly.faces)} unpaired={len(build.pairings.unpaired)} "
                 f"margin={build.reduction.margin:.4f} [{time.time() - t1:.1f}s]"
             )
+            if build.pairings.unpaired or not build.reduction.certified:
+                failed += 1
+                print(
+                    f"FAIL {series} k={k}: unpaired={len(build.pairings.unpaired)} "
+                    f"reduction holds={build.reduction.holds} "
+                    f"orbit premise ok={build.reduction.orbit_premise_ok}"
+                )
     print(
         f"built {built} cases into {args.out}/ in {time.time() - t0:.1f}s"
         + (f", {failed} failed" if failed else "")

@@ -7,8 +7,8 @@ For each admissible level k <= kmax (3 does not divide k) of both series
 the script prints the two sides of the inequality and the margin, then
 cross-checks the half-space description of the domain against the
 prism-complement description on --samples random points per level.
-Exits 1 if any margin fails, any sampled point disagrees or a case has
-no point to evaluate, and 2 if --samples is below 1.
+Exits 1 if any margin or orbit premise fails, any sampled point disagrees
+or a case has no point to evaluate, and 2 if --samples is below 1.
 """
 
 import argparse
@@ -33,8 +33,8 @@ def main(argv=None) -> int:
     for series in ("E", "Z"):
         for k in levels:
             rep = check_reduction_bound(series, k)
-            mark = "ok" if rep.holds else "FAIL"
-            if not rep.holds:
+            mark = "ok" if rep.certified else "FAIL"
+            if not rep.certified:
                 failures += 1
             print(
                 f"{series} k={k:>3}  {rep.ell_minus_at_sec:12.8f}  "

@@ -32,14 +32,6 @@ from .cover import (
     product_defect,
     R_param,
 )
-from .halfspaces import (
-    HalfSpaceConstraint,
-    cylinder_bounds,
-    membership,
-    pairing_form,
-    prism_membership,
-    slab_membership,
-)
 from .reduction import (
     ReductionReport,
     check_reduction_bound,
@@ -88,12 +80,6 @@ __all__ = [
     "lift_word",
     "product_defect",
     "R_param",
-    "HalfSpaceConstraint",
-    "cylinder_bounds",
-    "membership",
-    "pairing_form",
-    "prism_membership",
-    "slab_membership",
     "ReductionReport",
     "check_reduction_bound",
     "ell",

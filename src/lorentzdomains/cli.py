@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid request (a command line the parser
 rejects, or a bad series, level, format, word budget or sample count), 1
-failed verification (a stage check fails, faces stay unpaired, or the
-sampled descriptions disagree).  Errors are reported as a single JSON
+failed verification (a stage check fails, faces stay unpaired, the
+reduction inequality or the orbit premise fails, or the sampled
+descriptions disagree).  Errors are reported as a single JSON
 object {"error", "series", "k"} on stdout, with null for a series or level
 that did not parse, so callers never have to parse prose.
 """
@@ -136,7 +137,7 @@ def cmd_build(args) -> int:
         "artifacts": {fmt: written[fmt] for fmt in sorted(written)},
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0 if not report["unpaired"] else 1
+    return 0 if build.reduction.certified and not report["unpaired"] else 1
 
 
 def cmd_verify(args) -> int:
@@ -170,7 +171,7 @@ def cmd_verify(args) -> int:
         },
     }
     print(json.dumps(result, indent=2, sort_keys=True))
-    ok = reduction.holds and 0 < stats.n_evaluated == stats.n_agree
+    ok = reduction.certified and 0 < stats.n_evaluated == stats.n_agree
     return 0 if ok else 1
 
 

@@ -228,11 +228,6 @@ def edge_corona(tri: TriangleGroupData) -> list[complex]:
     return _canonical_order(list(out.values()))
 
 
-def _to_klein(x: complex) -> complex:
-    """Poincare to Klein (Beltrami) coordinates."""
-    return 2.0 * x / (1.0 + abs(x) ** 2)
-
-
 def _clip_with_labels(poly, labels, n: complex, c: float, lab: int):
     """Clip a labeled polygon by the half-plane {Y : <Y, n> <= c}.
 

@@ -46,7 +46,7 @@ from .disc import (
     group_mul,
     mobius_apply,
 )
-from .halfspaces import HalfSpaceConstraint, batch_wall
+from .halfspaces import batch_wall, wall_masks
 
 VERTEX_MERGE_TOL = 1e-8
 PLANE_INCIDENCE_TOL = 1e-9
@@ -58,7 +58,6 @@ WINDOW_GUARD = 1e-9
 _DET_FLOOR = 1e-12
 _COND_LIMIT = 1e8
 _EDGE_PROBE_TS = (0.25, 0.5, 0.75)
-_WORD_TARGET_TOL = 1e-9
 _STAB_TURN_TOL = 1e-6
 
 _LABEL_ORDER = {"a": 0, "b": 1, "c": 2, "slab": 3}
@@ -77,8 +76,8 @@ class AffineFunctional:
         return pts @ self.normal + self.constant
 
 
-def linearize(c: HalfSpaceConstraint, config) -> AffineFunctional:
-    """Restrict the wall functional of `c` to the slab chart.
+def linearize(g: CoverElement, config) -> AffineFunctional:
+    """Restrict the functional of the wall E_g to the slab chart.
 
     <pi(g), p> = Re(z_g) x1 + Im(z_g) x2 - Im(w_g) s - Re(w_g) on points
     p = (x1 + i x2, 1 + i s).  Side I keeps value <= -1, side H keeps
@@ -87,7 +86,6 @@ def linearize(c: HalfSpaceConstraint, config) -> AffineFunctional:
     on a grid and on the wall plane itself, and any activation is a hard
     error, because it would mean the linear picture misrepresents the set.
     """
-    g = c.g
     fn = AffineFunctional(
         normal=np.array([g.z.real, g.z.imag, -g.w.imag]),
         constant=-g.w.real,
@@ -183,12 +181,6 @@ class ConstraintSet:
     groups: tuple  # tuple of tuples of Wall, one tuple per union index m
     slab: tuple  # the two H-side Walls
 
-    def union_groups(self):
-        return [[w.g for w in grp] for grp in self.groups]
-
-    def slab_walls(self):
-        return [w.g for w in self.slab]
-
     def all_walls(self):
         out = [w for grp in self.groups for w in grp]
         out.extend(self.slab)
@@ -253,8 +245,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         walls = []
         group_auto_true = False
         for letter, g in zip(letters, members):
-            c = HalfSpaceConstraint(g, "I", f"{letter}[{m}]")
-            fn = linearize(c, config)
+            fn = linearize(g, config)
             lo, hi = _wall_range_on_slab(fn, config)
             if hi < -1.0:
                 # member holds on the whole slab; the union imposes nothing
@@ -262,19 +253,17 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
                 break
             if lo > -1.0:
                 continue
-            walls.append(Wall(c.label, g, "I", fn))
+            walls.append(Wall(f"{letter}[{m}]", g, "I", fn))
         if group_auto_true or not walls:
             continue
         groups.append(tuple(walls))
     if not groups:
         raise ValueError(f"empty constraint set for series {series}, k={k}")
 
-    slab_walls = []
-    for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]")):
-        c = HalfSpaceConstraint(g, "H", name)
-        fn = linearize(c, config)
-        slab_walls.append(Wall(name, g, "H", fn))
-
+    slab_walls = tuple(
+        Wall(name, g, "H", linearize(g, config))
+        for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]"))
+    )
     return ConstraintSet(
         series=series,
         k=k,
@@ -283,36 +272,8 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         tri=tri,
         D=D,
         groups=tuple(groups),
-        slab=tuple(slab_walls),
+        slab=slab_walls,
     )
-
-
-def _active_rows(cs: ConstraintSet, pts: np.ndarray, tol: float):
-    """Which wall planes carry boundary at each point, one group at a time.
-
-    Yields (slice of all_walls(), one boolean row per member), for the
-    union groups in order and then each slab wall as a group of one.  A
-    wall is active where its functional sits at the wall value inside the
-    sheet window.  A union member is active only when additionally no
-    sibling of its group holds strictly: if a sibling is strictly inside,
-    the whole group is slack there and the member's plane, even if the
-    point lies on it, is invisible to the region's boundary.  A point on a
-    slab plane never holds strictly, so for the slab walls (intersection
-    type) the sibling condition is void.  Only one group's rows are in
-    memory at a time.
-    """
-    Z, W, PHI = _chart_parts(pts)
-    start = 0
-    for members in list(cs.groups) + [(wall,) for wall in cs.slab]:
-        on_plane = []
-        strict = np.zeros(len(pts), dtype=bool)
-        for wall in members:
-            val, phi = batch_wall(wall.g, Z, W, PHI)
-            window = np.abs(phi) < math.pi / 2.0
-            on_plane.append((np.abs(val + 1.0) <= tol) & window)
-            strict |= (val < -1.0 - tol) & window
-        yield slice(start, start + len(members)), [row & ~strict for row in on_plane]
-        start += len(members)
 
 
 def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
@@ -343,14 +304,13 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
         cap_exact = np.zeros(len(live), dtype=bool)
         cap_linear = np.zeros(len(live), dtype=bool)
         for wall in members:
-            val, phi = batch_wall(wall.g, Z, W, PHI)
-            window = np.abs(phi) < math.pi / 2.0
+            holds, strict, _ = wall_masks(*batch_wall(wall.g, Z, W, PHI), tol)
             lin = wall.functional.value(sub)
             if wall.side == "H":
-                cap_exact |= ~((val < -1.0 - tol) & window)
+                cap_exact |= ~strict
                 cap_linear |= ~(lin < -1.0 - tol)
             else:
-                cap_exact |= (val <= -1.0 + tol) & window
+                cap_exact |= holds
                 cap_linear |= lin <= -1.0 + tol
         exact &= cap_exact
         linear &= cap_linear
@@ -371,11 +331,25 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
 
 
 def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENCE_TOL):
-    """Boolean matrix (walls x points) of active boundary incidences."""
+    """Boolean matrix (walls x points, rows in `all_walls()` order) of
+    active boundary incidences, filled one group at a time.
+
+    A wall is active where the point is on it (`wall_masks` at tol) and no
+    sibling of its union group holds strictly: there the group is slack and
+    the plane is invisible to the boundary.  Each slab wall is a group of
+    one, so for the slab walls the sibling condition is void.
+    """
     pts = np.asarray(pts, dtype=float)
+    Z, W, PHI = _chart_parts(pts)
     active = np.empty((len(cs.all_walls()), len(pts)), dtype=bool)
-    for index, rows in _active_rows(cs, pts, tol):
-        active[index] = rows
+    row = 0
+    for members in list(cs.groups) + [(wall,) for wall in cs.slab]:
+        slack = np.zeros(len(pts), dtype=bool)
+        for wall in members:
+            _, strict, active[row] = wall_masks(*batch_wall(wall.g, Z, W, PHI), tol)
+            slack |= strict
+            row += 1
+        active[row - len(members):row] &= ~slack
     return active
 
 
@@ -429,20 +403,12 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
         inside = membership_mask(cs, candidates)
         candidates = candidates[inside]
 
-    # keep only candidates pinned by rank-3 many active boundary planes;
-    # the active planes are counted group by group, and the walls-by-points
-    # table is built only for the few points with three or more
+    # keep only candidates pinned by rank-3 many active boundary planes
     if len(candidates):
-        n_active = np.zeros(len(candidates), dtype=int)
-        for _, rows in _active_rows(cs, candidates, PLANE_INCIDENCE_TOL):
-            for row in rows:
-                n_active += row
-        cols = np.flatnonzero(n_active >= 3)
-        act = active_walls(cs, candidates[cols])
+        act = active_walls(cs, candidates)
         keep = [
-            col for i, col in enumerate(cols)
-            if act[:, i].sum() >= 3
-            and np.linalg.matrix_rank(normals[act[:, i]], tol=1e-8) == 3
+            i for i in np.flatnonzero(act.sum(axis=0) >= 3)
+            if np.linalg.matrix_rank(normals[act[:, i]], tol=1e-8) == 3
         ]
         candidates = candidates[keep]
     if not len(candidates):

@@ -29,7 +29,7 @@ from .disc import (
     edge_corona,
     orbit,
 )
-from .halfspaces import axis_step, batch_wall
+from .halfspaces import batch_wall, wall_masks
 
 FORM_AGREEMENT_TOL = 1e-10
 TIGHT_MARGIN = 1e-6
@@ -110,6 +110,11 @@ class ReductionReport:
     tanh_L: float
     orbit_premise_ok: Optional[bool] = None
     extended_precision: bool = False
+
+    @property
+    def certified(self) -> bool:
+        """The inequality holds and the orbit premise was checked and holds."""
+        return self.holds and self.orbit_premise_ok is True
 
 
 def check_reduction_bound(
@@ -249,19 +254,19 @@ def _slab_samples(config: LevelConfig, n_samples: int, seed: int):
 
 
 def _window_masks(val, phi):
-    """Capture and boundary masks of walls evaluated by `batch_wall`.
+    """Capture and boundary masks of walls evaluated by `batch_wall`: the
+    wall holds (`wall_masks` at tolerance 0), and the point is on the wall
+    at tolerance BOUNDARY_BAND.
 
-    A wall captures a point when <g, p> <= -1 inside the sheet window.  The
-    point is near the wall's boundary when it is within BOUNDARY_BAND of the
-    level -1 inside the window, or of the window edge |phi| = pi/2 on the
-    closed side of the form.
+    The window edge |phi| = pi/2 needs no band of its own.  Write
+    B = BOUNDARY_BAND and h = g^{-1} p.  Then <g, p> = -|w_h| cos(phi), so
+    within B of the edge |<g, p>| < |w_h| B, and <g, p> <= -1 + B needs
+    |w_h| > (1 - B) / B, about 10^6.  But |w_h| <= |w_g| |w_p| + |z_g| |z_p|
+    < 2 |w_g| |w_p|, at most 31 over the walls, corona lifts and slab
+    samples of every E k <= 40 and Z k <= 20.
     """
-    window = np.abs(phi) < math.pi / 2.0
-    inside = (val <= -1.0) & window
-    near = (window & (np.abs(val + 1.0) < BOUNDARY_BAND)) | (
-        (val <= -1.0 + BOUNDARY_BAND)
-        & (np.abs(np.abs(phi) - math.pi / 2.0) < BOUNDARY_BAND)
-    )
+    inside = wall_masks(val, phi, 0.0)[0]
+    near = wall_masks(val, phi, BOUNDARY_BAND)[2]
     return inside, near
 
 
@@ -338,30 +343,29 @@ def _description_masks(cons, Z, W, PHI):
     config, tri = cons.config, cons.tri
     near_boundary = np.zeros(len(Z), dtype=bool)
 
-    def wall_masks(g):
-        inside, near = _window_masks(*batch_wall(g, Z, W, PHI))
+    def captures(wall):
+        inside, near = _window_masks(*batch_wall(wall.g, Z, W, PHI))
         near_boundary[near] = True
         return inside
 
     # Finite description: every indexed union must capture the point, and
     # neither slab-face half-space may be strictly violated.
     in_linear = np.ones(len(Z), dtype=bool)
-    for group in cons.union_groups():
+    for group in cons.groups:
         captured = np.zeros(len(Z), dtype=bool)
-        for g in group:
-            captured |= wall_masks(g)
+        for wall in group:
+            captured |= captures(wall)
         in_linear &= captured
-    for g in cons.slab_walls():
-        in_linear &= ~wall_masks(g)
+    for wall in cons.slab:
+        in_linear &= ~captures(wall)
 
     # Prism description: the point must escape the prism over every corona
     # point, i.e. strictly violate at least one of its translated walls.
     # Walls are scanned over two window sizes; the verdicts must match once
     # boundary-skin points are set aside, otherwise the truncation of the
     # wall family was too short to trust.
-    D = axis_step(config)
     N = 2 * config.p_lcm
-    d_list = [cover_pow(D, n) for n in range(-2 * N, 2 * N + 1)]
+    d_list = [cover_pow(cons.D, n) for n in range(-2 * N, 2 * N + 1)]
     step = math.pi * config.k / config.p_lcm
 
     scans = []

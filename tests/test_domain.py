@@ -42,12 +42,9 @@ from lorentzdomains.domain import (
     membership_mask,
     series_constraints,
 )
-from lorentzdomains.halfspaces import (
-    HalfSpaceConstraint,
-    batch_wall,
-    chart_point,
-    pairing_form,
-)
+from lorentzdomains.halfspaces import batch_wall
+
+from halfspace_oracle import chart_point, pairing_form
 
 # frozen combinatorics of the verified builds; p1 is the primary rotation
 # order (k+3 resp. 2k+3) and every count below is linear in it
@@ -213,7 +210,9 @@ def test_linearize_matches_pairing_form():
     cs = series_constraints("E", 2)
     rng = np.random.default_rng(7)
     g = cs.groups[0][0].g
-    fn = cs.groups[0][0].functional
+    fn = linearize(g, cs.config)
+    stored = cs.groups[0][0].functional
+    assert fn.normal.tobytes() == stored.normal.tobytes() and fn.constant == stored.constant
     for _ in range(50):
         x1, x2, s = rng.uniform(-0.5, 0.5, size=3)
         p = chart_point(x1, x2, s)

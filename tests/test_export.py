@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -284,6 +285,42 @@ def test_cli_verify_needs_evidence(capsys, monkeypatch):
     out = json.loads(text)
     assert out["equivalence"]["n_evaluated"] == 0
     assert out["equivalence"]["agreement"] is None
+
+
+def _fail_certificate(monkeypatch, field):
+    """Make every reduction record the CLI reads report `field` as False."""
+    real = cli.check_reduction_bound
+    monkeypatch.setattr(
+        cli, "check_reduction_bound",
+        lambda series, k: dataclasses.replace(real(series, k), **{field: False}),
+    )
+
+
+@pytest.mark.parametrize("field", ["holds", "orbit_premise_ok"])
+def test_cli_build_fails_on_failed_certificate(tmp_path, capsys, monkeypatch, field):
+    """A failed reduction or orbit premise exits 1 after the usual report."""
+    _fail_certificate(monkeypatch, field)
+    code = main(
+        ["build", "--series", "E", "--k", "1", "--out", str(tmp_path), "--formats", "json"]
+    )
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["unpaired"] == []
+    assert out["reduction_holds"] is (field != "holds")
+    assert os.listdir(tmp_path) == ["fund_E_k1.json"]
+    report = json.loads((tmp_path / "fund_E_k1.json").read_text())
+    assert report["reduction"][field] is False
+
+
+@pytest.mark.parametrize("field", ["holds", "orbit_premise_ok"])
+def test_cli_verify_fails_on_failed_certificate(capsys, monkeypatch, field):
+    """A failed reduction or orbit premise exits 1 after the usual report."""
+    _fail_certificate(monkeypatch, field)
+    code = main(["verify", "--series", "E", "--k", "1", "--samples", "500"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["reduction"][field] is False
+    assert out["equivalence"]["agreement"] == 1.0
 
 
 def test_cli_parser_errors_are_json(capsys):

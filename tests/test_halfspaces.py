@@ -15,9 +15,11 @@ from lorentzdomains.cover import (
     R_param,
 )
 from lorentzdomains.disc import GroupElement, build_triangle_group, mobius_apply
-from lorentzdomains.halfspaces import (
+from lorentzdomains.halfspaces import batch_wall, wall_masks
+
+from halfspace_oracle import (
+    WALL_TOL,
     HalfSpaceConstraint,
-    batch_wall,
     chart_point,
     cylinder_bounds,
     is_cone_point,
@@ -186,22 +188,46 @@ def test_cylinder_bounds_values():
     assert abs(r_out / r_in - SEC_PI_15) < 1e-12
 
 
+def test_package_exports_resolve():
+    import lorentzdomains
+
+    assert [n for n in lorentzdomains.__all__ if not hasattr(lorentzdomains, n)] == []
+
+
 def test_batch_matches_scalar():
+    """`batch_wall` and `wall_masks` against the scalar oracle, for sides I,
+    H and E, on slab points, on the same points one sheet up, and on
+    points placed on a wall plane and 0.5 and 1.5 WALL_TOL off it."""
     cfg = lift_level(5, 3, 3, 2)
     rng = random.Random(67)
-    g = random_group_element(rng)
-    pts = []
     half = math.tan(math.pi * cfg.k / (2 * cfg.p_lcm))
-    for _ in range(200):
-        s = rng.uniform(-half, half)
-        z = rng.uniform(0, 0.95) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        pts.append(chart_point(z.real, z.imag, s))
-    Z = np.array([p.z for p in pts])
-    W = np.array([p.w for p in pts])
-    PHI = np.array([p.phi for p in pts])
-    val, phi = batch_wall(g, Z, W, PHI)
-    mask = (val <= -1.0) & (np.abs(phi) < math.pi / 2.0)
-    c = HalfSpaceConstraint(g, "I")
-    for i, p in enumerate(pts):
-        assert bool(mask[i]) == membership(c, p)
-        assert abs(val[i] - pairing_form(g, p)) < 1e-12
+    offsets = WALL_TOL * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
+    seen = np.zeros((3, 2), dtype=int)  # per side: points outside, inside
+    for _ in range(6):
+        g = random_group_element(rng)
+        pts = []
+        for _ in range(100):
+            s = rng.uniform(-half, half)
+            z = rng.uniform(0, 0.95) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            p = chart_point(z.real, z.imag, s)
+            pts += [p, CoverElement(p.z, p.w, p.phi + 2.0 * math.pi)]
+            shift = (-1.0 + offsets - pairing_form(g, p)) * g.z / abs(g.z) ** 2
+            pts += [CoverElement(p.z + d, p.w, p.phi) for d in shift if abs(p.z + d) < abs(p.w)]
+        Z = np.array([p.z for p in pts])
+        W = np.array([p.w for p in pts])
+        PHI = np.array([p.phi for p in pts])
+        val, phi = batch_wall(g, Z, W, PHI)
+        holds, strict, _ = wall_masks(val, phi, 0.0)
+        _, _, on = wall_masks(val, phi, WALL_TOL)
+        for i, p in enumerate(pts):
+            form = pairing_form(g, p)
+            assert abs(val[i] - form) < 1e-12
+            verdicts = [(on[i], membership(HalfSpaceConstraint(g, "E"), p))]
+            # exactly on the plane the two routes round the form differently
+            if abs(form + 1.0) > 1e-12:
+                verdicts.append((holds[i], membership(HalfSpaceConstraint(g, "I"), p)))
+                verdicts.append((not strict[i], membership(HalfSpaceConstraint(g, "H"), p)))
+            for side, (batch, scalar) in enumerate(verdicts):
+                assert bool(batch) == scalar
+                seen[side, int(scalar)] += 1
+    assert (seen > 0).all()

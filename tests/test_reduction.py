@@ -7,7 +7,7 @@ import pytest
 from lorentzdomains.cover import CoverElement, cover_mul, cover_pow, lift_level
 from lorentzdomains.disc import build_triangle_group
 from lorentzdomains.domain import series_constraints
-from lorentzdomains.halfspaces import axis_step, batch_wall
+from lorentzdomains.halfspaces import batch_wall
 from lorentzdomains.reduction import (
     BOUNDARY_BAND,
     _closed_quantities,
@@ -227,15 +227,15 @@ def _reference_description_masks(cons, Z, W, PHI):
         return inside
 
     in_linear = np.ones(len(Z), dtype=bool)
-    for group in cons.union_groups():
+    for group in cons.groups:
         captured = np.zeros(len(Z), dtype=bool)
-        for g in group:
-            captured |= wall_masks(g)
+        for wall in group:
+            captured |= wall_masks(wall.g)
         in_linear &= captured
-    for g in cons.slab_walls():
-        in_linear &= ~wall_masks(g)
+    for wall in cons.slab:
+        in_linear &= ~wall_masks(wall.g)
 
-    D = axis_step(config)
+    D = cons.D
     N = 2 * config.p_lcm
     d_list = {}
     cur = cover_pow(D, -2 * N)
@@ -276,10 +276,10 @@ def _probe_points(cons, n_samples, seed):
     config = cons.config
     rng = np.random.default_rng(seed)
     Z, W, PHI = _slab_samples(config, n_samples, seed)
-    D = axis_step(config)
+    D = cons.D
     step = math.pi * config.k / config.p_lcm
     lifts = [g for _, g in _corona_lifts(cons.tri, config)]
-    linear = [g for grp in cons.union_groups() for g in grp]
+    linear = [wall.g for grp in cons.groups for wall in grp]
     shifts = BOUNDARY_BAND * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
     zs, ws, phis = [Z], [W], [PHI]
     for i in range(0, n_samples, 3):
@@ -336,7 +336,7 @@ def test_skipped_prism_walls_are_inert(series, k):
     cons = series_constraints(series, k)
     config = cons.config
     Z, W, PHI = _probe_points(cons, 1500, seed=3)
-    D = axis_step(config)
+    D = cons.D
     two_n = 4 * config.p_lcm
     step = math.pi * k / config.p_lcm
     n_skipped = 0
@@ -364,7 +364,7 @@ def test_prism_scan_rejects_sheet_coordinates_off_the_line():
     cons = series_constraints("E", 2)
     config = cons.config
     Z, W, PHI = _slab_samples(config, 200, 0)
-    D = axis_step(config)
+    D = cons.D
     d_list = [cover_pow(D, n) for n in range(-4 * config.p_lcm, 4 * config.p_lcm + 1)]
     step = math.pi * config.k / config.p_lcm
     _, g = _corona_lifts(cons.tri, config)[0]

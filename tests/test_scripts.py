@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import os
 
+from lorentzdomains import cli
 from lorentzdomains.cli import main
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -84,6 +85,44 @@ def test_verify_reduction_fails_a_case_with_no_evidence(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "equivalence Z k=1: 0/0 agree (FAIL)" in lines
     assert sum(line.endswith("(FAIL)") for line in lines) == 1
+
+
+def _fail_premise_at(monkeypatch, module, case):
+    """Make `module.check_reduction_bound` report a failed orbit premise at
+    `case`, a (series, k) pair."""
+    real = module.check_reduction_bound
+
+    def failing(series, k):
+        rep = real(series, k)
+        if (series, k) != case:
+            return rep
+        return dataclasses.replace(rep, orbit_premise_ok=False)
+
+    monkeypatch.setattr(module, "check_reduction_bound", failing)
+
+
+def test_verify_reduction_fails_a_failed_orbit_premise(monkeypatch, capsys):
+    verify_reduction = _load("verify_reduction")
+    _fail_premise_at(monkeypatch, verify_reduction, ("Z", 1))
+    assert verify_reduction.main(["--kmax", "1", "--samples", "50"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if "FAIL" in line]
+    assert len(fails) == 1
+    assert fails[0].startswith("Z k=  1") and "False  FAIL" in fails[0]
+    assert "equivalence Z k=1" in lines[-1]
+
+
+def test_build_all_fails_a_failed_orbit_premise_and_goes_on(tmp_path, monkeypatch, capsys):
+    _fail_premise_at(monkeypatch, cli, ("E", 1))
+    code = _load("build_all").main(["--kmax", "1", "--out", str(tmp_path), "--formats", "json"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "FAIL E k=1: unpaired=0 reduction holds=True orbit premise ok=False" in lines
+    )
+    assert any(line.startswith("Z k=1:") for line in lines)
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert sorted(os.listdir(tmp_path)) == ["fund_E_k1.json", "fund_Z_k1.json"]
 
 
 def test_build_all_rejects_unknown_format_before_building(tmp_path, capsys):

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .cover import (
+    COVER_IDENTITY,
     CoverElement,
     as_central_power,
     axis_rotation,
@@ -57,13 +58,16 @@ PAIRING_QUICK_TOL = 1e-6
 WINDOW_GUARD = 1e-9
 _DET_FLOOR = 1e-12
 _COND_LIMIT = 1e8
+_SIGMA_TOL = 1e-12
+_SEED_SLACK = 2.0
+_SEED_MEMBERSHIP_TOL = 1e-6
+_SEED_INCIDENCE_TOL = 1e-7
 _EDGE_PROBE_TS = (0.25, 0.5, 0.75)
 _STAB_TURN_TOL = 1e-6
 
 _LABEL_ORDER = {"a": 0, "b": 1, "c": 2, "slab": 3}
-
-COVER_ID = CoverElement(0j, 1.0 + 0j, 0.0, Fraction(0))
-
+# wall letters of one union group; each letter after a adds a trailing D
+_SERIES_LETTERS = {"E": "ab", "Z": "abc"}
 
 @dataclass(frozen=True)
 class AffineFunctional:
@@ -233,7 +237,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     if as_central_power(full_turn) != 1:
         raise AssertionError("conjugator full turn is not the central generator")
 
-    letters = "ab" if series == "E" else "abc"
+    letters = _SERIES_LETTERS[series]
     groups = []
     for m in range(period):
         conj = cover_pow(step, m)
@@ -353,64 +357,144 @@ def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENC
     return active
 
 
-def _triples(n: int) -> np.ndarray:
-    """All index triples i < j < l < n, in itertools.combinations order."""
-    first, second = np.triu_indices(n, 1)
-    counts = n - 1 - second  # third indices second+1 .. n-1 per pair
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    first, second = np.repeat(first, counts), np.repeat(second, counts)
-    third = second + 1 + np.arange(len(second)) - starts
-    return np.column_stack([first, second, third])
+def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
+    """The wall permutation of sigma, checked to be a symmetry of the planes.
+
+    sigma rotates the chart by pi/p about the s-axis (p the triangle
+    order).  It carries wall (m, letter) to ((m + 1) mod period, letter),
+    in `all_walls()` order, and fixes the two slab walls.  That needs every
+    union group present with all its letters, and each rotated unit normal
+    and offset to match its image's within _SIGMA_TOL (measured error at
+    most 1.4e-15); else this raises RuntimeError naming the wall.
+    """
+    letters = _SERIES_LETTERS[cs.series]
+    if len(cs.groups) != cs.period:
+        raise RuntimeError(
+            f"only {len(cs.groups)} of {cs.period} union groups meet the slab; "
+            "the wall set is not invariant under sigma"
+        )
+    for m, grp in enumerate(cs.groups):
+        labels = [w.label for w in grp]
+        if labels != [f"{c}[{m}]" for c in letters]:
+            raise RuntimeError(f"union group {m} has walls {labels}, not {letters}")
+    walls = cs.all_walls()
+    n_group = cs.period * len(letters)
+    index = np.arange(len(walls))
+    perm = np.where(index < n_group, (index + len(letters)) % n_group, index)
+    normals = np.array([w.normal_hat for w in walls])
+    offsets = np.array([w.offset for w in walls])
+    c, s = math.cos(math.pi / cs.tri.p), math.sin(math.pi / cs.tri.p)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    resid = np.maximum(
+        np.abs(normals @ rot.T - normals[perm]).max(axis=1),
+        np.abs(offsets - offsets[perm]),
+    )
+    worst = int(np.argmax(resid))
+    if resid[worst] > _SIGMA_TOL:
+        raise RuntimeError(
+            f"sigma does not carry wall {walls[worst].label} to "
+            f"{walls[perm[worst]].label}: residual {resid[worst]:.3g} > {_SIGMA_TOL:g}"
+        )
+    return perm
+
+
+def _sector_triples(n_first: int, n: int) -> np.ndarray:
+    """The index triples i < j < l < n with i < n_first."""
+    rows = []
+    for i in range(n_first):
+        j, l = np.triu_indices(n - 1 - i, 1)
+        rows.append(np.column_stack([np.full(len(j), i), i + 1 + j, i + 1 + l]))
+    return np.vstack(rows)
+
+
+def _solve_triples(normals, offsets, triples, slack: float = 1.0):
+    """The triples whose planes meet in one well-conditioned point, and the
+    points.
+
+    A triple is dropped when |det| <= _DET_FLOOR / slack or cond >=
+    _COND_LIMIT * slack.  The rows are unit normals, so the largest singular
+    value is at most sqrt(3) and cond(A) <= 3 sqrt(3) / |det A|; the SVD
+    behind `np.linalg.cond` runs only on the triples that bound cannot
+    clear (with a factor 6 of slack for rounding).  Each system is solved
+    on its own, so a triple's point does not depend on the other rows.
+    """
+    A = normals[triples]
+    dets = np.abs(np.linalg.det(A))
+    keep = np.flatnonzero(dets > _DET_FLOOR / slack)
+    cond_limit = _COND_LIMIT * slack
+    doubtful = np.flatnonzero(dets[keep] * cond_limit <= 6.0 * 3.0 * math.sqrt(3.0))
+    good = np.ones(len(keep), dtype=bool)
+    good[doubtful] = np.linalg.cond(A[keep[doubtful]]) < cond_limit
+    keep = keep[good]
+    b = offsets[triples[keep]]
+    return triples[keep], np.linalg.solve(A[keep], b[..., None])[..., 0]
+
+
+def _pinned(cs, normals, pts, membership_tol, incidence_tol, rank_tol):
+    """Indices of the points in the domain (`membership_mask` at
+    membership_tol) pinned by active walls (`active_walls` at
+    incidence_tol) of rank 3 (`matrix_rank` at rank_tol)."""
+    inside = np.flatnonzero(membership_mask(cs, pts, tol=membership_tol))
+    act = active_walls(cs, pts[inside], tol=incidence_tol)
+    return [
+        inside[i] for i in np.flatnonzero(act.sum(axis=0) >= 3)
+        if np.linalg.matrix_rank(normals[act[:, i]], tol=rank_tol) == 3
+    ]
 
 
 def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     """Vertices of the domain: all valid triple-plane intersections.
 
     Planes are the wall planes of every family member and the two slab
-    planes.  Triples are solved in batch; singular triples (|det| at most
-    _DET_FLOOR) and ill-conditioned ones (cond >= _COND_LIMIT) are
-    discarded.  The rows of each system are unit normals, so the largest
-    singular value is at most sqrt(3) and cond(A) <= 3 sqrt(3) / |det A|;
-    the SVD behind `np.linalg.cond` therefore runs only on the triples that
-    bound cannot clear (with a factor 6 of slack for rounding).  Candidate
-    points outside the cone or failing the membership predicate are
-    dropped (`membership_mask` short-circuits, so most candidates cost one
-    or two wall evaluations), survivors pinned by fewer than three
-    independent active planes are dropped too, and the rest are merged at
-    VERTEX_MERGE_TOL, first candidate in (s, x1, x2) order wins, and
-    returned in that order.
+    planes.  A triple of planes yields a vertex when it is regular
+    (`_solve_triples`), its point lies in the cone and passes the
+    membership predicate, and the point is pinned by rank-3 many active
+    walls.  The vertices are merged at VERTEX_MERGE_TOL, first candidate in
+    (s, x1, x2) order wins (ties in triple order), and returned in that
+    order.
+
+    Only O(W^2) of the C(W, 3) triples are solved.  There are only two
+    slab walls, so some power of the rotation sigma (`_sigma_permutation`)
+    moves a group wall of any triple into union group 0: every sigma-orbit
+    of triples meets the sector of the triples whose first wall lies in
+    group 0, which is generated directly (L W^2 / 2 triples for L letters
+    per group).  A seed pass keeps the sector triples that survive every
+    filter at a looser setting: determinant floor and condition limit by
+    a factor _SEED_SLACK, membership at _SEED_MEMBERSHIP_TOL, incidence at
+    _SEED_INCIDENCE_TOL and rank at 1e-8 / _SEED_SLACK.  This is a
+    superset: sigma moves each plane by at most _SIGMA_TOL (about 1e-15
+    measured) and the wall values at a rotated point by rounding of the
+    same order, far inside every loosening, and a looser filter keeps
+    more (a wall is active where it is on the plane and no sibling holds
+    strictly, and both widen with the tolerance).  So the sector image of
+    every triple the full scan keeps is a seed.  The cone test is not
+    loosened: the vertices lie at least 6% inside the cone up to E80.
+    The seeds' sigma-orbits, sorted and deduplicated into
+    itertools.combinations order, then go through the filters at their
+    usual setting.  Every filter acts on each triple alone, so the
+    survivors, their points and their order are those of the full scan,
+    and so is the merge.  Every level tried has 14 seeds (E) or 44 (Z).
     """
     walls = cs.all_walls()
     normals = np.array([w.normal_hat for w in walls])
     offsets = np.array([w.offset for w in walls])
 
-    triples = _triples(len(walls))
-    A = normals[triples]
-    b = offsets[triples]
-    dets = np.abs(np.linalg.det(A))
-    keep = dets > _DET_FLOOR
-    A, b, dets = A[keep], b[keep], dets[keep]
-    doubtful = np.flatnonzero(dets * _COND_LIMIT <= 6.0 * 3.0 * math.sqrt(3.0))
-    if len(doubtful):
-        good = np.ones(len(A), dtype=bool)
-        good[doubtful] = np.linalg.cond(A[doubtful]) < _COND_LIMIT
-        A, b = A[good], b[good]
-    candidates = (
-        np.linalg.solve(A, b[..., None])[..., 0] if len(A) else np.zeros((0, 3))
+    perm = _sigma_permutation(cs)
+    seeds, pts = _solve_triples(
+        normals, offsets, _sector_triples(len(cs.groups[0]), len(walls)), _SEED_SLACK
     )
+    seeds = seeds[_pinned(
+        cs, normals, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
+    )]
+    images = [seeds]
+    for _ in range(cs.period - 1):
+        images.append(perm[images[-1]])
+    triples = np.unique(np.sort(np.vstack(images), axis=1), axis=0)
 
-    if len(candidates):
-        inside = membership_mask(cs, candidates)
-        candidates = candidates[inside]
-
-    # keep only candidates pinned by rank-3 many active boundary planes
-    if len(candidates):
-        act = active_walls(cs, candidates)
-        keep = [
-            i for i in np.flatnonzero(act.sum(axis=0) >= 3)
-            if np.linalg.matrix_rank(normals[act[:, i]], tol=1e-8) == 3
-        ]
-        candidates = candidates[keep]
+    _, candidates = _solve_triples(normals, offsets, triples)
+    candidates = candidates[
+        _pinned(cs, normals, candidates, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL, 1e-8)
+    ]
     if not len(candidates):
         raise ValueError("no vertices found; the constraint set is degenerate")
 
@@ -585,13 +669,7 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
         if (j, i) not in directed:
             raise RuntimeError(f"edge {(i, j)} lacks its reversed twin; not closed")
         used_edges.add((min(i, j), max(i, j)))
-
-    face_count_per_edge: dict[tuple[int, int], int] = {}
-    for (i, j) in directed:
-        e = (min(i, j), max(i, j))
-        face_count_per_edge[e] = face_count_per_edge.get(e, 0) + 1
-    if any(c != 2 for c in face_count_per_edge.values()):
-        raise RuntimeError("non-manifold edge: wrong number of incident faces")
+    # so each edge lies in exactly two faces, one per direction of travel
 
     touched = {v for f in faces for v in f.loop}
     if touched != set(range(nv)):
@@ -706,7 +784,7 @@ def _gamma1_certificate(g1: CoverElement, cs: ConstraintSet, gens: dict, budget:
     syllables = _schreier_syllables(cs.tri, target)
     if syllables is None:
         return None
-    word = COVER_ID
+    word = COVER_IDENTITY
     for letter, power in syllables:
         word = cover_mul(word, cover_pow(gens[letter], power))
     resid = cover_mul(cover_inv(word), g1)
@@ -960,7 +1038,7 @@ def edge_cycle_check(poly: Polyhedron, report: PairingReport):
         for f0 in inc:
             if (f0, edge) in visited:
                 continue
-            g_tot1, g_tot2 = COVER_ID, COVER_ID
+            g_tot1, g_tot2 = COVER_IDENTITY, COVER_IDENTITY
             f, e = f0, edge
             steps = 0
             boundary = False

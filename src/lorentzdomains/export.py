@@ -7,11 +7,8 @@ temporary file in the target directory followed by os.replace.
 """
 
 import json
-import math
 import os
 import tempfile
-
-import numpy as np
 
 from .domain import Polyhedron, PairingReport, ConstraintSet
 

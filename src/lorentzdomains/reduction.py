@@ -36,8 +36,6 @@ TIGHT_MARGIN = 1e-6
 PREMISE_SLACK = 1e-9
 CORONA_MATCH_TOL = 1e-7
 BOUNDARY_BAND = 1e-6
-_PREMISE_RADIUS_FLOOR = 0.999
-_PREMISE_RADIUS_PAD = 5e-4
 
 
 def series_signature(series: str, k: int) -> tuple[int, int, int]:
@@ -129,7 +127,11 @@ def check_reduction_bound(
     FORM_AGREEMENT_TOL, and is re-derived with mpmath at 50 digits whenever
     the margin is tighter than TIGHT_MARGIN.  The shell premise (no orbit
     point other than the base point and its corona lies inside radius R) is
-    checked by enumeration unless verify_orbit_premise is False.
+    checked by enumeration unless verify_orbit_premise is False.  The walk
+    is `orbit(tri, R)`: only a point with |x| < R - PREMISE_SLACK can fail
+    the premise, and `orbit` explores a hyperbolic padding `_ORBIT_PAD`
+    beyond its radius, so a breadth-first path to such a point may leave
+    the ball of radius R and come back.
     """
     p_tri, q, r = series_signature(series, k)
     config = lift_level(p_tri, q, r, k)
@@ -172,8 +174,7 @@ def check_reduction_bound(
 
     premise_ok = None
     if verify_orbit_premise:
-        radius = max(_PREMISE_RADIUS_FLOOR, R + _PREMISE_RADIUS_PAD)
-        pts = np.array(orbit(tri, radius))
+        pts = np.array(orbit(tri, R))
         corona = np.array(edge_corona(tri))
         premise_ok = True
         for x in pts:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lorentzdomains.cli import build_domain
 from lorentzdomains.cover import (
     CoverElement,
     axis_rotation,
@@ -32,6 +33,8 @@ from lorentzdomains.domain import (
     _gamma1_certificate,
     _match_vertices,
     _quick_survivors,
+    _sector_triples,
+    _sigma_permutation,
     active_walls,
     build_polyhedron,
     detect_symmetry,
@@ -300,7 +303,13 @@ def _reference_vertices(cs):
     good = np.linalg.cond(A) < _COND_LIMIT
     A, b = A[good], b[good]
     candidates = np.linalg.solve(A, b[..., None])[..., 0]
-    candidates = candidates[_reference_membership(cs, candidates, MEMBERSHIP_TOL)]
+    # chunks bound the full walls x points tables; each point is judged alone
+    chunk = 1 << 15
+    inside = np.concatenate([
+        _reference_membership(cs, candidates[start:start + chunk], MEMBERSHIP_TOL)
+        for start in range(0, len(candidates), chunk)
+    ])
+    candidates = candidates[inside]
     act = active_walls(cs, candidates)
     keep = [
         col for col in range(len(candidates))
@@ -402,13 +411,80 @@ def test_membership_mask_matches_full_table(series, k):
         assert 0 < got.sum() < len(pts)
 
 
-@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 10), ("E", 11)])
 def test_enumerate_vertices_matches_reference(series, k):
+    """The sector scan against every triple of the full scan, bit for bit."""
     cs = series_constraints(series, k)
     got = enumerate_vertices(cs)
     ref = _reference_vertices(cs)
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("series,k", [("E", 1), ("Z", 1)])
+def test_sector_orbits_cover_every_triple(series, k):
+    """The sector is the triples whose first wall lies in group 0, and
+    its sigma-orbits hold every triple of the full scan."""
+    cs = series_constraints(series, k)
+    n, L = len(cs.all_walls()), len(cs.groups[0])
+    sector = _sector_triples(L, n)
+    combos = np.array(list(itertools.combinations(range(n), 3)))
+    assert np.array_equal(sector, combos[combos[:, 0] < L])
+    perm = _sigma_permutation(cs)
+    images = [sector]
+    for _ in range(cs.period - 1):
+        images.append(perm[images[-1]])
+    assert np.array_equal(np.unique(np.sort(np.vstack(images), axis=1), axis=0), combos)
+
+
+def _with_group(cs, m, walls):
+    groups = list(cs.groups)
+    groups[m] = tuple(walls)
+    return dataclasses.replace(cs, groups=tuple(groups))
+
+
+def _shift_offset(wall, delta):
+    fn = wall.functional
+    return dataclasses.replace(
+        wall, functional=AffineFunctional(fn.normal, fn.constant - delta)
+    )
+
+
+def test_sigma_guard_rejects_a_pruned_group():
+    cs = series_constraints("Z", 2)
+    with pytest.raises(RuntimeError, match=r"only 13 of 14 union groups"):
+        enumerate_vertices(dataclasses.replace(cs, groups=cs.groups[1:]))
+
+
+def test_sigma_guard_rejects_a_missing_letter():
+    cs = series_constraints("Z", 2)
+    expected = r"union group 3 has walls \['a\[3\]', 'b\[3\]'\], not abc"
+    with pytest.raises(RuntimeError, match=expected):
+        enumerate_vertices(_with_group(cs, 3, cs.groups[3][:2]))
+
+
+@pytest.mark.parametrize("series,k", [("E", 4), ("Z", 4)])
+def test_sigma_guard_names_a_moved_wall(series, k):
+    cs = series_constraints(series, k)
+    grp = list(cs.groups[3])
+    scale = float(np.linalg.norm(grp[1].functional.normal))
+    # the offset moves by delta / scale; 1e-14 is inside the bound
+    grp[1] = _shift_offset(grp[1], 1e-14 * scale)
+    assert np.array_equal(_sigma_permutation(_with_group(cs, 3, grp)),
+                          _sigma_permutation(cs))
+    grp[1] = _shift_offset(cs.groups[3][1], 1e-10 * scale)
+    with pytest.raises(RuntimeError, match=r"b\[3\].*residual 1e-10 > 1e-12"):
+        enumerate_vertices(_with_group(cs, 3, grp))
+
+
+def test_build_domain_past_z24():
+    """Z25 has 5.4M plane triples; its sector holds 151,210 of them."""
+    build = build_domain("Z", 25)
+    G = build.cs.period
+    assert len(build.poly.vertices) == 4 * G == 424
+    assert len(build.poly.faces) == 3 * G + 2 == 320
+    assert build.pairings.unpaired == ()
+    assert build.reduction.certified
 
 
 unit_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)

@@ -210,6 +210,15 @@ def test_cli_verify(capsys):
     assert out["equivalence"]["agreement"] == 1.0
 
 
+@pytest.mark.parametrize("series,k", [("Z", 25), ("E", 47)])
+def test_cli_verify_where_r_nears_one(capsys, series, k):
+    """R + 5e-4 >= 1 here: the premise walk must stay inside the disc."""
+    code = main(["verify", "--series", series, "--k", str(k), "--samples", "500"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["reduction"]["orbit_premise_ok"] is True
+
+
 def test_cli_out_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LORENTZDOMAINS_OUT", str(tmp_path / "envout"))
     code = main(["build", "--series", "E", "--k", "1", "--formats", "off"])

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from lorentzdomains.cover import CoverElement, cover_mul, cover_pow, lift_level
-from lorentzdomains.disc import build_triangle_group
+from lorentzdomains.disc import build_triangle_group, orbit
 from lorentzdomains.domain import series_constraints
 from lorentzdomains.halfspaces import batch_wall
 from lorentzdomains.reduction import (
     BOUNDARY_BAND,
+    PREMISE_SLACK,
     _closed_quantities,
     _corona_lifts,
     _description_masks,
@@ -142,6 +143,30 @@ def test_orbit_premise_small_levels():
     for series, k in (("E", 1), ("E", 4), ("Z", 1), ("Z", 4)):
         rep = check_reduction_bound(series, k)
         assert rep.orbit_premise_ok, (series, k)
+
+
+# levels where the wider walk max(0.999, R + 5e-4) is defined (radius
+# below 1); from Z25 and E47 on it is not
+@pytest.mark.parametrize(
+    "series,k",
+    [(s, k) for s in "EZ" for k in (1, 2, 5, 14, 20)] + [("E", 40), ("E", 46)],
+)
+def test_premise_walk_to_R_finds_every_point_inside_R(series, k):
+    """Only points with |x| < R - PREMISE_SLACK can fail the premise; the
+    walk to R finds the same ones as a walk to a wider radius."""
+    rep = check_reduction_bound(series, k)
+    assert rep.orbit_premise_ok is True
+    R = rep.R
+    wide = max(0.999, R + 5e-4)
+    assert wide < 1.0
+    tri = build_triangle_group(*series_signature(series, k))
+
+    def inner(radius):
+        return np.array([x for x in orbit(tri, radius) if abs(x) < R - PREMISE_SLACK])
+
+    got, ref = inner(R), inner(wide)
+    assert len(got) == len(ref) > 1
+    assert np.abs(got[:, None] - ref[None, :]).min(axis=1).max() < 1e-9
 
 
 def test_chain_endpoint_inequality():

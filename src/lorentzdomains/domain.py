@@ -85,17 +85,15 @@ def linearize(g: CoverElement, config) -> AffineFunctional:
 
     <pi(g), p> = Re(z_g) x1 + Im(z_g) x2 - Im(w_g) s - Re(w_g) on points
     p = (x1 + i x2, 1 + i s).  Side I keeps value <= -1, side H keeps
-    value >= -1.  The sheet window of the exact membership predicate must
-    stay inactive throughout the I-side region of the slab; that is probed
-    on a grid and on the wall plane itself, and any activation is a hard
-    error, because it would mean the linear picture misrepresents the set.
+    value >= -1.  The functional does not depend on the level `config`;
+    whether it represents the wall inside the slab (the sheet window stays
+    inactive on the I-side) is checked by `series_constraints` for every
+    wall it builds, through `_assert_window_inactive`.
     """
-    fn = AffineFunctional(
+    return AffineFunctional(
         normal=np.array([g.z.real, g.z.imag, -g.w.imag]),
         constant=-g.w.real,
     )
-    _assert_window_inactive(g, fn, config)
-    return fn
 
 
 def _slab_half_width(config) -> float:
@@ -109,48 +107,68 @@ def _chart_parts(pts: np.ndarray):
     return Z, W, PHI
 
 
-def _window_probe_points(fn: AffineFunctional, config) -> np.ndarray:
-    """Grid over the slab plus a sampling of the wall plane inside it."""
+def _in_slab_cone(pts: np.ndarray, h: float) -> np.ndarray:
+    """The chart points of pts in the closed slab |s| <= h, inside the cone."""
+    pts = pts[np.abs(pts[:, 2]) <= h + 1e-12]
+    inside_cone = pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (
+        1.0 - 1e-12
+    )
+    return pts[inside_cone]
+
+
+def _window_probe_grid(config) -> np.ndarray:
+    """The 21 x 21 x 9 grid over the slab, inside the cone; it depends only
+    on the level, so `series_constraints` builds it once for all walls."""
     h = _slab_half_width(config)
     rho = math.sqrt(1.0 + h * h)
     xs = np.linspace(-rho, rho, 21)
     ss = np.linspace(-h, h, 9)
     g1, g2, g3 = np.meshgrid(xs, xs, ss, indexing="ij")
-    pts = [np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])]
+    return _in_slab_cone(np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()]), h)
+
+
+def _wall_plane_points(fn: AffineFunctional, config) -> np.ndarray:
+    """A 25 x 25 sampling of the wall plane inside the slab and the cone."""
+    h = _slab_half_width(config)
+    rho = math.sqrt(1.0 + h * h)
     n = fn.normal
     # parametrize the wall plane n.x = -1 - constant by its two best axes
     rhs = -1.0 - fn.constant
     j = int(np.argmax(np.abs(n)))
-    if abs(n[j]) > 1e-12:
-        u_axis, v_axis = [i for i in range(3) if i != j]
-        uu, vv = np.meshgrid(np.linspace(-rho, rho, 25), np.linspace(-rho, rho, 25))
-        plane = np.zeros((uu.size, 3))
-        plane[:, u_axis] = uu.ravel()
-        plane[:, v_axis] = vv.ravel()
-        plane[:, j] = (rhs - plane @ n) / n[j]
-        pts.append(plane)
-    out = np.vstack(pts)
-    keep = np.abs(out[:, 2]) <= h + 1e-12
-    out = out[keep]
-    inside_cone = out[:, 0] ** 2 + out[:, 1] ** 2 < (1.0 + out[:, 2] ** 2) * (
-        1.0 - 1e-12
-    )
-    return out[inside_cone]
+    if abs(n[j]) <= 1e-12:
+        return np.empty((0, 3))
+    u_axis, v_axis = [i for i in range(3) if i != j]
+    uu, vv = np.meshgrid(np.linspace(-rho, rho, 25), np.linspace(-rho, rho, 25))
+    plane = np.zeros((uu.size, 3))
+    plane[:, u_axis] = uu.ravel()
+    plane[:, v_axis] = vv.ravel()
+    plane[:, j] = (rhs - plane @ n) / n[j]
+    return _in_slab_cone(plane, h)
 
 
-def _assert_window_inactive(g: CoverElement, fn: AffineFunctional, config) -> None:
-    pts = _window_probe_points(fn, config)
-    if len(pts) == 0:
-        return
-    Z, W, PHI = _chart_parts(pts)
-    val, phi = batch_wall(g, Z, W, PHI)
-    active = val <= -1.0 + 1e-6
-    if not np.any(active):
-        return
-    worst = np.max(np.abs(phi[active]))
+def _window_phase(g: CoverElement, fn: AffineFunctional, grid, config) -> float:
+    """The largest |phi(g^{-1} p)| over the probe points p on the I-side of
+    the wall (value <= -1 + 1e-6), or 0 when there is none.
+
+    The probe points are `grid`, the chart parts of `_window_probe_grid`,
+    and the points of `_wall_plane_points`.
+    """
+    worst = 0.0
+    for Z, W, PHI in (grid, _chart_parts(_wall_plane_points(fn, config))):
+        val, phi = batch_wall(g, Z, W, PHI)
+        worst = max(worst, np.max(np.abs(phi[val <= -1.0 + 1e-6]), initial=0.0))
+    return worst
+
+
+def _assert_window_inactive(
+    label: str, g: CoverElement, fn: AffineFunctional, grid, config
+) -> None:
+    """Raise RuntimeError when the sheet window of the wall activates inside
+    the slab: the linear picture would then misrepresent the set."""
+    worst = _window_phase(g, fn, grid, config)
     if worst >= math.pi / 2.0 - WINDOW_GUARD:
         raise RuntimeError(
-            "sheet window activates inside the slab for wall "
+            f"sheet window activates inside the slab for wall {label} "
             f"(z={g.z:.6g}, w={g.w:.6g}, phi={g.phi:.6g}): max |phi| = {worst:.6g}"
         )
 
@@ -212,6 +230,12 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     family is exactly periodic with period 2 p because the full-turn
     conjugator is central, so only one period of indices is kept, further
     pruned to members whose wall plane meets the closed slab.
+
+    Each member linearized, pruned or kept, and both slab walls must keep
+    the sheet window inactive throughout their I-side region of the slab,
+    else RuntimeError names the wall: the linear picture would
+    misrepresent the set.  That is probed on one grid over the slab, built
+    once per call, and on a sampling of the wall's own plane.
     """
     from .reduction import series_signature
 
@@ -238,6 +262,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         raise AssertionError("conjugator full turn is not the central generator")
 
     letters = _SERIES_LETTERS[series]
+    grid = _chart_parts(_window_probe_grid(config))
     groups = []
     for m in range(period):
         conj = cover_pow(step, m)
@@ -249,7 +274,9 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         walls = []
         group_auto_true = False
         for letter, g in zip(letters, members):
+            label = f"{letter}[{m}]"
             fn = linearize(g, config)
+            _assert_window_inactive(label, g, fn, grid, config)
             lo, hi = _wall_range_on_slab(fn, config)
             if hi < -1.0:
                 # member holds on the whole slab; the union imposes nothing
@@ -257,17 +284,18 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
                 break
             if lo > -1.0:
                 continue
-            walls.append(Wall(f"{letter}[{m}]", g, "I", fn))
+            walls.append(Wall(label, g, "I", fn))
         if group_auto_true or not walls:
             continue
         groups.append(tuple(walls))
     if not groups:
         raise ValueError(f"empty constraint set for series {series}, k={k}")
 
-    slab_walls = tuple(
-        Wall(name, g, "H", linearize(g, config))
-        for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]"))
-    )
+    slab_walls = []
+    for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]")):
+        fn = linearize(g, config)
+        _assert_window_inactive(name, g, fn, grid, config)
+        slab_walls.append(Wall(name, g, "H", fn))
     return ConstraintSet(
         series=series,
         k=k,
@@ -276,7 +304,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         tri=tri,
         D=D,
         groups=tuple(groups),
-        slab=slab_walls,
+        slab=tuple(slab_walls),
     )
 
 

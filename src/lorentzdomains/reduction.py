@@ -263,28 +263,73 @@ def _window_masks(val, phi):
     B = BOUNDARY_BAND and h = g^{-1} p.  Then <g, p> = -|w_h| cos(phi), so
     within B of the edge |<g, p>| < |w_h| B, and <g, p> <= -1 + B needs
     |w_h| > (1 - B) / B, about 10^6.  But |w_h| <= |w_g| |w_p| + |z_g| |z_p|
-    < 2 |w_g| |w_p|, at most 31 over the walls, corona lifts and slab
-    samples of every E k <= 40 and Z k <= 20.
+    <= (|z_g| + |w_g|) |w_p|, and `_description_masks` raises RuntimeError
+    unless that bound stays below (1 - B) / B for every wall and corona lift
+    on the points it is given.  On 10^4 slab samples it is at most 68 over
+    every admissible level k <= 50 of both series (Z50).
     """
     inside = wall_masks(val, phi, 0.0)[0]
     near = wall_masks(val, phi, BOUNDARY_BAND)[2]
     return inside, near
 
 
-def _open_window_range(phi0, step: float, half_width: int):
+def _n_range(phi0, step: float, half_width: int, reach):
     """Per point, the inclusive range lo..hi of the n in [-half_width,
-    half_width] with |phi0 + n step| < pi/2 + 2 BOUNDARY_BAND (empty when
-    lo > hi).
-
-    A wall whose sheet coordinate lies beyond pi/2 + BOUNDARY_BAND neither
-    captures the point nor puts it near a boundary (`_window_masks`); the
-    second band is the margin for the drift of the computed coordinate from
-    the line phi0 + n step.
-    """
-    reach = math.pi / 2.0 + 2.0 * BOUNDARY_BAND
+    half_width] with |phi0 + n step| <= reach (empty when lo > hi)."""
     lo = np.maximum(np.ceil((-reach - phi0) / step), -half_width)
     hi = np.minimum(np.floor((reach - phi0) / step), half_width)
     return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def _open_window_range(phi0, step: float, half_width: int, r=np.inf):
+    """Per point, the inclusive range lo..hi of the n in [-half_width,
+    half_width] with |phi0 + n step| <= arccos(min(1, (1 - 2B) / r)) + 2B,
+    B = BOUNDARY_BAND (empty when lo > hi).
+
+    Outside it a prism wall of modulus r on the point neither captures the
+    point nor puts it near a boundary (see `_prism_scan`).  The default
+    r = inf gives the sheet window itself, pi/2 + 2B: beyond pi/2 + B no
+    wall captures or is near, and the second band is the margin for the
+    drift of the computed coordinate from the line phi0 + n step.
+    """
+    band = 2.0 * BOUNDARY_BAND
+    reach = np.arccos(np.minimum(1.0, (1.0 - band) / r)) + band
+    return _n_range(phi0, step, half_width, reach)
+
+
+def _sure_hit_range(phi0, step: float, half_width: int, r):
+    """Per point, the inclusive range lo..hi of the n in [-half_width,
+    half_width] with |phi0 + n step| <= arccos(min(1, (1 + 2B) / r)) - 2B,
+    B = BOUNDARY_BAND; empty (lo > hi) unless r > 1 + 2B.  Inside it a
+    prism wall of modulus r holds strictly on the point and is not near it
+    (see `_prism_scan`).
+    """
+    band = 2.0 * BOUNDARY_BAND
+    sure = np.arccos(np.minimum(1.0, (1.0 + band) / r)) - band
+    return _n_range(phi0, step, half_width, sure)
+
+
+def _check_axis_rotations(d_list, step: float) -> None:
+    """Raise RuntimeError unless d_list[i] is the axis rotation D^n,
+    n = i - len(d_list) // 2, with z = 0, w = exp(-i n step) and
+    phi = -n step, to within a few rounding units of the largest |n step|.
+    """
+    two_n = len(d_list) // 2
+    n = np.arange(-two_n, two_n + 1)
+    z = np.array([d.z for d in d_list], dtype=complex)
+    w = np.array([d.w for d in d_list], dtype=complex)
+    phi = np.array([d.phi for d in d_list], dtype=float)
+    deviation = np.maximum.reduce([
+        np.abs(z), np.abs(w - np.exp(-1j * n * step)), np.abs(phi + n * step)
+    ])
+    bound = 16.0 * np.finfo(float).eps * (1.0 + two_n * step)
+    worst = int(np.argmax(deviation))
+    if deviation[worst] > bound:
+        raise RuntimeError(
+            f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}: "
+            f"D^{n[worst]} is {deviation[worst]:.3g} from the axis rotation "
+            f"(bound {bound:.3g})"
+        )
 
 
 def _prism_scan(g: CoverElement, d_list, step: float, Z, W, PHI):
@@ -295,42 +340,69 @@ def _prism_scan(g: CoverElement, d_list, step: float, Z, W, PHI):
     near): whether a point strictly violates some wall g D^n with |n| <= N,
     resp. |n| <= 2N, and whether it lies near the boundary of any of them.
 
-    D^n is an axis rotation, so on a fixed point every wall g D^n has the
-    cocycle bracket of g, and its sheet coordinate is phi_0 + n step.  The
-    n = 0 wall is evaluated on every point, which checks every bracket;
-    each other wall only on the points whose sheet window it can open.
-    Every evaluated coordinate must stay within BOUNDARY_BAND of that line,
-    or the skip is not justified and RuntimeError is raised.
-    """
-    two_n = len(d_list) // 2
-    walls = [cover_mul(g, d) for d in d_list]
-    val0, phi0 = batch_wall(walls[two_n], Z, W, PHI)
-    hit0, near = _window_masks(val0, phi0)
+    The identity.  D^n is the axis rotation z = 0, w = exp(-i n step),
+    phi = -n step, so on a point p every wall g D^n has the same modulus
+    r = |conj(z_g) Z - conj(w_g) W| = |w_h|, h = g^{-1} p, the sheet
+    coordinate phi_n = phi_0 + n step and the value -r cos(phi_n), where
+    phi_0 comes from the n = 0 evaluation.  Write B = BOUNDARY_BAND; the
+    margins 2B below cover the rounding of values and coordinates, which
+    stays near 1e-13.
 
-    lo, hi = _open_window_range(phi0, step, two_n)
-    wz = np.array([w.z for w in walls])
-    ww = np.array([w.w for w in walls])
-    wphi = np.array([w.phi for w in walls])
-    violated_n = hit0.copy()
-    violated_2n = hit0.copy()
-    # one call per offset into the ranges: each holds at most one wall per
-    # point, so its arrays stay the size of the sample
-    for offset in range(int(np.max(hi - lo, initial=-1)) + 1):
-        n = lo + offset
-        point = np.flatnonzero((n <= hi) & (n != 0))
-        n = n[point]
-        row = n + two_n
-        val, phi = batch_wall(
-            CoverElement(wz[row], ww[row], wphi[row]), Z[point], W[point], PHI[point]
+    - Decided miss: |phi_n| > arccos(min(1, (1 - 2B) / r)) + 2B, outside
+      `_open_window_range`.  Then r cos(phi_n) < 1 - 2B or the window is
+      shut, and the wall neither captures the point nor is near it.
+    - Decided hit: |phi_n| <= arccos(min(1, (1 + 2B) / r)) - 2B, inside
+      `_sure_hit_range`, which is empty unless r > 1 + 2B.  Then the value
+      lies below -1 - 2B inside the window, and the wall holds strictly
+      and is not near.  This is an interval of n: violated_2n is set where
+      it meets [-2N, 2N], and violated_n where it meets [-N, N].
+    - Evaluated: the n = 0 wall on every point, and the n != 0 walls
+      between the two bounds, go through `batch_wall` and `_window_masks`.
+      Each of the latter must keep its sheet coordinate within B of the
+      line phi_0 + n step, or RuntimeError is raised.
+
+    The guard.  The identity needs every D^n in d_list to be that axis
+    rotation, which `_check_axis_rotations` checks once per call, and the
+    points to be cone points, exp(i PHI) = W/|W|.
+    """
+    _check_axis_rotations(d_list, step)
+    two_n = len(d_list) // 2
+    val0, phi0 = batch_wall(cover_mul(g, d_list[two_n]), Z, W, PHI)
+    violated_n, near = _window_masks(val0, phi0)
+    violated_2n = violated_n.copy()
+
+    r = np.abs(np.conjugate(g.z) * Z - np.conjugate(g.w) * W)
+    lo, hi = _open_window_range(phi0, step, two_n, r)
+    sure_lo, sure_hi = _sure_hit_range(phi0, step, two_n, r)
+    violated_2n |= sure_lo <= sure_hi
+    violated_n |= np.maximum(sure_lo, -(two_n // 2)) <= np.minimum(sure_hi, two_n // 2)
+
+    # the undecided n: [lo, hi] less the decided-hit interval inside it
+    no_sure = sure_lo > sure_hi
+    first = np.concatenate([lo, np.where(no_sure, hi + 1, np.maximum(lo, sure_hi + 1))])
+    last = np.concatenate([np.where(no_sure, hi, np.minimum(hi, sure_lo - 1)), hi])
+    some = np.flatnonzero(last >= first)
+    first, count = first[some], last[some] - first[some] + 1
+    point = np.repeat(some % len(Z), count)
+    n = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    point, n = point[n != 0], n[n != 0]
+
+    rows, row_of = np.unique(n, return_inverse=True)
+    walls = [cover_mul(g, d_list[row + two_n]) for row in rows]
+    wall = CoverElement(
+        np.array([w.z for w in walls], dtype=complex)[row_of],
+        np.array([w.w for w in walls], dtype=complex)[row_of],
+        np.array([w.phi for w in walls], dtype=float)[row_of],
+    )
+    val, phi = batch_wall(wall, Z[point], W[point], PHI[point])
+    if np.any(np.abs(phi - (phi0[point] + n * step)) > BOUNDARY_BAND):
+        raise RuntimeError(
+            f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}"
         )
-        if np.any(np.abs(phi - (phi0[point] + n * step)) > BOUNDARY_BAND):
-            raise RuntimeError(
-                f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}"
-            )
-        hit, near_wall = _window_masks(val, phi)
-        near[point[near_wall]] = True
-        violated_2n[point[hit]] = True
-        violated_n[point[hit & (np.abs(n) <= two_n // 2)]] = True
+    hit, near_wall = _window_masks(val, phi)
+    near[point[near_wall]] = True
+    violated_2n[point[hit]] = True
+    violated_n[point[hit & (np.abs(n) <= two_n // 2)]] = True
     return violated_n, violated_2n, near
 
 
@@ -339,9 +411,23 @@ def _description_masks(cons, Z, W, PHI):
     complement, and the boundary mask, for the cone points Z, W, PHI.
 
     `cons` is the `series_constraints` result.  Raises RuntimeError when a
-    prism verdict off the boundary changes as the wall scan doubles.
+    prism verdict off the boundary changes as the wall scan doubles, and
+    when a wall breaks the window-edge premise of `_window_masks`.
     """
     config, tri = cons.config, cons.tri
+    lifts = _corona_lifts(tri, config)
+    # the premise on g bounds every g D^n too: D^n keeps |z| and |w|
+    limit = (1.0 - BOUNDARY_BAND) / BOUNDARY_BAND
+    w_max = float(np.max(np.abs(W), initial=0.0))
+    named = [(wall.label, wall.g) for wall in cons.all_walls()]
+    named += [(f"prism over corona point {x:.6g}", g) for x, g in lifts]
+    for label, g in named:
+        bound = (abs(g.z) + abs(g.w)) * w_max
+        if not bound < limit:
+            raise RuntimeError(
+                f"window-edge premise fails for wall {label}: "
+                f"(|z| + |w|) max|W| = {bound:.6g} >= (1 - B)/B = {limit:.6g}"
+            )
     near_boundary = np.zeros(len(Z), dtype=bool)
 
     def captures(wall):
@@ -370,7 +456,7 @@ def _description_masks(cons, Z, W, PHI):
     step = math.pi * config.k / config.p_lcm
 
     scans = []
-    for x, g in _corona_lifts(tri, config):
+    for x, g in lifts:
         violated_n, violated_2n, near = _prism_scan(g, d_list, step, Z, W, PHI)
         near_boundary |= near
         scans.append((x, violated_n, violated_2n))

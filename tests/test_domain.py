@@ -12,6 +12,7 @@ from lorentzdomains.cli import build_domain
 from lorentzdomains.cover import (
     CoverElement,
     axis_rotation,
+    central,
     cover_inv,
     cover_mul,
     cover_pow,
@@ -35,6 +36,8 @@ from lorentzdomains.domain import (
     _quick_survivors,
     _sector_triples,
     _sigma_permutation,
+    _window_phase,
+    _window_probe_grid,
     active_walls,
     build_polyhedron,
     detect_symmetry,
@@ -221,6 +224,57 @@ def test_linearize_matches_pairing_form():
         p = chart_point(x1, x2, s)
         direct = pairing_form(g, p)
         assert abs(fn.value(np.array([[x1, x2, s]]))[0] - direct) < 1e-12
+
+
+def _reference_window_phase(g, fn, config):
+    """The window check as it ran per wall before the slab grid was shared:
+    the grid and the wall plane sample in one array."""
+    h = math.tan(math.pi * config.k / (2 * config.p_lcm))
+    rho = math.sqrt(1.0 + h * h)
+    xs = np.linspace(-rho, rho, 21)
+    ss = np.linspace(-h, h, 9)
+    g1, g2, g3 = np.meshgrid(xs, xs, ss, indexing="ij")
+    pts = [np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])]
+    n = fn.normal
+    rhs = -1.0 - fn.constant
+    j = int(np.argmax(np.abs(n)))
+    if abs(n[j]) > 1e-12:
+        u_axis, v_axis = [i for i in range(3) if i != j]
+        uu, vv = np.meshgrid(np.linspace(-rho, rho, 25), np.linspace(-rho, rho, 25))
+        plane = np.zeros((uu.size, 3))
+        plane[:, u_axis] = uu.ravel()
+        plane[:, v_axis] = vv.ravel()
+        plane[:, j] = (rhs - plane @ n) / n[j]
+        pts.append(plane)
+    out = np.vstack(pts)
+    out = out[np.abs(out[:, 2]) <= h + 1e-12]
+    out = out[out[:, 0] ** 2 + out[:, 1] ** 2 < (1.0 + out[:, 2] ** 2) * (1.0 - 1e-12)]
+    val, phi = batch_wall(g, *_chart_parts(out))
+    active = val <= -1.0 + 1e-6
+    return float(np.max(np.abs(phi[active]))) if np.any(active) else 0.0
+
+
+@pytest.mark.parametrize("series, k", [(s, k) for s in "EZ" for k in (1, 2, 4, 5)])
+def test_shared_probe_grid_gives_the_per_wall_window_phase(series, k):
+    cs = series_constraints(series, k)
+    grid = _chart_parts(_window_probe_grid(cs.config))
+    n_active = 0
+    for wall in cs.all_walls():
+        got = _window_phase(wall.g, wall.functional, grid, cs.config)
+        want = _reference_window_phase(wall.g, wall.functional, cs.config)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), wall.label
+        n_active += got > 0.0
+    assert n_active == len(cs.all_walls())
+
+
+def test_series_constraints_names_a_wall_whose_window_opens(monkeypatch):
+    """Two extra central factors leave every wall plane where it was but
+    move its I-side onto another sheet, so the window is shut there."""
+    import lorentzdomains.domain as domain
+
+    monkeypatch.setattr(domain, "central", lambda n: central(n + 2))
+    with pytest.raises(RuntimeError, match=r"activates inside the slab for wall a\[0\] "):
+        series_constraints("E", 2)
 
 
 def test_linearize_identity_is_constant():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from lorentzdomains.reduction import (
     _open_window_range,
     _prism_scan,
     _slab_samples,
+    _sure_hit_range,
     _window_masks,
     check_reduction_bound,
     ell,
@@ -331,8 +333,10 @@ def _probe_points(cons, n_samples, seed):
     return np.concatenate(zs), np.concatenate(ws), np.concatenate(phis)
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 5, 7])
-@pytest.mark.parametrize("series", ["E", "Z"])
+@pytest.mark.parametrize(
+    "series, k",
+    [(s, k) for s in "EZ" for k in (1, 2, 4, 5, 7)] + [("Z", 10), ("E", 11)],
+)
 def test_description_masks_match_full_window_scan(series, k):
     cons = series_constraints(series, k)
     Z, W, PHI = _probe_points(cons, 1500, seed=k)
@@ -396,3 +400,96 @@ def test_prism_scan_rejects_sheet_coordinates_off_the_line():
     _prism_scan(g, d_list, step, Z, W, PHI)
     with pytest.raises(RuntimeError, match="sheet coordinates"):
         _prism_scan(g, d_list, step * (1.0 + 1e-3), Z, W, PHI)
+
+
+@pytest.mark.parametrize("series, k", [("E", 1), ("Z", 4), ("Z", 10)])
+def test_decided_prism_walls_match_their_evaluation(series, k):
+    """Every wall the modulus bound decides as a hit holds strictly and is
+    not near the point, and every wall it decides as a miss neither holds
+    nor is near; on plain slab samples almost no n != 0 wall is left to
+    evaluate."""
+    cons = series_constraints(series, k)
+    config = cons.config
+    n_samples = 1500
+    Z, W, PHI = _probe_points(cons, n_samples, seed=5)
+    plain = np.arange(len(Z)) < n_samples
+    two_n = 4 * config.p_lcm
+    step = math.pi * k / config.p_lcm
+    d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
+    n_hit = n_window = n_undecided = 0
+    for _, g in _corona_lifts(cons.tri, config):
+        _, phi0 = batch_wall(g, Z, W, PHI)
+        r = np.abs(np.conjugate(g.z) * Z - np.conjugate(g.w) * W)
+        lo, hi = _open_window_range(phi0, step, two_n, r)
+        sure_lo, sure_hi = _sure_hit_range(phi0, step, two_n, r)
+        window_lo, window_hi = _open_window_range(phi0, step, two_n)
+        for n in range(-two_n, two_n + 1):
+            val, phi = batch_wall(cover_mul(g, d_list[n + two_n]), Z, W, PHI)
+            inside, near = _window_masks(val, phi)
+            miss = (n < lo) | (n > hi)
+            hit = (sure_lo <= n) & (n <= sure_hi)
+            assert not np.any(miss & (inside | near))
+            assert np.all(inside[hit] & ~near[hit])
+            n_hit += int(hit.sum())
+            if n != 0:
+                n_window += int(((window_lo <= n) & (n <= window_hi) & plain).sum())
+                n_undecided += int((~miss & ~hit & plain).sum())
+    assert n_hit > 0
+    assert n_undecided < 1e-3 * n_window
+
+
+def test_prism_scan_rejects_a_d_list_off_the_axis_rotations():
+    cons = series_constraints("E", 2)
+    config = cons.config
+    Z, W, PHI = _slab_samples(config, 200, 0)
+    two_n = 4 * config.p_lcm
+    d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
+    step = math.pi * config.k / config.p_lcm
+    _, g = _corona_lifts(cons.tri, config)[0]
+    d = d_list[3]
+    for bad in (
+        CoverElement(d.z, d.w, d.phi + 1e-6),
+        CoverElement(1e-9 + 0j, d.w, d.phi),
+    ):
+        with pytest.raises(RuntimeError, match="sheet coordinates"):
+            _prism_scan(g, d_list[:3] + [bad] + d_list[4:], step, Z, W, PHI)
+
+
+def test_description_masks_check_the_window_edge_premise():
+    """A point far enough out along the cone makes |w_h| reach (1 - B)/B,
+    where the window edge would need a band of its own."""
+    cons = series_constraints("E", 1)
+    Z, W, PHI = _slab_samples(cons.config, 50, 0)
+    _description_masks(cons, Z, W, PHI)
+    scale = (1.0 - BOUNDARY_BAND) / BOUNDARY_BAND
+    Z, W = Z.copy(), W.copy()
+    Z[7] *= scale
+    W[7] *= scale
+    first = re.escape(f"window-edge premise fails for wall {cons.groups[0][0].label}:")
+    with pytest.raises(RuntimeError, match=first):
+        _description_masks(cons, Z, W, PHI)
+
+
+def test_prism_scan_matches_every_wall_of_a_short_family():
+    """On a family short enough that the |n| <= N and |n| <= 2N verdicts
+    differ, the scan returns what evaluating every wall returns."""
+    two_n = 2
+    cons = series_constraints("Z", 4)
+    config = cons.config
+    Z, W, PHI = _probe_points(cons, 600, seed=2)
+    d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
+    step = math.pi * config.k / config.p_lcm
+    n_differ = 0
+    for _, g in _corona_lifts(cons.tri, config):
+        want_n, want_2n, want_near = (np.zeros(len(Z), dtype=bool) for _ in range(3))
+        for n, d in zip(range(-two_n, two_n + 1), d_list):
+            inside, near = _window_masks(*batch_wall(cover_mul(g, d), Z, W, PHI))
+            want_near |= near
+            want_2n |= inside
+            if abs(n) <= two_n // 2:
+                want_n |= inside
+        got = _prism_scan(g, d_list, step, Z, W, PHI)
+        for name, a, b in zip(("n", "2n", "near"), got, (want_n, want_2n, want_near)):
+            assert np.array_equal(a, b), name
+        n_differ += int((want_n != want_2n).sum())
+    assert n_differ > 0

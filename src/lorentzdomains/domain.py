@@ -127,10 +127,18 @@ def _window_probe_grid(config) -> np.ndarray:
     return _in_slab_cone(np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()]), h)
 
 
-def _wall_plane_points(fn: AffineFunctional, config) -> np.ndarray:
-    """A 25 x 25 sampling of the wall plane inside the slab and the cone."""
+def _plane_probe_grid(config):
+    """The 25 x 25 (u, v) grid over [-rho, rho]^2 that `_wall_plane_points`
+    lifts onto each wall plane; built once per `series_constraints` call."""
     h = _slab_half_width(config)
     rho = math.sqrt(1.0 + h * h)
+    uu, vv = np.meshgrid(np.linspace(-rho, rho, 25), np.linspace(-rho, rho, 25))
+    return uu.ravel(), vv.ravel()
+
+
+def _wall_plane_points(fn: AffineFunctional, uv, config) -> np.ndarray:
+    """The (u, v) grid `uv` lifted onto the wall plane, inside the slab and
+    the cone."""
     n = fn.normal
     # parametrize the wall plane n.x = -1 - constant by its two best axes
     rhs = -1.0 - fn.constant
@@ -138,34 +146,32 @@ def _wall_plane_points(fn: AffineFunctional, config) -> np.ndarray:
     if abs(n[j]) <= 1e-12:
         return np.empty((0, 3))
     u_axis, v_axis = [i for i in range(3) if i != j]
-    uu, vv = np.meshgrid(np.linspace(-rho, rho, 25), np.linspace(-rho, rho, 25))
-    plane = np.zeros((uu.size, 3))
-    plane[:, u_axis] = uu.ravel()
-    plane[:, v_axis] = vv.ravel()
+    plane = np.zeros((uv[0].size, 3))
+    plane[:, u_axis], plane[:, v_axis] = uv
     plane[:, j] = (rhs - plane @ n) / n[j]
-    return _in_slab_cone(plane, h)
+    return _in_slab_cone(plane, _slab_half_width(config))
 
 
-def _window_phase(g: CoverElement, fn: AffineFunctional, grid, config) -> float:
+def _window_phase(g: CoverElement, fn: AffineFunctional, grid, uv, config) -> float:
     """The largest |phi(g^{-1} p)| over the probe points p on the I-side of
     the wall (value <= -1 + 1e-6), or 0 when there is none.
 
     The probe points are `grid`, the chart parts of `_window_probe_grid`,
-    and the points of `_wall_plane_points`.
+    and the points of `_wall_plane_points` on the `_plane_probe_grid` `uv`.
     """
     worst = 0.0
-    for Z, W, PHI in (grid, _chart_parts(_wall_plane_points(fn, config))):
+    for Z, W, PHI in (grid, _chart_parts(_wall_plane_points(fn, uv, config))):
         val, phi = batch_wall(g, Z, W, PHI)
         worst = max(worst, np.max(np.abs(phi[val <= -1.0 + 1e-6]), initial=0.0))
     return worst
 
 
 def _assert_window_inactive(
-    label: str, g: CoverElement, fn: AffineFunctional, grid, config
+    label: str, g: CoverElement, fn: AffineFunctional, grid, uv, config
 ) -> None:
     """Raise RuntimeError when the sheet window of the wall activates inside
     the slab: the linear picture would then misrepresent the set."""
-    worst = _window_phase(g, fn, grid, config)
+    worst = _window_phase(g, fn, grid, uv, config)
     if worst >= math.pi / 2.0 - WINDOW_GUARD:
         raise RuntimeError(
             f"sheet window activates inside the slab for wall {label} "
@@ -234,8 +240,9 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     Each member linearized, pruned or kept, and both slab walls must keep
     the sheet window inactive throughout their I-side region of the slab,
     else RuntimeError names the wall: the linear picture would
-    misrepresent the set.  That is probed on one grid over the slab, built
-    once per call, and on a sampling of the wall's own plane.
+    misrepresent the set.  That is probed on one grid over the slab and on
+    a sampling of the wall's own plane by one (u, v) grid, both built once
+    per call.
     """
     from .reduction import series_signature
 
@@ -263,6 +270,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
 
     letters = _SERIES_LETTERS[series]
     grid = _chart_parts(_window_probe_grid(config))
+    uv = _plane_probe_grid(config)
     groups = []
     for m in range(period):
         conj = cover_pow(step, m)
@@ -276,7 +284,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         for letter, g in zip(letters, members):
             label = f"{letter}[{m}]"
             fn = linearize(g, config)
-            _assert_window_inactive(label, g, fn, grid, config)
+            _assert_window_inactive(label, g, fn, grid, uv, config)
             lo, hi = _wall_range_on_slab(fn, config)
             if hi < -1.0:
                 # member holds on the whole slab; the union imposes nothing
@@ -294,7 +302,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     slab_walls = []
     for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]")):
         fn = linearize(g, config)
-        _assert_window_inactive(name, g, fn, grid, config)
+        _assert_window_inactive(name, g, fn, grid, uv, config)
         slab_walls.append(Wall(name, g, "H", fn))
     return ConstraintSet(
         series=series,
@@ -755,53 +763,77 @@ class PairingReport:
         return {p.face_i: p for p in self.pairings}
 
 
-def _schreier_syllables(tri: TriangleGroupData, target: complex, depth: int = 8):
-    """Generator word carrying the base point to `target` in the disc.
+class _SchreierTree:
+    """Breadth-first tree of the base point's orbit, grown level by level.
 
-    Breadth-first search over the orbit graph whose moves are whole
-    generator powers rot_u^t, rot_v^t (each a single syllable), so the
-    search depth is counted in syllables directly.  Returns the syllable
-    list, or None when the point is not reached within the depth bound.
+    The moves are whole generator powers rot_u^t, rot_v^t (each a single
+    syllable), never two of the same letter in a row, so a node's level
+    is its syllable count.  A node is kept only when its position, rounded
+    to 6 digits, was not seen before; once 100,000 positions are seen,
+    new nodes still count but are not expanded.  The discovery order does
+    not depend on any target, so one tree serves every certificate of a
+    `find_pairings` call, and it grows to depth 8 only as far as some
+    target asks.
     """
-    if abs(target) < 1e-7:
-        return []
-    moves = []
-    for letter, gen, order in (("u", tri.gen_u, tri.p), ("v", tri.gen_v, tri.q)):
-        acc = GroupElement(0j, 1.0 + 0j)
-        for t in range(1, order):
-            acc = group_mul(acc, gen)  # gen^t
-            moves.append((letter, t if 2 * t <= order else t - order, acc))
-    frontier = [(0j, ())]
-    seen = {(0.0, 0.0)}
-    for _ in range(depth):
-        nxt = []
-        for x, path in frontier:
-            for letter, power, g in moves:
+
+    def __init__(self, tri: TriangleGroupData, depth: int = 8):
+        self.moves = []
+        for letter, gen, order in (("u", tri.gen_u, tri.p), ("v", tri.gen_v, tri.q)):
+            acc = GroupElement(0j, 1.0 + 0j)
+            for t in range(1, order):
+                acc = group_mul(acc, gen)  # gen^t
+                self.moves.append((letter, t if 2 * t <= order else t - order, acc))
+        self.depth = depth
+        self.frontier = [(0j, ())]
+        self.seen = {(0.0, 0.0)}
+        self.levels = []  # per level: (positions, paths) in discovery order
+
+    def _grow(self):
+        positions, paths, nxt = [], [], []
+        for x, path in self.frontier:
+            for letter, power, g in self.moves:
                 if path and path[-1][0] == letter:
                     continue
                 y = mobius_apply(g, x)
                 key = (round(y.real, 6), round(y.imag, 6))
-                if key in seen:
+                if key in self.seen:
                     continue
-                seen.add(key)
+                self.seen.add(key)
                 path2 = path + ((letter, power),)
-                if abs(y - target) < 1e-7:
-                    # moves compose as functions, so the group word reads
-                    # right to left; return it in product order
-                    return [lp for lp in reversed(path2)]
-                if len(seen) < 100_000:
+                positions.append(y)
+                paths.append(path2)
+                if len(self.seen) < 100_000:
                     nxt.append((y, path2))
-        frontier = nxt
-        if not frontier:
-            break
-    return None
+        self.frontier = nxt
+        self.levels.append((np.array(positions, dtype=complex), paths))
+
+    def syllables(self, target: complex):
+        """Generator word carrying the base point to `target` in the disc:
+        the path of the earliest-discovered node within 1e-7 of it, as a
+        syllable list in product order, [] at the base point, or None when
+        no node within the depth bound is that close."""
+        if abs(target) < 1e-7:
+            return []
+        for level in range(self.depth):
+            if level == len(self.levels):
+                self._grow()
+            positions, paths = self.levels[level]
+            hit = np.flatnonzero(np.abs(positions - target) < 1e-7)
+            if hit.size:
+                # moves compose as functions, so the group word reads
+                # right to left; return it in product order
+                return list(reversed(paths[hit[0]]))
+        return None
 
 
-def _gamma1_certificate(g1: CoverElement, cs: ConstraintSet, gens: dict, budget: int):
+def _gamma1_certificate(
+    g1: CoverElement, cs: ConstraintSet, gens: dict, budget: int, syllables_to
+):
     """Express g1 as a word in the acting group's generators, or None.
 
     The disc image of the base point is pulled back by a Schreier word in
-    the lifted u/v generators (`gens` is `lifted_generators(cs.config)`);
+    the lifted u/v generators (`gens` is `lifted_generators(cs.config)`;
+    `syllables_to(target)` finds the word, as `_SchreierTree.syllables`);
     the residue must be a power of the lifted stabilizer generator D^3
     times a central element C^(k j).  Syllable count (each generator power
     is one syllable) must fit the budget.
@@ -809,7 +841,7 @@ def _gamma1_certificate(g1: CoverElement, cs: ConstraintSet, gens: dict, budget:
     p_tri = cs.tri.p
     k = cs.k
     target = mobius_apply(GroupElement(g1.z, g1.w), 0j)
-    syllables = _schreier_syllables(cs.tri, target)
+    syllables = syllables_to(target)
     if syllables is None:
         return None
     word = COVER_IDENTITY
@@ -889,11 +921,11 @@ def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
     return deltas == {1} or deltas == {n - 1}
 
 
-def _quick_survivors(vertex, g1_row, g2_inv_row, vertices: np.ndarray):
+def _quick_survivors(vertex, z1, w1, phi1, g2_inv_row, vertices: np.ndarray):
     """Candidates (t, u) whose image of one chart point lands near a vertex.
 
     Broadcast form of the scalar quick check: `_chart_image(g1, g2_inv,
-    [vertex])` for every g1 in `g1_row` (index t) and every g2_inv in
+    [vertex])` for every g1 = (z1[t], w1[t], phi1[t]) and every g2_inv in
     `g2_inv_row` (index u), then the distance to the nearest vertex at
     PAIRING_QUICK_TOL.  Every g2_inv rotates about the origin (z = 0), so
     the right factor only rotates the left product: the image is one row
@@ -906,9 +938,6 @@ def _quick_survivors(vertex, g1_row, g2_inv_row, vertices: np.ndarray):
     """
     x1, x2, s = vertex
     z2, w2, phi2 = complex(x1, x2), complex(1.0, s), math.atan(s)
-    z1 = np.array([g.z for g in g1_row])
-    w1 = np.array([g.w for g in g1_row])
-    phi1 = np.array([g.phi for g in g1_row])
     # cover_mul(g1, p), one entry per t
     z3 = np.conjugate(w1) * z2 + z1 * w2
     w3 = np.conjugate(z1) * z2 + w1 * w2
@@ -952,13 +981,16 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     certificate within the budget too; otherwise neither face is paired.
     Faces left unpaired are reported, never silently dropped.
 
-    The axis powers, the powers of h with their inverses and the lifted
-    generators are built once per call, and each face builds its row of
-    left factors once.  A broadcast prefilter (`_quick_survivors`) maps the
-    face's first vertex under every (t, u) at once and keeps the
-    candidates landing within PAIRING_QUICK_TOL of a vertex; only those
-    go through the scalar check on all vertices, t first, then u, and the
-    first that passes wins.
+    The axis powers, the powers of h with their inverses, the lifted
+    generators and the word search (`_SchreierTree`) are built once per
+    call.  Every D^t rotates about the origin (z = 0, else RuntimeError),
+    so each face's row of left factors D^t * w_inv is the arrays
+    (conj(w_t) z, w_t w, phi_t + phi) of `cover_mul`'s rotation branch.
+    A broadcast prefilter (`_quick_survivors`) maps the face's first
+    vertex under every (t, u) at once and keeps the candidates landing
+    within PAIRING_QUICK_TOL of a vertex; only those get their scalar
+    `cover_mul` left factor and go through the scalar check on all
+    vertices, t first, then u, and the first that passes wins.
 
     The two slab faces fall out of the same scan: their wall elements are
     the axis steps D and D^-1, so the family degenerates to pure axis
@@ -966,9 +998,16 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     groups.  That is the top-to-bottom gluing.
     """
     gens = lifted_generators(cs.config)
+    tree = _SchreierTree(cs.tri)
     h_gen = cover_pow(cs.D, cs.tri.p)
     t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
     d_powers = [cover_pow(cs.D, t) for t in t_range]
+    if any(d.z != 0 for d in d_powers):
+        raise RuntimeError(
+            "an axis power D^t has z != 0: the left-factor rows need z = 0"
+        )
+    w_t = np.array([d.w for d in d_powers])
+    phi_t = np.array([d.phi for d in d_powers])
     h_powers = [cover_pow(h_gen, u) for u in range(-4, 5)]
     h_inverses = [cover_inv(g2) for g2 in h_powers]
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
@@ -982,11 +1021,15 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
         loop_i = list(face_i.loop)
         verts_i = poly.vertices[loop_i]
         w_inv = cover_inv(face_i.wall.g)
-        g1_row = [cover_mul(d, w_inv) for d in d_powers]
-        survivors = _quick_survivors(verts_i[0], g1_row, h_inverses, poly.vertices)
+        # the row cover_mul(D^t, w_inv) over t: D^t has z = 0
+        survivors = _quick_survivors(
+            verts_i[0], np.conjugate(w_t) * w_inv.z, w_t * w_inv.w, phi_t + w_inv.phi,
+            h_inverses, poly.vertices,
+        )
         found = None
         for ti, ui in np.argwhere(survivors):
-            g1, g2, g2_inv = g1_row[ti], h_powers[ui], h_inverses[ui]
+            g1 = cover_mul(d_powers[ti], w_inv)
+            g2, g2_inv = h_powers[ui], h_inverses[ui]
             image = _chart_image(g1, g2_inv, verts_i)
             if image is None:
                 continue
@@ -1003,7 +1046,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
                 continue
             if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                 continue
-            cert = _gamma1_certificate(g1, cs, gens, max_word_len)
+            cert = _gamma1_certificate(g1, cs, gens, max_word_len, tree.syllables)
             if cert is None:
                 continue
             found = (fj, g1, g2, g2_inv, vmap, cert)
@@ -1023,7 +1066,9 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
                 for v, m in zip(poly.faces[fj].loop, back_match)
             ):
                 raise RuntimeError("pairing inverse does not invert the vertex map")
-            cert_back = _gamma1_certificate(g1_inv, cs, gens, max_word_len)
+            cert_back = _gamma1_certificate(
+                g1_inv, cs, gens, max_word_len, tree.syllables
+            )
             if cert_back is None:
                 # no word for the inverse within the budget: both faces
                 # stay unpaired and are reported as such

@@ -362,11 +362,13 @@ def _prism_scan(g: CoverElement, d_list, step: float, Z, W, PHI):
       line phi_0 + n step, or RuntimeError is raised.
 
     The guard.  The identity needs every D^n in d_list to be that axis
-    rotation, which `_check_axis_rotations` checks once per call, and the
-    points to be cone points, exp(i PHI) = W/|W|.
+    rotation, and the points to be cone points, exp(i PHI) = W/|W|.  The
+    caller checks the whole table once by `_check_axis_rotations`
+    (`_description_masks` does, for all its corona lifts); here only the
+    ends D^-2N, D^0, D^2N are checked, which ties the table to `step`.
     """
-    _check_axis_rotations(d_list, step)
     two_n = len(d_list) // 2
+    _check_axis_rotations([d_list[0], d_list[two_n], d_list[-1]], two_n * step)
     val0, phi0 = batch_wall(cover_mul(g, d_list[two_n]), Z, W, PHI)
     violated_n, near = _window_masks(val0, phi0)
     violated_2n = violated_n.copy()
@@ -411,8 +413,10 @@ def _description_masks(cons, Z, W, PHI):
     complement, and the boundary mask, for the cone points Z, W, PHI.
 
     `cons` is the `series_constraints` result.  Raises RuntimeError when a
-    prism verdict off the boundary changes as the wall scan doubles, and
-    when a wall breaks the window-edge premise of `_window_masks`.
+    prism verdict off the boundary changes as the wall scan doubles, when
+    a wall breaks the window-edge premise of `_window_masks`, and when a
+    D^n of the table shared by the corona lifts is not the axis rotation
+    `_prism_scan` needs (`_check_axis_rotations`, run once per call).
     """
     config, tri = cons.config, cons.tri
     lifts = _corona_lifts(tri, config)
@@ -454,6 +458,7 @@ def _description_masks(cons, Z, W, PHI):
     N = 2 * config.p_lcm
     d_list = [cover_pow(cons.D, n) for n in range(-2 * N, 2 * N + 1)]
     step = math.pi * config.k / config.p_lcm
+    _check_axis_rotations(d_list, step)
 
     scans = []
     for x, g in lifts:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 from collections import Counter
@@ -18,6 +19,7 @@ from lorentzdomains.cover import (
     cover_pow,
     lifted_generators,
 )
+from lorentzdomains.disc import GroupElement, group_mul, mobius_apply
 from lorentzdomains.domain import (
     _COND_LIMIT,
     _DET_FLOOR,
@@ -28,11 +30,13 @@ from lorentzdomains.domain import (
     AffineFunctional,
     Pairing,
     PairingReport,
+    _SchreierTree,
     _chart_image,
     _chart_parts,
     _cyclic_adjacent,
     _gamma1_certificate,
     _match_vertices,
+    _plane_probe_grid,
     _quick_survivors,
     _sector_triples,
     _sigma_permutation,
@@ -258,9 +262,10 @@ def _reference_window_phase(g, fn, config):
 def test_shared_probe_grid_gives_the_per_wall_window_phase(series, k):
     cs = series_constraints(series, k)
     grid = _chart_parts(_window_probe_grid(cs.config))
+    uv = _plane_probe_grid(cs.config)
     n_active = 0
     for wall in cs.all_walls():
-        got = _window_phase(wall.g, wall.functional, grid, cs.config)
+        got = _window_phase(wall.g, wall.functional, grid, uv, cs.config)
         want = _reference_window_phase(wall.g, wall.functional, cs.config)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), wall.label
         n_active += got > 0.0
@@ -572,12 +577,50 @@ def test_membership_mask_raises_on_model_disagreement():
 
 # ---------------------------------------------------------------------------
 # reference pairing scan: every (t, u) candidate built from scratch with
-# cover_pow and checked by the scalar chart image of its first vertex; the
-# table-driven scan with its broadcast prefilter must reproduce its report
+# cover_pow and checked by the scalar chart image of its first vertex, and
+# every word found by a fresh breadth-first search; the table-driven scan
+# with its broadcast prefilter and shared Schreier tree must reproduce its
+# report
+
+
+def _reference_schreier_syllables(tri, target, depth=8):
+    """The word search as it ran once per certificate before the tree was
+    shared: a fresh breadth-first search over whole generator powers."""
+    if abs(target) < 1e-7:
+        return []
+    moves = []
+    for letter, gen, order in (("u", tri.gen_u, tri.p), ("v", tri.gen_v, tri.q)):
+        acc = GroupElement(0j, 1.0 + 0j)
+        for t in range(1, order):
+            acc = group_mul(acc, gen)
+            moves.append((letter, t if 2 * t <= order else t - order, acc))
+    frontier = [(0j, ())]
+    seen = {(0.0, 0.0)}
+    for _ in range(depth):
+        nxt = []
+        for x, path in frontier:
+            for letter, power, g in moves:
+                if path and path[-1][0] == letter:
+                    continue
+                y = mobius_apply(g, x)
+                key = (round(y.real, 6), round(y.imag, 6))
+                if key in seen:
+                    continue
+                seen.add(key)
+                path2 = path + ((letter, power),)
+                if abs(y - target) < 1e-7:
+                    return [lp for lp in reversed(path2)]
+                if len(seen) < 100_000:
+                    nxt.append((y, path2))
+        frontier = nxt
+        if not frontier:
+            break
+    return None
 
 
 def _reference_pairings(poly, cs, max_word_len=8):
     gens = lifted_generators(cs.config)
+    search = functools.partial(_reference_schreier_syllables, cs.tri)
     h_gen = cover_pow(cs.D, cs.tri.p)
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
     order += [i for i, f in enumerate(poly.faces) if f.is_slab]
@@ -615,7 +658,7 @@ def _reference_pairings(poly, cs, max_word_len=8):
                     continue
                 if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                     continue
-                cert = _gamma1_certificate(g1, cs, gens, max_word_len)
+                cert = _gamma1_certificate(g1, cs, gens, max_word_len, search)
                 if cert is None:
                     continue
                 found = (fj, g1, g2, vmap, cert)
@@ -633,7 +676,7 @@ def _reference_pairings(poly, cs, max_word_len=8):
             assert _match_vertices(back, poly.vertices) == [
                 rmap[v] for v in poly.faces[fj].loop
             ]
-            cert_back = _gamma1_certificate(g1_inv, cs, gens, max_word_len)
+            cert_back = _gamma1_certificate(g1_inv, cs, gens, max_word_len, search)
             if cert_back is None:
                 continue
             paired[fj] = Pairing(
@@ -699,12 +742,18 @@ def test_quick_survivors_keep_every_scalar_survivor(series, k):
     t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
     h_gen = cover_pow(cs.D, cs.tri.p)
     h_inverses = [cover_inv(cover_pow(h_gen, u)) for u in range(-4, 5)]
+    w_t = np.array([cover_pow(cs.D, t).w for t in t_range])
+    phi_t = np.array([cover_pow(cs.D, t).phi for t in t_range])
     n_scalar = n_broadcast = 0
     for face in poly.faces:
         w_inv = cover_inv(face.wall.g)
         g1_row = [cover_mul(cover_pow(cs.D, t), w_inv) for t in t_range]
         vertex = poly.vertices[face.loop[0]]
-        mask = _quick_survivors(vertex, g1_row, h_inverses, poly.vertices)
+        # the rows find_pairings passes: cover_mul's rotation branch as arrays
+        mask = _quick_survivors(
+            vertex, np.conjugate(w_t) * w_inv.z, w_t * w_inv.w, phi_t + w_inv.phi,
+            h_inverses, poly.vertices,
+        )
         assert mask.shape == (len(t_range), len(h_inverses))
         for ti, g1 in enumerate(g1_row):
             for ui, g2_inv in enumerate(h_inverses):
@@ -727,4 +776,57 @@ def test_quick_survivors_reject_a_bracket_off_the_principal_branch():
     with pytest.raises(ArithmeticError, match="principal branch"):
         cover_mul(bad, p)
     with pytest.raises(ArithmeticError, match="principal branch"):
-        _quick_survivors(vertex, [cs.D, bad], [cs.D], poly.vertices)
+        _quick_survivors(
+            vertex,
+            np.array([cs.D.z, bad.z]),
+            np.array([cs.D.w, bad.w]),
+            np.array([cs.D.phi, bad.phi]),
+            [cs.D],
+            poly.vertices,
+        )
+
+
+def test_find_pairings_rejects_an_axis_power_off_the_axis():
+    """The left-factor rows take D^t as a rotation about the origin."""
+    cs, poly = _polyhedron("E", 1)
+    tilted = dataclasses.replace(cs, D=CoverElement(1e-9 + 0j, cs.D.w, cs.D.phi))
+    assert find_pairings(poly, cs).unpaired == ()
+    with pytest.raises(RuntimeError, match=r"D\^t has z != 0"):
+        find_pairings(poly, tilted)
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+def test_schreier_tree_matches_a_fresh_search(series, k):
+    """One tree, grown on demand, answers every query as a fresh search
+    would: the certified targets in the order `find_pairings` asks them,
+    the base point, points off the orbit, and the certified targets again
+    on the tree grown to full depth."""
+    cs, poly = _polyhedron(series, k)
+    report = find_pairings(poly, cs)
+    certified = [
+        mobius_apply(GroupElement(p.g1.z, p.g1.w), 0j) for p in report.pairings
+    ]
+    root = [0j, 4e-8 - 5e-8j]
+    off_orbit = [0.123 + 0.456j, -0.3 - 0.2j]
+    tree = _SchreierTree(cs.tri)
+    for target in certified + root + off_orbit + certified:
+        assert tree.syllables(target) == _reference_schreier_syllables(cs.tri, target)
+    assert len(tree.levels) == 8
+    assert all(tree.syllables(x) == [] for x in root)
+    assert all(tree.syllables(x) is None for x in off_orbit)
+
+
+def test_schreier_tree_finds_a_depth_two_target_on_a_grown_tree():
+    cs = series_constraints("Z", 4)
+    full = _SchreierTree(cs.tri)
+    assert full.syllables(0.123 + 0.456j) is None
+    (level1, _), (level2, _) = full.levels[:2]
+    # two depth-2 targets that are not within 1e-7 of a depth-1 node
+    b, c = [y for y in level2 if np.min(np.abs(level1 - y)) > 1e-6][:2]
+    tree = _SchreierTree(cs.tri)
+    first = tree.syllables(level1[0])
+    assert len(first) == 1 and len(tree.levels) == 1
+    for target in (c, b):
+        got = tree.syllables(target)
+        assert len(got) == 2 and len(tree.levels) == 2
+        assert got == _reference_schreier_syllables(cs.tri, target)

@@ -12,6 +12,7 @@ from lorentzdomains.halfspaces import batch_wall
 from lorentzdomains.reduction import (
     BOUNDARY_BAND,
     PREMISE_SLACK,
+    _check_axis_rotations,
     _closed_quantities,
     _corona_lifts,
     _description_masks,
@@ -438,21 +439,36 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
     assert n_undecided < 1e-3 * n_window
 
 
-def test_prism_scan_rejects_a_d_list_off_the_axis_rotations():
+def test_prism_scan_rejects_a_d_list_off_the_axis_rotations(monkeypatch):
+    """The rotation table that the prism scans of all corona lifts share is
+    checked once per `_description_masks` call, on the path
+    `sample_equivalence` takes."""
+    import lorentzdomains.reduction as reduction
+
     cons = series_constraints("E", 2)
     config = cons.config
     Z, W, PHI = _slab_samples(config, 200, 0)
     two_n = 4 * config.p_lcm
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     step = math.pi * config.k / config.p_lcm
-    _, g = _corona_lifts(cons.tri, config)[0]
+    _check_axis_rotations(d_list, step)
     d = d_list[3]
     for bad in (
         CoverElement(d.z, d.w, d.phi + 1e-6),
         CoverElement(1e-9 + 0j, d.w, d.phi),
     ):
         with pytest.raises(RuntimeError, match="sheet coordinates"):
-            _prism_scan(g, d_list[:3] + [bad] + d_list[4:], step, Z, W, PHI)
+            _check_axis_rotations(d_list[:3] + [bad] + d_list[4:], step)
+        monkeypatch.setattr(
+            reduction,
+            "cover_pow",
+            lambda a, n, bad=bad: (
+                bad if a is cons.D and n == 3 - two_n else cover_pow(a, n)
+            ),
+        )
+        with pytest.raises(RuntimeError, match="sheet coordinates"):
+            _description_masks(cons, Z, W, PHI)
+        monkeypatch.undo()
 
 
 def test_description_masks_check_the_window_edge_premise():

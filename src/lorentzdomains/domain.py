@@ -80,15 +80,15 @@ class AffineFunctional:
         return pts @ self.normal + self.constant
 
 
-def linearize(g: CoverElement, config) -> AffineFunctional:
+def linearize(g: CoverElement) -> AffineFunctional:
     """Restrict the functional of the wall E_g to the slab chart.
 
     <pi(g), p> = Re(z_g) x1 + Im(z_g) x2 - Im(w_g) s - Re(w_g) on points
     p = (x1 + i x2, 1 + i s).  Side I keeps value <= -1, side H keeps
-    value >= -1.  The functional does not depend on the level `config`;
-    whether it represents the wall inside the slab (the sheet window stays
-    inactive on the I-side) is checked by `series_constraints` for every
-    wall it builds, through `_assert_window_inactive`.
+    value >= -1.  The functional does not depend on the level; whether it
+    represents the wall inside the slab (the sheet window stays inactive on
+    the I-side) is checked by `series_constraints` for every wall it
+    builds, through `_assert_window_inactive`.
     """
     return AffineFunctional(
         normal=np.array([g.z.real, g.z.imag, -g.w.imag]),
@@ -215,16 +215,6 @@ class ConstraintSet:
         return out
 
 
-def _wall_range_on_slab(fn: AffineFunctional, config) -> tuple[float, float]:
-    """Range of the wall functional over the closed slab cylinder."""
-    h = _slab_half_width(config)
-    rho = math.sqrt(1.0 + h * h)
-    n = fn.normal
-    radial = math.hypot(n[0], n[1]) * rho
-    axial = abs(n[2]) * h
-    return fn.constant - radial - axial, fn.constant + radial + axial
-
-
 def series_constraints(series: str, k: int) -> ConstraintSet:
     """Constraint families of the fundamental domain for one series level.
 
@@ -234,15 +224,14 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     The indexed family comes from conjugation by half-step rotations about
     the origin, b by a trailing D (and c by one more for series Z); the
     family is exactly periodic with period 2 p because the full-turn
-    conjugator is central, so only one period of indices is kept, further
-    pruned to members whose wall plane meets the closed slab.
+    conjugator is central, so one period of indices is kept: 2 p union
+    groups, each with every letter of the series.
 
-    Each member linearized, pruned or kept, and both slab walls must keep
-    the sheet window inactive throughout their I-side region of the slab,
-    else RuntimeError names the wall: the linear picture would
-    misrepresent the set.  That is probed on one grid over the slab and on
-    a sampling of the wall's own plane by one (u, v) grid, both built once
-    per call.
+    Each member and both slab walls must keep the sheet window inactive
+    throughout their I-side region of the slab, else RuntimeError names the
+    wall: the linear picture would misrepresent the set.  That is probed on
+    one grid over the slab and on a sampling of the wall's own plane by one
+    (u, v) grid, both built once per call.
     """
     from .reduction import series_signature
 
@@ -280,28 +269,16 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         for _ in letters[1:]:
             members.append(cover_mul(members[-1], D))
         walls = []
-        group_auto_true = False
         for letter, g in zip(letters, members):
             label = f"{letter}[{m}]"
-            fn = linearize(g, config)
+            fn = linearize(g)
             _assert_window_inactive(label, g, fn, grid, uv, config)
-            lo, hi = _wall_range_on_slab(fn, config)
-            if hi < -1.0:
-                # member holds on the whole slab; the union imposes nothing
-                group_auto_true = True
-                break
-            if lo > -1.0:
-                continue
             walls.append(Wall(label, g, "I", fn))
-        if group_auto_true or not walls:
-            continue
         groups.append(tuple(walls))
-    if not groups:
-        raise ValueError(f"empty constraint set for series {series}, k={k}")
 
     slab_walls = []
     for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]")):
-        fn = linearize(g, config)
+        fn = linearize(g)
         _assert_window_inactive(name, g, fn, grid, uv, config)
         slab_walls.append(Wall(name, g, "H", fn))
     return ConstraintSet(
@@ -393,6 +370,12 @@ def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENC
     return active
 
 
+def _s_axis_rotation(psi: float) -> np.ndarray:
+    """The matrix of the chart rotation through psi about the s-axis."""
+    c, s = math.cos(psi), math.sin(psi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
     """The wall permutation of sigma, checked to be a symmetry of the planes.
 
@@ -406,7 +389,7 @@ def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
     letters = _SERIES_LETTERS[cs.series]
     if len(cs.groups) != cs.period:
         raise RuntimeError(
-            f"only {len(cs.groups)} of {cs.period} union groups meet the slab; "
+            f"only {len(cs.groups)} of {cs.period} union groups are present; "
             "the wall set is not invariant under sigma"
         )
     for m, grp in enumerate(cs.groups):
@@ -419,8 +402,7 @@ def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
     perm = np.where(index < n_group, (index + len(letters)) % n_group, index)
     normals = np.array([w.normal_hat for w in walls])
     offsets = np.array([w.offset for w in walls])
-    c, s = math.cos(math.pi / cs.tri.p), math.sin(math.pi / cs.tri.p)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rot = _s_axis_rotation(math.pi / cs.tri.p)
     resid = np.maximum(
         np.abs(normals @ rot.T - normals[perm]).max(axis=1),
         np.abs(offsets - offsets[perm]),
@@ -586,66 +568,46 @@ def _newell_normal(verts: np.ndarray, loop) -> np.ndarray:
 def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     """Assemble the face complex and validate that it is a closed surface.
 
-    Faces are extracted per wall by walking the 1-skeleton: two vertices
-    are adjacent when they share two walls and the open segment between
-    them stays in the domain (probed at quartile points).  Every vertex of
-    a wall's skeleton must have degree exactly two there, every edge must
-    lie in exactly two faces with opposite orientations, and the Euler
-    characteristic must be 2; violations are hard errors, not warnings.
+    Faces are extracted per wall by walking the 1-skeleton.  The edges come
+    from the incidence table (`active_walls` on the vertices): every vertex
+    pair sharing two walls is probed at the quartile points of its segment,
+    all pairs in one array.  The pair is an edge when every probe lies in
+    the domain and the walls active at its two ends and at all three probes
+    span a plane; those walls are the edge's walls, and each wall's edges
+    are read from its row of that table.  Every vertex of a wall's skeleton
+    must have degree exactly two there, every edge must lie in exactly two
+    faces with opposite orientations, and the Euler characteristic must be
+    2; violations are hard errors, not warnings.
     """
     if len(vertices) == 0:
         raise ValueError("cannot build a polyhedron without vertices")
     walls = cs.all_walls()
     nv = len(vertices)
-    incidence = active_walls(cs, vertices)
-
-    pair_shared: dict[tuple[int, int], tuple] = {}
-    probe_pts = []
-    probe_owner = []
+    inc = active_walls(cs, vertices)
     # the vertex pairs sharing two walls, in itertools.combinations order
-    inc = incidence.astype(np.int64)
-    for i, j in np.argwhere(np.triu(inc.T @ inc >= 2, 1)).tolist():
-        shared = np.flatnonzero(incidence[:, i] & incidence[:, j])
-        span = np.array([walls[w].normal_hat for w in shared])
-        if np.linalg.matrix_rank(span, tol=1e-8) < 2:
-            continue
-        pair_shared[(i, j)] = tuple(shared)
-        for t in _EDGE_PROBE_TS:
-            probe_pts.append(vertices[i] + t * (vertices[j] - vertices[i]))
-            probe_owner.append((i, j))
-    # an edge is a segment along which at least two independent walls stay
-    # active and the segment stays in the domain; its tag set is exactly
-    # the walls active on the open segment, not merely at the endpoints
-    seg_walls: dict[tuple[int, int], tuple] = {}
-    if probe_pts:
-        probe_pts = np.array(probe_pts)
-        ok = membership_mask(cs, probe_pts, tol=EDGE_PROBE_TOL)
-        probe_act = active_walls(cs, probe_pts, tol=EDGE_PROBE_TOL)
-        rows_of: dict[tuple[int, int], list[int]] = {}
-        for row, owner in enumerate(probe_owner):
-            rows_of.setdefault(owner, []).append(row)
-        for owner, rows in rows_of.items():
-            if not all(ok[r] for r in rows):
-                continue
-            alive = [
-                w for w in pair_shared[owner]
-                if all(probe_act[w, r] for r in rows)
-            ]
-            if len(alive) < 2:
-                continue
-            span = np.array([walls[w].normal_hat for w in alive])
-            if np.linalg.matrix_rank(span, tol=1e-8) < 2:
-                continue
-            seg_walls[owner] = tuple(alive)
-    edges = set(seg_walls)
+    count = inc.astype(np.int64)
+    ii, jj = np.nonzero(np.triu(count.T @ count >= 2, 1))
+    ts = np.array(_EDGE_PROBE_TS)[:, None]
+    probes = vertices[ii, None] + ts * (vertices[jj] - vertices[ii])[:, None]
+    probes = probes.reshape(-1, 3)
+    ok = membership_mask(cs, probes, tol=EDGE_PROBE_TOL).reshape(-1, 3).all(1)
+    # the walls active on the whole open segment, not merely at its ends
+    alive = active_walls(cs, probes, tol=EDGE_PROBE_TOL)
+    alive = alive.reshape(len(walls), -1, 3).all(2) & inc[:, ii] & inc[:, jj]
+    normals = np.array([w.normal_hat for w in walls])
+    is_edge = ok & (alive.sum(axis=0) >= 2)
+    for e in np.flatnonzero(is_edge):
+        is_edge[e] = np.linalg.matrix_rank(normals[alive[:, e]], tol=1e-8) >= 2
+    edge_walls = alive[:, is_edge]
+    edges = list(zip(ii[is_edge].tolist(), jj[is_edge].tolist()))
 
     faces = []
     for wi, wall in enumerate(walls):
         adj: dict[int, list[int]] = {}
-        for (i, j) in edges:
-            if wi in seg_walls[(i, j)]:
-                adj.setdefault(i, []).append(j)
-                adj.setdefault(j, []).append(i)
+        for e in np.flatnonzero(edge_walls[wi]).tolist():
+            i, j = edges[e]
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
         if not adj:
             continue
         bad = {v: ns for v, ns in adj.items() if len(ns) != 2}
@@ -723,18 +685,30 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     return poly
 
 
+def _nearest_vertices(image: np.ndarray, vertices: np.ndarray, tol: float):
+    """Per image row, the index of the nearest vertex, or -1 when none lies
+    within tol.
+
+    A row outside the vertices' bounding box widened by tol is farther than
+    tol from every vertex, so distances are measured only for the rows
+    inside it.
+    """
+    lo = vertices.min(axis=0) - tol
+    hi = vertices.max(axis=0) + tol
+    boxed = np.flatnonzero(((image >= lo) & (image <= hi)).all(axis=1))
+    dists = np.linalg.norm(vertices[None, :, :] - image[boxed, None, :], axis=2)
+    best = dists.argmin(axis=1)
+    near = dists[np.arange(len(boxed)), best] <= tol
+    out = np.full(len(image), -1)
+    out[boxed[near]] = best[near]
+    return out
+
+
 def detect_symmetry(poly: Polyhedron, cs: ConstraintSet) -> Optional[float]:
     """Smallest chart rotation about the s-axis mapping vertices to vertices."""
     for psi in (math.pi / cs.tri.p, 2.0 * math.pi / cs.tri.p):
-        c, s = math.cos(psi), math.sin(psi)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        image = poly.vertices @ rot.T
-        ok = True
-        for p in image:
-            if np.min(np.linalg.norm(poly.vertices - p, axis=1)) > 1e-8:
-                ok = False
-                break
-        if ok:
+        image = poly.vertices @ _s_axis_rotation(psi).T
+        if (_nearest_vertices(image, poly.vertices, 1e-8) >= 0).all():
             return psi
     return None
 
@@ -876,39 +850,34 @@ def _gamma1_certificate(
     return count, " ".join(parts) if parts else "e"
 
 
-def _chart_image(g1: CoverElement, g2_inv: CoverElement, pts: np.ndarray):
-    """Chart coordinates of g1 . p . g2^{-1} for chart points, or None.
+def _chart_images(z1, w1, phi1, w2, phi2, pts: np.ndarray):
+    """Chart images of g1 . p . g2 for chart points p, and which are admissible.
 
-    The image of a chart point is a cone point on some ray; it projects
-    back to the chart by scaling to Re w = 1, which is admissible only if
-    Re w stays positive and the lifted argument stays on the principal
-    sheet — otherwise the image left the slab's sheet and the candidate
-    pairing is geometric nonsense.
+    g1 = (z1, w1, phi1) and g2 = (0, w2, phi2), a rotation about the
+    origin.  The arguments broadcast against the leading axes of pts
+    (shape (..., 3)), so one call maps a row of elements, a loop of points,
+    or both.  The product is `cover_mul`'s, and each cocycle bracket must
+    have positive real part, else ArithmeticError.  The image of a chart
+    point is a cone point on some ray; it projects back to the chart by
+    scaling to Re w = 1, which is admissible only if Re w > 1e-9 and the
+    lifted argument stays on the principal sheet, |phi| < pi/2; otherwise
+    the image left the slab's sheet.  Returns that on-sheet mask, of the
+    broadcast shape, and the (n, 3) chart images of its True entries in C
+    order; the entries off the sheet are never projected.
     """
-    out = np.zeros_like(pts)
-    for row, (x1, x2, s) in enumerate(pts):
-        p = CoverElement(complex(x1, x2), complex(1.0, s), math.atan(s))
-        q = cover_mul(cover_mul(g1, p), g2_inv)
-        if q.w.real <= 1e-9 or abs(q.phi) >= math.pi / 2.0:
-            return None
-        out[row, 0] = q.z.real / q.w.real
-        out[row, 1] = q.z.imag / q.w.real
-        out[row, 2] = q.w.imag / q.w.real
-    return out
-
-
-def _match_vertices(image: np.ndarray, vertices: np.ndarray):
-    """Injective map image row -> nearest vertex index, at PAIRING_MATCH_TOL."""
-    mapping = []
-    for row in image:
-        dists = np.linalg.norm(vertices - row, axis=1)
-        best = int(np.argmin(dists))
-        if dists[best] > PAIRING_MATCH_TOL:
-            return None
-        mapping.append(best)
-    if len(set(mapping)) != len(mapping):
-        return None
-    return mapping
+    z = pts[..., 0] + 1j * pts[..., 1]
+    w = 1.0 + 1j * pts[..., 2]
+    bracket = 1.0 + (np.conjugate(z1) * z) / (w1 * w)
+    if not (bracket.real > 0.0).all():
+        raise ArithmeticError("cocycle bracket left the principal branch")
+    qz = (np.conjugate(w1) * z + z1 * w) * w2
+    qw = (np.conjugate(z1) * z + w1 * w) * w2
+    qphi = phi1 + np.arctan(pts[..., 2]) + np.angle(bracket) + phi2
+    on_sheet = (qw.real > 1e-9) & (np.abs(qphi) < math.pi / 2.0)
+    qz, qw = qz[on_sheet], qw[on_sheet]
+    return on_sheet, np.column_stack(
+        [qz.real / qw.real, qz.imag / qw.real, qw.imag / qw.real]
+    )
 
 
 def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
@@ -919,49 +888,6 @@ def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
     idx = [pos[v] for v in img]
     deltas = {(idx[(i + 1) % n] - idx[i]) % n for i in range(n)}
     return deltas == {1} or deltas == {n - 1}
-
-
-def _quick_survivors(vertex, z1, w1, phi1, g2_inv_row, vertices: np.ndarray):
-    """Candidates (t, u) whose image of one chart point lands near a vertex.
-
-    Broadcast form of the scalar quick check: `_chart_image(g1, g2_inv,
-    [vertex])` for every g1 = (z1[t], w1[t], phi1[t]) and every g2_inv in
-    `g2_inv_row` (index u), then the distance to the nearest vertex at
-    PAIRING_QUICK_TOL.  Every g2_inv rotates about the origin (z = 0), so
-    the right factor only rotates the left product: the image is one row
-    of `cover_mul(g1, p)` times one column of w factors.  Returns a
-    (t, u) boolean mask.  It is a prefilter only: a candidate the full
-    scalar check accepts has its first image within PAIRING_MATCH_TOL of a
-    vertex, ten times inside PAIRING_QUICK_TOL, and there the sheet guard
-    is far from its limits, so rounding differences between numpy and
-    scalar complex arithmetic cannot drop it.
-    """
-    x1, x2, s = vertex
-    z2, w2, phi2 = complex(x1, x2), complex(1.0, s), math.atan(s)
-    # cover_mul(g1, p), one entry per t
-    z3 = np.conjugate(w1) * z2 + z1 * w2
-    w3 = np.conjugate(z1) * z2 + w1 * w2
-    bracket = 1.0 + (np.conjugate(z1) * z2) / (w1 * w2)
-    if not (bracket.real > 0.0).all():
-        raise ArithmeticError("cocycle bracket left the principal branch")
-    phi3 = phi1 + phi2 + np.angle(bracket)
-    # times g2_inv, one column per u
-    w_right = np.array([g.w for g in g2_inv_row])
-    qz = z3[:, None] * w_right
-    qw = w3[:, None] * w_right
-    qphi = phi3[:, None] + np.array([g.phi for g in g2_inv_row])
-    on_sheet = np.flatnonzero((qw.real > 1e-9) & (np.abs(qphi) < math.pi / 2.0))
-    qz, qw = qz.ravel()[on_sheet], qw.ravel()[on_sheet]
-    image = np.column_stack([qz.real / qw.real, qz.imag / qw.real, qw.imag / qw.real])
-    # an image outside the vertices' bounding box, widened by the
-    # tolerance, is farther than the tolerance from every vertex
-    lo = vertices.min(axis=0) - PAIRING_QUICK_TOL
-    hi = vertices.max(axis=0) + PAIRING_QUICK_TOL
-    boxed = np.flatnonzero(((image >= lo) & (image <= hi)).all(axis=1))
-    dists = np.linalg.norm(vertices[None, :, :] - image[boxed, None, :], axis=2)
-    keep = np.zeros(qphi.size, dtype=bool)
-    keep[on_sheet[boxed]] = dists.min(axis=1) <= PAIRING_QUICK_TOL
-    return keep.reshape(qphi.shape)
 
 
 def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
@@ -986,11 +912,17 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     call.  Every D^t rotates about the origin (z = 0, else RuntimeError),
     so each face's row of left factors D^t * w_inv is the arrays
     (conj(w_t) z, w_t w, phi_t + phi) of `cover_mul`'s rotation branch.
-    A broadcast prefilter (`_quick_survivors`) maps the face's first
-    vertex under every (t, u) at once and keeps the candidates landing
-    within PAIRING_QUICK_TOL of a vertex; only those get their scalar
-    `cover_mul` left factor and go through the scalar check on all
-    vertices, t first, then u, and the first that passes wins.
+    One chart map (`_chart_images`) and one nearest-vertex match
+    (`_nearest_vertices`) serve every check.  The quick check maps the
+    face's first vertex under every (t, u) at once and keeps the candidates
+    landing within PAIRING_QUICK_TOL of a vertex; only those get their
+    scalar `cover_mul` left factor, whose image of the whole loop must stay
+    on the sheet and match distinct vertices within PAIRING_MATCH_TOL, t
+    first, then u, and the first that passes wins.  The quick check is a
+    prefilter only: its rows equal those left factors up to rounding, and
+    its tolerance is ten times the match's.  The inverse check maps the
+    partner's loop back, and must land on the sheet and on the inverse
+    vertex map, else RuntimeError.
 
     The two slab faces fall out of the same scan: their wall elements are
     the axis steps D and D^-1, so the family degenerates to pure axis
@@ -1010,6 +942,8 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     phi_t = np.array([d.phi for d in d_powers])
     h_powers = [cover_pow(h_gen, u) for u in range(-4, 5)]
     h_inverses = [cover_inv(g2) for g2 in h_powers]
+    w_u = np.array([g.w for g in h_inverses])
+    phi_u = np.array([g.phi for g in h_inverses])
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
     order += [i for i, f in enumerate(poly.faces) if f.is_slab]
     loop_lookup = {frozenset(f.loop): i for i, f in enumerate(poly.faces)}
@@ -1022,19 +956,23 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
         verts_i = poly.vertices[loop_i]
         w_inv = cover_inv(face_i.wall.g)
         # the row cover_mul(D^t, w_inv) over t: D^t has z = 0
-        survivors = _quick_survivors(
-            verts_i[0], np.conjugate(w_t) * w_inv.z, w_t * w_inv.w, phi_t + w_inv.phi,
-            h_inverses, poly.vertices,
+        quick_on, quick = _chart_images(
+            (np.conjugate(w_t) * w_inv.z)[:, None], (w_t * w_inv.w)[:, None],
+            (phi_t + w_inv.phi)[:, None], w_u, phi_u, verts_i[0],
         )
+        near = _nearest_vertices(quick, poly.vertices, PAIRING_QUICK_TOL) >= 0
         found = None
-        for ti, ui in np.argwhere(survivors):
+        for ti, ui in np.argwhere(quick_on)[near].tolist():
             g1 = cover_mul(d_powers[ti], w_inv)
             g2, g2_inv = h_powers[ui], h_inverses[ui]
-            image = _chart_image(g1, g2_inv, verts_i)
-            if image is None:
+            on_sheet, image = _chart_images(
+                g1.z, g1.w, g1.phi, g2_inv.w, g2_inv.phi, verts_i
+            )
+            if not on_sheet.all():
                 continue
-            matched = _match_vertices(image, poly.vertices)
-            if matched is None:
+            matched = _nearest_vertices(image, poly.vertices, PAIRING_MATCH_TOL)
+            matched = matched.tolist()
+            if -1 in matched or len(set(matched)) != len(matched):
                 continue
             fj = loop_lookup.get(frozenset(matched))
             if fj is None or fj in paired:
@@ -1056,15 +994,16 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
         fj, g1, g2, g2_inv, vmap, (count, word) = found
         if fj != fi:
             g1_inv = cover_inv(g1)
-            back = _chart_image(g1_inv, g2, poly.vertices[list(poly.faces[fj].loop)])
-            if back is None:
+            loop_j = list(poly.faces[fj].loop)
+            on_sheet, back = _chart_images(
+                g1_inv.z, g1_inv.w, g1_inv.phi, g2.w, g2.phi, poly.vertices[loop_j]
+            )
+            if not on_sheet.all():
                 raise RuntimeError("pairing inverse left the chart sheet")
-            back_match = _match_vertices(back, poly.vertices)
             rmap = {b: a for a, b in vmap.items()}
-            if back_match is None or any(
-                rmap[v] != m
-                for v, m in zip(poly.faces[fj].loop, back_match)
-            ):
+            back_match = _nearest_vertices(back, poly.vertices, PAIRING_MATCH_TOL)
+            # rmap is injective, so matching it forces an injective match
+            if any(rmap[v] != m for v, m in zip(loop_j, back_match.tolist())):
                 raise RuntimeError("pairing inverse does not invert the vertex map")
             cert_back = _gamma1_certificate(
                 g1_inv, cs, gens, max_word_len, tree.syllables

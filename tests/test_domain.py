@@ -25,19 +25,22 @@ from lorentzdomains.domain import (
     _DET_FLOOR,
     EDGE_PROBE_TOL,
     MEMBERSHIP_TOL,
+    PAIRING_MATCH_TOL,
     PAIRING_QUICK_TOL,
     VERTEX_MERGE_TOL,
     AffineFunctional,
     Pairing,
     PairingReport,
+    _EDGE_PROBE_TS,
+    _LABEL_ORDER,
     _SchreierTree,
-    _chart_image,
+    _chart_images,
     _chart_parts,
     _cyclic_adjacent,
     _gamma1_certificate,
-    _match_vertices,
+    _nearest_vertices,
+    _newell_normal,
     _plane_probe_grid,
-    _quick_survivors,
     _sector_triples,
     _sigma_permutation,
     _window_phase,
@@ -220,7 +223,7 @@ def test_linearize_matches_pairing_form():
     cs = series_constraints("E", 2)
     rng = np.random.default_rng(7)
     g = cs.groups[0][0].g
-    fn = linearize(g, cs.config)
+    fn = linearize(g)
     stored = cs.groups[0][0].functional
     assert fn.normal.tobytes() == stored.normal.tobytes() and fn.constant == stored.constant
     for _ in range(50):
@@ -480,6 +483,91 @@ def test_enumerate_vertices_matches_reference(series, k):
     assert got.tobytes() == ref.tobytes()
 
 
+def _reference_polyhedron(cs, vertices):
+    """The face assembly as it ran before the edges came from one probe
+    array: one rank check and one probe list per vertex pair, the walls
+    alive on a segment gathered per pair, and each wall's adjacency found
+    by scanning every edge.  Returns the sorted undirected edges of the
+    face loops and the (label, loop) list in face order."""
+    walls = cs.all_walls()
+    incidence = active_walls(cs, vertices)
+    pair_shared, probe_pts, probe_owner = {}, [], []
+    inc = incidence.astype(np.int64)
+    for i, j in np.argwhere(np.triu(inc.T @ inc >= 2, 1)).tolist():
+        shared = np.flatnonzero(incidence[:, i] & incidence[:, j])
+        span = np.array([walls[w].normal_hat for w in shared])
+        if np.linalg.matrix_rank(span, tol=1e-8) < 2:
+            continue
+        pair_shared[(i, j)] = tuple(shared)
+        for t in _EDGE_PROBE_TS:
+            probe_pts.append(vertices[i] + t * (vertices[j] - vertices[i]))
+            probe_owner.append((i, j))
+    probe_pts = np.array(probe_pts)
+    ok = membership_mask(cs, probe_pts, tol=EDGE_PROBE_TOL)
+    probe_act = active_walls(cs, probe_pts, tol=EDGE_PROBE_TOL)
+    rows_of = {}
+    for row, owner in enumerate(probe_owner):
+        rows_of.setdefault(owner, []).append(row)
+    seg_walls = {}
+    for owner, rows in rows_of.items():
+        if not all(ok[r] for r in rows):
+            continue
+        alive = [w for w in pair_shared[owner] if all(probe_act[w, r] for r in rows)]
+        if len(alive) < 2:
+            continue
+        span = np.array([walls[w].normal_hat for w in alive])
+        if np.linalg.matrix_rank(span, tol=1e-8) < 2:
+            continue
+        seg_walls[owner] = tuple(alive)
+    faces = []
+    for wi, wall in enumerate(walls):
+        adj = {}
+        for (i, j) in seg_walls:
+            if wi in seg_walls[(i, j)]:
+                adj.setdefault(i, []).append(j)
+                adj.setdefault(j, []).append(i)
+        assert all(len(ns) == 2 for ns in adj.values())
+        seen, loops = set(), []
+        for start in sorted(adj):
+            if start in seen:
+                continue
+            loop = [start]
+            seen.add(start)
+            prev, cur = None, start
+            while True:
+                nxt = [v for v in adj[cur] if v != prev][0]
+                if nxt == start:
+                    break
+                loop.append(nxt)
+                seen.add(nxt)
+                prev, cur = cur, nxt
+            loops.append(loop)
+        outward = wall.normal_hat if wall.side == "I" else -wall.normal_hat
+        for li, loop in enumerate(loops):
+            if _newell_normal(vertices, loop) @ outward < 0:
+                loop = loop[::-1]
+            pivot = loop.index(min(loop))
+            label = wall.label if len(loops) == 1 else f"{wall.label}#{li}"
+            faces.append((label, tuple(loop[pivot:] + loop[:pivot])))
+    faces.sort(key=lambda f: (_LABEL_ORDER.get(f[0].split("[")[0], 9), f[0]))
+    edges = {
+        (min(i, j), max(i, j))
+        for _, loop in faces for i, j in zip(loop, loop[1:] + loop[:1])
+    }
+    return tuple(sorted(edges)), faces
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 10), ("E", 11)])
+def test_build_polyhedron_matches_reference(series, k):
+    """The edges read from one probe array against the per-pair assembly."""
+    cs = series_constraints(series, k)
+    vertices = enumerate_vertices(cs)
+    poly = build_polyhedron(cs, vertices)
+    edges, faces = _reference_polyhedron(cs, vertices)
+    assert poly.edges == edges
+    assert [(f.label, f.loop) for f in poly.faces] == faces
+
+
 @pytest.mark.parametrize("series,k", [("E", 1), ("Z", 1)])
 def test_sector_orbits_cover_every_triple(series, k):
     """The sector is the triples whose first wall lies in group 0, and
@@ -577,10 +665,10 @@ def test_membership_mask_raises_on_model_disagreement():
 
 # ---------------------------------------------------------------------------
 # reference pairing scan: every (t, u) candidate built from scratch with
-# cover_pow and checked by the scalar chart image of its first vertex, and
-# every word found by a fresh breadth-first search; the table-driven scan
-# with its broadcast prefilter and shared Schreier tree must reproduce its
-# report
+# cover_pow and checked by the scalar chart map (one cover_mul pair per
+# point) and the scalar nearest-vertex match, and every word found by a
+# fresh breadth-first search; the table-driven scan with its broadcast
+# chart map and shared Schreier tree must reproduce its report
 
 
 def _reference_schreier_syllables(tri, target, depth=8):
@@ -689,6 +777,37 @@ def _reference_pairings(poly, cs, max_word_len=8):
     return PairingReport(tuple(paired[i] for i in sorted(paired)), unpaired)
 
 
+def _chart_image(g1, g2_inv, pts):
+    """Scalar chart map: the chart coordinates of g1 . p . g2^{-1}, one
+    `cover_mul` pair per point, or None once an image leaves the sheet
+    (Re w <= 1e-9 or |phi| >= pi/2)."""
+    out = np.zeros_like(pts)
+    for row, (x1, x2, s) in enumerate(pts):
+        p = CoverElement(complex(x1, x2), complex(1.0, s), math.atan(s))
+        q = cover_mul(cover_mul(g1, p), g2_inv)
+        if q.w.real <= 1e-9 or abs(q.phi) >= math.pi / 2.0:
+            return None
+        out[row, 0] = q.z.real / q.w.real
+        out[row, 1] = q.z.imag / q.w.real
+        out[row, 2] = q.w.imag / q.w.real
+    return out
+
+
+def _match_vertices(image, vertices):
+    """Scalar match: injective map image row -> nearest vertex index, at
+    PAIRING_MATCH_TOL, or None."""
+    mapping = []
+    for row in image:
+        dists = np.linalg.norm(vertices - row, axis=1)
+        best = int(np.argmin(dists))
+        if dists[best] > PAIRING_MATCH_TOL:
+            return None
+        mapping.append(best)
+    if len(set(mapping)) != len(mapping):
+        return None
+    return mapping
+
+
 def _scalar_quick_check(g1, g2_inv, vertex, vertices):
     quick = _chart_image(g1, g2_inv, vertex[None, :])
     if quick is None:
@@ -744,16 +863,20 @@ def test_quick_survivors_keep_every_scalar_survivor(series, k):
     h_inverses = [cover_inv(cover_pow(h_gen, u)) for u in range(-4, 5)]
     w_t = np.array([cover_pow(cs.D, t).w for t in t_range])
     phi_t = np.array([cover_pow(cs.D, t).phi for t in t_range])
+    w_u = np.array([g.w for g in h_inverses])
+    phi_u = np.array([g.phi for g in h_inverses])
     n_scalar = n_broadcast = 0
     for face in poly.faces:
         w_inv = cover_inv(face.wall.g)
         g1_row = [cover_mul(cover_pow(cs.D, t), w_inv) for t in t_range]
         vertex = poly.vertices[face.loop[0]]
         # the rows find_pairings passes: cover_mul's rotation branch as arrays
-        mask = _quick_survivors(
-            vertex, np.conjugate(w_t) * w_inv.z, w_t * w_inv.w, phi_t + w_inv.phi,
-            h_inverses, poly.vertices,
+        on_sheet, image = _chart_images(
+            (np.conjugate(w_t) * w_inv.z)[:, None], (w_t * w_inv.w)[:, None],
+            (phi_t + w_inv.phi)[:, None], w_u, phi_u, vertex,
         )
+        mask = np.zeros(on_sheet.shape, dtype=bool)
+        mask[on_sheet] = _nearest_vertices(image, poly.vertices, PAIRING_QUICK_TOL) >= 0
         assert mask.shape == (len(t_range), len(h_inverses))
         for ti, g1 in enumerate(g1_row):
             for ui, g2_inv in enumerate(h_inverses):
@@ -766,6 +889,52 @@ def test_quick_survivors_keep_every_scalar_survivor(series, k):
     assert n_broadcast < len(poly.faces) * len(t_range) * len(h_inverses) // 10
 
 
+@pytest.mark.parametrize("series,k", [("E", 2), ("Z", 4)])
+def test_chart_images_match_the_scalar_map(series, k):
+    """The broadcast chart map against one cover_mul pair per point: the
+    same sheet verdict on every loop, and the same images up to rounding."""
+    cs, poly = _polyhedron(series, k)
+    h_gen = cover_pow(cs.D, cs.tri.p)
+    n_on = n_off = 0
+    for face in poly.faces:
+        w_inv = cover_inv(face.wall.g)
+        pts = poly.vertices[list(face.loop)]
+        for t in range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1, 3):
+            g1 = cover_mul(cover_pow(cs.D, t), w_inv)
+            for u in range(-4, 5):
+                g2_inv = cover_inv(cover_pow(h_gen, u))
+                ref = _chart_image(g1, g2_inv, pts)
+                on_sheet, image = _chart_images(
+                    g1.z, g1.w, g1.phi, g2_inv.w, g2_inv.phi, pts
+                )
+                assert on_sheet.shape == (len(pts),)
+                assert len(image) == on_sheet.sum()
+                if ref is None:
+                    assert not on_sheet.all()
+                    n_off += 1
+                else:
+                    assert on_sheet.all()
+                    np.testing.assert_allclose(image, ref, rtol=1e-12, atol=1e-12)
+                    n_on += 1
+    assert n_on and n_off
+
+
+def test_nearest_vertices_matches_a_full_distance_scan():
+    rng = np.random.default_rng(5)
+    vertices = rng.uniform(-1.0, 1.0, size=(40, 3))
+    image = np.vstack([
+        vertices[rng.integers(0, 40, 30)] + rng.normal(scale=1e-3, size=(30, 3)),
+        rng.uniform(-1.5, 1.5, size=(30, 3)),
+        rng.uniform(5.0, 6.0, size=(10, 3)),
+    ])
+    for tol in (1e-8, 2e-3, 0.1):
+        dists = np.linalg.norm(image[:, None, :] - vertices[None, :, :], axis=2)
+        ref = np.where(dists.min(axis=1) <= tol, dists.argmin(axis=1), -1)
+        got = _nearest_vertices(image, vertices, tol)
+        assert np.array_equal(got, ref)
+    assert (got >= 0).any() and (got < 0).any()
+
+
 def test_quick_survivors_reject_a_bracket_off_the_principal_branch():
     """The broadcast raises where the scalar cocycle check would."""
     cs, poly = _polyhedron("E", 1)
@@ -776,13 +945,13 @@ def test_quick_survivors_reject_a_bracket_off_the_principal_branch():
     with pytest.raises(ArithmeticError, match="principal branch"):
         cover_mul(bad, p)
     with pytest.raises(ArithmeticError, match="principal branch"):
-        _quick_survivors(
+        _chart_images(
+            np.array([[cs.D.z], [bad.z]]),
+            np.array([[cs.D.w], [bad.w]]),
+            np.array([[cs.D.phi], [bad.phi]]),
+            np.array([cs.D.w]),
+            np.array([cs.D.phi]),
             vertex,
-            np.array([cs.D.z, bad.z]),
-            np.array([cs.D.w, bad.w]),
-            np.array([cs.D.phi, bad.phi]),
-            [cs.D],
-            poly.vertices,
         )
 
 

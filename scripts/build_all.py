@@ -8,7 +8,8 @@ summary line per case, a FAIL line for each level whose build fails a
 stage check, leaves faces unpaired, or whose reduction inequality or orbit
 premise fails (its artifacts are still written), and a totals line at the
 end.  Exit codes: 0 when every level built and certified, 1 when some
-level failed, 2 for an unknown format (checked before anything is built).
+level failed, 2 for an unknown format or a --kmax below 1 (both checked
+before anything is built).
 """
 
 import argparse
@@ -25,6 +26,9 @@ def main(argv=None) -> int:
     ap.add_argument("--kmax", type=int, default=5)
     ap.add_argument("--formats", default="off,obj,json,svg")
     args = ap.parse_args(argv)
+    if args.kmax < 1:
+        print("--kmax must be at least 1")
+        return 2
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     unknown = [fmt for fmt in formats if fmt not in WRITERS]
     if unknown:

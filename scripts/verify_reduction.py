@@ -8,7 +8,8 @@ the script prints the two sides of the inequality and the margin, then
 cross-checks the half-space description of the domain against the
 prism-complement description on --samples random points per level.
 Exits 1 if any margin or orbit premise fails, any sampled point disagrees
-or a case has no point to evaluate, and 2 if --samples is below 1.
+or a case has no point to evaluate, and 2 if --kmax or --samples is below
+1.
 """
 
 import argparse
@@ -23,6 +24,9 @@ def main(argv=None) -> int:
     ap.add_argument("--samples", type=int, default=4000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.kmax < 1:
+        print("--kmax must be at least 1")
+        return 2
     if args.samples < 1:
         print("--samples must be at least 1")
         return 2

@@ -88,7 +88,7 @@ def linearize(g: CoverElement) -> AffineFunctional:
     value >= -1.  The functional does not depend on the level; whether it
     represents the wall inside the slab (the sheet window stays inactive on
     the I-side) is checked by `series_constraints` for every wall it
-    builds, through `_assert_window_inactive`.
+    builds, through `_window_phases`.
     """
     return AffineFunctional(
         normal=np.array([g.z.real, g.z.imag, -g.w.imag]),
@@ -107,33 +107,25 @@ def _chart_parts(pts: np.ndarray):
     return Z, W, PHI
 
 
-def _in_slab_cone(pts: np.ndarray, h: float) -> np.ndarray:
-    """The chart points of pts in the closed slab |s| <= h, inside the cone."""
-    pts = pts[np.abs(pts[:, 2]) <= h + 1e-12]
-    inside_cone = pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (
-        1.0 - 1e-12
+def _in_slab_cone(pts: np.ndarray, h: float = math.inf) -> np.ndarray:
+    """Which chart points lie in the closed slab |s| <= h and inside the
+    cone, with a relative margin 1e-12."""
+    return (np.abs(pts[:, 2]) <= h + 1e-12) & (
+        pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)
     )
-    return pts[inside_cone]
 
 
-def _window_probe_grid(config) -> np.ndarray:
-    """The 21 x 21 x 9 grid over the slab, inside the cone; it depends only
-    on the level, so `series_constraints` builds it once for all walls."""
+def _probe_grids(config):
+    """The probe points of `_window_phases` at a level: the chart parts of
+    the 21 x 21 x 9 grid over the slab, inside the cone, and the 25 x 25
+    (u, v) grid over [-rho, rho]^2 that `_wall_plane_points` lifts."""
     h = _slab_half_width(config)
     rho = math.sqrt(1.0 + h * h)
     xs = np.linspace(-rho, rho, 21)
-    ss = np.linspace(-h, h, 9)
-    g1, g2, g3 = np.meshgrid(xs, xs, ss, indexing="ij")
-    return _in_slab_cone(np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()]), h)
-
-
-def _plane_probe_grid(config):
-    """The 25 x 25 (u, v) grid over [-rho, rho]^2 that `_wall_plane_points`
-    lifts onto each wall plane; built once per `series_constraints` call."""
-    h = _slab_half_width(config)
-    rho = math.sqrt(1.0 + h * h)
+    g1, g2, g3 = np.meshgrid(xs, xs, np.linspace(-h, h, 9), indexing="ij")
+    grid = np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
     uu, vv = np.meshgrid(np.linspace(-rho, rho, 25), np.linspace(-rho, rho, 25))
-    return uu.ravel(), vv.ravel()
+    return _chart_parts(grid[_in_slab_cone(grid, h)]), (uu.ravel(), vv.ravel())
 
 
 def _wall_plane_points(fn: AffineFunctional, uv, config) -> np.ndarray:
@@ -149,34 +141,35 @@ def _wall_plane_points(fn: AffineFunctional, uv, config) -> np.ndarray:
     plane = np.zeros((uv[0].size, 3))
     plane[:, u_axis], plane[:, v_axis] = uv
     plane[:, j] = (rhs - plane @ n) / n[j]
-    return _in_slab_cone(plane, _slab_half_width(config))
+    return plane[_in_slab_cone(plane, _slab_half_width(config))]
 
 
-def _window_phase(g: CoverElement, fn: AffineFunctional, grid, uv, config) -> float:
-    """The largest |phi(g^{-1} p)| over the probe points p on the I-side of
-    the wall (value <= -1 + 1e-6), or 0 when there is none.
+def _window_phases(walls, grid, uv, config) -> np.ndarray:
+    """Per wall, the largest |phi(g^{-1} p)| over the probe points p on its
+    I-side (value <= -1 + 1e-6), or 0 when there is none.  RuntimeError
+    names the first wall whose phase reaches pi/2 - WINDOW_GUARD.
 
-    The probe points are `grid`, the chart parts of `_window_probe_grid`,
-    and the points of `_wall_plane_points` on the `_plane_probe_grid` `uv`.
+    The probe points (`_probe_grids`) are `grid`, one `batch_wall` call for
+    all the walls, and each wall's `_wall_plane_points` on `uv`, all in one
+    call with one wall element per point.
     """
-    worst = 0.0
-    for Z, W, PHI in (grid, _chart_parts(_wall_plane_points(fn, uv, config))):
-        val, phi = batch_wall(g, Z, W, PHI)
-        worst = max(worst, np.max(np.abs(phi[val <= -1.0 + 1e-6]), initial=0.0))
+    column, _, _ = _wall_column(walls)
+    val, phi = batch_wall(column, *grid)
+    worst = np.max(np.abs(phi), axis=1, where=val <= -1.0 + 1e-6, initial=0.0)
+    planes = [_wall_plane_points(w.functional, uv, config) for w in walls]
+    owner = np.repeat(np.arange(len(walls)), [len(p) for p in planes])
+    per_point = CoverElement(column.z[owner, 0], column.w[owner, 0], column.phi[owner, 0])
+    val, phi = batch_wall(per_point, *_chart_parts(np.vstack(planes)))
+    side = val <= -1.0 + 1e-6
+    np.maximum.at(worst, owner[side], np.abs(phi[side]))
+    for wall, phase in zip(walls, worst):
+        if phase >= math.pi / 2.0 - WINDOW_GUARD:
+            g = wall.g
+            raise RuntimeError(
+                f"sheet window activates inside the slab for wall {wall.label} "
+                f"(z={g.z:.6g}, w={g.w:.6g}, phi={g.phi:.6g}): max |phi| = {phase:.6g}"
+            )
     return worst
-
-
-def _assert_window_inactive(
-    label: str, g: CoverElement, fn: AffineFunctional, grid, uv, config
-) -> None:
-    """Raise RuntimeError when the sheet window of the wall activates inside
-    the slab: the linear picture would then misrepresent the set."""
-    worst = _window_phase(g, fn, grid, uv, config)
-    if worst >= math.pi / 2.0 - WINDOW_GUARD:
-        raise RuntimeError(
-            f"sheet window activates inside the slab for wall {label} "
-            f"(z={g.z:.6g}, w={g.w:.6g}, phi={g.phi:.6g}): max |phi| = {worst:.6g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -198,6 +191,21 @@ class Wall:
         object.__setattr__(self, "offset", (-1.0 - self.functional.constant) / scale)
 
 
+def _wall_column(walls):
+    """The walls as one CoverElement of (L, 1) arrays, which `batch_wall`
+    evaluates on n points at once as (L, n) values, and their chart
+    functionals as (L, 3) normals and (L, 1) constants.  Callers build it
+    from the walls they are given, so a changed wall takes effect."""
+    column = CoverElement(
+        np.array([w.g.z for w in walls], dtype=complex)[:, None],
+        np.array([w.g.w for w in walls], dtype=complex)[:, None],
+        np.array([w.g.phi for w in walls], dtype=float)[:, None],
+    )
+    normals = np.array([w.functional.normal for w in walls])
+    constants = np.array([w.functional.constant for w in walls])[:, None]
+    return column, normals, constants
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     series: str
@@ -214,6 +222,11 @@ class ConstraintSet:
         out.extend(self.slab)
         return out
 
+    def planes(self):
+        """Unit normals (W, 3) and offsets (W,), normal_hat . x = offset."""
+        walls = self.all_walls()
+        return np.array([w.normal_hat for w in walls]), np.array([w.offset for w in walls])
+
 
 def series_constraints(series: str, k: int) -> ConstraintSet:
     """Constraint families of the fundamental domain for one series level.
@@ -229,9 +242,9 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
 
     Each member and both slab walls must keep the sheet window inactive
     throughout their I-side region of the slab, else RuntimeError names the
-    wall: the linear picture would misrepresent the set.  That is probed on
-    one grid over the slab and on a sampling of the wall's own plane by one
-    (u, v) grid, both built once per call.
+    wall: the linear picture would misrepresent the set.  That is probed by
+    `_window_phases` on each union group and on the slab pair, on grids
+    built once per call.
     """
     from .reduction import series_signature
 
@@ -258,8 +271,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         raise AssertionError("conjugator full turn is not the central generator")
 
     letters = _SERIES_LETTERS[series]
-    grid = _chart_parts(_window_probe_grid(config))
-    uv = _plane_probe_grid(config)
+    grid, uv = _probe_grids(config)
     groups = []
     for m in range(period):
         conj = cover_pow(step, m)
@@ -268,19 +280,18 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         members = [a_m]
         for _ in letters[1:]:
             members.append(cover_mul(members[-1], D))
-        walls = []
-        for letter, g in zip(letters, members):
-            label = f"{letter}[{m}]"
-            fn = linearize(g)
-            _assert_window_inactive(label, g, fn, grid, uv, config)
-            walls.append(Wall(label, g, "I", fn))
-        groups.append(tuple(walls))
+        walls = tuple(
+            Wall(f"{letter}[{m}]", g, "I", linearize(g))
+            for letter, g in zip(letters, members)
+        )
+        _window_phases(walls, grid, uv, config)
+        groups.append(walls)
 
-    slab_walls = []
-    for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]")):
-        fn = linearize(g)
-        _assert_window_inactive(name, g, fn, grid, uv, config)
-        slab_walls.append(Wall(name, g, "H", fn))
+    slab_walls = tuple(
+        Wall(name, g, "H", linearize(g))
+        for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]"))
+    )
+    _window_phases(slab_walls, grid, uv, config)
     return ConstraintSet(
         series=series,
         k=k,
@@ -289,7 +300,7 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         tri=tri,
         D=D,
         groups=tuple(groups),
-        slab=tuple(slab_walls),
+        slab=slab_walls,
     )
 
 
@@ -298,39 +309,36 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
 
     Membership is a conjunction of terms: the two slab walls (H side), then
     one term per union group, which holds where any of its members (I side)
-    holds.  Each term is decided twice, by the exact predicate (form value
-    and sheet window) and by the linear chart functional, and the two
+    holds.  Each term is one `batch_wall` call on its walls as a column
+    (`_wall_column`), and is decided twice, by the exact predicate (form
+    value and sheet window) and by the linear chart functional; the two
     conjunctions must agree on every point, else the linear model is wrong
     and this raises.  The conjunction short-circuits: a term is evaluated
     only on the points where the exact or the linear verdict is still True,
     and a point is dropped once both are False, since no later term can
     change either.  The masks and the agreement check are thus those of the
-    full walls-by-points table, at the cost of one vector per term.
+    full walls-by-points table, at the cost of one (L, n) array per term.
     Dropping points skips no bracket check of `batch_wall` that could fire:
     every wall element has |z_g| < |w_g| and every cone point |Z| < |W|, so
     the cocycle bracket has positive real part on the whole cone.
     """
     pts = np.asarray(pts, dtype=float)
-    cone_ok = pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)
-    live = np.flatnonzero(cone_ok)  # original rows of the undecided points
+    live = np.flatnonzero(_in_slab_cone(pts))  # original rows of the undecided points
     sub = pts[live]
     Z, W, PHI = _chart_parts(sub)
     exact = np.ones(len(live), dtype=bool)
     linear = np.ones(len(live), dtype=bool)
     for members in [(wall,) for wall in cs.slab] + list(cs.groups):
-        cap_exact = np.zeros(len(live), dtype=bool)
-        cap_linear = np.zeros(len(live), dtype=bool)
-        for wall in members:
-            holds, strict, _ = wall_masks(*batch_wall(wall.g, Z, W, PHI), tol)
-            lin = wall.functional.value(sub)
-            if wall.side == "H":
-                cap_exact |= ~strict
-                cap_linear |= ~(lin < -1.0 - tol)
-            else:
-                cap_exact |= holds
-                cap_linear |= lin <= -1.0 + tol
-        exact &= cap_exact
-        linear &= cap_linear
+        column, normals, constants = _wall_column(members)
+        holds, strict, _ = wall_masks(*batch_wall(column, Z, W, PHI), tol)
+        # a stack of matrix-vector products rounds as `AffineFunctional.value`
+        lin = (sub @ normals[:, :, None])[..., 0] + constants
+        if members[0].side == "H":
+            holds, lin_holds = ~strict, ~(lin < -1.0 - tol)
+        else:
+            lin_holds = lin <= -1.0 + tol
+        exact &= holds.any(0)
+        linear &= lin_holds.any(0)
         undecided = exact | linear
         if not undecided.all():
             live, sub, Z, W, PHI, exact, linear = (
@@ -349,25 +357,20 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
 
 def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENCE_TOL):
     """Boolean matrix (walls x points, rows in `all_walls()` order) of
-    active boundary incidences, filled one group at a time.
+    active boundary incidences, one `batch_wall` call per union group and
+    per slab wall, each on the walls as a column (`_wall_column`).
 
     A wall is active where the point is on it (`wall_masks` at tol) and no
-    sibling of its union group holds strictly: there the group is slack and
-    the plane is invisible to the boundary.  Each slab wall is a group of
-    one, so for the slab walls the sibling condition is void.
+    member of its union group holds strictly: there the group is slack and
+    the plane is invisible to the boundary.  No wall is both on and strict,
+    so for a slab wall, a group of one, that condition is void.
     """
-    pts = np.asarray(pts, dtype=float)
-    Z, W, PHI = _chart_parts(pts)
-    active = np.empty((len(cs.all_walls()), len(pts)), dtype=bool)
-    row = 0
+    Z, W, PHI = _chart_parts(np.asarray(pts, dtype=float))
+    rows = []
     for members in list(cs.groups) + [(wall,) for wall in cs.slab]:
-        slack = np.zeros(len(pts), dtype=bool)
-        for wall in members:
-            _, strict, active[row] = wall_masks(*batch_wall(wall.g, Z, W, PHI), tol)
-            slack |= strict
-            row += 1
-        active[row - len(members):row] &= ~slack
-    return active
+        _, strict, on = wall_masks(*batch_wall(_wall_column(members)[0], Z, W, PHI), tol)
+        rows.append(on & ~strict.any(0))
+    return np.vstack(rows)
 
 
 def _s_axis_rotation(psi: float) -> np.ndarray:
@@ -400,8 +403,7 @@ def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
     n_group = cs.period * len(letters)
     index = np.arange(len(walls))
     perm = np.where(index < n_group, (index + len(letters)) % n_group, index)
-    normals = np.array([w.normal_hat for w in walls])
-    offsets = np.array([w.offset for w in walls])
+    normals, offsets = cs.planes()
     rot = _s_axis_rotation(math.pi / cs.tri.p)
     resid = np.maximum(
         np.abs(normals @ rot.T - normals[perm]).max(axis=1),
@@ -493,13 +495,10 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     survivors, their points and their order are those of the full scan,
     and so is the merge.  Every level tried has 14 seeds (E) or 44 (Z).
     """
-    walls = cs.all_walls()
-    normals = np.array([w.normal_hat for w in walls])
-    offsets = np.array([w.offset for w in walls])
-
+    normals, offsets = cs.planes()
     perm = _sigma_permutation(cs)
     seeds, pts = _solve_triples(
-        normals, offsets, _sector_triples(len(cs.groups[0]), len(walls)), _SEED_SLACK
+        normals, offsets, _sector_triples(len(cs.groups[0]), len(normals)), _SEED_SLACK
     )
     seeds = seeds[_pinned(
         cs, normals, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
@@ -585,7 +584,8 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     nv = len(vertices)
     inc = active_walls(cs, vertices)
     # the vertex pairs sharing two walls, in itertools.combinations order
-    count = inc.astype(np.int64)
+    # a float64 product runs on BLAS and holds the counts (at most W) exactly
+    count = inc.astype(float)
     ii, jj = np.nonzero(np.triu(count.T @ count >= 2, 1))
     ts = np.array(_EDGE_PROBE_TS)[:, None]
     probes = vertices[ii, None] + ts * (vertices[jj] - vertices[ii])[:, None]
@@ -594,7 +594,7 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     # the walls active on the whole open segment, not merely at its ends
     alive = active_walls(cs, probes, tol=EDGE_PROBE_TOL)
     alive = alive.reshape(len(walls), -1, 3).all(2) & inc[:, ii] & inc[:, jj]
-    normals = np.array([w.normal_hat for w in walls])
+    normals, _ = cs.planes()
     is_edge = ok & (alive.sum(axis=0) >= 2)
     for e in np.flatnonzero(is_edge):
         is_edge[e] = np.linalg.matrix_rank(normals[alive[:, e]], tol=1e-8) >= 2
@@ -881,7 +881,10 @@ def _chart_images(z1, w1, phi1, w2, phi2, pts: np.ndarray):
 
 
 def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
-    """The vertex bijection must carry the boundary cycle to the boundary cycle."""
+    """The vertex map must carry the boundary cycle to the boundary cycle:
+    its positions in loop_j step all by +1 or all by -1 mod n = len(loop_i),
+    so they are n distinct positions and the map is injective.  A map onto
+    a loop of m < n vertices, whose positions take at most m values, fails."""
     n = len(loop_i)
     img = [mapping[v] for v in loop_i]
     pos = {v: i for i, v in enumerate(loop_j)}
@@ -917,8 +920,8 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     face's first vertex under every (t, u) at once and keeps the candidates
     landing within PAIRING_QUICK_TOL of a vertex; only those get their
     scalar `cover_mul` left factor, whose image of the whole loop must stay
-    on the sheet and match distinct vertices within PAIRING_MATCH_TOL, t
-    first, then u, and the first that passes wins.  The quick check is a
+    on the sheet and match vertices within PAIRING_MATCH_TOL, t first, then
+    u, and the first that passes wins.  The quick check is a
     prefilter only: its rows equal those left factors up to rounding, and
     its tolerance is ten times the match's.  The inverse check maps the
     partner's loop back, and must land on the sheet and on the inverse
@@ -972,7 +975,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
                 continue
             matched = _nearest_vertices(image, poly.vertices, PAIRING_MATCH_TOL)
             matched = matched.tolist()
-            if -1 in matched or len(set(matched)) != len(matched):
+            if -1 in matched:
                 continue
             fj = loop_lookup.get(frozenset(matched))
             if fj is None or fj in paired:

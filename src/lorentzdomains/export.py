@@ -205,12 +205,14 @@ WRITERS = {
 
 
 def write_artifacts(out_dir, series, k, poly, report, formats=("off", "obj", "json", "svg")):
-    """Write the requested artifact files; returns {format: path}."""
+    """Write the requested artifact files; returns {format: path}.  An
+    unknown format raises ValueError before any file is written."""
+    unknown = [fmt for fmt in formats if fmt not in WRITERS]
+    if unknown:
+        raise ValueError(f"unknown format {unknown[0]!r}")
     base = artifact_basename(series, k)
     written = {}
     for fmt in formats:
-        if fmt not in WRITERS:
-            raise ValueError(f"unknown format {fmt!r}")
         path = os.path.join(out_dir, f"{base}.{fmt}")
         _write_text(path, WRITERS[fmt](poly, report))
         written[fmt] = path

@@ -25,9 +25,11 @@ from .cover import CoverElement
 def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
     """Form values <g, p> and sheet coordinates phi(g^{-1} p), vectorised.
 
-    Z, W, PHI are parallel arrays describing cone points.  g is one wall,
-    or one wall per point: a CoverElement whose z, w and phi are arrays
-    parallel to Z.  The elementwise arithmetic is the same either way.
+    Z, W, PHI are parallel arrays describing cone points.  g is one wall;
+    or one wall per point, a CoverElement whose z, w and phi are arrays
+    parallel to Z; or a column of L walls, (L, 1) arrays, which gives
+    (L, n) values on n points.  The elementwise arithmetic is the same in
+    every form.
     """
     val = (np.conjugate(g.z) * Z - np.conjugate(g.w) * W).real
     bracket = 1.0 + (-np.conjugate(g.z) * Z) / (np.conjugate(g.w) * W)

@@ -29,6 +29,7 @@ from .disc import (
     edge_corona,
     orbit,
 )
+from .domain import _slab_half_width, _wall_column, series_constraints
 from .halfspaces import batch_wall, wall_masks
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -246,7 +247,7 @@ def _corona_lifts(tri: TriangleGroupData, config: LevelConfig):
 
 def _slab_samples(config: LevelConfig, n_samples: int, seed: int):
     """Uniform points of the slab cylinder, as parallel arrays Z, W, PHI."""
-    half = math.tan(math.pi * config.k / (2 * config.p_lcm))
+    half = _slab_half_width(config)
     rng = np.random.default_rng(seed)
     s = rng.uniform(-half, half, n_samples)
     theta = rng.uniform(-math.pi, math.pi, n_samples)
@@ -412,7 +413,9 @@ def _description_masks(cons, Z, W, PHI):
     """Membership in the finite half-space description and in the prism
     complement, and the boundary mask, for the cone points Z, W, PHI.
 
-    `cons` is the `series_constraints` result.  Raises RuntimeError when a
+    `cons` is the `series_constraints` result.  The finite description
+    makes one `batch_wall` call per union group and per slab wall, on the
+    walls as a column (`_wall_column`).  Raises RuntimeError when a
     prism verdict off the boundary changes as the wall scan doubles, when
     a wall breaks the window-edge premise of `_window_masks`, and when a
     D^n of the table shared by the corona lifts is not the axis rotation
@@ -432,23 +435,14 @@ def _description_masks(cons, Z, W, PHI):
                 f"window-edge premise fails for wall {label}: "
                 f"(|z| + |w|) max|W| = {bound:.6g} >= (1 - B)/B = {limit:.6g}"
             )
-    near_boundary = np.zeros(len(Z), dtype=bool)
-
-    def captures(wall):
-        inside, near = _window_masks(*batch_wall(wall.g, Z, W, PHI))
-        near_boundary[near] = True
-        return inside
-
     # Finite description: every indexed union must capture the point, and
     # neither slab-face half-space may be strictly violated.
+    near_boundary = np.zeros(len(Z), dtype=bool)
     in_linear = np.ones(len(Z), dtype=bool)
-    for group in cons.groups:
-        captured = np.zeros(len(Z), dtype=bool)
-        for wall in group:
-            captured |= captures(wall)
-        in_linear &= captured
-    for wall in cons.slab:
-        in_linear &= ~captures(wall)
+    for walls in list(cons.groups) + [(wall,) for wall in cons.slab]:
+        inside, near = _window_masks(*batch_wall(_wall_column(walls)[0], Z, W, PHI))
+        near_boundary |= near.any(0)
+        in_linear &= inside.any(0) if walls[0].side == "I" else ~inside[0]
 
     # Prism description: the point must escape the prism over every corona
     # point, i.e. strictly violate at least one of its translated walls.
@@ -489,8 +483,6 @@ def sample_equivalence(
     excluded; off the boundary the two membership predicates must agree
     point for point, and the returned statistics record how often they do.
     """
-    from .domain import series_constraints
-
     report = check_reduction_bound(series, k, verify_orbit_premise=False)
     if not report.holds:
         raise ArithmeticError(

@@ -40,11 +40,10 @@ from lorentzdomains.domain import (
     _gamma1_certificate,
     _nearest_vertices,
     _newell_normal,
-    _plane_probe_grid,
+    _probe_grids,
     _sector_triples,
     _sigma_permutation,
-    _window_phase,
-    _window_probe_grid,
+    _window_phases,
     active_walls,
     build_polyhedron,
     detect_symmetry,
@@ -263,15 +262,17 @@ def _reference_window_phase(g, fn, config):
 
 @pytest.mark.parametrize("series, k", [(s, k) for s in "EZ" for k in (1, 2, 4, 5)])
 def test_shared_probe_grid_gives_the_per_wall_window_phase(series, k):
+    """The grouped check on the shared grids against the per-wall check."""
     cs = series_constraints(series, k)
-    grid = _chart_parts(_window_probe_grid(cs.config))
-    uv = _plane_probe_grid(cs.config)
+    grid, uv = _probe_grids(cs.config)
     n_active = 0
-    for wall in cs.all_walls():
-        got = _window_phase(wall.g, wall.functional, grid, uv, cs.config)
-        want = _reference_window_phase(wall.g, wall.functional, cs.config)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), wall.label
-        n_active += got > 0.0
+    for walls in cs.groups + (cs.slab,):
+        phases = _window_phases(walls, grid, uv, cs.config)
+        assert phases.shape == (len(walls),)
+        for wall, got in zip(walls, phases):
+            want = _reference_window_phase(wall.g, wall.functional, cs.config)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), wall.label
+            n_active += got > 0.0
     assert n_active == len(cs.all_walls())
 
 
@@ -933,6 +934,17 @@ def test_nearest_vertices_matches_a_full_distance_scan():
         got = _nearest_vertices(image, vertices, tol)
         assert np.array_equal(got, ref)
     assert (got >= 0).any() and (got < 0).any()
+
+
+def test_cyclic_adjacent_rejects_every_map_onto_a_shorter_loop():
+    """A repeated match fails the cycle test, so `find_pairings` needs no
+    injectivity check of its own: no map of a 4-loop onto a 3-loop passes,
+    and the two orientations of a 4-loop onto a 4-loop do."""
+    loop_i, loop_j = [0, 1, 2, 3], [4, 5, 6]
+    for images in itertools.product(loop_j, repeat=4):
+        assert not _cyclic_adjacent(loop_i, loop_j, dict(zip(loop_i, images)))
+    for images in ([5, 6, 7, 4], [7, 6, 5, 4]):
+        assert _cyclic_adjacent(loop_i, [4, 5, 6, 7], dict(zip(loop_i, images)))
 
 
 def test_quick_survivors_reject_a_bracket_off_the_principal_branch():

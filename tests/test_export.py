@@ -163,10 +163,13 @@ def test_write_artifacts_deterministic(tmp_path, e1_run):
 
 
 def test_write_artifacts_rejects_unknown_format(tmp_path, e1_run):
+    """Every format is checked before any file is written."""
     cs, poly, rep, _, _ = e1_run
     report = report_dict(cs, poly, rep)
-    with pytest.raises(ValueError):
-        write_artifacts(tmp_path, "E", 1, poly, report, formats=("stl",))
+    for formats in (("stl",), ("off", "xyz")):
+        with pytest.raises(ValueError, match=repr(formats[-1])):
+            write_artifacts(tmp_path, "E", 1, poly, report, formats=formats)
+        assert os.listdir(tmp_path) == []
 
 
 def test_cli_info(capsys):

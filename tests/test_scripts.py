@@ -55,17 +55,35 @@ def test_verify_reduction_samples_every_level_up_to_kmax(monkeypatch, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("no case may run")
+
+
 def test_verify_reduction_rejects_samples_below_one(monkeypatch, capsys):
     verify_reduction = _load("verify_reduction")
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("no case may run")
-
-    monkeypatch.setattr(verify_reduction, "check_reduction_bound", no_work)
-    monkeypatch.setattr(verify_reduction, "sample_equivalence", no_work)
+    monkeypatch.setattr(verify_reduction, "check_reduction_bound", _no_work)
+    monkeypatch.setattr(verify_reduction, "sample_equivalence", _no_work)
     for samples in ("0", "-3"):
         assert verify_reduction.main(["--kmax", "1", "--samples", samples]) == 2
         assert "--samples" in capsys.readouterr().out
+
+
+def test_verify_reduction_rejects_kmax_below_one(monkeypatch, capsys):
+    verify_reduction = _load("verify_reduction")
+    monkeypatch.setattr(verify_reduction, "check_reduction_bound", _no_work)
+    monkeypatch.setattr(verify_reduction, "sample_equivalence", _no_work)
+    for kmax in ("0", "-2"):
+        assert verify_reduction.main(["--kmax", kmax, "--samples", "50"]) == 2
+        assert capsys.readouterr().out == "--kmax must be at least 1\n"
+
+
+def test_build_all_rejects_kmax_below_one(tmp_path, monkeypatch, capsys):
+    build_all = _load("build_all")
+    monkeypatch.setattr(build_all, "build_domain", _no_work)
+    for kmax in ("0", "-2"):
+        assert build_all.main(["--kmax", kmax, "--out", str(tmp_path / "all")]) == 2
+        assert capsys.readouterr().out == "--kmax must be at least 1\n"
+    assert not (tmp_path / "all").exists()
 
 
 def test_verify_reduction_fails_a_case_with_no_evidence(monkeypatch, capsys):

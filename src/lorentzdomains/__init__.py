@@ -28,7 +28,6 @@ from .cover import (
     cover_mul,
     cover_pow,
     lift_level,
-    lift_word,
     product_defect,
     R_param,
 )
@@ -36,7 +35,6 @@ from .reduction import (
     ReductionReport,
     check_reduction_bound,
     ell,
-    f_bound,
     sample_equivalence,
 )
 from .domain import (
@@ -77,13 +75,11 @@ __all__ = [
     "cover_mul",
     "cover_pow",
     "lift_level",
-    "lift_word",
     "product_defect",
     "R_param",
     "ReductionReport",
     "check_reduction_bound",
     "ell",
-    "f_bound",
     "sample_equivalence",
     "ConstraintSet",
     "PairingReport",

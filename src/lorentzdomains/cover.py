@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from .disc import build_triangle_group
 
@@ -218,17 +218,3 @@ def lifted_generators(config: LevelConfig) -> dict:
     D = axis_rotation(Fraction(config.k, config.p_lcm))
     return {"u": gu, "v": gv, "w": gw, "D": D, "C": central(1)}
 
-
-def lift_word(
-    word: Sequence, gens: Mapping[str, CoverElement]
-) -> CoverElement:
-    """Evaluate a word [(symbol, exponent), ...] left to right.
-
-    Symbols index into `gens` (typically 'u', 'v', 'w', 'D', 'C').
-    """
-    acc = COVER_IDENTITY
-    for sym, n in word:
-        if sym not in gens:
-            raise KeyError("unknown generator symbol %r" % sym)
-        acc = cover_mul(acc, cover_pow(gens[sym], n))
-    return acc

@@ -80,13 +80,6 @@ def rotation_about(x: complex, t: float) -> GroupElement:
     return GroupElement(z * scale, w * scale)
 
 
-def hyperbolic_distance(x: complex, y: complex) -> float:
-    """Distance in the Poincare metric (curvature -1)."""
-    num = abs(x - y)
-    den = abs(1.0 - x.conjugate() * y)
-    return 2.0 * math.atanh(num / den)
-
-
 @dataclass(frozen=True)
 class TriangleGroupData:
     """A hyperbolic (p, q, r) triangle group in the fixed convention.

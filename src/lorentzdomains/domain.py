@@ -304,23 +304,21 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     )
 
 
-def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
-    """Exact sheet-aware membership of chart points in the domain.
+def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=None):
+    """Membership of chart points at tol and, when incidence_tol is given,
+    the active incidences at incidence_tol of the points that end inside,
+    from one `batch_wall` call per membership term.
 
-    Membership is a conjunction of terms: the two slab walls (H side), then
-    one term per union group, which holds where any of its members (I side)
-    holds.  Each term is one `batch_wall` call on its walls as a column
-    (`_wall_column`), and is decided twice, by the exact predicate (form
-    value and sheet window) and by the linear chart functional; the two
-    conjunctions must agree on every point, else the linear model is wrong
-    and this raises.  The conjunction short-circuits: a term is evaluated
-    only on the points where the exact or the linear verdict is still True,
-    and a point is dropped once both are False, since no later term can
-    change either.  The masks and the agreement check are thus those of the
-    full walls-by-points table, at the cost of one (L, n) array per term.
-    Dropping points skips no bracket check of `batch_wall` that could fire:
-    every wall element has |z_g| < |w_g| and every cone point |Z| < |W|, so
-    the cocycle bracket has positive real part on the whole cone.
+    Returns the mask and a (walls x inside points) table in `all_walls()`
+    order, its columns the True entries of the mask in order (None without
+    incidence_tol).  The table is `active_walls` at incidence_tol on those
+    points: each term's values give `on & ~strict.any(0)` too.  Only the
+    incidences of points whose exact verdict still holds are kept, as
+    (row, point) index pairs, so no walls-by-points table is built before
+    the end.  See `membership_mask` for the terms and the short-circuit;
+    the live points are compacted only once an eighth of them is decided
+    (a decided point stays decided whatever later terms say), which
+    re-indexes the seven live arrays far less often than every term.
     """
     pts = np.asarray(pts, dtype=float)
     live = np.flatnonzero(_in_slab_cone(pts))  # original rows of the undecided points
@@ -328,9 +326,16 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
     Z, W, PHI = _chart_parts(sub)
     exact = np.ones(len(live), dtype=bool)
     linear = np.ones(len(live), dtype=bool)
-    for members in [(wall,) for wall in cs.slab] + list(cs.groups):
+    # each term's first row in `all_walls()` order: the groups, then the slab
+    first_rows = np.cumsum([0] + [len(grp) for grp in cs.groups]).tolist()
+    n_group = first_rows[-1]
+    terms = [(n_group + i, (wall,)) for i, wall in enumerate(cs.slab)]
+    terms += list(zip(first_rows, cs.groups))
+    hit_rows, hit_points = [], []
+    for first_row, members in terms:
         column, normals, constants = _wall_column(members)
-        holds, strict, _ = wall_masks(*batch_wall(column, Z, W, PHI), tol)
+        val, phi = batch_wall(column, Z, W, PHI)
+        holds, strict, on = wall_masks(val, phi, tol)
         # a stack of matrix-vector products rounds as `AffineFunctional.value`
         lin = (sub @ normals[:, :, None])[..., 0] + constants
         if members[0].side == "H":
@@ -339,10 +344,16 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
             lin_holds = lin <= -1.0 + tol
         exact &= holds.any(0)
         linear &= lin_holds.any(0)
-        undecided = exact | linear
-        if not undecided.all():
+        if incidence_tol is not None:
+            if incidence_tol != tol:
+                _, strict, on = wall_masks(val, phi, incidence_tol)
+            rows, cols = np.nonzero(on & ~strict.any(0) & exact)
+            hit_rows.append(first_row + rows)
+            hit_points.append(live[cols])
+        keep = np.flatnonzero(exact | linear)
+        if 8 * len(keep) <= 7 * len(live):
             live, sub, Z, W, PHI, exact, linear = (
-                a[undecided] for a in (live, sub, Z, W, PHI, exact, linear)
+                a[keep] for a in (live, sub, Z, W, PHI, exact, linear)
             )
     if np.any(exact != linear):
         bad = sub[exact != linear]
@@ -352,7 +363,35 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
         )
     out = np.zeros(len(pts), dtype=bool)
     out[live[exact]] = True
-    return out
+    if incidence_tol is None:
+        return out, None
+    inside = np.flatnonzero(out)
+    rows, points = np.concatenate(hit_rows), np.concatenate(hit_points)
+    kept = out[points]
+    act = np.zeros((n_group + len(cs.slab), len(inside)), dtype=bool)
+    act[rows[kept], np.searchsorted(inside, points[kept])] = True
+    return out, act
+
+
+def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
+    """Exact sheet-aware membership of chart points in the domain.
+
+    Membership is a conjunction of terms: the two slab walls (H side), then
+    one term per union group, which holds where any of its members (I side)
+    holds.  Each term is one `batch_wall` call on its walls as a column
+    (`_wall_column`), and is decided twice, by the exact predicate (form
+    value and sheet window) and by the linear chart functional; the two
+    conjunctions must agree on every point, else the linear model is wrong
+    and this raises.  The conjunction short-circuits: once the exact and the
+    linear verdict of a point are both False, no later term can change
+    either, and the point may be dropped.  The masks and the agreement
+    check are thus those of the full walls-by-points table, at the cost of
+    one (L, n) array per term.  Dropping points skips no bracket check of
+    `batch_wall` that could fire: every wall element has |z_g| < |w_g| and
+    every cone point |Z| < |W|, so the cocycle bracket has positive real
+    part on the whole cone.  The terms run in `_wall_pass`.
+    """
+    return _wall_pass(cs, pts, tol)[0]
 
 
 def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENCE_TOL):
@@ -450,16 +489,73 @@ def _solve_triples(normals, offsets, triples, slack: float = 1.0):
     return triples[keep], np.linalg.solve(A[keep], b[..., None])[..., 0]
 
 
+def _ranks(normals: np.ndarray, act: np.ndarray, tol: float) -> np.ndarray:
+    """Per column i of the incidence table act, the rank of the rows
+    normals[act[:, i]]: the singular values above tol, as `np.linalg.
+    matrix_rank` counts them.  The columns with equally many active rows
+    are stacked into one `np.linalg.svd` call, which runs the same LAPACK
+    routine on each matrix, so every rank is that of the per-matrix call."""
+    count = act.sum(axis=0)
+    rank = np.zeros(len(count), dtype=int)
+    for c in np.unique(count[count > 0]).tolist():
+        cols = np.flatnonzero(count == c)
+        # each column's active walls in ascending order, as normals[act[:, i]]
+        walls = np.nonzero(act[:, cols].T)[1].reshape(len(cols), c)
+        singular = np.linalg.svd(normals[walls], compute_uv=False)
+        rank[cols] = (singular > tol).sum(axis=1)
+    return rank
+
+
 def _pinned(cs, normals, pts, membership_tol, incidence_tol, rank_tol):
-    """Indices of the points in the domain (`membership_mask` at
-    membership_tol) pinned by active walls (`active_walls` at
-    incidence_tol) of rank 3 (`matrix_rank` at rank_tol)."""
-    inside = np.flatnonzero(membership_mask(cs, pts, tol=membership_tol))
-    act = active_walls(cs, pts[inside], tol=incidence_tol)
-    return [
-        inside[i] for i in np.flatnonzero(act.sum(axis=0) >= 3)
-        if np.linalg.matrix_rank(normals[act[:, i]], tol=rank_tol) == 3
-    ]
+    """Indices of the points in the domain (membership at membership_tol)
+    pinned by active walls (incidence at incidence_tol) of rank 3 (`_ranks`
+    at rank_tol), all from one `_wall_pass`."""
+    inside, act = _wall_pass(cs, pts, membership_tol, incidence_tol)
+    cols = np.flatnonzero(act.sum(axis=0) >= 3)
+    return np.flatnonzero(inside)[cols[_ranks(normals, act[:, cols], rank_tol) == 3]]
+
+
+def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float):
+    """The (row, point) index pairs whose first coordinates differ by at
+    most 2 tol, with the distance |points[point] - rows[row]| of each.
+
+    The points are sorted by their first coordinate once and each row's
+    window found by `searchsorted`, so every pair within tol is among them:
+    the margin of 2 tol covers the rounding of the difference for
+    coordinates far below tol / eps in size.
+    """
+    order = np.argsort(points[:, 0])
+    x = points[order, 0]
+    lo = np.searchsorted(x, rows[:, 0] - 2.0 * tol, side="left")
+    count = np.searchsorted(x, rows[:, 0] + 2.0 * tol, side="right") - lo
+    row = np.repeat(np.arange(len(rows)), count)
+    point = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    return row, point, np.linalg.norm(points[point] - rows[row], axis=1)
+
+
+def _merge_vertices(candidates: np.ndarray, tol: float) -> np.ndarray:
+    """The candidates, in order, less each one that lies within tol of an
+    earlier kept one: the greedy merge.
+
+    The close pairs (`_close_pairs`) decide it in rounds.  A candidate is
+    dropped once an earlier close one is kept, and kept once every earlier
+    close one is dropped; the first undecided candidate is decided in each
+    round, so chains of candidates resolve as in the sequential loop.
+    """
+    row, point, dist = _close_pairs(candidates, candidates, tol)
+    close = (point < row) & (dist <= tol)
+    later, earlier = row[close], point[close]
+    kept = np.zeros(len(candidates), dtype=bool)
+    decided = np.zeros(len(candidates), dtype=bool)
+    while not decided.all():
+        blocked = np.zeros(len(candidates), dtype=bool)
+        blocked[later[kept[earlier]]] = True
+        pending = np.zeros(len(candidates), dtype=bool)
+        pending[later[~decided[earlier]]] = True
+        keep = ~decided & ~blocked & ~pending
+        kept |= keep
+        decided |= keep | blocked
+    return candidates[kept]
 
 
 def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
@@ -469,9 +565,12 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     planes.  A triple of planes yields a vertex when it is regular
     (`_solve_triples`), its point lies in the cone and passes the
     membership predicate, and the point is pinned by rank-3 many active
-    walls.  The vertices are merged at VERTEX_MERGE_TOL, first candidate in
-    (s, x1, x2) order wins (ties in triple order), and returned in that
-    order.
+    walls (`_pinned`: membership and incidence from one `_wall_pass`, the
+    ranks from one batched SVD per active-wall count, `_ranks`).  The
+    vertices are merged at VERTEX_MERGE_TOL, first candidate in (s, x1, x2)
+    order wins (ties in triple order), and returned in that order; the
+    greedy merge is decided on the close pairs of a sorted window
+    (`_merge_vertices`), not by a loop over the candidates.
 
     Only O(W^2) of the C(W, 3) triples are solved.  There are only two
     slab walls, so some power of the rotation sigma (`_sigma_permutation`)
@@ -522,14 +621,7 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
             np.round(candidates[:, 2], 10),
         )
     )
-    merged = np.empty((len(order), 3))
-    n = 0
-    for p in candidates[order]:
-        if n and np.min(np.linalg.norm(merged[:n] - p, axis=1)) <= VERTEX_MERGE_TOL:
-            continue
-        merged[n] = p
-        n += 1
-    return merged[:n].copy()
+    return _merge_vertices(candidates[order], VERTEX_MERGE_TOL)
 
 
 @dataclass(frozen=True)
@@ -570,10 +662,12 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     Faces are extracted per wall by walking the 1-skeleton.  The edges come
     from the incidence table (`active_walls` on the vertices): every vertex
     pair sharing two walls is probed at the quartile points of its segment,
-    all pairs in one array.  The pair is an edge when every probe lies in
-    the domain and the walls active at its two ends and at all three probes
-    span a plane; those walls are the edge's walls, and each wall's edges
-    are read from its row of that table.  Every vertex of a wall's skeleton
+    all pairs in one array, whose membership and incidences come from one
+    `_wall_pass` at EDGE_PROBE_TOL.  The pair is an edge when every probe
+    lies in the domain and the walls active at its two ends and at all
+    three probes span a plane (`_ranks`, one batched SVD per wall count);
+    those walls are the edge's walls, and each wall's edges are read from
+    its row of that table.  Every vertex of a wall's skeleton
     must have degree exactly two there, every edge must lie in exactly two
     faces with opposite orientations, and the Euler characteristic must be
     2; violations are hard errors, not warnings.
@@ -589,15 +683,17 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     ii, jj = np.nonzero(np.triu(count.T @ count >= 2, 1))
     ts = np.array(_EDGE_PROBE_TS)[:, None]
     probes = vertices[ii, None] + ts * (vertices[jj] - vertices[ii])[:, None]
-    probes = probes.reshape(-1, 3)
-    ok = membership_mask(cs, probes, tol=EDGE_PROBE_TOL).reshape(-1, 3).all(1)
-    # the walls active on the whole open segment, not merely at its ends
-    alive = active_walls(cs, probes, tol=EDGE_PROBE_TOL)
-    alive = alive.reshape(len(walls), -1, 3).all(2) & inc[:, ii] & inc[:, jj]
+    inside, probe_act = _wall_pass(cs, probes.reshape(-1, 3), EDGE_PROBE_TOL, EDGE_PROBE_TOL)
+    ok = np.flatnonzero(inside.reshape(-1, 3).all(1))
+    ii, jj = ii[ok], jj[ok]
+    # the walls active on the whole open segment, not merely at its ends;
+    # the three probes of a pair in the domain are adjacent columns
+    col = np.searchsorted(np.flatnonzero(inside), 3 * ok)
+    alive = probe_act[:, col] & probe_act[:, col + 1] & probe_act[:, col + 2]
+    alive &= inc[:, ii] & inc[:, jj]
     normals, _ = cs.planes()
-    is_edge = ok & (alive.sum(axis=0) >= 2)
-    for e in np.flatnonzero(is_edge):
-        is_edge[e] = np.linalg.matrix_rank(normals[alive[:, e]], tol=1e-8) >= 2
+    two = np.flatnonzero(alive.sum(axis=0) >= 2)
+    is_edge = two[_ranks(normals, alive[:, two], 1e-8) >= 2]
     edge_walls = alive[:, is_edge]
     edges = list(zip(ii[is_edge].tolist(), jj[is_edge].tolist()))
 
@@ -687,20 +783,20 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
 
 def _nearest_vertices(image: np.ndarray, vertices: np.ndarray, tol: float):
     """Per image row, the index of the nearest vertex, or -1 when none lies
-    within tol.
+    within tol; of equally near vertices, the lowest index.
 
-    A row outside the vertices' bounding box widened by tol is farther than
-    tol from every vertex, so distances are measured only for the rows
-    inside it.
+    Distances are measured only on the pairs of `_close_pairs`, which hold
+    every vertex within tol of a row, so this is the argmin of the row's
+    full distance scan followed by the threshold.
     """
-    lo = vertices.min(axis=0) - tol
-    hi = vertices.max(axis=0) + tol
-    boxed = np.flatnonzero(((image >= lo) & (image <= hi)).all(axis=1))
-    dists = np.linalg.norm(vertices[None, :, :] - image[boxed, None, :], axis=2)
-    best = dists.argmin(axis=1)
-    near = dists[np.arange(len(boxed)), best] <= tol
+    row, vertex, dist = _close_pairs(image, vertices, tol)
+    near = dist <= tol
+    row, vertex, dist = row[near], vertex[near], dist[near]
+    # per row, the smallest distance first, ties to the lowest index
+    best = np.lexsort((vertex, dist, row))
+    best = best[np.unique(row[best], return_index=True)[1]]
     out = np.full(len(image), -1)
-    out[boxed[near]] = best[near]
+    out[row[best]] = vertex[best]
     return out
 
 

@@ -69,16 +69,6 @@ def ell(t: float, sign: int, group: TriangleGroupData) -> float:
     )
 
 
-def f_bound(s: float, t: float, config: LevelConfig) -> float:
-    """f(s, t) = 1/s - sec(pi k / 2 p_lcm)/t * sqrt(1 - s^2)/s on 0 < s < 1."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s = {s} outside (0, 1)")
-    if t < 1.0 - 1e-12:
-        raise ValueError(f"t = {t} below 1")
-    sec = 1.0 / math.cos(math.pi * config.k / (2 * config.p_lcm))
-    return 1.0 / s - (sec / t) * math.sqrt(1.0 - s * s) / s
-
-
 def _closed_quantities(p_tri: int, k: int, p_lcm: int, m):
     """R, ell^-(sec), and the threshold via the alpha = pi/2p closed forms.
 

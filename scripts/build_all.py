@@ -5,11 +5,12 @@ Usage: python3 scripts/build_all.py [--out DIR] [--kmax N] [--formats LIST]
 
 Levels divisible by 3 are skipped (no lift exists there).  Prints one
 summary line per case, a FAIL line for each level whose build fails a
-stage check, leaves faces unpaired, or whose reduction inequality or orbit
-premise fails (its artifacts are still written), and a totals line at the
-end.  Exit codes: 0 when every level built and certified, 1 when some
-level failed, 2 for an unknown format or a --kmax below 1 (both checked
-before anything is built).
+stage check, whose artifacts cannot be written under --out, that leaves
+faces unpaired, or whose reduction inequality or orbit premise fails (its
+artifacts are still written), and a totals line at the end.  Exit codes:
+0 when every level built and certified, 1 when some level failed, 2 for
+an unknown format or a --kmax below 1 (both checked before anything is
+built).
 """
 
 import argparse
@@ -50,7 +51,12 @@ def main(argv=None) -> int:
                 print(f"FAIL {series} k={k}: {exc}")
                 continue
             poly = build.poly
-            write_artifacts(args.out, series, k, poly, build.report, formats)
+            try:
+                write_artifacts(args.out, series, k, poly, build.report, formats)
+            except OSError as exc:
+                failed += 1
+                print(f"FAIL {series} k={k}: cannot write artifacts: {exc}")
+                continue
             built += 1
             print(
                 f"{series} k={k}: V={len(poly.vertices)} E={len(poly.edges)} "

@@ -1,7 +1,8 @@
 """Command-line interface: build, verify, and inspect fundamental domains.
 
 Exit codes: 0 success, 2 invalid request (a command line the parser
-rejects, or a bad series, level, format, word budget or sample count), 1
+rejects, a bad series, level, format, word budget or sample count, or a
+`build --out` where the artifacts cannot be written), 1
 failed verification (a stage check fails, faces stay unpaired, the
 reduction inequality or the orbit premise fails, or the sampled
 descriptions disagree).  Errors are reported as a single JSON
@@ -16,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from .cover import lift_level
 from .domain import (
     ConstraintSet,
     PairingReport,
@@ -91,7 +93,7 @@ def _fail(args, error: str, code: int = 2) -> int:
 def cmd_info(args) -> int:
     try:
         p, q, r = series_signature(args.series, args.k)
-        cs = series_constraints(args.series, args.k)
+        config = lift_level(p, q, r, args.k)
     except ValueError as exc:
         return _fail(args, str(exc))
     info = {
@@ -100,11 +102,12 @@ def cmd_info(args) -> int:
         "signature": [p, q, r],
         "singularity": singularity_label(args.series, args.k),
         "p_reading": "tri",  # the only reading; the key is kept for callers
-        "p_lcm": cs.config.p_lcm,
-        "lam": cs.config.lam,
-        "central_corrections": list(cs.config.central_corrections),
-        "wall_groups": len(cs.groups),
-        "period": cs.period,
+        "p_lcm": config.p_lcm,
+        "lam": config.lam,
+        "central_corrections": list(config.central_corrections),
+        # one union group per half-step conjugation, over a period of 2 p
+        "wall_groups": 2 * p,
+        "period": 2 * p,
     }
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0
@@ -124,9 +127,12 @@ def cmd_build(args) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         return _fail(args, str(exc), code=1)
     report = build.report
-    written = write_artifacts(
-        _out_dir(args.out), args.series, args.k, build.poly, report, formats
-    )
+    try:
+        written = write_artifacts(
+            _out_dir(args.out), args.series, args.k, build.poly, report, formats
+        )
+    except OSError as exc:
+        return _fail(args, f"cannot write artifacts: {exc}")
     summary = {
         "series": args.series,
         "k": args.k,

@@ -52,7 +52,6 @@ from .halfspaces import batch_wall, wall_masks
 VERTEX_MERGE_TOL = 1e-8
 PLANE_INCIDENCE_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
-EDGE_PROBE_TOL = 1e-7
 PAIRING_MATCH_TOL = 1e-7
 PAIRING_QUICK_TOL = 1e-6
 WINDOW_GUARD = 1e-9
@@ -62,7 +61,6 @@ _SIGMA_TOL = 1e-12
 _SEED_SLACK = 2.0
 _SEED_MEMBERSHIP_TOL = 1e-6
 _SEED_INCIDENCE_TOL = 1e-7
-_EDGE_PROBE_TS = (0.25, 0.5, 0.75)
 _STAB_TURN_TOL = 1e-6
 
 _LABEL_ORDER = {"a": 0, "b": 1, "c": 2, "slab": 3}
@@ -311,14 +309,18 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
 
     Returns the mask and a (walls x inside points) table in `all_walls()`
     order, its columns the True entries of the mask in order (None without
-    incidence_tol).  The table is `active_walls` at incidence_tol on those
-    points: each term's values give `on & ~strict.any(0)` too.  Only the
-    incidences of points whose exact verdict still holds are kept, as
-    (row, point) index pairs, so no walls-by-points table is built before
-    the end.  See `membership_mask` for the terms and the short-circuit;
-    the live points are compacted only once an eighth of them is decided
-    (a decided point stays decided whatever later terms say), which
-    re-indexes the seven live arrays far less often than every term.
+    incidence_tol).  A wall is active at a point where the point is on it
+    (`wall_masks` at incidence_tol) and no member of its union group holds
+    strictly: there the group is slack and the plane is invisible to the
+    boundary.  No wall is both on and strict, so for a slab wall, a group
+    of one, that condition is void.  Each term's values give its rows,
+    `on & ~strict.any(0)`.  Only the incidences of points whose exact
+    verdict still holds are kept, as (row, point) index pairs, so no
+    walls-by-points table is built before the end.  See `membership_mask`
+    for the terms and the short-circuit; the live points are compacted
+    only once an eighth of them is decided (a decided point stays decided
+    whatever later terms say), which re-indexes the seven live arrays far
+    less often than every term.
     """
     pts = np.asarray(pts, dtype=float)
     live = np.flatnonzero(_in_slab_cone(pts))  # original rows of the undecided points
@@ -389,27 +391,11 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
     one (L, n) array per term.  Dropping points skips no bracket check of
     `batch_wall` that could fire: every wall element has |z_g| < |w_g| and
     every cone point |Z| < |W|, so the cocycle bracket has positive real
-    part on the whole cone.  The terms run in `_wall_pass`.
+    part on the whole cone.  The terms run in `_wall_pass`, which the
+    builds call directly (`enumerate_vertices`, `build_polyhedron`) to get
+    the active incidences from the same values.
     """
     return _wall_pass(cs, pts, tol)[0]
-
-
-def active_walls(cs: ConstraintSet, pts: np.ndarray, tol: float = PLANE_INCIDENCE_TOL):
-    """Boolean matrix (walls x points, rows in `all_walls()` order) of
-    active boundary incidences, one `batch_wall` call per union group and
-    per slab wall, each on the walls as a column (`_wall_column`).
-
-    A wall is active where the point is on it (`wall_masks` at tol) and no
-    member of its union group holds strictly: there the group is slack and
-    the plane is invisible to the boundary.  No wall is both on and strict,
-    so for a slab wall, a group of one, that condition is void.
-    """
-    Z, W, PHI = _chart_parts(np.asarray(pts, dtype=float))
-    rows = []
-    for members in list(cs.groups) + [(wall,) for wall in cs.slab]:
-        _, strict, on = wall_masks(*batch_wall(_wall_column(members)[0], Z, W, PHI), tol)
-        rows.append(on & ~strict.any(0))
-    return np.vstack(rows)
 
 
 def _s_axis_rotation(psi: float) -> np.ndarray:
@@ -659,43 +645,35 @@ def _newell_normal(verts: np.ndarray, loop) -> np.ndarray:
 def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     """Assemble the face complex and validate that it is a closed surface.
 
-    Faces are extracted per wall by walking the 1-skeleton.  The edges come
-    from the incidence table (`active_walls` on the vertices): every vertex
-    pair sharing two walls is probed at the quartile points of its segment,
-    all pairs in one array, whose membership and incidences come from one
-    `_wall_pass` at EDGE_PROBE_TOL.  The pair is an edge when every probe
-    lies in the domain and the walls active at its two ends and at all
-    three probes span a plane (`_ranks`, one batched SVD per wall count);
-    those walls are the edge's walls, and each wall's edges are read from
-    its row of that table.  Every vertex of a wall's skeleton
-    must have degree exactly two there, every edge must lie in exactly two
-    faces with opposite orientations, and the Euler characteristic must be
-    2; violations are hard errors, not warnings.
+    Faces are extracted per wall by walking the 1-skeleton.  Every vertex
+    must lie in the domain (membership at MEMBERSHIP_TOL), else this raises
+    RuntimeError naming it, and the incidence table comes from the same
+    `_wall_pass` (active walls at PLANE_INCIDENCE_TOL).  An edge is a vertex
+    pair whose columns share two walls, and those two walls are the edge's
+    walls; each wall's edges are read from its row of the shared-wall
+    table.  The two ends of an edge lie on both its walls, so the
+    shared-wall pairs hold every edge.  A shared-wall pair that is not an
+    edge joins two vertices of one face that its boundary does not join,
+    so in that wall's skeleton its ends get a third neighbour and the
+    degree check below raises.  (No vertex pair shares three walls at any
+    level up to k = 50.)  Every vertex of a wall's skeleton must have
+    degree exactly two there, every edge must lie in exactly two faces
+    with opposite orientations, and the Euler characteristic must be 2;
+    violations are hard errors, not warnings.
     """
     if len(vertices) == 0:
         raise ValueError("cannot build a polyhedron without vertices")
     walls = cs.all_walls()
     nv = len(vertices)
-    inc = active_walls(cs, vertices)
+    inside, inc = _wall_pass(cs, vertices, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
+    if not inside.all():
+        raise RuntimeError(f"vertex {int(np.argmin(inside))} lies outside the domain")
     # the vertex pairs sharing two walls, in itertools.combinations order
     # a float64 product runs on BLAS and holds the counts (at most W) exactly
     count = inc.astype(float)
     ii, jj = np.nonzero(np.triu(count.T @ count >= 2, 1))
-    ts = np.array(_EDGE_PROBE_TS)[:, None]
-    probes = vertices[ii, None] + ts * (vertices[jj] - vertices[ii])[:, None]
-    inside, probe_act = _wall_pass(cs, probes.reshape(-1, 3), EDGE_PROBE_TOL, EDGE_PROBE_TOL)
-    ok = np.flatnonzero(inside.reshape(-1, 3).all(1))
-    ii, jj = ii[ok], jj[ok]
-    # the walls active on the whole open segment, not merely at its ends;
-    # the three probes of a pair in the domain are adjacent columns
-    col = np.searchsorted(np.flatnonzero(inside), 3 * ok)
-    alive = probe_act[:, col] & probe_act[:, col + 1] & probe_act[:, col + 2]
-    alive &= inc[:, ii] & inc[:, jj]
-    normals, _ = cs.planes()
-    two = np.flatnonzero(alive.sum(axis=0) >= 2)
-    is_edge = two[_ranks(normals, alive[:, two], 1e-8) >= 2]
-    edge_walls = alive[:, is_edge]
-    edges = list(zip(ii[is_edge].tolist(), jj[is_edge].tolist()))
+    edge_walls = inc[:, ii] & inc[:, jj]
+    edges = list(zip(ii.tolist(), jj.tolist()))
 
     faces = []
     for wi, wall in enumerate(walls):

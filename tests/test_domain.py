@@ -23,7 +23,6 @@ from lorentzdomains.disc import GroupElement, group_mul, mobius_apply
 from lorentzdomains.domain import (
     _COND_LIMIT,
     _DET_FLOOR,
-    EDGE_PROBE_TOL,
     MEMBERSHIP_TOL,
     PLANE_INCIDENCE_TOL,
     PAIRING_MATCH_TOL,
@@ -32,7 +31,6 @@ from lorentzdomains.domain import (
     AffineFunctional,
     Pairing,
     PairingReport,
-    _EDGE_PROBE_TS,
     _LABEL_ORDER,
     _SEED_INCIDENCE_TOL,
     _SEED_MEMBERSHIP_TOL,
@@ -51,7 +49,6 @@ from lorentzdomains.domain import (
     _sigma_permutation,
     _wall_pass,
     _window_phases,
-    active_walls,
     build_polyhedron,
     detect_symmetry,
     edge_cycle_check,
@@ -331,6 +328,10 @@ def test_vertices_respect_symmetry(e2):
 # the determinant-bounded conditioning check must reproduce it bit for bit
 
 ORACLE_LEVELS = [(series, k) for series in ("E", "Z") for k in (1, 2, 4, 5, 7)]
+# the segment probes and their tolerance of the per-pair edge test that the
+# polyhedron oracle runs; the build reads its edges from shared walls alone
+_ORACLE_PROBE_TS = (0.25, 0.5, 0.75)
+_ORACLE_PROBE_TOL = 1e-7
 
 
 def _reference_membership(cs, pts, tol):
@@ -380,7 +381,7 @@ def _reference_vertices(cs):
         for start in range(0, len(candidates), chunk)
     ])
     candidates = candidates[inside]
-    act = active_walls(cs, candidates)
+    act = _reference_active(cs, candidates, PLANE_INCIDENCE_TOL)[0]
     keep = [
         col for col in range(len(candidates))
         if act[:, col].sum() >= 3
@@ -419,7 +420,7 @@ def _probe_points(cs, rng, n=3000):
     # reads -1 +- 0.5 tol and -1 +- 1.5 tol for both tolerances in use
     shifts = [0.0] + [
         sign * f * tol
-        for tol in (MEMBERSHIP_TOL, EDGE_PROBE_TOL)
+        for tol in (MEMBERSHIP_TOL, _ORACLE_PROBE_TOL)
         for f in (0.5, 1.5)
         for sign in (-1.0, 1.0)
     ]
@@ -457,24 +458,10 @@ def _reference_active(cs, pts, tol):
 
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
-def test_active_walls_matches_full_table(series, k):
-    cs = series_constraints(series, k)
-    pts = _probe_points(cs, np.random.default_rng(k))
-    # wall values are defined on the cone only
-    pts = pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)]
-    for tol in (MEMBERSHIP_TOL, EDGE_PROBE_TOL):
-        got = active_walls(cs, pts, tol=tol)
-        ref, on_plane = _reference_active(cs, pts, tol)
-        assert got.tobytes() == ref.tobytes()
-        # both rules fire: incidences kept, and on-plane ones a sibling hides
-        assert got.any() and (on_plane & ~got).any()
-
-
-@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_membership_mask_matches_full_table(series, k):
     cs = series_constraints(series, k)
     pts = _probe_points(cs, np.random.default_rng(k))
-    for tol in (MEMBERSHIP_TOL, EDGE_PROBE_TOL):
+    for tol in (MEMBERSHIP_TOL, _ORACLE_PROBE_TOL):
         got = membership_mask(cs, pts, tol=tol)
         ref = _reference_membership(cs, pts, tol)
         assert got.tobytes() == ref.tobytes()
@@ -484,20 +471,22 @@ def test_membership_mask_matches_full_table(series, k):
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_wall_pass_matches_membership_and_active_walls(series, k):
     """One pass gives the membership mask and, on the points inside, the
-    incidence table of `active_walls`, byte for byte."""
+    active incidences of the full walls-by-points table, byte for byte."""
     cs = series_constraints(series, k)
     pts = _probe_points(cs, np.random.default_rng(k))
     for tol, incidence_tol in (
         (MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL),
-        (EDGE_PROBE_TOL, EDGE_PROBE_TOL),
+        (_ORACLE_PROBE_TOL, _ORACLE_PROBE_TOL),
         (_SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL),
     ):
         inside, act = _wall_pass(cs, pts, tol, incidence_tol)
         assert inside.tobytes() == _reference_membership(cs, pts, tol).tobytes()
         assert inside.tobytes() == membership_mask(cs, pts, tol=tol).tobytes()
-        ref = active_walls(cs, pts[inside], tol=incidence_tol)
+        ref, on_plane = _reference_active(cs, pts[inside], incidence_tol)
         assert act.shape == ref.shape and act.tobytes() == ref.tobytes()
         assert act.any() and not act.all(axis=0).any()
+        # both rules fire: incidences kept, and on-plane ones a sibling hides
+        assert (on_plane & ~act).any()
 
 
 def _near_singular_normals(rng, sigmas):
@@ -599,13 +588,14 @@ def test_enumerate_vertices_matches_reference(series, k):
 
 
 def _reference_polyhedron(cs, vertices):
-    """The face assembly as it ran before the edges came from one probe
-    array: one rank check and one probe list per vertex pair, the walls
+    """The face assembly by the per-pair edge test: one rank check and one
+    probe list per vertex pair sharing two walls, membership and
+    incidences of the probes at _ORACLE_PROBE_TOL, the walls
     alive on a segment gathered per pair, and each wall's adjacency found
     by scanning every edge.  Returns the sorted undirected edges of the
     face loops and the (label, loop) list in face order."""
     walls = cs.all_walls()
-    incidence = active_walls(cs, vertices)
+    incidence = _reference_active(cs, vertices, PLANE_INCIDENCE_TOL)[0]
     pair_shared, probe_pts, probe_owner = {}, [], []
     inc = incidence.astype(np.int64)
     for i, j in np.argwhere(np.triu(inc.T @ inc >= 2, 1)).tolist():
@@ -614,12 +604,12 @@ def _reference_polyhedron(cs, vertices):
         if np.linalg.matrix_rank(span, tol=1e-8) < 2:
             continue
         pair_shared[(i, j)] = tuple(shared)
-        for t in _EDGE_PROBE_TS:
+        for t in _ORACLE_PROBE_TS:
             probe_pts.append(vertices[i] + t * (vertices[j] - vertices[i]))
             probe_owner.append((i, j))
     probe_pts = np.array(probe_pts)
-    ok = membership_mask(cs, probe_pts, tol=EDGE_PROBE_TOL)
-    probe_act = active_walls(cs, probe_pts, tol=EDGE_PROBE_TOL)
+    ok = _reference_membership(cs, probe_pts, _ORACLE_PROBE_TOL)
+    probe_act = _reference_active(cs, probe_pts, _ORACLE_PROBE_TOL)[0]
     rows_of = {}
     for row, owner in enumerate(probe_owner):
         rows_of.setdefault(owner, []).append(row)
@@ -672,15 +662,44 @@ def _reference_polyhedron(cs, vertices):
     return tuple(sorted(edges)), faces
 
 
-@pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 10), ("E", 11)])
+@pytest.mark.parametrize(
+    "series,k", ORACLE_LEVELS + [("Z", 10), ("E", 11), ("Z", 14), ("E", 40), ("Z", 50)]
+)
 def test_build_polyhedron_matches_reference(series, k):
-    """The edges read from one probe array against the per-pair assembly."""
+    """The edges read from the walls their ends share against the per-pair
+    assembly with its segment probes and rank checks."""
     cs = series_constraints(series, k)
     vertices = enumerate_vertices(cs)
     poly = build_polyhedron(cs, vertices)
     edges, faces = _reference_polyhedron(cs, vertices)
     assert poly.edges == edges
     assert [(f.label, f.loop) for f in poly.faces] == faces
+
+
+@pytest.mark.parametrize("series,k", [("E", 2), ("Z", 1), ("Z", 4)])
+def test_build_polyhedron_rejects_a_broken_vertex_set(series, k):
+    """Each hard error of the assembly fires on a mutated vertex set.  An
+    edge's midpoint, a dropped vertex and a duplicated vertex each leave a
+    wall skeleton with a vertex of degree other than two; an interior point
+    lies on no face; a point beyond the slab lies outside the domain."""
+    cs = series_constraints(series, k)
+    vertices = enumerate_vertices(cs)
+    poly = build_polyhedron(cs, vertices)
+    nv = len(vertices)
+    for i, j in (poly.edges[0], poly.edges[len(poly.edges) // 2], poly.edges[-1]):
+        for broken in (
+            np.vstack([vertices, 0.5 * (vertices[i] + vertices[j])]),
+            np.delete(vertices, j, axis=0),
+            np.vstack([vertices, vertices[i]]),
+        ):
+            with pytest.raises(RuntimeError, match="1-skeleton vertex degrees"):
+                build_polyhedron(cs, broken)
+    with pytest.raises(RuntimeError, match="stray vertices"):
+        build_polyhedron(cs, np.vstack([vertices, [0.0, 0.0, 0.0]]))
+    with pytest.raises(RuntimeError, match=f"vertex {nv} lies outside the domain"):
+        build_polyhedron(cs, np.vstack([vertices, [0.0, 0.0, 50.0]]))
+    with pytest.raises(ValueError, match="without vertices"):
+        build_polyhedron(cs, vertices[:0])
 
 
 @pytest.mark.parametrize("series,k", [("E", 1), ("Z", 1)])

@@ -179,6 +179,24 @@ def test_cli_info(capsys):
     assert out["singularity"] == "Z_13"
 
 
+@pytest.mark.parametrize("series,k", [("E", 1), ("Z", 2), ("E", 14), ("Z", 5)])
+def test_cli_info_builds_no_geometry(series, k, capsys, monkeypatch):
+    """`info` reads its level data from the level lift alone, and they
+    match the constraint set's."""
+    cs = series_constraints(series, k)
+
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("info must not build the constraint set")
+
+    monkeypatch.setattr(cli, "series_constraints", no_geometry)
+    assert main(["info", "--series", series, "--k", str(k)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["wall_groups"] == len(cs.groups)
+    assert out["period"] == cs.period
+    assert out["p_lcm"] == cs.config.p_lcm and out["lam"] == cs.config.lam
+    assert out["central_corrections"] == list(cs.config.central_corrections)
+
+
 def test_cli_rejects_divisible_level(capsys):
     code = main(["info", "--series", "E", "--k", "6"])
     assert code == 2
@@ -228,6 +246,21 @@ def test_cli_out_dir_env(tmp_path, capsys, monkeypatch):
     assert code == 0
     capsys.readouterr()
     assert os.path.exists(tmp_path / "envout" / "fund_E_k1.off")
+
+
+def test_cli_build_unwritable_out_is_json(tmp_path, capsys):
+    """An --out naming an existing file exits 2 with one JSON error object
+    and nothing on stderr."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["build", "--series", "E", "--k", "1", "--out", str(taken), "--formats", "off"])
+    assert code == 2
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert (out["series"], out["k"]) == ("E", 1)
+    assert out["error"].startswith("cannot write artifacts: ") and str(taken) in out["error"]
+    assert captured.err == ""
+    assert taken.read_text() == ""
 
 
 def test_cli_build_stage_failure_is_json(tmp_path, capsys, monkeypatch):

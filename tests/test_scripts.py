@@ -31,6 +31,19 @@ def test_build_all_matches_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_build_all_reports_an_unwritable_out(tmp_path, capsys):
+    """An --out naming an existing file gives a FAIL line per level, not a
+    traceback, and exit 1."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert _load("build_all").main(["--kmax", "1", "--out", str(taken), "--formats", "off"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in fails] == ["FAIL E k=1", "FAIL Z k=1"]
+    assert all("cannot write artifacts: " in line for line in fails)
+    assert lines[-1].startswith("built 0 cases") and lines[-1].endswith(", 2 failed")
+
+
 def test_verify_reduction_passes(capsys):
     assert _load("verify_reduction").main(["--kmax", "2", "--samples", "500"]) == 0
     out = capsys.readouterr().out

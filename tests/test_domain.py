@@ -458,6 +458,22 @@ def _reference_active(cs, pts, tol):
 
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+def test_active_walls_matches_full_table(series, k):
+    """The active incidences of `_wall_pass` at each incidence tolerance in
+    use, on every probe point within the loose seed membership tolerance,
+    against the full walls-by-points table: the incidence rule holds apart
+    from the membership tolerance that picks the columns."""
+    cs = series_constraints(series, k)
+    pts = _probe_points(cs, np.random.default_rng(k))
+    for tol in (PLANE_INCIDENCE_TOL, _ORACLE_PROBE_TOL):
+        inside, got = _wall_pass(cs, pts, _SEED_MEMBERSHIP_TOL, tol)
+        ref, on_plane = _reference_active(cs, pts[inside], tol)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        # both rules fire: incidences kept, and on-plane ones a sibling hides
+        assert got.any() and (on_plane & ~got).any()
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_membership_mask_matches_full_table(series, k):
     cs = series_constraints(series, k)
     pts = _probe_points(cs, np.random.default_rng(k))

@@ -9,11 +9,12 @@ stage check, whose artifacts cannot be written under --out, that leaves
 faces unpaired, or whose reduction inequality or orbit premise fails (its
 artifacts are still written), and a totals line at the end.  Exit codes:
 0 when every level built and certified, 1 when some level failed, 2 for
-an unknown format or a --kmax below 1 (both checked before anything is
-built).
+an unknown format, a --kmax below 1 or an --out that is not and cannot be
+made a directory (all checked before anything is built).
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -34,6 +35,11 @@ def main(argv=None) -> int:
     unknown = [fmt for fmt in formats if fmt not in WRITERS]
     if unknown:
         print(f"unknown format {unknown[0]!r}; known: {', '.join(sorted(WRITERS))}")
+        return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}")
         return 2
 
     t0 = time.time()

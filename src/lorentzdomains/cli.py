@@ -75,12 +75,6 @@ def build_domain(series: str, k: int, word_budget: int = 8) -> DomainBuild:
     return DomainBuild(cs, poly, pairings, symmetry_angle, edge_cycles, reduction, report)
 
 
-def _out_dir(value):
-    if value:
-        return value
-    return os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
-
-
 def _error(error: str, series, k, code: int = 2) -> int:
     print(json.dumps({"error": error, "series": series, "k": k}, sort_keys=True))
     return code
@@ -120,6 +114,14 @@ def cmd_build(args) -> int:
     unknown = [fmt for fmt in formats if fmt not in WRITERS]
     if unknown:
         return _fail(args, f"unknown format {unknown[0]!r}")
+    out_dir = args.out or os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
+    try:
+        lift_level(*series_signature(args.series, args.k), args.k)
+        os.makedirs(out_dir, exist_ok=True)
+    except ValueError as exc:
+        return _fail(args, str(exc))
+    except OSError as exc:
+        return _fail(args, f"cannot write artifacts: {exc}")
     try:
         build = build_domain(args.series, args.k, word_budget=args.word_budget)
     except ValueError as exc:
@@ -128,9 +130,7 @@ def cmd_build(args) -> int:
         return _fail(args, str(exc), code=1)
     report = build.report
     try:
-        written = write_artifacts(
-            _out_dir(args.out), args.series, args.k, build.poly, report, formats
-        )
+        written = write_artifacts(out_dir, args.series, args.k, build.poly, report, formats)
     except OSError as exc:
         return _fail(args, f"cannot write artifacts: {exc}")
     summary = {

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .cover import (
@@ -29,7 +28,8 @@ from .disc import (
     edge_corona,
     orbit,
 )
-from .domain import _slab_half_width, _wall_column, series_constraints
+from .domain import _chart_parts, _slab_half_width, _wall_column
+from .domain import membership_mask, series_constraints
 from .halfspaces import batch_wall, wall_masks
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -151,14 +151,11 @@ def check_reduction_bound(
     margin = rhs_route - ell_route
     extended = False
     if abs(margin) < TIGHT_MARGIN or abs(1.0 - ell_route) < TIGHT_MARGIN:
+        import mpmath  # imported here: the branch fires at no level k <= 50
         with mpmath.workdps(50):
-            R_mp, ell_mp, rhs_mp = _closed_quantities(
-                p_tri, k, config.p_lcm, mpmath
-            )
+            R_mp, ell_mp, rhs_mp = _closed_quantities(p_tri, k, config.p_lcm, mpmath)
             margin = float(rhs_mp - ell_mp)
-            ell_route = float(ell_mp)
-            rhs_route = float(rhs_mp)
-            R = float(R_mp)
+            R, ell_route, rhs_route = (float(v) for v in (R_mp, ell_mp, rhs_mp))
         extended = True
 
     holds = ell_route <= rhs_route and ell_route <= 1.0
@@ -166,16 +163,10 @@ def check_reduction_bound(
     premise_ok = None
     if verify_orbit_premise:
         pts = np.array(orbit(tri, R))
-        corona = np.array(edge_corona(tri))
-        premise_ok = True
-        for x in pts:
-            if abs(x) < 1e-9:
-                continue
-            if np.min(np.abs(corona - x)) < CORONA_MATCH_TOL:
-                continue
-            if abs(x) < R - PREMISE_SLACK:
-                premise_ok = False
-                break
+        gap = np.abs(pts[:, None] - np.array(edge_corona(tri))).min(axis=1)
+        r = np.abs(pts)
+        fails = (r >= 1e-9) & (gap >= CORONA_MATCH_TOL) & (r < R - PREMISE_SLACK)
+        premise_ok = not fails.any()
 
     return ReductionReport(
         series=series,
@@ -235,14 +226,16 @@ def _corona_lifts(tri: TriangleGroupData, config: LevelConfig):
     return pairs
 
 
-def _slab_samples(config: LevelConfig, n_samples: int, seed: int):
-    """Uniform points of the slab cylinder, as parallel arrays Z, W, PHI."""
+def _slab_samples(config: LevelConfig, n_samples: int, seed: int) -> np.ndarray:
+    """Uniform points of the slab cylinder |s| <= h, x1^2 + x2^2 < 1 + s^2,
+    as (n, 3) chart points (x1, x2, s)."""
     half = _slab_half_width(config)
     rng = np.random.default_rng(seed)
     s = rng.uniform(-half, half, n_samples)
     theta = rng.uniform(-math.pi, math.pi, n_samples)
     rad = np.sqrt(rng.uniform(0.0, 1.0, n_samples)) * np.sqrt(1.0 + s * s)
-    return rad * np.exp(1j * theta), 1.0 + 1j * s, np.arctan(s)
+    z = rad * np.exp(1j * theta)
+    return np.column_stack([z.real, z.imag, s])
 
 
 def _window_masks(val, phi):
@@ -399,19 +392,26 @@ def _prism_scan(g: CoverElement, d_list, step: float, Z, W, PHI):
     return violated_n, violated_2n, near
 
 
-def _description_masks(cons, Z, W, PHI):
-    """Membership in the finite half-space description and in the prism
-    complement, and the boundary mask, for the cone points Z, W, PHI.
+def _description_masks(cons, pts):
+    """Membership in the finite description and in the prism complement,
+    and the boundary mask, for the chart points pts.
 
-    `cons` is the `series_constraints` result.  The finite description
-    makes one `batch_wall` call per union group and per slab wall, on the
-    walls as a column (`_wall_column`).  Raises RuntimeError when a
-    prism verdict off the boundary changes as the wall scan doubles, when
-    a wall breaks the window-edge premise of `_window_masks`, and when a
-    D^n of the table shared by the corona lifts is not the axis rotation
-    `_prism_scan` needs (`_check_axis_rotations`, run once per call).
+    The finite description is `membership_mask(cons, pts)`, the predicate
+    the build certifies (`cons` is the `series_constraints` result).  The
+    boundary mask is the BOUNDARY_BAND band of the two slab walls and of
+    the prism walls (`_prism_scan`).  Every union-group wall is a prism
+    wall g D^n, so its band is among those; and excluding fewer points only
+    makes the comparison stricter, as a point left in can fail it but never
+    pass it falsely.  The verdict at MEMBERSHIP_TOL differs from the exact
+    one only within MEMBERSHIP_TOL of a wall, inside its band.  Raises
+    RuntimeError where `membership_mask` does, when a wall breaks the
+    window-edge premise of `_window_masks`, when the D^n table is not the
+    axis rotation `_prism_scan` needs (`_check_axis_rotations`, once per
+    call), and when a prism verdict off the boundary changes as the wall
+    scan doubles.
     """
     config, tri = cons.config, cons.tri
+    Z, W, PHI = _chart_parts(pts)
     lifts = _corona_lifts(tri, config)
     # the premise on g bounds every g D^n too: D^n keeps |z| and |w|
     limit = (1.0 - BOUNDARY_BAND) / BOUNDARY_BAND
@@ -425,14 +425,9 @@ def _description_masks(cons, Z, W, PHI):
                 f"window-edge premise fails for wall {label}: "
                 f"(|z| + |w|) max|W| = {bound:.6g} >= (1 - B)/B = {limit:.6g}"
             )
-    # Finite description: every indexed union must capture the point, and
-    # neither slab-face half-space may be strictly violated.
-    near_boundary = np.zeros(len(Z), dtype=bool)
-    in_linear = np.ones(len(Z), dtype=bool)
-    for walls in list(cons.groups) + [(wall,) for wall in cons.slab]:
-        inside, near = _window_masks(*batch_wall(_wall_column(walls)[0], Z, W, PHI))
-        near_boundary |= near.any(0)
-        in_linear &= inside.any(0) if walls[0].side == "I" else ~inside[0]
+    in_linear = membership_mask(cons, pts)
+    slab_values = batch_wall(_wall_column(cons.slab)[0], Z, W, PHI)
+    near_boundary = _window_masks(*slab_values)[1].any(0)
 
     # Prism description: the point must escape the prism over every corona
     # point, i.e. strictly violate at least one of its translated walls.
@@ -469,9 +464,11 @@ def sample_equivalence(
     """Compare the finite half-space description of the domain in the slab
     against the prism-complement description on uniformly sampled points.
 
-    Points within BOUNDARY_BAND of any wall of either description are
-    excluded; off the boundary the two membership predicates must agree
-    point for point, and the returned statistics record how often they do.
+    The finite description is `membership_mask`, the predicate the build
+    certifies.  Points within BOUNDARY_BAND of a slab wall or of a prism
+    wall are excluded (see `_description_masks`); off the boundary the two
+    membership predicates must agree point for point, and the returned
+    statistics record how often they do.
     """
     report = check_reduction_bound(series, k, verify_orbit_premise=False)
     if not report.holds:
@@ -480,8 +477,9 @@ def sample_equivalence(
         )
 
     cons = series_constraints(series, k)
-    Z, W, PHI = _slab_samples(cons.config, n_samples, seed)
-    in_linear, in_prism_complement, near_boundary = _description_masks(cons, Z, W, PHI)
+    in_linear, in_prism_complement, near_boundary = _description_masks(
+        cons, _slab_samples(cons.config, n_samples, seed)
+    )
 
     ok = ~near_boundary
     agree = (in_linear == in_prism_complement) & ok

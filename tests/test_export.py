@@ -248,9 +248,14 @@ def test_cli_out_dir_env(tmp_path, capsys, monkeypatch):
     assert os.path.exists(tmp_path / "envout" / "fund_E_k1.off")
 
 
-def test_cli_build_unwritable_out_is_json(tmp_path, capsys):
+def test_cli_build_unwritable_out_is_json(tmp_path, capsys, monkeypatch):
     """An --out naming an existing file exits 2 with one JSON error object
-    and nothing on stderr."""
+    and nothing on stderr, before anything is built."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(cli, "build_domain", no_build)
     taken = tmp_path / "taken"
     taken.write_text("")
     code = main(["build", "--series", "E", "--k", "1", "--out", str(taken), "--formats", "off"])
@@ -261,6 +266,14 @@ def test_cli_build_unwritable_out_is_json(tmp_path, capsys):
     assert out["error"].startswith("cannot write artifacts: ") and str(taken) in out["error"]
     assert captured.err == ""
     assert taken.read_text() == ""
+
+
+def test_cli_build_rejects_a_bad_level_before_making_out(tmp_path, capsys):
+    out_dir = tmp_path / "new"
+    assert main(["build", "--series", "E", "--k", "3", "--out", str(out_dir)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["series"], out["k"]) == ("E", 3) and "lift" in out["error"]
+    assert not out_dir.exists()
 
 
 def test_cli_build_stage_failure_is_json(tmp_path, capsys, monkeypatch):

@@ -1,13 +1,23 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import lorentzdomains
+import lorentzdomains.reduction as reduction
 from lorentzdomains.cover import CoverElement, cover_mul, cover_pow, lift_level
-from lorentzdomains.disc import build_triangle_group, orbit
-from lorentzdomains.domain import series_constraints
+from lorentzdomains.disc import build_triangle_group, edge_corona, orbit
+from lorentzdomains.domain import (
+    _chart_parts,
+    _in_slab_cone,
+    _slab_half_width,
+    series_constraints,
+)
 from lorentzdomains.halfspaces import batch_wall
 from lorentzdomains.reduction import (
     BOUNDARY_BAND,
@@ -242,23 +252,62 @@ def test_extended_precision_route_consistent():
     assert abs(rhs - E2_RHS) < 1e-14
 
 
+def test_tight_margin_takes_the_extended_precision_route(monkeypatch):
+    """With the threshold raised above every margin, the mpmath route runs
+    and agrees with the float route."""
+    plain = check_reduction_bound("E", 2)
+    monkeypatch.setattr(reduction, "TIGHT_MARGIN", 1.0)
+    rep = check_reduction_bound("E", 2)
+    assert rep.extended_precision and not plain.extended_precision
+    assert abs(rep.margin - plain.margin) < 1e-12
+    assert abs(rep.R - plain.R) < 1e-12
+    assert abs(rep.ell_minus_at_sec - plain.ell_minus_at_sec) < 1e-12
+    assert abs(rep.rhs - plain.rhs) < 1e-12
+    assert rep.certified
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lorentzdomains.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, lorentzdomains.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_a_missing_corona_point_fails_the_orbit_premise(monkeypatch):
+    """Dropped from the corona, a first-shell point is an orbit point inside
+    R that matches no corona point."""
+    full = edge_corona(build_triangle_group(4, 3, 3))
+    assert check_reduction_bound("E", 1).certified
+    monkeypatch.setattr(reduction, "edge_corona", lambda tri: edge_corona(tri)[1:])
+    rep = check_reduction_bound("E", 1)
+    assert abs(full[0]) < rep.R - PREMISE_SLACK
+    assert rep.holds and rep.orbit_premise_ok is False and not rep.certified
+
+
 # ---------------------------------------------------------------------------
 # the prism scan of sample_equivalence against the full-window scan
 
 
-def _reference_description_masks(cons, Z, W, PHI):
-    """The full-window scan: every wall g D^n, |n| <= 4 p_lcm, of every
-    corona lift on every point, one `batch_wall` call per wall."""
+def _reference_description_masks(cons, pts):
+    """The full-window scan at tolerance 0: every union-group and slab
+    wall, and every wall g D^n, |n| <= 4 p_lcm, of every corona lift, on
+    every point, one `batch_wall` call per wall, with a band about every
+    wall.  Also returns the bands of the union-group walls alone."""
     config, tri = cons.config, cons.tri
-    near_boundary = np.zeros(len(Z), dtype=bool)
+    Z, W, PHI = _chart_parts(pts)
+    bands = np.zeros(len(Z), dtype=bool)
 
     def wall_masks(g):
         val, phi = batch_wall(g, Z, W, PHI)
         window = np.abs(phi) < math.pi / 2.0
         inside = (val <= -1.0) & window
-        nonlocal near_boundary
-        near_boundary |= window & (np.abs(val + 1.0) < BOUNDARY_BAND)
-        near_boundary |= (val <= -1.0 + BOUNDARY_BAND) & (
+        nonlocal bands
+        bands |= window & (np.abs(val + 1.0) < BOUNDARY_BAND)
+        bands |= (val <= -1.0 + BOUNDARY_BAND) & (
             np.abs(np.abs(phi) - math.pi / 2.0) < BOUNDARY_BAND
         )
         return inside
@@ -269,6 +318,7 @@ def _reference_description_masks(cons, Z, W, PHI):
         for wall in group:
             captured |= wall_masks(wall.g)
         in_linear &= captured
+    near_group, bands = bands, np.zeros(len(Z), dtype=bool)
     for wall in cons.slab:
         in_linear &= ~wall_masks(wall.g)
 
@@ -291,6 +341,7 @@ def _reference_description_masks(cons, Z, W, PHI):
                 violated_n |= hit
         scans.append((x, violated_n, violated_2n))
 
+    near_boundary = bands | near_group
     in_prism_complement = np.ones(len(Z), dtype=bool)
     for x, violated_n, violated_2n in scans:
         if np.any((violated_n != violated_2n) & ~near_boundary):
@@ -298,27 +349,32 @@ def _reference_description_masks(cons, Z, W, PHI):
                 f"prism wall scan did not stabilise for corona point {x}"
             )
         in_prism_complement &= violated_2n
-    return in_linear, in_prism_complement, near_boundary
+    return in_linear, in_prism_complement, near_boundary, near_group
 
 
 def _probe_points(cons, n_samples, seed):
-    """Slab samples, plus points placed on the boundaries the scan tests.
+    """Slab samples, plus chart points placed on the boundaries the scan
+    tests, all as (n, 3) chart points in the slab and the cone.
 
     Some sit on the level -1 of a wall (a prism wall g D^n near the middle
     of its range, or a wall of the finite description) or 0.5 and 1.5
-    bands off it.  Others are turned about the axis, which shifts every
-    sheet coordinate alike, until the sheet coordinate of the last prism
-    wall in a point's range is pi/2 or 0.5, 1.5 or 2.5 bands beyond it.
+    bands off it.  Others are moved along s until the sheet coordinate of
+    a prism wall at the end of its range is pi/2 or 0.5, 1.5 or 2.5 bands
+    beyond it.  On the n = 0 wall g that coordinate is arg(W - c Z) -
+    phi_g, c = conj(z_g) / conj(w_g), which is arctan((s - b) / a) -
+    phi_g for W = 1 + i s, a = 1 - Re(c Z) > 0 and b = Im(c Z), so the
+    s that puts the wall g D^n at a given coordinate has a closed form.
     """
     config = cons.config
     rng = np.random.default_rng(seed)
-    Z, W, PHI = _slab_samples(config, n_samples, seed)
+    samples = _slab_samples(config, n_samples, seed)
+    Z, W, PHI = _chart_parts(samples)
     D = cons.D
     step = math.pi * config.k / config.p_lcm
     lifts = [g for _, g in _corona_lifts(cons.tri, config)]
     linear = [wall.g for grp in cons.groups for wall in grp]
     shifts = BOUNDARY_BAND * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
-    zs, ws, phis = [Z], [W], [PHI]
+    probes = []
     for i in range(0, n_samples, 3):
         if i % 2:
             g = cover_mul(lifts[i % len(lifts)], cover_pow(D, int(rng.integers(-2, 3))))
@@ -326,21 +382,22 @@ def _probe_points(cons, n_samples, seed):
             g = linear[i % len(linear)]
         val, _ = batch_wall(g, Z[i:i + 1], W[i:i + 1], PHI[i:i + 1])
         z = Z[i] + (-1.0 + shifts - val[0]) * g.z / abs(g.z) ** 2
-        keep = np.abs(z) < abs(W[i])
-        zs.append(z[keep])
-        ws.append(np.full(keep.sum(), W[i]))
-        phis.append(np.full(keep.sum(), PHI[i]))
+        probes.append(np.column_stack([z.real, z.imag, np.full(len(z), W[i].imag)]))
     edge = math.pi / 2.0 + BOUNDARY_BAND * np.array([0.0, 0.5, 1.5, 2.5])
     for i in range(1, n_samples, 3):
         g = lifts[i % len(lifts)]
-        _, phi0 = batch_wall(g, Z[i:i + 1], W[i:i + 1], PHI[i:i + 1])
+        cz = np.conjugate(g.z) / np.conjugate(g.w) * Z[i]
+        a, b = 1.0 - cz.real, cz.imag
+        if a <= 0.0:
+            continue
         sign = 1.0 if i % 2 else -1.0
-        n = math.floor((math.pi / 2.0 - sign * phi0[0]) / step)
-        turn = sign * edge - (phi0[0] + sign * n * step)
-        zs.append(Z[i] * np.exp(1j * turn))
-        ws.append(W[i] * np.exp(1j * turn))
-        phis.append(PHI[i] + turn)
-    return np.concatenate(zs), np.concatenate(ws), np.concatenate(phis)
+        arg = math.atan2(W[i].imag - b, a)
+        n = np.round((g.phi + sign * edge - arg) / (sign * step))
+        theta = g.phi + sign * edge - sign * n * step
+        s = b + a * np.tan(theta[np.abs(theta) < math.pi / 2.0])
+        probes.append(np.column_stack([np.full((len(s), 2), [Z[i].real, Z[i].imag]), s]))
+    probes = np.vstack(probes)
+    return np.vstack([samples, probes[_in_slab_cone(probes, _slab_half_width(config))]])
 
 
 @pytest.mark.parametrize(
@@ -348,16 +405,22 @@ def _probe_points(cons, n_samples, seed):
     [(s, k) for s in "EZ" for k in (1, 2, 4, 5, 7)] + [("Z", 10), ("E", 11)],
 )
 def test_description_masks_match_full_window_scan(series, k):
+    """The boundary mask, slab and prism bands only, equals the full scan's,
+    which also bands every union-group wall; the prism verdicts are equal,
+    and off the boundary `membership_mask` agrees with the scan's finite
+    description at tolerance 0."""
     cons = series_constraints(series, k)
-    Z, W, PHI = _probe_points(cons, 1500, seed=k)
-    got = _description_masks(cons, Z, W, PHI)
-    want = _reference_description_masks(cons, Z, W, PHI)
-    for name, a, b in zip(("linear", "prism complement", "near boundary"), got, want):
-        assert np.array_equal(a, b), name
-    assert want[2].sum() > 0.1 * (len(Z) - 1500)
+    pts = _probe_points(cons, 1500, seed=k)
+    in_linear, in_prism, near = _description_masks(cons, pts)
+    want_linear, want_prism, want_near, near_group = _reference_description_masks(cons, pts)
+    assert np.array_equal(near, want_near)
+    assert np.array_equal(in_prism, want_prism)
+    assert np.array_equal(in_linear[~near], want_linear[~near])
+    assert want_near.sum() > 0.1 * (len(pts) - 1500)
+    assert near_group[1500:].sum() > 0.02 * (len(pts) - 1500)
 
-    in_linear, in_prism, near = _reference_description_masks(
-        cons, *_slab_samples(cons.config, 2000, 11)
+    in_linear, in_prism, near, _ = _reference_description_masks(
+        cons, _slab_samples(cons.config, 2000, 11)
     )
     stats = sample_equivalence(series, k, n_samples=2000, seed=11)
     assert (stats.n_boundary_excluded, stats.n_evaluated, stats.n_agree) == (
@@ -367,18 +430,21 @@ def test_description_masks_match_full_window_scan(series, k):
     )
 
 
-@pytest.mark.parametrize("series, k", [(s, k) for s in "EZ" for k in (1, 2, 4, 5)])
+@pytest.mark.parametrize(
+    "series, k",
+    [(s, k) for s in "EZ" for k in (1, 2, 4, 5)] + [("Z", 10), ("E", 11), ("Z", 14), ("E", 40)],
+)
 def test_group_walls_are_prism_walls(series, k):
     """Every union-group wall element is a corona lift times D^n with
-    |n| <= 2N, to rounding, so the prism scan already marks the boundary
-    band of every group wall; the slab walls D and D^-1 are no such
-    product, and their bands are the finite description's own."""
+    |n| <= 2N, to rounding, so the prism scan marks the boundary band of
+    every group wall and `_description_masks` needs no group band; the
+    slab walls D and D^-1 are no such product, and their bands are added
+    on their own."""
     cons = series_constraints(series, k)
     two_n = 4 * cons.config.p_lcm
+    d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     products = [
-        cover_mul(g, cover_pow(cons.D, n))
-        for _, g in _corona_lifts(cons.tri, cons.config)
-        for n in range(-two_n, two_n + 1)
+        cover_mul(g, d) for _, g in _corona_lifts(cons.tri, cons.config) for d in d_list
     ]
     table = np.array([(h.z, h.w, h.phi) for h in products], dtype=complex)
 
@@ -399,7 +465,7 @@ def test_skipped_prism_walls_are_inert(series, k):
     bit for bit as the one wall on all points."""
     cons = series_constraints(series, k)
     config = cons.config
-    Z, W, PHI = _probe_points(cons, 1500, seed=3)
+    Z, W, PHI = _chart_parts(_probe_points(cons, 1500, seed=3))
     D = cons.D
     two_n = 4 * config.p_lcm
     step = math.pi * k / config.p_lcm
@@ -427,7 +493,7 @@ def test_skipped_prism_walls_are_inert(series, k):
 def test_prism_scan_rejects_sheet_coordinates_off_the_line():
     cons = series_constraints("E", 2)
     config = cons.config
-    Z, W, PHI = _slab_samples(config, 200, 0)
+    Z, W, PHI = _chart_parts(_slab_samples(config, 200, 0))
     D = cons.D
     d_list = [cover_pow(D, n) for n in range(-4 * config.p_lcm, 4 * config.p_lcm + 1)]
     step = math.pi * config.k / config.p_lcm
@@ -446,7 +512,7 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
     cons = series_constraints(series, k)
     config = cons.config
     n_samples = 1500
-    Z, W, PHI = _probe_points(cons, n_samples, seed=5)
+    Z, W, PHI = _chart_parts(_probe_points(cons, n_samples, seed=5))
     plain = np.arange(len(Z)) < n_samples
     two_n = 4 * config.p_lcm
     step = math.pi * k / config.p_lcm
@@ -477,11 +543,9 @@ def test_prism_scan_rejects_a_d_list_off_the_axis_rotations(monkeypatch):
     """The rotation table that the prism scans of all corona lifts share is
     checked once per `_description_masks` call, on the path
     `sample_equivalence` takes."""
-    import lorentzdomains.reduction as reduction
-
     cons = series_constraints("E", 2)
     config = cons.config
-    Z, W, PHI = _slab_samples(config, 200, 0)
+    pts = _slab_samples(config, 200, 0)
     two_n = 4 * config.p_lcm
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     step = math.pi * config.k / config.p_lcm
@@ -501,23 +565,21 @@ def test_prism_scan_rejects_a_d_list_off_the_axis_rotations(monkeypatch):
             ),
         )
         with pytest.raises(RuntimeError, match="sheet coordinates"):
-            _description_masks(cons, Z, W, PHI)
+            _description_masks(cons, pts)
         monkeypatch.undo()
 
 
 def test_description_masks_check_the_window_edge_premise():
-    """A point far enough out along the cone makes |w_h| reach (1 - B)/B,
-    where the window edge would need a band of its own."""
+    """A point far enough out along s makes the bound (|z| + |w|) |W| on
+    |w_h| reach (1 - B)/B, where the window edge would need a band of its
+    own."""
     cons = series_constraints("E", 1)
-    Z, W, PHI = _slab_samples(cons.config, 50, 0)
-    _description_masks(cons, Z, W, PHI)
-    scale = (1.0 - BOUNDARY_BAND) / BOUNDARY_BAND
-    Z, W = Z.copy(), W.copy()
-    Z[7] *= scale
-    W[7] *= scale
+    pts = _slab_samples(cons.config, 50, 0)
+    _description_masks(cons, pts)
+    pts[7, 2] = (1.0 - BOUNDARY_BAND) / BOUNDARY_BAND
     first = re.escape(f"window-edge premise fails for wall {cons.groups[0][0].label}:")
     with pytest.raises(RuntimeError, match=first):
-        _description_masks(cons, Z, W, PHI)
+        _description_masks(cons, pts)
 
 
 def test_prism_scan_matches_every_wall_of_a_short_family():
@@ -526,7 +588,7 @@ def test_prism_scan_matches_every_wall_of_a_short_family():
     two_n = 2
     cons = series_constraints("Z", 4)
     config = cons.config
-    Z, W, PHI = _probe_points(cons, 600, seed=2)
+    Z, W, PHI = _chart_parts(_probe_points(cons, 600, seed=2))
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     step = math.pi * config.k / config.p_lcm
     n_differ = 0

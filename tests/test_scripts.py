@@ -31,17 +31,19 @@ def test_build_all_matches_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_build_all_reports_an_unwritable_out(tmp_path, capsys):
-    """An --out naming an existing file gives a FAIL line per level, not a
-    traceback, and exit 1."""
+def test_build_all_reports_an_unwritable_out(tmp_path, monkeypatch, capsys):
+    """An --out naming an existing file, or a path below one, exits 2 with
+    one line and no traceback, before any level is built."""
+    build_all = _load("build_all")
+    monkeypatch.setattr(build_all, "build_domain", _no_work)
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert _load("build_all").main(["--kmax", "1", "--out", str(taken), "--formats", "off"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    fails = [line for line in lines if line.startswith("FAIL")]
-    assert [line.split(":")[0] for line in fails] == ["FAIL E k=1", "FAIL Z k=1"]
-    assert all("cannot write artifacts: " in line for line in fails)
-    assert lines[-1].startswith("built 0 cases") and lines[-1].endswith(", 2 failed")
+    for out in (taken, taken / "sub"):
+        assert build_all.main(["--kmax", "1", "--out", str(out), "--formats", "off"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot write artifacts: ")
+        assert str(taken) in lines[0]
+    assert taken.read_text() == ""
 
 
 def test_verify_reduction_passes(capsys):

@@ -62,6 +62,8 @@ _SEED_SLACK = 2.0
 _SEED_MEMBERSHIP_TOL = 1e-6
 _SEED_INCIDENCE_TOL = 1e-7
 _STAB_TURN_TOL = 1e-6
+# sector triples per block of the seed pass
+_SEED_BLOCK = 4096
 
 _LABEL_ORDER = {"a": 0, "b": 1, "c": 2, "slab": 3}
 # wall letters of one union group; each letter after a adds a trailing D
@@ -302,10 +304,38 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     )
 
 
+def _terms(cs: ConstraintSet):
+    """The membership terms in the order `_wall_pass` runs them, the two
+    slab walls, then the union groups, each as (its first row in
+    `all_walls()` order, its walls)."""
+    first_rows = np.cumsum([0] + [len(grp) for grp in cs.groups]).tolist()
+    terms = [(first_rows[-1] + i, (wall,)) for i, wall in enumerate(cs.slab)]
+    return terms + list(zip(first_rows, cs.groups))
+
+
+def _term_verdicts(members, sub, Z, W, PHI, tol):
+    """One membership term (a union group, or a slab wall as a group of
+    one) on chart points `sub` with chart parts Z, W, PHI: per point its
+    exact verdict (`wall_masks` at tol, any member's side holds) and its
+    linear verdict (the chart functionals), then the values and the strict
+    and on masks of its one `batch_wall` call on the column of its walls.
+    """
+    column, normals, constants = _wall_column(members)
+    val, phi = batch_wall(column, Z, W, PHI)
+    holds, strict, on = wall_masks(val, phi, tol)
+    # a stack of matrix-vector products rounds as `AffineFunctional.value`
+    lin = (sub @ normals[:, :, None])[..., 0] + constants
+    if members[0].side == "H":
+        holds, lin_holds = ~strict, ~(lin < -1.0 - tol)
+    else:
+        lin_holds = lin <= -1.0 + tol
+    return holds.any(0), lin_holds.any(0), val, phi, strict, on
+
+
 def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=None):
     """Membership of chart points at tol and, when incidence_tol is given,
     the active incidences at incidence_tol of the points that end inside,
-    from one `batch_wall` call per membership term.
+    from one `batch_wall` call per membership term (`_term_verdicts`).
 
     Returns the mask and a (walls x inside points) table in `all_walls()`
     order, its columns the True entries of the mask in order (None without
@@ -328,24 +358,13 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     Z, W, PHI = _chart_parts(sub)
     exact = np.ones(len(live), dtype=bool)
     linear = np.ones(len(live), dtype=bool)
-    # each term's first row in `all_walls()` order: the groups, then the slab
-    first_rows = np.cumsum([0] + [len(grp) for grp in cs.groups]).tolist()
-    n_group = first_rows[-1]
-    terms = [(n_group + i, (wall,)) for i, wall in enumerate(cs.slab)]
-    terms += list(zip(first_rows, cs.groups))
     hit_rows, hit_points = [], []
-    for first_row, members in terms:
-        column, normals, constants = _wall_column(members)
-        val, phi = batch_wall(column, Z, W, PHI)
-        holds, strict, on = wall_masks(val, phi, tol)
-        # a stack of matrix-vector products rounds as `AffineFunctional.value`
-        lin = (sub @ normals[:, :, None])[..., 0] + constants
-        if members[0].side == "H":
-            holds, lin_holds = ~strict, ~(lin < -1.0 - tol)
-        else:
-            lin_holds = lin <= -1.0 + tol
-        exact &= holds.any(0)
-        linear &= lin_holds.any(0)
+    for first_row, members in _terms(cs):
+        holds, lin_holds, val, phi, strict, on = _term_verdicts(
+            members, sub, Z, W, PHI, tol
+        )
+        exact &= holds
+        linear &= lin_holds
         if incidence_tol is not None:
             if incidence_tol != tol:
                 _, strict, on = wall_masks(val, phi, incidence_tol)
@@ -370,9 +389,28 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     inside = np.flatnonzero(out)
     rows, points = np.concatenate(hit_rows), np.concatenate(hit_points)
     kept = out[points]
-    act = np.zeros((n_group + len(cs.slab), len(inside)), dtype=bool)
+    act = np.zeros((len(cs.all_walls()), len(inside)), dtype=bool)
     act[rows[kept], np.searchsorted(inside, points[kept])] = True
     return out, act
+
+
+def _undecided(cs: ConstraintSet, pts: np.ndarray, tol: float, n_terms: int):
+    """Indices of the chart points that the cone test and the first n_terms
+    membership terms of `_wall_pass` at tol leave undecided: in the cone,
+    with the exact or the linear verdict still holding.  The decided points
+    are dropped after every term, so each term runs on the undecided ones
+    only."""
+    live = np.flatnonzero(_in_slab_cone(pts))
+    exact = np.ones(len(live), dtype=bool)
+    linear = np.ones(len(live), dtype=bool)
+    for _, members in _terms(cs)[:n_terms]:
+        sub = pts[live]
+        holds, lin_holds = _term_verdicts(members, sub, *_chart_parts(sub), tol)[:2]
+        exact &= holds
+        linear &= lin_holds
+        keep = np.flatnonzero(exact | linear)
+        live, exact, linear = live[keep], exact[keep], linear[keep]
+    return live
 
 
 def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
@@ -443,13 +481,23 @@ def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
     return perm
 
 
-def _sector_triples(n_first: int, n: int) -> np.ndarray:
-    """The index triples i < j < l < n with i < n_first."""
-    rows = []
-    for i in range(n_first):
-        j, l = np.triu_indices(n - 1 - i, 1)
-        rows.append(np.column_stack([np.full(len(j), i), i + 1 + j, i + 1 + l]))
-    return np.vstack(rows)
+def _sector_blocks(n_first: int, n: int, size: int):
+    """The index triples i < j < l < n with i < n_first, in lexicographic
+    order, as consecutive blocks of `size` rows (the last one shorter).
+
+    The triples with first two indices (i, j) form one line, l = j + 1,
+    ..., n - 1; a block's rows are read off the line starts, so no block
+    needs more than O(size + n_first n) memory.
+    """
+    line_i, line_j = np.triu_indices(n_first, 1, n - 1)
+    count = n - 1 - line_j
+    starts = np.cumsum(count) - count
+    total = int(count.sum())
+    for first in range(0, total, size):
+        index = np.arange(first, min(first + size, total))
+        line = np.searchsorted(starts, index, side="right") - 1
+        j = line_j[line]
+        yield np.column_stack([line_i[line], j, j + 1 + index - starts[line]])
 
 
 def _solve_triples(normals, offsets, triples, slack: float = 1.0):
@@ -501,16 +549,18 @@ def _pinned(cs, normals, pts, membership_tol, incidence_tol, rank_tol):
     return np.flatnonzero(inside)[cols[_ranks(normals, act[:, cols], rank_tol) == 3]]
 
 
-def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float):
+def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float, order=None):
     """The (row, point) index pairs whose first coordinates differ by at
     most 2 tol, with the distance |points[point] - rows[row]| of each.
 
-    The points are sorted by their first coordinate once and each row's
-    window found by `searchsorted`, so every pair within tol is among them:
-    the margin of 2 tol covers the rounding of the difference for
-    coordinates far below tol / eps in size.
+    The points are sorted by their first coordinate (`order`, the argsort
+    of points[:, 0], when the caller has it) and each row's window found by
+    `searchsorted`, so every pair within tol is among them: the margin of
+    2 tol covers the rounding of the difference for coordinates far below
+    tol / eps in size.
     """
-    order = np.argsort(points[:, 0])
+    if order is None:
+        order = np.argsort(points[:, 0])
     x = points[order, 0]
     lo = np.searchsorted(x, rows[:, 0] - 2.0 * tol, side="left")
     count = np.searchsorted(x, rows[:, 0] + 2.0 * tol, side="right") - lo
@@ -544,6 +594,23 @@ def _merge_vertices(candidates: np.ndarray, tol: float) -> np.ndarray:
     return candidates[kept]
 
 
+def _seed_triples(cs: ConstraintSet, normals, offsets) -> np.ndarray:
+    """The seeds of `enumerate_vertices`: the sector triples that pass
+    every filter at its seed setting, in lexicographic order, from the
+    sector in blocks of _SEED_BLOCK triples."""
+    n_terms = len(cs.slab) + 1
+    kept_triples, kept_points = [], []
+    for block in _sector_blocks(len(cs.groups[0]), len(normals), _SEED_BLOCK):
+        triples, pts = _solve_triples(normals, offsets, block, _SEED_SLACK)
+        undecided = _undecided(cs, pts, _SEED_MEMBERSHIP_TOL, n_terms)
+        kept_triples.append(triples[undecided])
+        kept_points.append(pts[undecided])
+    triples, pts = np.vstack(kept_triples), np.vstack(kept_points)
+    return triples[_pinned(
+        cs, normals, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
+    )]
+
+
 def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     """Vertices of the domain: all valid triple-plane intersections.
 
@@ -562,10 +629,10 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     slab walls, so some power of the rotation sigma (`_sigma_permutation`)
     moves a group wall of any triple into union group 0: every sigma-orbit
     of triples meets the sector of the triples whose first wall lies in
-    group 0, which is generated directly (L W^2 / 2 triples for L letters
-    per group).  A seed pass keeps the sector triples that survive every
-    filter at a looser setting: determinant floor and condition limit by
-    a factor _SEED_SLACK, membership at _SEED_MEMBERSHIP_TOL, incidence at
+    group 0 (L W^2 / 2 triples for L letters per group).  A seed pass
+    (`_seed_triples`) keeps the sector triples that survive every filter
+    at a looser setting: determinant floor and condition limit by a factor
+    _SEED_SLACK, membership at _SEED_MEMBERSHIP_TOL, incidence at
     _SEED_INCIDENCE_TOL and rank at 1e-8 / _SEED_SLACK.  This is a
     superset: sigma moves each plane by at most _SIGMA_TOL (about 1e-15
     measured) and the wall values at a rotated point by rounding of the
@@ -574,6 +641,22 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     strictly, and both widen with the tolerance).  So the sector image of
     every triple the full scan keeps is a seed.  The cone test is not
     loosened: the vertices lie at least 6% inside the cone up to E80.
+
+    The seed pass streams the sector in blocks of _SEED_BLOCK triples
+    (`_sector_blocks`), so it holds one block and the points still
+    undecided after the cone test, the slab pair and union group 0
+    (`_undecided`; 3,452 of 49,410 solved sector points at Z14, 28,598
+    of 549,810 at Z50), not the O(L W^2) sector; only those go to one
+    `_pinned` call.  A point is dropped in its block only when its exact
+    and its linear verdict are both False, the rule by which `_wall_pass`
+    compacts: no later term can change either, so `_wall_pass` would
+    leave it outside, and since its verdicts agree the exact-vs-linear
+    check has nothing to find there.  The seed superset argument above is
+    untouched, and no bracket check of `batch_wall` that could fire is
+    skipped (see `membership_mask`).  Every filter acts on each triple or
+    point alone and the blocks keep the sector's order, so the seeds and
+    their order are those of one pass over the whole sector.
+
     The seeds' sigma-orbits, sorted and deduplicated into
     itertools.combinations order, then go through the filters at their
     usual setting.  Every filter acts on each triple alone, so the
@@ -582,12 +665,7 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     """
     normals, offsets = cs.planes()
     perm = _sigma_permutation(cs)
-    seeds, pts = _solve_triples(
-        normals, offsets, _sector_triples(len(cs.groups[0]), len(normals)), _SEED_SLACK
-    )
-    seeds = seeds[_pinned(
-        cs, normals, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
-    )]
+    seeds = _seed_triples(cs, normals, offsets)
     images = [seeds]
     for _ in range(cs.period - 1):
         images.append(perm[images[-1]])
@@ -759,15 +837,16 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     return poly
 
 
-def _nearest_vertices(image: np.ndarray, vertices: np.ndarray, tol: float):
+def _nearest_vertices(image: np.ndarray, vertices: np.ndarray, tol: float, order=None):
     """Per image row, the index of the nearest vertex, or -1 when none lies
     within tol; of equally near vertices, the lowest index.
 
-    Distances are measured only on the pairs of `_close_pairs`, which hold
-    every vertex within tol of a row, so this is the argmin of the row's
-    full distance scan followed by the threshold.
+    Distances are measured only on the pairs of `_close_pairs` (with the
+    vertices' sort `order`, when given), which hold every vertex within
+    tol of a row, so this is the argmin of the row's full distance scan
+    followed by the threshold.
     """
-    row, vertex, dist = _close_pairs(image, vertices, tol)
+    row, vertex, dist = _close_pairs(image, vertices, tol, order)
     near = dist <= tol
     row, vertex, dist = row[near], vertex[near], dist[near]
     # per row, the smallest distance first, ties to the lowest index
@@ -780,9 +859,10 @@ def _nearest_vertices(image: np.ndarray, vertices: np.ndarray, tol: float):
 
 def detect_symmetry(poly: Polyhedron, cs: ConstraintSet) -> Optional[float]:
     """Smallest chart rotation about the s-axis mapping vertices to vertices."""
+    order = np.argsort(poly.vertices[:, 0])
     for psi in (math.pi / cs.tri.p, 2.0 * math.pi / cs.tri.p):
         image = poly.vertices @ _s_axis_rotation(psi).T
-        if (_nearest_vertices(image, poly.vertices, 1e-8) >= 0).all():
+        if (_nearest_vertices(image, poly.vertices, 1e-8, order) >= 0).all():
             return psi
     return None
 
@@ -990,16 +1070,16 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     so each face's row of left factors D^t * w_inv is the arrays
     (conj(w_t) z, w_t w, phi_t + phi) of `cover_mul`'s rotation branch.
     One chart map (`_chart_images`) and one nearest-vertex match
-    (`_nearest_vertices`) serve every check.  The quick check maps the
-    face's first vertex under every (t, u) at once and keeps the candidates
-    landing within PAIRING_QUICK_TOL of a vertex; only those get their
-    scalar `cover_mul` left factor, whose image of the whole loop must stay
-    on the sheet and match vertices within PAIRING_MATCH_TOL, t first, then
-    u, and the first that passes wins.  The quick check is a
-    prefilter only: its rows equal those left factors up to rounding, and
-    its tolerance is ten times the match's.  The inverse check maps the
-    partner's loop back, and must land on the sheet and on the inverse
-    vertex map, else RuntimeError.
+    (`_nearest_vertices`, on one sort of the vertices) serve every check.
+    The quick check maps the face's first vertex under every (t, u) at
+    once and keeps the candidates landing within PAIRING_QUICK_TOL of a
+    vertex; only those get their scalar `cover_mul` left factor, whose
+    image of the whole loop must stay on the sheet and match vertices
+    within PAIRING_MATCH_TOL, t first, then u, and the first that passes
+    wins.  The quick check is a prefilter only: its rows equal those left
+    factors up to rounding, and its tolerance is ten times the match's.
+    The inverse check maps the partner's loop back, and must land on the
+    sheet and on the inverse vertex map, else RuntimeError.
 
     The two slab faces fall out of the same scan: their wall elements are
     the axis steps D and D^-1, so the family degenerates to pure axis
@@ -1024,6 +1104,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
     order += [i for i, f in enumerate(poly.faces) if f.is_slab]
     loop_lookup = {frozenset(f.loop): i for i, f in enumerate(poly.faces)}
+    vertex_order = np.argsort(poly.vertices[:, 0])
     paired: dict[int, Pairing] = {}
     for fi in order:
         if fi in paired:
@@ -1037,7 +1118,9 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
             (np.conjugate(w_t) * w_inv.z)[:, None], (w_t * w_inv.w)[:, None],
             (phi_t + w_inv.phi)[:, None], w_u, phi_u, verts_i[0],
         )
-        near = _nearest_vertices(quick, poly.vertices, PAIRING_QUICK_TOL) >= 0
+        near = _nearest_vertices(
+            quick, poly.vertices, PAIRING_QUICK_TOL, vertex_order
+        ) >= 0
         found = None
         for ti, ui in np.argwhere(quick_on)[near].tolist():
             g1 = cover_mul(d_powers[ti], w_inv)
@@ -1047,8 +1130,9 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
             )
             if not on_sheet.all():
                 continue
-            matched = _nearest_vertices(image, poly.vertices, PAIRING_MATCH_TOL)
-            matched = matched.tolist()
+            matched = _nearest_vertices(
+                image, poly.vertices, PAIRING_MATCH_TOL, vertex_order
+            ).tolist()
             if -1 in matched:
                 continue
             fj = loop_lookup.get(frozenset(matched))
@@ -1078,7 +1162,9 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
             if not on_sheet.all():
                 raise RuntimeError("pairing inverse left the chart sheet")
             rmap = {b: a for a, b in vmap.items()}
-            back_match = _nearest_vertices(back, poly.vertices, PAIRING_MATCH_TOL)
+            back_match = _nearest_vertices(
+                back, poly.vertices, PAIRING_MATCH_TOL, vertex_order
+            )
             # rmap is injective, so matching it forces an injective match
             if any(rmap[v] != m for v, m in zip(loop_j, back_match.tolist())):
                 raise RuntimeError("pairing inverse does not invert the vertex map")

@@ -29,10 +29,16 @@ def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
     or one wall per point, a CoverElement whose z, w and phi are arrays
     parallel to Z; or a column of L walls, (L, 1) arrays, which gives
     (L, n) values on n points.  The elementwise arithmetic is the same in
-    every form.
+    every form.  Each of the two complex products a = conj(z_g) Z and
+    b = conj(w_g) W is formed once and serves both the value Re(a) - Re(b),
+    which is Re(a - b) bit for bit and holds no complex array, and the
+    cocycle bracket 1 - a / b; both are freed before the phase is formed.
     """
-    val = (np.conjugate(g.z) * Z - np.conjugate(g.w) * W).real
-    bracket = 1.0 + (-np.conjugate(g.z) * Z) / (np.conjugate(g.w) * W)
+    a = np.conjugate(g.z) * Z
+    b = np.conjugate(g.w) * W
+    val = a.real - b.real
+    bracket = 1.0 - a / b
+    del a, b
     if not (bracket.real > 0.0).all():
         raise ArithmeticError("cocycle bracket left the principal branch")
     phi = -g.phi + PHI + np.angle(bracket)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lorentzdomains import domain
 from lorentzdomains.cli import build_domain
 from lorentzdomains.cover import (
     CoverElement,
@@ -44,9 +46,14 @@ from lorentzdomains.domain import (
     _nearest_vertices,
     _newell_normal,
     _probe_grids,
+    _pinned,
     _ranks,
-    _sector_triples,
+    _sector_blocks,
+    _seed_triples,
     _sigma_permutation,
+    _solve_triples,
+    _terms,
+    _undecided,
     _wall_pass,
     _window_phases,
     build_polyhedron,
@@ -718,20 +725,119 @@ def test_build_polyhedron_rejects_a_broken_vertex_set(series, k):
         build_polyhedron(cs, vertices[:0])
 
 
+def _sector_triples(n_first, n):
+    """The index triples i < j < l < n with i < n_first, the whole sector
+    at once."""
+    rows = []
+    for i in range(n_first):
+        j, l = np.triu_indices(n - 1 - i, 1)
+        rows.append(np.column_stack([np.full(len(j), i), i + 1 + j, i + 1 + l]))
+    return np.vstack(rows)
+
+
+def _one_shot_seeds(cs):
+    """The seed pass over the whole sector in one go: every sector triple
+    solved at once and all its points through one `_pinned` call."""
+    normals, offsets = cs.planes()
+    sector = _sector_triples(len(cs.groups[0]), len(normals))
+    seeds, pts = _solve_triples(normals, offsets, sector, _SEED_SLACK)
+    return seeds[_pinned(
+        cs, normals, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
+    )]
+
+
 @pytest.mark.parametrize("series,k", [("E", 1), ("Z", 1)])
 def test_sector_orbits_cover_every_triple(series, k):
     """The sector is the triples whose first wall lies in group 0, and
     its sigma-orbits hold every triple of the full scan."""
     cs = series_constraints(series, k)
     n, L = len(cs.all_walls()), len(cs.groups[0])
-    sector = _sector_triples(L, n)
     combos = np.array(list(itertools.combinations(range(n), 3)))
-    assert np.array_equal(sector, combos[combos[:, 0] < L])
     perm = _sigma_permutation(cs)
-    images = [sector]
-    for _ in range(cs.period - 1):
-        images.append(perm[images[-1]])
-    assert np.array_equal(np.unique(np.sort(np.vstack(images), axis=1), axis=0), combos)
+    for size in (1, 97, len(combos)):
+        sector = np.vstack(list(_sector_blocks(L, n, size)))
+        assert np.array_equal(sector, combos[combos[:, 0] < L])
+        images = [sector]
+        for _ in range(cs.period - 1):
+            images.append(perm[images[-1]])
+        assert np.array_equal(np.unique(np.sort(np.vstack(images), axis=1), axis=0), combos)
+
+
+@pytest.mark.parametrize("series,k", [("Z", 5), ("Z", 14), ("E", 40)])
+def test_sector_blocks_split_the_sector_in_order(series, k):
+    """The blocks, joined, are the whole sector in order; every block but
+    the last has the block size, and blocks split inside a first-wall row
+    and across two rows."""
+    cs = series_constraints(series, k)
+    n, L = len(cs.all_walls()), len(cs.groups[0])
+    sector = _sector_triples(L, n)
+    for size in (97, domain._SEED_BLOCK, len(sector) + 1):
+        blocks = list(_sector_blocks(L, n, size))
+        assert np.vstack(blocks).tobytes() == sector.tobytes()
+        assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= size
+    blocks = list(_sector_blocks(L, n, 97))
+    assert any(b[0, 0] != b[-1, 0] for b in blocks)
+    assert any(a[-1, 0] == b[0, 0] for a, b in zip(blocks, blocks[1:]))
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+def test_undecided_keeps_every_point_the_wall_pass_keeps(series, k):
+    """After any number of leading terms, the points `_undecided` drops
+    are outside the domain; after all of them it keeps exactly the
+    points inside (the two verdicts agree on every point)."""
+    cs = series_constraints(series, k)
+    pts = _probe_points(cs, np.random.default_rng(k))
+    inside = _wall_pass(cs, pts, _SEED_MEMBERSHIP_TOL)[0]
+    n_lead = len(cs.slab) + 1
+    counts = []
+    for n in (0, 1, n_lead, len(_terms(cs))):
+        undecided = _undecided(cs, pts, _SEED_MEMBERSHIP_TOL, n)
+        assert np.isin(np.flatnonzero(inside), undecided).all()
+        counts.append(len(undecided))
+    assert np.array_equal(undecided, np.flatnonzero(inside))
+    # the cone test, then the slab pair and group 0, already drop points
+    assert counts[2] < counts[0] < len(pts)
+
+
+STREAM_LEVELS = [(s, k) for s in ("E", "Z") for k in (1, 2, 4, 5)]
+STREAM_LEVELS += [("Z", 14), ("E", 40), ("Z", 20)]
+
+
+@pytest.mark.parametrize("series,k", STREAM_LEVELS)
+def test_streamed_seed_pass_matches_the_one_shot_pass(series, k, monkeypatch):
+    """The seeds and the vertices from the sector in blocks equal, bit
+    for bit, those of one pass over the whole sector, at block sizes that
+    split a first-wall row, span rows, and hold the whole sector."""
+    cs = series_constraints(series, k)
+    normals, offsets = cs.planes()
+    ref_seeds = _one_shot_seeds(cs)
+    assert len(ref_seeds)
+    with monkeypatch.context() as patch:
+        patch.setattr(domain, "_seed_triples", lambda cs, *_: _one_shot_seeds(cs))
+        ref_vertices = enumerate_vertices(cs)
+    n_sector = len(cs.groups[0]) * len(normals) ** 2
+    sizes = [97, domain._SEED_BLOCK, n_sector] + ([1] if k <= 2 else [])
+    for size in sizes:
+        monkeypatch.setattr(domain, "_SEED_BLOCK", size)
+        seeds = _seed_triples(cs, normals, offsets)
+        assert seeds.dtype == ref_seeds.dtype and seeds.tobytes() == ref_seeds.tobytes()
+        vertices = enumerate_vertices(cs)
+        assert vertices.shape == ref_vertices.shape
+        assert vertices.tobytes() == ref_vertices.tobytes()
+
+
+def test_seed_pass_memory_is_bounded():
+    """The Python-heap peak of `enumerate_vertices` at Z20, whose sector
+    holds 99,460 triples: about 24 MiB with the sector in one piece."""
+    cs = series_constraints("Z", 20)
+    tracemalloc.start()
+    try:
+        enumerate_vertices(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _with_group(cs, m, walls):
@@ -1077,26 +1183,34 @@ def test_nearest_vertices_matches_a_full_distance_scan():
         rng.uniform(-1.5, 1.5, size=(30, 3)),
         rng.uniform(5.0, 6.0, size=(10, 3)),
     ])
+    order = np.argsort(vertices[:, 0])
     for tol in (1e-8, 2e-3, 0.1):
         dists = np.linalg.norm(image[:, None, :] - vertices[None, :, :], axis=2)
         ref = np.where(dists.min(axis=1) <= tol, dists.argmin(axis=1), -1)
         got = _nearest_vertices(image, vertices, tol)
         assert np.array_equal(got, ref)
+        assert np.array_equal(_nearest_vertices(image, vertices, tol, order), ref)
     assert (got >= 0).any() and (got < 0).any()
 
 
 def test_nearest_vertices_breaks_ties_to_the_lowest_index():
     """Repeated vertices and rows equally far from two vertices go to the
-    lowest index, as the argmin of a full distance row does."""
+    lowest index, as the argmin of a full distance row does, whichever
+    way a passed-in sort order puts equal first coordinates."""
     rng = np.random.default_rng(7)
     base = rng.uniform(-1.0, 1.0, size=(20, 3))
     vertices = np.vstack([base, base[::-1], base[:5]])
     shift = np.array([0.0, 0.0, 1e-9])
     image = np.vstack([base, base + shift, base - shift, (base[:10] + base[10:]) / 2])
+    index = np.arange(len(vertices))
+    # ties in x1 in ascending and in descending index order
+    orders = [np.lexsort((index, vertices[:, 0])), np.lexsort((-index, vertices[:, 0]))]
     for tol in (1e-8, 0.5, 2.0):
         dists = np.linalg.norm(image[:, None, :] - vertices[None, :, :], axis=2)
         ref = np.where(dists.min(axis=1) <= tol, dists.argmin(axis=1), -1)
         assert np.array_equal(_nearest_vertices(image, vertices, tol), ref)
+        for order in orders:
+            assert np.array_equal(_nearest_vertices(image, vertices, tol, order), ref)
     assert (_nearest_vertices(base, vertices, 1e-8) == np.arange(20)).all()
 
 

@@ -14,6 +14,7 @@ from lorentzdomains.cover import (
     lifted_generators,
     R_param,
 )
+from lorentzdomains import domain, reduction
 from lorentzdomains.disc import GroupElement, build_triangle_group, mobius_apply
 from lorentzdomains.halfspaces import batch_wall, wall_masks
 
@@ -231,3 +232,83 @@ def test_batch_matches_scalar():
                 assert bool(batch) == scalar
                 seen[side, int(scalar)] += 1
     assert (seen > 0).all()
+
+
+def _batch_wall_repeated_products(g, Z, W, PHI):
+    """`batch_wall` with each complex product formed twice, once for the
+    value and once, negated, for the bracket."""
+    val = (np.conjugate(g.z) * Z - np.conjugate(g.w) * W).real
+    bracket = 1.0 + (-np.conjugate(g.z) * Z) / (np.conjugate(g.w) * W)
+    if not (bracket.real > 0.0).all():
+        raise ArithmeticError("cocycle bracket left the principal branch")
+    return val, -g.phi + PHI + np.angle(bracket)
+
+
+def _same_bits(got, ref):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
+def test_batch_wall_matches_the_repeated_product_form_bitwise():
+    """Forming each product once rounds as forming it twice (IEEE rounding
+    is sign-symmetric, and a complex difference is taken part by part):
+    single walls, per-point walls and columns on random cone points, z = 0
+    walls among them."""
+    rng = np.random.default_rng(19)
+    n = 5000
+    r = np.sqrt(rng.uniform(0.0, 0.999, n))
+    W = np.exp(1j * rng.uniform(-1.2, 1.2, n)) * rng.uniform(0.5, 2.0, n)
+    Z = r * np.abs(W) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    PHI = np.angle(W) + 2.0 * math.pi * rng.integers(-1, 2, n)
+    elements = [random_group_element(random.Random(seed)) for seed in range(40)]
+    elements.append(CoverElement(0j, 1.0 + 0j, 0.0))
+    elements.append(CoverElement(0j, cmath.exp(0.3j), 0.3))
+    for g in elements:
+        assert _same_bits(batch_wall(g, Z, W, PHI), _batch_wall_repeated_products(g, Z, W, PHI))
+    column = CoverElement(
+        np.array([g.z for g in elements])[:, None],
+        np.array([g.w for g in elements])[:, None],
+        np.array([g.phi for g in elements])[:, None],
+    )
+    got = batch_wall(column, Z, W, PHI)
+    assert got[0].shape == (len(elements), n)
+    assert _same_bits(got, _batch_wall_repeated_products(column, Z, W, PHI))
+    owner = rng.integers(0, len(elements), n)
+    per_point = CoverElement(column.z[owner, 0], column.w[owner, 0], column.phi[owner, 0])
+    assert _same_bits(
+        batch_wall(per_point, Z, W, PHI), _batch_wall_repeated_products(per_point, Z, W, PHI)
+    )
+
+
+@pytest.mark.parametrize("series,k", [("E", 2), ("Z", 4)])
+def test_batch_wall_matches_the_repeated_product_form_on_real_calls(series, k, monkeypatch):
+    """Every `batch_wall` call of a build and of a sampled verify, on its
+    real wall columns and points, against the repeated-product form."""
+    calls = []
+
+    def checked(g, Z, W, PHI):
+        got = batch_wall(g, Z, W, PHI)
+        assert _same_bits(got, _batch_wall_repeated_products(g, Z, W, PHI))
+        calls.append(got[0].size)
+        return got
+
+    monkeypatch.setattr(domain, "batch_wall", checked)
+    monkeypatch.setattr(reduction, "batch_wall", checked)
+    cs = domain.series_constraints(series, k)
+    domain.build_polyhedron(cs, domain.enumerate_vertices(cs))
+    stats = reduction.sample_equivalence(series, k, n_samples=2000, seed=3)
+    assert stats.n_agree == stats.n_evaluated > 0
+    assert len(calls) > 100 and sum(calls) > 10**5
+
+
+def test_batch_wall_bracket_check_still_fires():
+    """A wall with |z_g| > |w_g| turns the cocycle bracket off the principal
+    branch on part of the cone, and both forms raise."""
+    g = CoverElement(2.0 + 0j, 1.0 + 0j, 0.0)
+    Z = np.array([0.0, 0.9 + 0j])
+    W = np.ones(2, dtype=complex)
+    PHI = np.zeros(2)
+    for kernel in (batch_wall, _batch_wall_repeated_products):
+        with pytest.raises(ArithmeticError, match="principal branch"):
+            kernel(g, Z, W, PHI)
+    val, _ = batch_wall(g, Z[:1], W[:1], PHI[:1])
+    assert val.tolist() == [-1.0]

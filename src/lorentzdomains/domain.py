@@ -13,11 +13,12 @@ The construction pipeline is
     series_constraints -> enumerate_vertices -> build_polyhedron
         -> find_pairings / detect_symmetry -> edge_cycle_check
 
-with honesty checks at each stage: the linear functionals are validated
-against the exact sheet-aware membership predicate, the face complex must
-close up to a manifold sphere, and every claimed pairing carries both a
-geometric vertex-matching certificate and a word certificate placing the
-left factor in the acting group.
+with honesty checks at each stage: every wall must meet the premise under
+which its linear functional decides the exact sheet-aware predicate (see
+`membership_mask`), the face complex must close up to a manifold sphere,
+and every claimed pairing carries both a geometric vertex-matching
+certificate and a word certificate placing the left factor in the acting
+group.
 """
 
 import math
@@ -47,14 +48,12 @@ from .disc import (
     group_mul,
     mobius_apply,
 )
-from .halfspaces import batch_wall, wall_masks
 
 VERTEX_MERGE_TOL = 1e-8
 PLANE_INCIDENCE_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
 PAIRING_MATCH_TOL = 1e-7
 PAIRING_QUICK_TOL = 1e-6
-WINDOW_GUARD = 1e-9
 _DET_FLOOR = 1e-12
 _COND_LIMIT = 1e8
 _SIGMA_TOL = 1e-12
@@ -85,10 +84,10 @@ def linearize(g: CoverElement) -> AffineFunctional:
 
     <pi(g), p> = Re(z_g) x1 + Im(z_g) x2 - Im(w_g) s - Re(w_g) on points
     p = (x1 + i x2, 1 + i s).  Side I keeps value <= -1, side H keeps
-    value >= -1.  The functional does not depend on the level; whether it
-    represents the wall inside the slab (the sheet window stays inactive on
-    the I-side) is checked by `series_constraints` for every wall it
-    builds, through `_window_phases`.
+    value >= -1.  The functional does not depend on the level.  It decides
+    the exact wall rule on the whole cone wherever the premise of the lemma
+    in `membership_mask` holds, and `series_constraints` checks that premise
+    for every wall it builds.
     """
     return AffineFunctional(
         normal=np.array([g.z.real, g.z.imag, -g.w.imag]),
@@ -96,80 +95,10 @@ def linearize(g: CoverElement) -> AffineFunctional:
     )
 
 
-def _slab_half_width(config) -> float:
-    return math.tan(math.pi * config.k / (2 * config.p_lcm))
-
-
-def _chart_parts(pts: np.ndarray):
-    Z = pts[:, 0] + 1j * pts[:, 1]
-    W = 1.0 + 1j * pts[:, 2]
-    PHI = np.arctan(pts[:, 2])
-    return Z, W, PHI
-
-
-def _in_slab_cone(pts: np.ndarray, h: float = math.inf) -> np.ndarray:
-    """Which chart points lie in the closed slab |s| <= h and inside the
-    cone, with a relative margin 1e-12."""
-    return (np.abs(pts[:, 2]) <= h + 1e-12) & (
-        pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)
-    )
-
-
-def _probe_grids(config):
-    """The probe points of `_window_phases` at a level: the chart parts of
-    the 21 x 21 x 9 grid over the slab, inside the cone, and the 25 x 25
-    (u, v) grid over [-rho, rho]^2 that `_wall_plane_points` lifts."""
-    h = _slab_half_width(config)
-    rho = math.sqrt(1.0 + h * h)
-    xs = np.linspace(-rho, rho, 21)
-    g1, g2, g3 = np.meshgrid(xs, xs, np.linspace(-h, h, 9), indexing="ij")
-    grid = np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
-    uu, vv = np.meshgrid(np.linspace(-rho, rho, 25), np.linspace(-rho, rho, 25))
-    return _chart_parts(grid[_in_slab_cone(grid, h)]), (uu.ravel(), vv.ravel())
-
-
-def _wall_plane_points(fn: AffineFunctional, uv, config) -> np.ndarray:
-    """The (u, v) grid `uv` lifted onto the wall plane, inside the slab and
-    the cone."""
-    n = fn.normal
-    # parametrize the wall plane n.x = -1 - constant by its two best axes
-    rhs = -1.0 - fn.constant
-    j = int(np.argmax(np.abs(n)))
-    if abs(n[j]) <= 1e-12:
-        return np.empty((0, 3))
-    u_axis, v_axis = [i for i in range(3) if i != j]
-    plane = np.zeros((uv[0].size, 3))
-    plane[:, u_axis], plane[:, v_axis] = uv
-    plane[:, j] = (rhs - plane @ n) / n[j]
-    return plane[_in_slab_cone(plane, _slab_half_width(config))]
-
-
-def _window_phases(walls, grid, uv, config) -> np.ndarray:
-    """Per wall, the largest |phi(g^{-1} p)| over the probe points p on its
-    I-side (value <= -1 + 1e-6), or 0 when there is none.  RuntimeError
-    names the first wall whose phase reaches pi/2 - WINDOW_GUARD.
-
-    The probe points (`_probe_grids`) are `grid`, one `batch_wall` call for
-    all the walls, and each wall's `_wall_plane_points` on `uv`, all in one
-    call with one wall element per point.
-    """
-    column, _, _ = _wall_column(walls)
-    val, phi = batch_wall(column, *grid)
-    worst = np.max(np.abs(phi), axis=1, where=val <= -1.0 + 1e-6, initial=0.0)
-    planes = [_wall_plane_points(w.functional, uv, config) for w in walls]
-    owner = np.repeat(np.arange(len(walls)), [len(p) for p in planes])
-    per_point = CoverElement(column.z[owner, 0], column.w[owner, 0], column.phi[owner, 0])
-    val, phi = batch_wall(per_point, *_chart_parts(np.vstack(planes)))
-    side = val <= -1.0 + 1e-6
-    np.maximum.at(worst, owner[side], np.abs(phi[side]))
-    for wall, phase in zip(walls, worst):
-        if phase >= math.pi / 2.0 - WINDOW_GUARD:
-            g = wall.g
-            raise RuntimeError(
-                f"sheet window activates inside the slab for wall {wall.label} "
-                f"(z={g.z:.6g}, w={g.w:.6g}, phi={g.phi:.6g}): max |phi| = {phase:.6g}"
-            )
-    return worst
+def _in_slab_cone(pts: np.ndarray) -> np.ndarray:
+    """Which chart points lie inside the cone, with a relative margin
+    1e-12: x1^2 + x2^2 < 1 + s^2, that is |Z| < |W|."""
+    return pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -189,21 +118,6 @@ class Wall:
             raise ValueError(f"degenerate wall functional for {self.label}")
         object.__setattr__(self, "normal_hat", n / scale)
         object.__setattr__(self, "offset", (-1.0 - self.functional.constant) / scale)
-
-
-def _wall_column(walls):
-    """The walls as one CoverElement of (L, 1) arrays, which `batch_wall`
-    evaluates on n points at once as (L, n) values, and their chart
-    functionals as (L, 3) normals and (L, 1) constants.  Callers build it
-    from the walls they are given, so a changed wall takes effect."""
-    column = CoverElement(
-        np.array([w.g.z for w in walls], dtype=complex)[:, None],
-        np.array([w.g.w for w in walls], dtype=complex)[:, None],
-        np.array([w.g.phi for w in walls], dtype=float)[:, None],
-    )
-    normals = np.array([w.functional.normal for w in walls])
-    constants = np.array([w.functional.constant for w in walls])[:, None]
-    return column, normals, constants
 
 
 @dataclass(frozen=True)
@@ -240,11 +154,11 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     conjugator is central, so one period of indices is kept: 2 p union
     groups, each with every letter of the series.
 
-    Each member and both slab walls must keep the sheet window inactive
-    throughout their I-side region of the slab, else RuntimeError names the
-    wall: the linear picture would misrepresent the set.  That is probed by
-    `_window_phases` on each union group and on the slab pair, on grids
-    built once per call.
+    Every wall must meet the premise of the lemma in `membership_mask`,
+    |phi_g| < pi/2 and |z_g| < |w_g|, under which its chart functional
+    decides its exact rule on the whole cone; else RuntimeError names the
+    wall and its margin pi/2 - |phi_g|.  The check is in closed form, on
+    each wall's (z, w, phi) alone.
     """
     from .reduction import series_signature
 
@@ -271,7 +185,6 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         raise AssertionError("conjugator full turn is not the central generator")
 
     letters = _SERIES_LETTERS[series]
-    grid, uv = _probe_grids(config)
     groups = []
     for m in range(period):
         conj = cover_pow(step, m)
@@ -280,19 +193,16 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         members = [a_m]
         for _ in letters[1:]:
             members.append(cover_mul(members[-1], D))
-        walls = tuple(
+        groups.append(tuple(
             Wall(f"{letter}[{m}]", g, "I", linearize(g))
             for letter, g in zip(letters, members)
-        )
-        _window_phases(walls, grid, uv, config)
-        groups.append(walls)
+        ))
 
     slab_walls = tuple(
         Wall(name, g, "H", linearize(g))
         for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]"))
     )
-    _window_phases(slab_walls, grid, uv, config)
-    return ConstraintSet(
+    cs = ConstraintSet(
         series=series,
         k=k,
         period=period,
@@ -302,6 +212,16 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         groups=tuple(groups),
         slab=slab_walls,
     )
+    for wall in cs.all_walls():
+        g = wall.g
+        margin = math.pi / 2.0 - abs(g.phi)
+        if not (margin > 0.0 and abs(g.z) < abs(g.w)):
+            raise RuntimeError(
+                f"sheet window premise fails for wall {wall.label} "
+                f"(z={g.z:.6g}, w={g.w:.6g}, phi={g.phi:.6g}): margin "
+                f"pi/2 - |phi| = {margin:.6g}, |z|/|w| = {abs(g.z) / abs(g.w):.6g}"
+            )
+    return cs
 
 
 def _terms(cs: ConstraintSet):
@@ -313,77 +233,54 @@ def _terms(cs: ConstraintSet):
     return terms + list(zip(first_rows, cs.groups))
 
 
-def _term_verdicts(members, sub, Z, W, PHI, tol):
+def _term_verdicts(members, sub, tol):
     """One membership term (a union group, or a slab wall as a group of
-    one) on chart points `sub` with chart parts Z, W, PHI: per point its
-    exact verdict (`wall_masks` at tol, any member's side holds) and its
-    linear verdict (the chart functionals), then the values and the strict
-    and on masks of its one `batch_wall` call on the column of its walls.
-    """
-    column, normals, constants = _wall_column(members)
-    val, phi = batch_wall(column, Z, W, PHI)
-    holds, strict, on = wall_masks(val, phi, tol)
+    one) on chart points `sub`: per point whether it holds at tol, and the
+    (L, n) chart functional values of its L walls."""
+    normals = np.array([w.functional.normal for w in members])
+    constants = np.array([w.functional.constant for w in members])[:, None]
     # a stack of matrix-vector products rounds as `AffineFunctional.value`
     lin = (sub @ normals[:, :, None])[..., 0] + constants
-    if members[0].side == "H":
-        holds, lin_holds = ~strict, ~(lin < -1.0 - tol)
-    else:
-        lin_holds = lin <= -1.0 + tol
-    return holds.any(0), lin_holds.any(0), val, phi, strict, on
+    holds = ~(lin < -1.0 - tol) if members[0].side == "H" else lin <= -1.0 + tol
+    return holds.any(0), lin
 
 
 def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=None):
     """Membership of chart points at tol and, when incidence_tol is given,
     the active incidences at incidence_tol of the points that end inside,
-    from one `batch_wall` call per membership term (`_term_verdicts`).
+    from the chart functionals of each membership term (`_term_verdicts`).
 
     Returns the mask and a (walls x inside points) table in `all_walls()`
     order, its columns the True entries of the mask in order (None without
-    incidence_tol).  A wall is active at a point where the point is on it
-    (`wall_masks` at incidence_tol) and no member of its union group holds
-    strictly: there the group is slack and the plane is invisible to the
-    boundary.  No wall is both on and strict, so for a slab wall, a group
-    of one, that condition is void.  Each term's values give its rows,
-    `on & ~strict.any(0)`.  Only the incidences of points whose exact
-    verdict still holds are kept, as (row, point) index pairs, so no
-    walls-by-points table is built before the end.  See `membership_mask`
-    for the terms and the short-circuit; the live points are compacted
-    only once an eighth of them is decided (a decided point stays decided
-    whatever later terms say), which re-indexes the seven live arrays far
-    less often than every term.
+    incidence_tol).  A wall is active at a point on it (|value + 1| <=
+    incidence_tol) where no member of its union group holds strictly
+    (value < -1 - incidence_tol): there the group is slack and the plane
+    is invisible to the boundary; for a slab wall, a group of one, that
+    condition is void.  The incidences are kept as (row, point) index
+    pairs of the points still inside, so no walls-by-points table is built
+    before the end.  See `membership_mask` for the terms and the lemma;
+    the live points are compacted only once an eighth of them is decided
+    (a decided point stays decided whatever later terms say).
     """
     pts = np.asarray(pts, dtype=float)
     live = np.flatnonzero(_in_slab_cone(pts))  # original rows of the undecided points
     sub = pts[live]
-    Z, W, PHI = _chart_parts(sub)
-    exact = np.ones(len(live), dtype=bool)
-    linear = np.ones(len(live), dtype=bool)
+    inside = np.ones(len(live), dtype=bool)
     hit_rows, hit_points = [], []
     for first_row, members in _terms(cs):
-        holds, lin_holds, val, phi, strict, on = _term_verdicts(
-            members, sub, Z, W, PHI, tol
-        )
-        exact &= holds
-        linear &= lin_holds
+        holds, lin = _term_verdicts(members, sub, tol)
+        inside &= holds
         if incidence_tol is not None:
-            if incidence_tol != tol:
-                _, strict, on = wall_masks(val, phi, incidence_tol)
-            rows, cols = np.nonzero(on & ~strict.any(0) & exact)
+            strict = lin < -1.0 - incidence_tol
+            on = np.abs(lin + 1.0) <= incidence_tol
+            rows, cols = np.nonzero(on & ~strict.any(0) & inside)
             hit_rows.append(first_row + rows)
             hit_points.append(live[cols])
-        keep = np.flatnonzero(exact | linear)
+        keep = np.flatnonzero(inside)
         if 8 * len(keep) <= 7 * len(live):
-            live, sub, Z, W, PHI, exact, linear = (
-                a[keep] for a in (live, sub, Z, W, PHI, exact, linear)
-            )
-    if np.any(exact != linear):
-        bad = sub[exact != linear]
-        raise RuntimeError(
-            "linear chart model disagrees with the sheet-aware predicate "
-            f"at {bad[0]}; the phi window is active inside the slab"
-        )
+            live, sub, inside = live[keep], sub[keep], inside[keep]
     out = np.zeros(len(pts), dtype=bool)
-    out[live[exact]] = True
+    out[live[inside]] = True
     if incidence_tol is None:
         return out, None
     inside = np.flatnonzero(out)
@@ -397,41 +294,50 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
 def _undecided(cs: ConstraintSet, pts: np.ndarray, tol: float, n_terms: int):
     """Indices of the chart points that the cone test and the first n_terms
     membership terms of `_wall_pass` at tol leave undecided: in the cone,
-    with the exact or the linear verdict still holding.  The decided points
-    are dropped after every term, so each term runs on the undecided ones
-    only."""
+    and held by every one of those terms.  The decided points are dropped
+    after every term, so each term runs on the undecided ones only."""
     live = np.flatnonzero(_in_slab_cone(pts))
-    exact = np.ones(len(live), dtype=bool)
-    linear = np.ones(len(live), dtype=bool)
     for _, members in _terms(cs)[:n_terms]:
-        sub = pts[live]
-        holds, lin_holds = _term_verdicts(members, sub, *_chart_parts(sub), tol)[:2]
-        exact &= holds
-        linear &= lin_holds
-        keep = np.flatnonzero(exact | linear)
-        live, exact, linear = live[keep], exact[keep], linear[keep]
+        live = live[_term_verdicts(members, pts[live], tol)[0]]
     return live
 
 
 def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
-    """Exact sheet-aware membership of chart points in the domain.
+    """Exact sheet-aware membership of chart points in the domain, read
+    from the chart functionals alone.
 
     Membership is a conjunction of terms: the two slab walls (H side), then
     one term per union group, which holds where any of its members (I side)
-    holds.  Each term is one `batch_wall` call on its walls as a column
-    (`_wall_column`), and is decided twice, by the exact predicate (form
-    value and sheet window) and by the linear chart functional; the two
-    conjunctions must agree on every point, else the linear model is wrong
-    and this raises.  The conjunction short-circuits: once the exact and the
-    linear verdict of a point are both False, no later term can change
-    either, and the point may be dropped.  The masks and the agreement
-    check are thus those of the full walls-by-points table, at the cost of
-    one (L, n) array per term.  Dropping points skips no bracket check of
-    `batch_wall` that could fire: every wall element has |z_g| < |w_g| and
-    every cone point |Z| < |W|, so the cocycle bracket has positive real
-    part on the whole cone.  The terms run in `_wall_pass`, which the
-    builds call directly (`enumerate_vertices`, `build_polyhedron`) to get
-    the active incidences from the same values.
+    holds.  The exact rule of a wall g at a cone point p
+    (`halfspaces.wall_masks` on `batch_wall`) holds where
+    val = <g, p> <= -1 + tol, strictly where val < -1 - tol, and puts p on
+    the wall where |val + 1| <= tol, each only inside the window
+    |phi| < pi/2 of the sheet coordinate phi = phi(g^{-1} p).  The chart
+    functional (`linearize`) is val up to rounding (2.8e-14 at most,
+    measured), and the window decides nothing, by this lemma.
+
+    Lemma.  Write p = (Z, W) = (x1 + i x2, 1 + i s) and
+    w' = conj(w_g) W - conj(z_g) Z.  Then val = -Re w', and
+    phi = -phi_g + arctan s + arg(1 - conj(z_g) Z / (conj(w_g) W)) is
+    arg w' mod 2 pi.  Suppose |phi_g| < pi/2 and |z_g| < |w_g|.  On the
+    cone |Z| < |W|, so the bracket has positive real part and
+    |phi| < |phi_g| + |arctan s| + pi/2 < 3 pi/2.  Every mask above needs
+    val <= -1 + tol < 0, so Re w' > 0 and the principal arg w' lies in
+    (-pi/2, pi/2); it is the only value of arg w' within 3 pi/2 of 0, so
+    phi is that value and the window is open wherever a mask can hold, at
+    every cone point, in the slab or not.
+
+    `series_constraints` checks the premise for every wall.  Over every
+    admissible k <= 50 of both series the smallest margin pi/2 - |phi_g|
+    is 0.58 (the E50 slab walls; 0.54 at E200), and the largest
+    |z_g| / |w_g| is 0.9995 (Z50).
+
+    The conjunction short-circuits: a point that fails a term stays outside
+    whatever later terms say, and is dropped, so the mask is that of the
+    full walls-by-points table at the cost of one (L, n) array per term.
+    The terms run in `_wall_pass`, which the builds call directly
+    (`enumerate_vertices`, `build_polyhedron`) to get the active incidences
+    from the same values.
     """
     return _wall_pass(cs, pts, tol)[0]
 
@@ -647,15 +553,12 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     undecided after the cone test, the slab pair and union group 0
     (`_undecided`; 3,452 of 49,410 solved sector points at Z14, 28,598
     of 549,810 at Z50), not the O(L W^2) sector; only those go to one
-    `_pinned` call.  A point is dropped in its block only when its exact
-    and its linear verdict are both False, the rule by which `_wall_pass`
-    compacts: no later term can change either, so `_wall_pass` would
-    leave it outside, and since its verdicts agree the exact-vs-linear
-    check has nothing to find there.  The seed superset argument above is
-    untouched, and no bracket check of `batch_wall` that could fire is
-    skipped (see `membership_mask`).  Every filter acts on each triple or
-    point alone and the blocks keep the sector's order, so the seeds and
-    their order are those of one pass over the whole sector.
+    `_pinned` call.  A point is dropped in its block only when a term
+    rules it out, the rule by which `_wall_pass` compacts: no later term
+    can bring it back, so `_wall_pass` would leave it outside, and the
+    seed superset argument above is untouched.  Every filter acts on each
+    triple or point alone and the blocks keep the sector's order, so the
+    seeds and their order are those of one pass over the whole sector.
 
     The seeds' sigma-orbits, sorted and deduplicated into
     itertools.combinations order, then go through the filters at their

@@ -28,7 +28,6 @@ from .disc import (
     edge_corona,
     orbit,
 )
-from .domain import _chart_parts, _slab_half_width, _wall_column
 from .domain import membership_mask, series_constraints
 from .halfspaces import batch_wall, wall_masks
 
@@ -226,10 +225,19 @@ def _corona_lifts(tri: TriangleGroupData, config: LevelConfig):
     return pairs
 
 
+def _chart_parts(pts: np.ndarray):
+    """The cone points (Z, W, PHI) of chart points (x1, x2, s), as
+    `batch_wall` takes them: Z = x1 + i x2, W = 1 + i s, PHI = arctan s."""
+    Z = pts[:, 0] + 1j * pts[:, 1]
+    W = 1.0 + 1j * pts[:, 2]
+    PHI = np.arctan(pts[:, 2])
+    return Z, W, PHI
+
+
 def _slab_samples(config: LevelConfig, n_samples: int, seed: int) -> np.ndarray:
     """Uniform points of the slab cylinder |s| <= h, x1^2 + x2^2 < 1 + s^2,
     as (n, 3) chart points (x1, x2, s)."""
-    half = _slab_half_width(config)
+    half = math.tan(math.pi * config.k / (2 * config.p_lcm))
     rng = np.random.default_rng(seed)
     s = rng.uniform(-half, half, n_samples)
     theta = rng.uniform(-math.pi, math.pi, n_samples)
@@ -404,11 +412,10 @@ def _description_masks(cons, pts):
     makes the comparison stricter, as a point left in can fail it but never
     pass it falsely.  The verdict at MEMBERSHIP_TOL differs from the exact
     one only within MEMBERSHIP_TOL of a wall, inside its band.  Raises
-    RuntimeError where `membership_mask` does, when a wall breaks the
-    window-edge premise of `_window_masks`, when the D^n table is not the
-    axis rotation `_prism_scan` needs (`_check_axis_rotations`, once per
-    call), and when a prism verdict off the boundary changes as the wall
-    scan doubles.
+    RuntimeError when a wall breaks the window-edge premise of
+    `_window_masks`, when the D^n table is not the axis rotation
+    `_prism_scan` needs (`_check_axis_rotations`, once per call), and when
+    a prism verdict off the boundary changes as the wall scan doubles.
     """
     config, tri = cons.config, cons.tri
     Z, W, PHI = _chart_parts(pts)
@@ -426,7 +433,13 @@ def _description_masks(cons, pts):
                 f"(|z| + |w|) max|W| = {bound:.6g} >= (1 - B)/B = {limit:.6g}"
             )
     in_linear = membership_mask(cons, pts)
-    slab_values = batch_wall(_wall_column(cons.slab)[0], Z, W, PHI)
+    # the slab walls as one column of (2, 1) arrays: (2, n) values
+    slab = CoverElement(
+        np.array([wall.g.z for wall in cons.slab], dtype=complex)[:, None],
+        np.array([wall.g.w for wall in cons.slab], dtype=complex)[:, None],
+        np.array([wall.g.phi for wall in cons.slab], dtype=float)[:, None],
+    )
+    slab_values = batch_wall(slab, Z, W, PHI)
     near_boundary = _window_masks(*slab_values)[1].any(0)
 
     # Prism description: the point must escape the prism over every corona

@@ -248,6 +248,24 @@ def test_cli_out_dir_env(tmp_path, capsys, monkeypatch):
     assert os.path.exists(tmp_path / "envout" / "fund_E_k1.off")
 
 
+def test_cli_build_names_a_wall_that_breaks_the_window_premise(tmp_path, capsys, monkeypatch):
+    """Two extra central factors put every wall's I-side on another sheet:
+    `build` exits 1 with one JSON error naming the first wall and its
+    margin pi/2 - |phi_g|, and writes nothing."""
+    from lorentzdomains import domain
+    from lorentzdomains.cover import central
+
+    monkeypatch.setattr(domain, "central", lambda n: central(n + 2))
+    code = main(["build", "--series", "E", "--k", "2", "--out", str(tmp_path), "--formats", "json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert (out["series"], out["k"]) == ("E", 2)
+    assert out["error"].startswith("sheet window premise fails for wall a[0] ")
+    assert "margin pi/2 - |phi| = -4.5" in out["error"]
+    assert captured.err == "" and os.listdir(tmp_path) == []
+
+
 def test_cli_build_unwritable_out_is_json(tmp_path, capsys, monkeypatch):
     """An --out naming an existing file exits 2 with one JSON error object
     and nothing on stderr, before anything is built."""

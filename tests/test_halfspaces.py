@@ -14,7 +14,7 @@ from lorentzdomains.cover import (
     lifted_generators,
     R_param,
 )
-from lorentzdomains import domain, reduction
+from lorentzdomains import domain, halfspaces, reduction
 from lorentzdomains.disc import GroupElement, build_triangle_group, mobius_apply
 from lorentzdomains.halfspaces import batch_wall, wall_masks
 
@@ -281,8 +281,9 @@ def test_batch_wall_matches_the_repeated_product_form_bitwise():
 
 @pytest.mark.parametrize("series,k", [("E", 2), ("Z", 4)])
 def test_batch_wall_matches_the_repeated_product_form_on_real_calls(series, k, monkeypatch):
-    """Every `batch_wall` call of a build and of a sampled verify, on its
-    real wall columns and points, against the repeated-product form."""
+    """Every `batch_wall` call of a sampled verify, on its real wall
+    columns and points, against the repeated-product form.  A build makes
+    none: its walls are read from their chart functionals alone."""
     calls = []
 
     def checked(g, Z, W, PHI):
@@ -291,13 +292,16 @@ def test_batch_wall_matches_the_repeated_product_form_on_real_calls(series, k, m
         calls.append(got[0].size)
         return got
 
-    monkeypatch.setattr(domain, "batch_wall", checked)
     monkeypatch.setattr(reduction, "batch_wall", checked)
+    monkeypatch.setattr(halfspaces, "batch_wall", checked)
+    assert not hasattr(domain, "batch_wall")
     cs = domain.series_constraints(series, k)
     domain.build_polyhedron(cs, domain.enumerate_vertices(cs))
+    assert calls == []
     stats = reduction.sample_equivalence(series, k, n_samples=2000, seed=3)
     assert stats.n_agree == stats.n_evaluated > 0
-    assert len(calls) > 100 and sum(calls) > 10**5
+    # the slab pair, then two calls per corona prism, most on every point
+    assert len(calls) > 20 and sum(calls) > 10 * 2000
 
 
 def test_batch_wall_bracket_check_still_fires():

@@ -12,16 +12,12 @@ import lorentzdomains
 import lorentzdomains.reduction as reduction
 from lorentzdomains.cover import CoverElement, cover_mul, cover_pow, lift_level
 from lorentzdomains.disc import build_triangle_group, edge_corona, orbit
-from lorentzdomains.domain import (
-    _chart_parts,
-    _in_slab_cone,
-    _slab_half_width,
-    series_constraints,
-)
+from lorentzdomains.domain import _in_slab_cone, series_constraints
 from lorentzdomains.halfspaces import batch_wall
 from lorentzdomains.reduction import (
     BOUNDARY_BAND,
     PREMISE_SLACK,
+    _chart_parts,
     _check_axis_rotations,
     _closed_quantities,
     _corona_lifts,
@@ -397,7 +393,9 @@ def _probe_points(cons, n_samples, seed):
         s = b + a * np.tan(theta[np.abs(theta) < math.pi / 2.0])
         probes.append(np.column_stack([np.full((len(s), 2), [Z[i].real, Z[i].imag]), s]))
     probes = np.vstack(probes)
-    return np.vstack([samples, probes[_in_slab_cone(probes, _slab_half_width(config))]])
+    h = math.tan(math.pi * config.k / (2 * config.p_lcm))
+    in_slab = np.abs(probes[:, 2]) <= h + 1e-12
+    return np.vstack([samples, probes[in_slab & _in_slab_cone(probes)]])
 
 
 @pytest.mark.parametrize(

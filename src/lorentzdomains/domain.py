@@ -21,6 +21,8 @@ certificate and a word certificate placing the left factor in the acting
 group.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,6 +67,8 @@ _STAB_TURN_TOL = 1e-6
 _SEED_BLOCK = 4096
 
 _LABEL_ORDER = {"a": 0, "b": 1, "c": 2, "slab": 3}
+# the components of a cover element, one record per element
+_FACTOR = np.dtype([("z", complex), ("w", complex), ("phi", float)])
 # wall letters of one union group; each letter after a adds a trailing D
 _SERIES_LETTERS = {"E": "ab", "Z": "abc"}
 
@@ -858,15 +862,16 @@ class _SchreierTree:
 
 
 def _gamma1_certificate(
-    g1: CoverElement, cs: ConstraintSet, gens: dict, budget: int, syllables_to
+    g1: CoverElement, cs: ConstraintSet, power, tail, budget: int, syllables_to
 ):
     """Express g1 as a word in the acting group's generators, or None.
 
     The disc image of the base point is pulled back by a Schreier word in
-    the lifted u/v generators (`gens` is `lifted_generators(cs.config)`;
-    `syllables_to(target)` finds the word, as `_SchreierTree.syllables`);
-    the residue must be a power of the lifted stabilizer generator D^3
-    times a central element C^(k j).  Syllable count (each generator power
+    the lifted u/v generators (`syllables_to(target)` finds the word, as
+    `_SchreierTree.syllables`, and `power(letter, n)` is the n-th power of
+    the lifted generator `letter`); the residue must be a power of the
+    lifted stabilizer generator D^3 times a central element C^(k j), and
+    `tail(t, j)` is D^(3 t) C^(k j).  Syllable count (each generator power
     is one syllable) must fit the budget.
     """
     p_tri = cs.tri.p
@@ -876,8 +881,8 @@ def _gamma1_certificate(
     if syllables is None:
         return None
     word = COVER_IDENTITY
-    for letter, power in syllables:
-        word = cover_mul(word, cover_pow(gens[letter], power))
+    for letter, n in syllables:
+        word = cover_mul(word, power(letter, n))
     resid = cover_mul(cover_inv(word), g1)
     if abs(resid.z) > 1e-7 * max(1.0, abs(resid.w)):
         return None
@@ -891,7 +896,7 @@ def _gamma1_certificate(
     m_total = n_near // k
     t = m_total % p_tri
     j = (m_total - t) // p_tri
-    check = cover_mul(word, cover_mul(cover_pow(gens["D"], 3 * t), central(k * j)))
+    check = cover_mul(word, tail(t, j))
     if abs(check.z - g1.z) > 1e-6 * max(1.0, abs(g1.w)) or abs(
         check.phi - g1.phi
     ) > 1e-6:
@@ -899,12 +904,45 @@ def _gamma1_certificate(
     count = len(syllables) + (1 if t else 0) + (1 if j else 0)
     if count > budget:
         return None
-    parts = [f"{letter}^{power}" if power != 1 else letter for letter, power in syllables]
+    parts = [f"{letter}^{n}" if n != 1 else letter for letter, n in syllables]
     if t:
         parts.append(f"(D^3)^{t}" if t != 1 else "D^3")
     if j:
         parts.append(f"(C^{k})^{j}" if j != 1 else f"C^{k}")
     return count, " ".join(parts) if parts else "e"
+
+
+def _cone_points(z1, w1, phi1, pts: np.ndarray):
+    """The cone points (qz, qw, qphi) of g1 . p for chart points p, the
+    product of `cover_mul`, with g1 = (z1, w1, phi1) broadcast against the
+    leading axes of pts (shape (..., 3)).  The chart point (x1, x2, s) is
+    the cone point (x1 + i x2, 1 + i s, arctan s).  Each cocycle bracket
+    must have positive real part, else ArithmeticError."""
+    z = pts[..., 0] + 1j * pts[..., 1]
+    w = 1.0 + 1j * pts[..., 2]
+    bracket = 1.0 + (np.conjugate(z1) * z) / (w1 * w)
+    if not (bracket.real > 0.0).all():
+        raise ArithmeticError("cocycle bracket left the principal branch")
+    qz = np.conjugate(w1) * z + z1 * w
+    qw = np.conjugate(z1) * z + w1 * w
+    return qz, qw, phi1 + np.arctan(pts[..., 2]) + np.angle(bracket)
+
+
+def _sheet_project(qz, qw, qphi):
+    """Which cone points (qz, qw, qphi) lie on the slab's sheet, and the
+    chart images of those.
+
+    A cone point projects back to the chart by scaling to Re w = 1, which
+    is admissible only if Re w > 1e-9 and the lifted argument stays on the
+    principal sheet, |phi| < pi/2.  Returns that on-sheet mask and the
+    (n, 3) chart images of its True entries in C order; the entries off
+    the sheet are never projected.
+    """
+    on_sheet = (qw.real > 1e-9) & (np.abs(qphi) < math.pi / 2.0)
+    qz, qw = qz[on_sheet], qw[on_sheet]
+    return on_sheet, np.column_stack(
+        [qz.real / qw.real, qz.imag / qw.real, qw.imag / qw.real]
+    )
 
 
 def _chart_images(z1, w1, phi1, w2, phi2, pts: np.ndarray):
@@ -913,28 +951,11 @@ def _chart_images(z1, w1, phi1, w2, phi2, pts: np.ndarray):
     g1 = (z1, w1, phi1) and g2 = (0, w2, phi2), a rotation about the
     origin.  The arguments broadcast against the leading axes of pts
     (shape (..., 3)), so one call maps a row of elements, a loop of points,
-    or both.  The product is `cover_mul`'s, and each cocycle bracket must
-    have positive real part, else ArithmeticError.  The image of a chart
-    point is a cone point on some ray; it projects back to the chart by
-    scaling to Re w = 1, which is admissible only if Re w > 1e-9 and the
-    lifted argument stays on the principal sheet, |phi| < pi/2; otherwise
-    the image left the slab's sheet.  Returns that on-sheet mask, of the
-    broadcast shape, and the (n, 3) chart images of its True entries in C
-    order; the entries off the sheet are never projected.
+    or both.  The product is `cover_mul`'s (`_cone_points`, with its
+    bracket check), and the images are projected by `_sheet_project`.
     """
-    z = pts[..., 0] + 1j * pts[..., 1]
-    w = 1.0 + 1j * pts[..., 2]
-    bracket = 1.0 + (np.conjugate(z1) * z) / (w1 * w)
-    if not (bracket.real > 0.0).all():
-        raise ArithmeticError("cocycle bracket left the principal branch")
-    qz = (np.conjugate(w1) * z + z1 * w) * w2
-    qw = (np.conjugate(z1) * z + w1 * w) * w2
-    qphi = phi1 + np.arctan(pts[..., 2]) + np.angle(bracket) + phi2
-    on_sheet = (qw.real > 1e-9) & (np.abs(qphi) < math.pi / 2.0)
-    qz, qw = qz[on_sheet], qw[on_sheet]
-    return on_sheet, np.column_stack(
-        [qz.real / qw.real, qz.imag / qw.real, qw.imag / qw.real]
-    )
+    qz, qw, qphi = _cone_points(z1, w1, phi1, pts)
+    return _sheet_project(qz * w2, qw * w2, qphi + phi2)
 
 
 def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
@@ -950,6 +971,112 @@ def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
     return deltas == {1} or deltas == {n - 1}
 
 
+def _window_rows(poly: Polyhedron, cs: ConstraintSet, w_inv: list, h_inverses: dict):
+    """The quick check's candidates for every face at once, and the chart
+    images of their first vertices.
+
+    A candidate of face f is a row (f, t, u): left factor D^t w_inv[f],
+    right factor h^-u = h_inverses[u].  D^t and h^-u rotate about the
+    origin, so the image of the face's first vertex p is the cone point
+    q = w_inv[f] . p (`_cone_points`, once per face) times unit factors:
+    (qz conj(w_t) w_u, qw w_t w_u, qphi + phi_t + phi_u).  phi_t = t phi_D
+    is linear in t, so for each (f, u) the sheet window |phi| < pi/2 is one
+    run of t, found in closed form, widened by one step at each end and cut
+    to |t| <= 2 p_lcm; only those rows are listed, never the full grid.
+    w_t and phi_t come from numpy, not from `cover_pow`, so the rows equal
+    the scalar products up to rounding only (see `find_pairings`).
+
+    Returns the row arrays f, t and u in (f, t, u) lexicographic order, the
+    rows' on-sheet mask and the chart images of the on-sheet rows
+    (`_sheet_project`).
+    """
+    qz, qw, qphi = _cone_points(
+        np.array([g.z for g in w_inv]),
+        np.array([g.w for g in w_inv]),
+        np.array([g.phi for g in w_inv]),
+        poly.vertices[[face.loop[0] for face in poly.faces]],
+    )
+    u_all = np.array(list(h_inverses))
+    w_u = np.array([g.w for g in h_inverses.values()])
+    phi_u = np.array([g.phi for g in h_inverses.values()])
+    # per (f, u), the ends of the run of t with |qphi + phi_u + t phi_D| < pi/2
+    ends = np.array([-0.5, 0.5])[:, None, None] * math.pi - (qphi[:, None] + phi_u)
+    ends /= cs.D.phi
+    t_max = 2 * cs.config.p_lcm
+    lo = np.clip(np.ceil(ends.min(axis=0)) - 1, -t_max, t_max + 1).astype(int).ravel()
+    hi = np.clip(np.floor(ends.max(axis=0)) + 1, -t_max - 1, t_max).astype(int).ravel()
+    count = np.maximum(hi - lo + 1, 0)
+    t = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    f, ui = np.divmod(np.repeat(np.arange(len(count)), count), len(u_all))
+    order = np.lexsort((ui, t, f))
+    f, t, ui = f[order], t[order], ui[order]
+    del order
+    phi_t = t * cs.D.phi
+    w_t = np.exp(1j * phi_t)
+    on_sheet, image = _sheet_project(
+        qz[f] * np.conjugate(w_t) * w_u[ui],
+        qw[f] * w_t * w_u[ui],
+        qphi[f] + phi_t + phi_u[ui],
+    )
+    return f, t, u_all[ui], on_sheet, image
+
+
+def _loop_matches(poly: Polyhedron, loops: list, g1s, g2s, vertex_order):
+    """Map each vertex loop loops[i] under g1 . p . g2 for the i-th
+    elements of g1s and g2s (g2 a rotation about the origin), all loops in
+    one `_chart_images` call, and match the images to vertices within
+    PAIRING_MATCH_TOL in one `_nearest_vertices` call.
+
+    The elements are read one at a time into arrays (`np.fromiter`), so
+    the caller can pass generators and no list of them is held; per point
+    the factors are those of its loop, as the arrays `_chart_images`
+    broadcasts.  Returns the points' on-sheet mask and matched vertex
+    indices (-1 off the sheet or unmatched), loop after loop, and the
+    loops' first points (one more, the end).
+    """
+    size = [len(loop) for loop in loops]
+    g1s, g2s = (
+        np.fromiter(((g.z, g.w, g.phi) for g in gs), dtype=_FACTOR, count=len(loops))
+        for gs in (g1s, g2s)
+    )
+    on_sheet, image = _chart_images(
+        np.repeat(g1s["z"], size),
+        np.repeat(g1s["w"], size),
+        np.repeat(g1s["phi"], size),
+        np.repeat(g2s["w"], size),
+        np.repeat(g2s["phi"], size),
+        poly.vertices[np.fromiter(itertools.chain.from_iterable(loops), int, sum(size))],
+    )
+    match = np.full(len(on_sheet), -1)
+    match[on_sheet] = _nearest_vertices(
+        image, poly.vertices, PAIRING_MATCH_TOL, vertex_order
+    )
+    return on_sheet, match, np.cumsum([0] + size)
+
+
+def _check_inverses(poly: Polyhedron, inverses: list, vertex_order):
+    """The inverse check of `find_pairings`, every pair at once
+    (`_loop_matches`).  Each entry (face j, g1^-1, g2, back map) must carry
+    face j's loop onto the sheet, else RuntimeError 'pairing inverse left
+    the chart sheet', and each vertex v of it to back map[v], else
+    RuntimeError 'pairing inverse does not invert the vertex map'.  The
+    first failing entry raises, its sheet test first."""
+    loops = [poly.faces[fj].loop for fj, _, _, _ in inverses]
+    on_sheet, back, first = _loop_matches(
+        poly,
+        loops,
+        (g1_inv for _, g1_inv, _, _ in inverses),
+        (g2 for _, _, g2, _ in inverses),
+        vertex_order,
+    )
+    for loop, (_, _, _, rmap), a, b in zip(loops, inverses, first, first[1:]):
+        if not on_sheet[a:b].all():
+            raise RuntimeError("pairing inverse left the chart sheet")
+        # rmap is injective, so matching it forces an injective match
+        if any(rmap[v] != m for v, m in zip(loop, back[a:b].tolist())):
+            raise RuntimeError("pairing inverse does not invert the vertex map")
+
+
 def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     """Discover the side-face identifications of the domain.
 
@@ -958,84 +1085,110 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     onto the central one, so its left factor has the form (wall-rotation
     power) * (wall element inverse), while the right factor ranges over
     small powers of the second acting group's generator.  Candidates are
-    scanned in that two-parameter family (t over the axis powers D^t, u
-    over the powers h^u); one is accepted when the chart image of the
-    face's vertex loop is another face's loop (bijectively, respecting the
-    cycle) and the left factor admits a word certificate in the acting
-    group within the syllable budget.  The partner face is then assigned
-    the inverse map, provided the inverse's left factor has a word
-    certificate within the budget too; otherwise neither face is paired.
-    Faces left unpaired are reported, never silently dropped.
+    scanned in that two-parameter family (t over the axis powers D^t,
+    |t| <= 2 p_lcm, u over the powers h^u, |u| <= 4); one is accepted when
+    the chart image of the face's vertex loop is another face's loop
+    (bijectively, respecting the cycle) and the left factor admits a word
+    certificate in the acting group within the syllable budget.  The
+    partner face is then assigned the inverse map, provided the inverse's
+    left factor has a word certificate within the budget too; otherwise
+    neither face is paired.  Faces left unpaired are reported, never
+    silently dropped.
 
-    The axis powers, the powers of h with their inverses, the lifted
-    generators and the word search (`_SchreierTree`) are built once per
-    call.  Every D^t rotates about the origin (z = 0, else RuntimeError),
-    so each face's row of left factors D^t * w_inv is the arrays
-    (conj(w_t) z, w_t w, phi_t + phi) of `cover_mul`'s rotation branch.
-    One chart map (`_chart_images`) and one nearest-vertex match
-    (`_nearest_vertices`, on one sort of the vertices) serve every check.
-    The quick check maps the face's first vertex under every (t, u) at
-    once and keeps the candidates landing within PAIRING_QUICK_TOL of a
-    vertex; only those get their scalar `cover_mul` left factor, whose
-    image of the whole loop must stay on the sheet and match vertices
-    within PAIRING_MATCH_TOL, t first, then u, and the first that passes
-    wins.  The quick check is a prefilter only: its rows equal those left
-    factors up to rounding, and its tolerance is ten times the match's.
-    The inverse check maps the partner's loop back, and must land on the
-    sheet and on the inverse vertex map, else RuntimeError.
+    The scan runs in arrays, all faces at once:
+    - the quick check (`_window_rows`) maps each face's first vertex under
+      the rows of its sheet windows, one run of t per (face, u), and keeps
+      the rows landing within PAIRING_QUICK_TOL of a vertex, in one
+      `_nearest_vertices` call;
+    - the loop check maps the whole loop of every survivor under its
+      scalar left factor `cover_mul(D^t, w^-1)` and h^-u, which must stay
+      on the sheet and match vertices within PAIRING_MATCH_TOL, in one
+      `_chart_images` and one `_nearest_vertices` call (`_loop_matches`);
+    - the walk visits the faces in order, the non-slab faces first, and
+      each face not yet paired takes the first of its loop-check passers,
+      in (t, u) order, that passes the rules in turn: partner not yet
+      paired, slab to slab, not the identity map, `_cyclic_adjacent`, then
+      the certificate (`_gamma1_certificate`).
+    Generator powers and certificate tails D^(3t) C^(kj) are built once
+    per call, and so is the word search (`_SchreierTree`).  Every D^t must
+    rotate about the origin: D must have z = 0, else RuntimeError (powers
+    of an element with z = 0 keep z = 0).
+
+    Exactness.  The quick check is a prefilter: it keeps every candidate
+    that passes the loop check, so each face's first passing candidate,
+    and every Pairing, is that of a scan of the full (t, u) grid with the
+    scalar products.  Such a candidate's first-vertex image lies within
+    PAIRING_MATCH_TOL of a vertex v, on the sheet with |phi| = arctan|s_v|
+    up to rounding, far from pi/2, so its t lies inside the window.  The
+    prefilter's image differs from that image by rounding only (2.8e-12
+    at most, measured on every on-sheet row at k <= 7, Z14 and E40), far
+    below PAIRING_QUICK_TOL - PAIRING_MATCH_TOL = 9e-7, so the quick check
+    keeps it.  The loop check's images are those of one scalar
+    `_chart_images` call per candidate, bit for bit.
+
+    The inverse check (`_check_inverses`) maps the partner's loop back,
+    which must land on the sheet and on the inverse vertex map, else
+    RuntimeError.  It runs once, after the walk, on every pair that
+    reached it, those whose inverse certificate fails included; it changes
+    no pairing, and the first failing pair in walk order raises, as a
+    check inside the walk would.
 
     The two slab faces fall out of the same scan: their wall elements are
     the axis steps D and D^-1, so the family degenerates to pure axis
     powers, and the certificate only accepts the ones lying in the acting
     groups.  That is the top-to-bottom gluing.
     """
-    gens = lifted_generators(cs.config)
-    tree = _SchreierTree(cs.tri)
-    h_gen = cover_pow(cs.D, cs.tri.p)
-    t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
-    d_powers = [cover_pow(cs.D, t) for t in t_range]
-    if any(d.z != 0 for d in d_powers):
+    if cs.D.z != 0:
         raise RuntimeError(
             "an axis power D^t has z != 0: the left-factor rows need z = 0"
         )
-    w_t = np.array([d.w for d in d_powers])
-    phi_t = np.array([d.phi for d in d_powers])
-    h_powers = [cover_pow(h_gen, u) for u in range(-4, 5)]
-    h_inverses = [cover_inv(g2) for g2 in h_powers]
-    w_u = np.array([g.w for g in h_inverses])
-    phi_u = np.array([g.phi for g in h_inverses])
+    gens = lifted_generators(cs.config)
+    power = functools.cache(lambda letter, n: cover_pow(gens[letter], n))
+    tail = functools.cache(
+        lambda t, j: cover_mul(power("D", 3 * t), central(cs.k * j))
+    )
+    d_power = functools.cache(lambda t: cover_pow(cs.D, t))
+    tree = _SchreierTree(cs.tri)
+    h_gen = cover_pow(cs.D, cs.tri.p)
+    h_powers = {u: cover_pow(h_gen, u) for u in range(-4, 5)}
+    h_inverses = {u: cover_inv(g2) for u, g2 in h_powers.items()}
+    w_inv = [cover_inv(face.wall.g) for face in poly.faces]
+    vertex_order = np.argsort(poly.vertices[:, 0])
+
+    face, t, u, on_sheet, quick = _window_rows(poly, cs, w_inv, h_inverses)
+    keep = np.flatnonzero(on_sheet)[
+        _nearest_vertices(quick, poly.vertices, PAIRING_QUICK_TOL, vertex_order) >= 0
+    ]
+    face, t, u = face[keep].tolist(), t[keep].tolist(), u[keep].tolist()
+
+    def left(i):
+        # the scalar left factor of survivor i, built again where the walk
+        # needs it, so no list of them is held
+        return cover_mul(d_power(t[i]), w_inv[face[i]])
+
+    _, matches, first = _loop_matches(
+        poly,
+        [poly.faces[fi].loop for fi in face],
+        map(left, range(len(face))),
+        (h_inverses[ui] for ui in u),
+        vertex_order,
+    )
+    # survivors run face after face: those of face fi are bounds[fi]:bounds[fi + 1]
+    bounds = np.searchsorted(face, np.arange(len(poly.faces) + 1)).tolist()
+
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
     order += [i for i, f in enumerate(poly.faces) if f.is_slab]
     loop_lookup = {frozenset(f.loop): i for i, f in enumerate(poly.faces)}
-    vertex_order = np.argsort(poly.vertices[:, 0])
     paired: dict[int, Pairing] = {}
+    inverses = []  # (face j, g1^-1, g2, back map) per pair, in walk order
     for fi in order:
         if fi in paired:
             continue
         face_i = poly.faces[fi]
         loop_i = list(face_i.loop)
-        verts_i = poly.vertices[loop_i]
-        w_inv = cover_inv(face_i.wall.g)
-        # the row cover_mul(D^t, w_inv) over t: D^t has z = 0
-        quick_on, quick = _chart_images(
-            (np.conjugate(w_t) * w_inv.z)[:, None], (w_t * w_inv.w)[:, None],
-            (phi_t + w_inv.phi)[:, None], w_u, phi_u, verts_i[0],
-        )
-        near = _nearest_vertices(
-            quick, poly.vertices, PAIRING_QUICK_TOL, vertex_order
-        ) >= 0
         found = None
-        for ti, ui in np.argwhere(quick_on)[near].tolist():
-            g1 = cover_mul(d_powers[ti], w_inv)
-            g2, g2_inv = h_powers[ui], h_inverses[ui]
-            on_sheet, image = _chart_images(
-                g1.z, g1.w, g1.phi, g2_inv.w, g2_inv.phi, verts_i
-            )
-            if not on_sheet.all():
-                continue
-            matched = _nearest_vertices(
-                image, poly.vertices, PAIRING_MATCH_TOL, vertex_order
-            ).tolist()
+        for i in range(bounds[fi], bounds[fi + 1]):
+            matched = matches[first[i]:first[i + 1]].tolist()
             if -1 in matched:
                 continue
             fj = loop_lookup.get(frozenset(matched))
@@ -1048,31 +1201,21 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
                 continue
             if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                 continue
-            cert = _gamma1_certificate(g1, cs, gens, max_word_len, tree.syllables)
+            g1 = left(i)
+            cert = _gamma1_certificate(g1, cs, power, tail, max_word_len, tree.syllables)
             if cert is None:
                 continue
-            found = (fj, g1, g2, g2_inv, vmap, cert)
+            found = (fj, g1, h_powers[u[i]], h_inverses[u[i]], vmap, cert)
             break
         if not found:
             continue
         fj, g1, g2, g2_inv, vmap, (count, word) = found
         if fj != fi:
             g1_inv = cover_inv(g1)
-            loop_j = list(poly.faces[fj].loop)
-            on_sheet, back = _chart_images(
-                g1_inv.z, g1_inv.w, g1_inv.phi, g2.w, g2.phi, poly.vertices[loop_j]
-            )
-            if not on_sheet.all():
-                raise RuntimeError("pairing inverse left the chart sheet")
             rmap = {b: a for a, b in vmap.items()}
-            back_match = _nearest_vertices(
-                back, poly.vertices, PAIRING_MATCH_TOL, vertex_order
-            )
-            # rmap is injective, so matching it forces an injective match
-            if any(rmap[v] != m for v, m in zip(loop_j, back_match.tolist())):
-                raise RuntimeError("pairing inverse does not invert the vertex map")
+            inverses.append((fj, g1_inv, g2, rmap))
             cert_back = _gamma1_certificate(
-                g1_inv, cs, gens, max_word_len, tree.syllables
+                g1_inv, cs, power, tail, max_word_len, tree.syllables
             )
             if cert_back is None:
                 # no word for the inverse within the budget: both faces
@@ -1084,6 +1227,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
                 cert_back[0], cert_back[1],
             )
         paired[fi] = Pairing(fi, fj, g1, g2, tuple(sorted(vmap.items())), count, word)
+    _check_inverses(poly, inverses, vertex_order)
     unpaired = tuple(
         poly.faces[i].label for i in range(len(poly.faces)) if i not in paired
     )
@@ -1105,6 +1249,7 @@ def edge_cycle_check(poly: Polyhedron, report: PairingReport):
     length) record per edge class.
     """
     partner = report.partner_of()
+    vertex_maps = {f: dict(pr.vertex_map) for f, pr in partner.items()}
     edge_faces: dict[tuple[int, int], list[int]] = {}
     for fi, face in enumerate(poly.faces):
         for i, j in zip(face.loop, face.loop[1:] + face.loop[:1]):
@@ -1126,7 +1271,7 @@ def edge_cycle_check(poly: Polyhedron, report: PairingReport):
                 if pr is None:
                     boundary = True
                     break
-                vmap = dict(pr.vertex_map)
+                vmap = vertex_maps[f]
                 e2 = (min(vmap[e[0]], vmap[e[1]]), max(vmap[e[0]], vmap[e[1]]))
                 g_tot1 = cover_mul(pr.g1, g_tot1)
                 g_tot2 = cover_mul(pr.g2, g_tot2)

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from lorentzdomains.domain import (
     _terms,
     _undecided,
     _wall_pass,
+    _window_rows,
     build_polyhedron,
     detect_symmetry,
     edge_cycle_check,
@@ -978,8 +980,22 @@ def _reference_schreier_syllables(tri, target, depth=8):
     return None
 
 
-def _reference_pairings(poly, cs, max_word_len=8):
+def _fresh_powers(cs):
+    """The certificate's generator powers and tails D^(3t) C^(kj), each
+    recomputed at every use, as before `find_pairings` shared them."""
     gens = lifted_generators(cs.config)
+
+    def power(letter, n):
+        return cover_pow(gens[letter], n)
+
+    def tail(t, j):
+        return cover_mul(cover_pow(gens["D"], 3 * t), central(cs.k * j))
+
+    return power, tail
+
+
+def _reference_pairings(poly, cs, max_word_len=8):
+    power, tail = _fresh_powers(cs)
     search = functools.partial(_reference_schreier_syllables, cs.tri)
     h_gen = cover_pow(cs.D, cs.tri.p)
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
@@ -1018,7 +1034,7 @@ def _reference_pairings(poly, cs, max_word_len=8):
                     continue
                 if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                     continue
-                cert = _gamma1_certificate(g1, cs, gens, max_word_len, search)
+                cert = _gamma1_certificate(g1, cs, power, tail, max_word_len, search)
                 if cert is None:
                     continue
                 found = (fj, g1, g2, vmap, cert)
@@ -1036,7 +1052,9 @@ def _reference_pairings(poly, cs, max_word_len=8):
             assert _match_vertices(back, poly.vertices) == [
                 rmap[v] for v in poly.faces[fj].loop
             ]
-            cert_back = _gamma1_certificate(g1_inv, cs, gens, max_word_len, search)
+            cert_back = _gamma1_certificate(
+                g1_inv, cs, power, tail, max_word_len, search
+            )
             if cert_back is None:
                 continue
             paired[fj] = Pairing(
@@ -1048,6 +1066,104 @@ def _reference_pairings(poly, cs, max_word_len=8):
     )
     return PairingReport(tuple(paired[i] for i in sorted(paired)), unpaired)
 
+
+def _per_face_pairings(poly, cs, max_word_len=8):
+    """The pairing scan as it ran before it was batched over faces: per
+    face, a quick check of the first vertex over the full (t, u) grid, one
+    loop check per survivor and the inverse check inside the walk, with
+    every axis power built by `cover_pow` and the certificate's powers
+    recomputed at every use."""
+    power, tail = _fresh_powers(cs)
+    tree = _SchreierTree(cs.tri)
+    h_gen = cover_pow(cs.D, cs.tri.p)
+    t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
+    d_powers = [cover_pow(cs.D, t) for t in t_range]
+    assert all(d.z == 0 for d in d_powers)
+    w_t = np.array([d.w for d in d_powers])
+    phi_t = np.array([d.phi for d in d_powers])
+    h_powers = [cover_pow(h_gen, u) for u in range(-4, 5)]
+    h_inverses = [cover_inv(g2) for g2 in h_powers]
+    w_u = np.array([g.w for g in h_inverses])
+    phi_u = np.array([g.phi for g in h_inverses])
+    order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
+    order += [i for i, f in enumerate(poly.faces) if f.is_slab]
+    loop_lookup = {frozenset(f.loop): i for i, f in enumerate(poly.faces)}
+    vertex_order = np.argsort(poly.vertices[:, 0])
+    paired = {}
+    for fi in order:
+        if fi in paired:
+            continue
+        face_i = poly.faces[fi]
+        loop_i = list(face_i.loop)
+        verts_i = poly.vertices[loop_i]
+        w_inv = cover_inv(face_i.wall.g)
+        # the row cover_mul(D^t, w_inv) over t: D^t has z = 0
+        quick_on, quick = _chart_images(
+            (np.conjugate(w_t) * w_inv.z)[:, None], (w_t * w_inv.w)[:, None],
+            (phi_t + w_inv.phi)[:, None], w_u, phi_u, verts_i[0],
+        )
+        near = _nearest_vertices(
+            quick, poly.vertices, PAIRING_QUICK_TOL, vertex_order
+        ) >= 0
+        found = None
+        for ti, ui in np.argwhere(quick_on)[near].tolist():
+            g1 = cover_mul(d_powers[ti], w_inv)
+            g2, g2_inv = h_powers[ui], h_inverses[ui]
+            on_sheet, image = _chart_images(
+                g1.z, g1.w, g1.phi, g2_inv.w, g2_inv.phi, verts_i
+            )
+            if not on_sheet.all():
+                continue
+            matched = _nearest_vertices(
+                image, poly.vertices, PAIRING_MATCH_TOL, vertex_order
+            ).tolist()
+            if -1 in matched:
+                continue
+            fj = loop_lookup.get(frozenset(matched))
+            if fj is None or fj in paired:
+                continue
+            if poly.faces[fj].is_slab != face_i.is_slab:
+                continue
+            vmap = dict(zip(loop_i, matched))
+            if fj == fi and all(a == b for a, b in vmap.items()):
+                continue
+            if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
+                continue
+            cert = _gamma1_certificate(g1, cs, power, tail, max_word_len, tree.syllables)
+            if cert is None:
+                continue
+            found = (fj, g1, g2, g2_inv, vmap, cert)
+            break
+        if not found:
+            continue
+        fj, g1, g2, g2_inv, vmap, (count, word) = found
+        if fj != fi:
+            g1_inv = cover_inv(g1)
+            loop_j = list(poly.faces[fj].loop)
+            on_sheet, back = _chart_images(
+                g1_inv.z, g1_inv.w, g1_inv.phi, g2.w, g2.phi, poly.vertices[loop_j]
+            )
+            if not on_sheet.all():
+                raise RuntimeError("pairing inverse left the chart sheet")
+            rmap = {b: a for a, b in vmap.items()}
+            back_match = _nearest_vertices(
+                back, poly.vertices, PAIRING_MATCH_TOL, vertex_order
+            )
+            if any(rmap[v] != m for v, m in zip(loop_j, back_match.tolist())):
+                raise RuntimeError("pairing inverse does not invert the vertex map")
+            cert_back = _gamma1_certificate(
+                g1_inv, cs, power, tail, max_word_len, tree.syllables
+            )
+            if cert_back is None:
+                continue
+            paired[fj] = Pairing(
+                fj, fi, g1_inv, g2_inv, tuple(sorted(rmap.items())), *cert_back
+            )
+        paired[fi] = Pairing(fi, fj, g1, g2, tuple(sorted(vmap.items())), count, word)
+    unpaired = tuple(
+        poly.faces[i].label for i in range(len(poly.faces)) if i not in paired
+    )
+    return PairingReport(tuple(paired[i] for i in sorted(paired)), unpaired)
 
 def _chart_image(g1, g2_inv, pts):
     """Scalar chart map: the chart coordinates of g1 . p . g2^{-1}, one
@@ -1126,39 +1242,141 @@ def test_find_pairings_matches_reference_scan(series, k, budget):
         assert got.unpaired == () and len(got.pairings) == len(poly.faces)
 
 
+@pytest.mark.parametrize(
+    "series,k,budget",
+    [(s, k, 8) for s, k in ORACLE_LEVELS + [("Z", 14), ("E", 40), ("Z", 50)]]
+    + [("E", 1, 1)],
+)
+def test_find_pairings_matches_the_per_face_scan(series, k, budget):
+    cs, poly = _polyhedron(series, k)
+    got = find_pairings(poly, cs, max_word_len=budget)
+    assert _report_bits(got) == _report_bits(_per_face_pairings(poly, cs, budget))
+    assert bool(got.unpaired) == (budget == 1)
+
+
+def _window_inputs(cs, poly):
+    """The face inverses and the powers h^-u, |u| <= 4, that `find_pairings`
+    passes to `_window_rows`, and its t range."""
+    h_gen = cover_pow(cs.D, cs.tri.p)
+    h_inverses = {u: cover_inv(cover_pow(h_gen, u)) for u in range(-4, 5)}
+    w_inv = [cover_inv(face.wall.g) for face in poly.faces]
+    t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
+    return w_inv, h_inverses, t_range
+
+
 @pytest.mark.parametrize("series,k", [("E", 2), ("Z", 4)])
 def test_quick_survivors_keep_every_scalar_survivor(series, k):
-    """The broadcast prefilter never drops a candidate the scalar check keeps."""
+    """The windowed prefilter never drops a candidate the scalar check keeps."""
     cs, poly = _polyhedron(series, k)
-    t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
-    h_gen = cover_pow(cs.D, cs.tri.p)
-    h_inverses = [cover_inv(cover_pow(h_gen, u)) for u in range(-4, 5)]
-    w_t = np.array([cover_pow(cs.D, t).w for t in t_range])
-    phi_t = np.array([cover_pow(cs.D, t).phi for t in t_range])
-    w_u = np.array([g.w for g in h_inverses])
-    phi_u = np.array([g.phi for g in h_inverses])
-    n_scalar = n_broadcast = 0
-    for face in poly.faces:
-        w_inv = cover_inv(face.wall.g)
-        g1_row = [cover_mul(cover_pow(cs.D, t), w_inv) for t in t_range]
-        vertex = poly.vertices[face.loop[0]]
-        # the rows find_pairings passes: cover_mul's rotation branch as arrays
-        on_sheet, image = _chart_images(
-            (np.conjugate(w_t) * w_inv.z)[:, None], (w_t * w_inv.w)[:, None],
-            (phi_t + w_inv.phi)[:, None], w_u, phi_u, vertex,
-        )
-        mask = np.zeros(on_sheet.shape, dtype=bool)
-        mask[on_sheet] = _nearest_vertices(image, poly.vertices, PAIRING_QUICK_TOL) >= 0
-        assert mask.shape == (len(t_range), len(h_inverses))
-        for ti, g1 in enumerate(g1_row):
-            for ui, g2_inv in enumerate(h_inverses):
+    w_inv, h_inverses, t_range = _window_inputs(cs, poly)
+    face, t, u, on_sheet, image = _window_rows(poly, cs, w_inv, h_inverses)
+    near = _nearest_vertices(image, poly.vertices, PAIRING_QUICK_TOL) >= 0
+    kept = set(zip(*(a[on_sheet][near].tolist() for a in (face, t, u))))
+    n_scalar = 0
+    for fi, face_i in enumerate(poly.faces):
+        vertex = poly.vertices[face_i.loop[0]]
+        for tt in t_range:
+            g1 = cover_mul(cover_pow(cs.D, tt), w_inv[fi])
+            for uu, g2_inv in h_inverses.items():
                 if _scalar_quick_check(g1, g2_inv, vertex, poly.vertices):
-                    assert mask[ti, ui], (face.label, ti, ui)
+                    assert (fi, tt, uu) in kept, (face_i.label, tt, uu)
                     n_scalar += 1
-        n_broadcast += int(mask.sum())
     # every face has a partner, and the prefilter drops most candidates
-    assert len(poly.faces) <= n_scalar <= n_broadcast
-    assert n_broadcast < len(poly.faces) * len(t_range) * len(h_inverses) // 10
+    assert len(poly.faces) <= n_scalar <= len(kept)
+    assert len(kept) < len(poly.faces) * len(t_range) * len(h_inverses) // 10
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 14), ("E", 40)])
+def test_sheet_windows_hold_every_on_sheet_candidate(series, k):
+    """Every (face, t, u) whose scalar first-vertex image has |phi| < pi/2 -
+    1e-3 is a row of its window, and on the sheet there; the rows come in
+    (face, t, u) order, once each; and each on-sheet row's image is the
+    scalar `_chart_image` up to a gap far below PAIRING_QUICK_TOL -
+    PAIRING_MATCH_TOL, the margin the quick check needs (largest gap
+    measured: 2.8e-12, Z7)."""
+    cs, poly = _polyhedron(series, k)
+    w_inv, h_inverses, t_range = _window_inputs(cs, poly)
+    face, t, u, on_sheet, image = _window_rows(poly, cs, w_inv, h_inverses)
+    assert np.array_equal(np.lexsort((u, t, face)), np.arange(len(face)))
+    assert len(set(zip(face.tolist(), t.tolist(), u.tolist()))) == len(face)
+    rows = set(zip(face[on_sheet].tolist(), t[on_sheet].tolist(), u[on_sheet].tolist()))
+    phi_u = np.array([g.phi for g in h_inverses.values()])
+    n_inside = 0
+    for fi, face_i in enumerate(poly.faces):
+        x1, x2, s = poly.vertices[face_i.loop[0]]
+        p = CoverElement(complex(x1, x2), complex(1.0, s), math.atan(s))
+        for tt in t_range:
+            q = cover_mul(cover_mul(cover_pow(cs.D, tt), w_inv[fi]), p)
+            # h^-u rotates about the origin: cover_mul adds its phi
+            for uu in np.flatnonzero(np.abs(q.phi + phi_u) < math.pi / 2 - 1e-3) - 4:
+                assert (fi, tt, int(uu)) in rows, (face_i.label, tt, int(uu))
+                n_inside += 1
+    assert n_inside >= len(poly.faces)
+    gap = 0.0
+    for (fi, tt, uu), row in zip(
+        zip(face[on_sheet].tolist(), t[on_sheet].tolist(), u[on_sheet].tolist()), image
+    ):
+        g1 = cover_mul(cover_pow(cs.D, tt), w_inv[fi])
+        ref = _chart_image(g1, h_inverses[uu], poly.vertices[[poly.faces[fi].loop[0]]])
+        if ref is not None:
+            gap = max(gap, float(np.linalg.norm(ref[0] - row)))
+    assert gap < (PAIRING_QUICK_TOL - PAIRING_MATCH_TOL) / 100
+
+
+def _turned_inverse_check(monkeypatch, turns):
+    """Wrap `_check_inverses` so that its i-th entry's g1^-1 is turned by
+    the axis rotation turns[i] (None leaves it); returns the entry counts
+    of its calls."""
+    real = domain._check_inverses
+    calls = []
+
+    def check(poly, inverses, vertex_order):
+        calls.append(len(inverses))
+        inverses = list(inverses)
+        for i, turn in enumerate(turns):
+            if turn is not None:
+                fj, g1_inv, g2, rmap = inverses[i]
+                inverses[i] = (fj, cover_mul(axis_rotation(turn), g1_inv), g2, rmap)
+        return real(poly, inverses, vertex_order)
+
+    monkeypatch.setattr(domain, "_check_inverses", check)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "turns,message",
+    [
+        # a full turn C shifts phi by -pi: every point leaves the sheet
+        ((None, 1), "pairing inverse left the chart sheet"),
+        # a small turn moves every image off its vertex, on the sheet
+        ((None, Fraction(1, 10**4)), "pairing inverse does not invert the vertex map"),
+        ((Fraction(1, 10**4), 1), "pairing inverse does not invert the vertex map"),
+        ((1, Fraction(1, 10**4)), "pairing inverse left the chart sheet"),
+    ],
+)
+def test_inverse_check_raises_for_the_first_failing_pair(monkeypatch, turns, message):
+    """The deferred, batched inverse check raises the message of the first
+    failing pair in walk order, whatever fails after it."""
+    cs, poly = _polyhedron("E", 1)
+    calls = _turned_inverse_check(monkeypatch, turns)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        find_pairings(poly, cs)
+    assert calls == [len(poly.faces) // 2]
+
+
+def test_pairing_scan_memory_is_bounded():
+    """The Python-heap peak of `find_pairings` at Z20, where the full
+    (face, t, u) grid of the quick check has 1.2 million rows; the sheet
+    windows list about 2% of them."""
+    cs, poly = _polyhedron("Z", 20)
+    tracemalloc.start()
+    try:
+        report = find_pairings(poly, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.unpaired == ()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("series,k", [("E", 2), ("Z", 4)])

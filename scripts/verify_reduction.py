@@ -7,9 +7,11 @@ For each admissible level k <= kmax (3 does not divide k) of both series
 the script prints the two sides of the inequality and the margin, then
 cross-checks the half-space description of the domain against the
 prism-complement description on --samples random points per level.
-Exits 1 if any margin or orbit premise fails, any sampled point disagrees
-or a case has no point to evaluate, and 2 if --kmax or --samples is below
-1.
+A level whose check raises (a stage that fails its own check) prints a
+FAIL line and the sweep goes on.  Exits 1 if any margin or orbit premise
+fails, any level fails, any sampled point disagrees or a case has no
+point to evaluate, and 2 if --kmax or --samples is below 1 or --seed is
+below 0 (checked before any level runs).
 """
 
 import argparse
@@ -30,13 +32,21 @@ def main(argv=None) -> int:
     if args.samples < 1:
         print("--samples must be at least 1")
         return 2
+    if args.seed < 0:
+        print("--seed must be at least 0")
+        return 2
 
     levels = [k for k in range(1, args.kmax + 1) if k % 3 != 0]
     failures = 0
     print(f"{'case':>8}  {'ell^-(sec)':>12}  {'rhs':>12}  {'margin':>10}  premise")
     for series in ("E", "Z"):
         for k in levels:
-            rep = check_reduction_bound(series, k)
+            try:
+                rep = check_reduction_bound(series, k)
+            except (RuntimeError, ArithmeticError) as exc:
+                failures += 1
+                print(f"FAIL {series} k={k}: {exc}")
+                continue
             mark = "ok" if rep.certified else "FAIL"
             if not rep.certified:
                 failures += 1
@@ -47,7 +57,12 @@ def main(argv=None) -> int:
             )
     for series in ("E", "Z"):
         for k in levels:
-            st = sample_equivalence(series, k, n_samples=args.samples, seed=args.seed)
+            try:
+                st = sample_equivalence(series, k, n_samples=args.samples, seed=args.seed)
+            except (RuntimeError, ArithmeticError) as exc:
+                failures += 1
+                print(f"FAIL equivalence {series} k={k}: {exc}")
+                continue
             agree = st.n_evaluated > 0 and st.n_agree == st.n_evaluated
             if not agree:
                 failures += 1

@@ -1,8 +1,8 @@
 """Command-line interface: build, verify, and inspect fundamental domains.
 
 Exit codes: 0 success, 2 invalid request (a command line the parser
-rejects, a bad series, level, format, word budget or sample count, or a
-`build --out` where the artifacts cannot be written), 1
+rejects, a bad series, level, format, word budget, sample count or seed,
+or a `build --out` where the artifacts cannot be written), 1
 failed verification (a stage check fails, faces stay unpaired, the
 reduction inequality or the orbit premise fails, or the sampled
 descriptions disagree).  Errors are reported as a single JSON
@@ -149,6 +149,8 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         return _fail(args, f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        return _fail(args, f"--seed must be at least 0, got {args.seed}")
     try:
         reduction = check_reduction_bound(args.series, args.k)
         stats = sample_equivalence(

@@ -119,7 +119,7 @@ class Wall:
         n = self.functional.normal
         scale = float(np.linalg.norm(n))
         if scale < 1e-12:
-            raise ValueError(f"degenerate wall functional for {self.label}")
+            raise RuntimeError(f"degenerate wall functional for {self.label}")
         object.__setattr__(self, "normal_hat", n / scale)
         object.__setattr__(self, "offset", (-1.0 - self.functional.constant) / scale)
 
@@ -583,7 +583,7 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
         _pinned(cs, normals, candidates, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL, 1e-8)
     ]
     if not len(candidates):
-        raise ValueError("no vertices found; the constraint set is degenerate")
+        raise RuntimeError("no vertices found; the constraint set is degenerate")
 
     order = np.lexsort(
         (
@@ -647,7 +647,7 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     violations are hard errors, not warnings.
     """
     if len(vertices) == 0:
-        raise ValueError("cannot build a polyhedron without vertices")
+        raise RuntimeError("cannot build a polyhedron without vertices")
     walls = cs.all_walls()
     nv = len(vertices)
     inside, inc = _wall_pass(cs, vertices, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)

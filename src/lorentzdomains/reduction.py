@@ -301,44 +301,21 @@ def _sure_hit_range(phi0, step: float, half_width: int, r):
     return _n_range(phi0, step, half_width, sure)
 
 
-def _check_axis_rotations(d_list, step: float) -> None:
-    """Raise RuntimeError unless d_list[i] is the axis rotation D^n,
-    n = i - len(d_list) // 2, with z = 0, w = exp(-i n step) and
-    phi = -n step, to within a few rounding units of the largest |n step|.
-    """
-    two_n = len(d_list) // 2
-    n = np.arange(-two_n, two_n + 1)
-    z = np.array([d.z for d in d_list], dtype=complex)
-    w = np.array([d.w for d in d_list], dtype=complex)
-    phi = np.array([d.phi for d in d_list], dtype=float)
-    deviation = np.maximum.reduce([
-        np.abs(z), np.abs(w - np.exp(-1j * n * step)), np.abs(phi + n * step)
-    ])
-    bound = 16.0 * np.finfo(float).eps * (1.0 + two_n * step)
-    worst = int(np.argmax(deviation))
-    if deviation[worst] > bound:
-        raise RuntimeError(
-            f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}: "
-            f"D^{n[worst]} is {deviation[worst]:.3g} from the axis rotation "
-            f"(bound {bound:.3g})"
-        )
-
-
-def _prism_scan(g: CoverElement, d_list, step: float, Z, W, PHI):
+def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W, PHI):
     """Violation masks of the prism over the corona lift g, and its
     boundary mask.
 
-    `d_list` holds D^n for n = -2N..2N.  Returns (violated_n, violated_2n,
-    near): whether a point strictly violates some wall g D^n with |n| <= N,
-    resp. |n| <= 2N, and whether it lies near the boundary of any of them.
+    D is the wall-rotation step.  Returns (violated_n, violated_2n, near):
+    whether a point strictly violates some wall g D^n with |n| <= N, resp.
+    |n| <= 2N = two_n, and whether it lies near the boundary of any of them.
 
     The identity.  D^n is the axis rotation z = 0, w = exp(-i n step),
     phi = -n step, so on a point p every wall g D^n has the same modulus
     r = |conj(z_g) Z - conj(w_g) W| = |w_h|, h = g^{-1} p, the sheet
     coordinate phi_n = phi_0 + n step and the value -r cos(phi_n), where
-    phi_0 comes from the n = 0 evaluation.  Write B = BOUNDARY_BAND; the
-    margins 2B below cover the rounding of values and coordinates, which
-    stays near 1e-13.
+    phi_0 comes from the n = 0 wall, g itself.  Write B = BOUNDARY_BAND;
+    the margins 2B below cover the rounding of values and coordinates,
+    which stays near 1e-13.
 
     - Decided miss: |phi_n| > arccos(min(1, (1 - 2B) / r)) + 2B, outside
       `_open_window_range`.  Then r cos(phi_n) < 1 - 2B or the window is
@@ -350,18 +327,27 @@ def _prism_scan(g: CoverElement, d_list, step: float, Z, W, PHI):
       it meets [-2N, 2N], and violated_n where it meets [-N, N].
     - Evaluated: the n = 0 wall on every point, and the n != 0 walls
       between the two bounds, go through `batch_wall` and `_window_masks`.
-      Each of the latter must keep its sheet coordinate within B of the
-      line phi_0 + n step, or RuntimeError is raised.
+      Only the rows n read there are built, each as
+      cover_mul(g, cover_pow(D, n)).  Each evaluated wall must keep its
+      sheet coordinate within B of the line phi_0 + n step, or
+      RuntimeError is raised.
 
-    The guard.  The identity needs every D^n in d_list to be that axis
-    rotation, and the points to be cone points, exp(i PHI) = W/|W|.  The
-    caller checks the whole table once by `_check_axis_rotations`
-    (`_description_masks` does, for all its corona lifts); here only the
-    ends D^-2N, D^0, D^2N are checked, which ties the table to `step`.
+    The guard.  The identity needs every D^n to be that axis rotation, and
+    the points to be cone points, exp(i PHI) = W/|W|.  D is checked once
+    per call: it must be an exact axis rotation (`axis_turns` set, z = 0)
+    whose phi is within 4 ulp of -step (the two roundings of pi k / p_lcm
+    differ by at most 2 ulp up to k = 400), or RuntimeError is raised.
+    Then `cover_pow` makes every D^n an exact axis rotation too, with
+    phi = -pi (n turns) rounded once.
     """
-    two_n = len(d_list) // 2
-    _check_axis_rotations([d_list[0], d_list[two_n], d_list[-1]], two_n * step)
-    val0, phi0 = batch_wall(cover_mul(g, d_list[two_n]), Z, W, PHI)
+    deviation = abs(D.phi + step)
+    if D.axis_turns is None or D.z != 0 or not deviation <= 4.0 * math.ulp(step):
+        raise RuntimeError(
+            f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}: "
+            f"D is not the exact axis rotation through that step "
+            f"(axis_turns {D.axis_turns}, |z| {abs(D.z):.3g}, phi off by {deviation:.3g})"
+        )
+    val0, phi0 = batch_wall(g, Z, W, PHI)
     violated_n, near = _window_masks(val0, phi0)
     violated_2n = violated_n.copy()
 
@@ -382,7 +368,7 @@ def _prism_scan(g: CoverElement, d_list, step: float, Z, W, PHI):
     point, n = point[n != 0], n[n != 0]
 
     rows, row_of = np.unique(n, return_inverse=True)
-    walls = [cover_mul(g, d_list[row + two_n]) for row in rows]
+    walls = [cover_mul(g, cover_pow(D, row)) for row in rows]
     wall = CoverElement(
         np.array([w.z for w in walls], dtype=complex)[row_of],
         np.array([w.w for w in walls], dtype=complex)[row_of],
@@ -413,9 +399,10 @@ def _description_masks(cons, pts):
     pass it falsely.  The verdict at MEMBERSHIP_TOL differs from the exact
     one only within MEMBERSHIP_TOL of a wall, inside its band.  Raises
     RuntimeError when a wall breaks the window-edge premise of
-    `_window_masks`, when the D^n table is not the axis rotation
-    `_prism_scan` needs (`_check_axis_rotations`, once per call), and when
-    a prism verdict off the boundary changes as the wall scan doubles.
+    `_window_masks`, when D is not the axis rotation `_prism_scan` needs,
+    and when a prism verdict off the boundary changes as the wall scan
+    doubles.  Each scan builds only the powers D^n that its modulus bounds
+    leave undecided.
     """
     config, tri = cons.config, cons.tri
     Z, W, PHI = _chart_parts(pts)
@@ -447,14 +434,11 @@ def _description_masks(cons, pts):
     # Walls are scanned over two window sizes; the verdicts must match once
     # boundary-skin points are set aside, otherwise the truncation of the
     # wall family was too short to trust.
-    N = 2 * config.p_lcm
-    d_list = [cover_pow(cons.D, n) for n in range(-2 * N, 2 * N + 1)]
+    two_n = 4 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
-    _check_axis_rotations(d_list, step)
-
     scans = []
     for x, g in lifts:
-        violated_n, violated_2n, near = _prism_scan(g, d_list, step, Z, W, PHI)
+        violated_n, violated_2n, near = _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
         near_boundary |= near
         scans.append((x, violated_n, violated_2n))
 

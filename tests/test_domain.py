@@ -749,7 +749,7 @@ def test_build_polyhedron_rejects_a_broken_vertex_set(series, k):
         build_polyhedron(cs, np.vstack([vertices, [0.0, 0.0, 0.0]]))
     with pytest.raises(RuntimeError, match=f"vertex {nv} lies outside the domain"):
         build_polyhedron(cs, np.vstack([vertices, [0.0, 0.0, 50.0]]))
-    with pytest.raises(ValueError, match="without vertices"):
+    with pytest.raises(RuntimeError, match="without vertices"):
         build_polyhedron(cs, vertices[:0])
 
 
@@ -978,6 +978,46 @@ def _reference_schreier_syllables(tri, target, depth=8):
         if not frontier:
             break
     return None
+
+
+def _reference_schreier_syllables_many(tri, targets, depth=8):
+    """`_reference_schreier_syllables` for each of several targets, from
+    one fresh search: its discovery order never reads the target, so the
+    first node within 1e-7 of a target is the one a search for that
+    target alone stops at."""
+    answers = [[] if abs(t) < 1e-7 else None for t in targets]
+    pending = [i for i, t in enumerate(targets) if abs(t) >= 1e-7]
+    moves = []
+    for letter, gen, order in (("u", tri.gen_u, tri.p), ("v", tri.gen_v, tri.q)):
+        acc = GroupElement(0j, 1.0 + 0j)
+        for t in range(1, order):
+            acc = group_mul(acc, gen)
+            moves.append((letter, t if 2 * t <= order else t - order, acc))
+    frontier = [(0j, ())]
+    seen = {(0.0, 0.0)}
+    for _ in range(depth):
+        if not pending:
+            break
+        nxt = []
+        for x, path in frontier:
+            for letter, power, g in moves:
+                if path and path[-1][0] == letter:
+                    continue
+                y = mobius_apply(g, x)
+                key = (round(y.real, 6), round(y.imag, 6))
+                if key in seen:
+                    continue
+                seen.add(key)
+                path2 = path + ((letter, power),)
+                for i in [i for i in pending if abs(y - targets[i]) < 1e-7]:
+                    answers[i] = [lp for lp in reversed(path2)]
+                    pending.remove(i)
+                if len(seen) < 100_000:
+                    nxt.append((y, path2))
+        frontier = nxt
+        if not frontier:
+            break
+    return answers
 
 
 def _fresh_powers(cs):
@@ -1488,21 +1528,40 @@ def test_find_pairings_rejects_an_axis_power_off_the_axis():
         find_pairings(poly, tilted)
 
 
+def _schreier_targets(series, k):
+    """The constraint set, and the word-search targets at one level: the
+    certified targets in the order `find_pairings` asks them, the base
+    point, and points off the orbit."""
+    cs, poly = _polyhedron(series, k)
+    report = find_pairings(poly, cs)
+    certified = [
+        mobius_apply(GroupElement(p.g1.z, p.g1.w), 0j) for p in report.pairings
+    ]
+    return cs, certified, [0j, 4e-8 - 5e-8j], [0.123 + 0.456j, -0.3 - 0.2j]
+
+
+def test_one_reference_search_answers_each_target_as_alone():
+    cs, certified, root, off_orbit = _schreier_targets("E", 1)
+    targets = certified + root + off_orbit
+    want = [_reference_schreier_syllables(cs.tri, target) for target in targets]
+    assert _reference_schreier_syllables_many(cs.tri, targets) == want
+    assert _reference_schreier_syllables_many(cs.tri, off_orbit) == [None, None]
+
+
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_schreier_tree_matches_a_fresh_search(series, k):
     """One tree, grown on demand, answers every query as a fresh search
     would: the certified targets in the order `find_pairings` asks them,
     the base point, points off the orbit, and the certified targets again
     on the tree grown to full depth."""
-    cs, poly = _polyhedron(series, k)
-    report = find_pairings(poly, cs)
-    certified = [
-        mobius_apply(GroupElement(p.g1.z, p.g1.w), 0j) for p in report.pairings
-    ]
-    root = [0j, 4e-8 - 5e-8j]
-    off_orbit = [0.123 + 0.456j, -0.3 - 0.2j]
+    cs, certified, root, off_orbit = _schreier_targets(series, k)
     tree = _SchreierTree(cs.tri)
-    for target in certified + root + off_orbit + certified:
+    for target in certified + root:
+        assert tree.syllables(target) == _reference_schreier_syllables(cs.tri, target)
+    # each off-orbit target costs a whole depth-8 walk: one walk answers both
+    want = _reference_schreier_syllables_many(cs.tri, off_orbit)
+    assert [tree.syllables(target) for target in off_orbit] == want
+    for target in certified:
         assert tree.syllables(target) == _reference_schreier_syllables(cs.tri, target)
     assert len(tree.levels) == 8
     assert all(tree.syllables(x) == [] for x in root)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentzdomains import cli
+from lorentzdomains import cli, domain
 from lorentzdomains.cli import main
 from lorentzdomains.domain import (
     Face,
@@ -308,6 +308,20 @@ def test_cli_build_stage_failure_is_json(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_build_with_no_vertices_is_a_failed_stage(tmp_path, capsys, monkeypatch):
+    """A constraint set that pins no vertex fails the enumeration stage:
+    exit 1 with one JSON error object, not the invalid-request code."""
+    monkeypatch.setattr(
+        domain, "_pinned", lambda cs, normals, pts, *tols: np.empty(0, dtype=np.intp)
+    )
+    code = main(["build", "--series", "E", "--k", "1", "--out", str(tmp_path)])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["series"], out["k"]) == ("E", 1)
+    assert out["error"].startswith("no vertices found")
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_build_low_word_budget_reports_unpaired(tmp_path, capsys):
     """Pairings whose words exceed the budget leave faces unpaired, not a crash."""
     code = main(
@@ -399,6 +413,20 @@ def test_cli_verify_fails_on_failed_certificate(capsys, monkeypatch, field):
     assert out["equivalence"]["agreement"] == 1.0
 
 
+def test_cli_verify_rejects_a_negative_seed(capsys, monkeypatch):
+    """A seed below 0 is an invalid request that names --seed, found
+    before any check runs."""
+    def no_check(*args, **kwargs):
+        raise AssertionError("nothing may be checked")
+
+    monkeypatch.setattr(cli, "check_reduction_bound", no_check)
+    monkeypatch.setattr(cli, "sample_equivalence", no_check)
+    for seed in ("-1", "-7"):
+        assert main(["verify", "--series", "Z", "--k", "2", "--seed", seed]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": f"--seed must be at least 0, got {seed}", "series": "Z", "k": 2}
+
+
 def test_cli_parser_errors_are_json(capsys):
     """A command line the parser rejects exits 2 with one JSON object on
     stdout and nothing on stderr; a series or level that did not parse is
@@ -455,7 +483,7 @@ _COMMANDS = {
     "verify": [
         _SERIES, _LEVEL,
         _flag("--samples", ["30"], ["0", "-1", "x"]).filter(bool),
-        _flag("--seed", ["0", "7"], ["q"]),
+        _flag("--seed", ["0", "7"], ["q", "-1"]),
     ],
 }
 

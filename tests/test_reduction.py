@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -18,7 +19,6 @@ from lorentzdomains.reduction import (
     BOUNDARY_BAND,
     PREMISE_SLACK,
     _chart_parts,
-    _check_axis_rotations,
     _closed_quantities,
     _corona_lifts,
     _description_masks,
@@ -488,17 +488,31 @@ def test_skipped_prism_walls_are_inert(series, k):
     assert n_skipped > 0.8 * len(Z) * (2 * two_n + 1) * 2 * cons.tri.p
 
 
-def test_prism_scan_rejects_sheet_coordinates_off_the_line():
+def test_prism_scan_rejects_sheet_coordinates_off_the_line(monkeypatch):
+    """A step that D does not rotate by is refused before any wall is
+    built, and an evaluated row whose sheet coordinate drifts off the line
+    phi_0 + n step is refused after its evaluation."""
     cons = series_constraints("E", 2)
     config = cons.config
-    Z, W, PHI = _chart_parts(_slab_samples(config, 200, 0))
-    D = cons.D
-    d_list = [cover_pow(D, n) for n in range(-4 * config.p_lcm, 4 * config.p_lcm + 1)]
+    Z, W, PHI = _chart_parts(_probe_points(cons, 300, seed=1))
+    two_n = 4 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
     _, g = _corona_lifts(cons.tri, config)[0]
-    _prism_scan(g, d_list, step, Z, W, PHI)
+    _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
     with pytest.raises(RuntimeError, match="sheet coordinates"):
-        _prism_scan(g, d_list, step * (1.0 + 1e-3), Z, W, PHI)
+        _prism_scan(g, cons.D, two_n, step * (1.0 + 1e-3), Z, W, PHI)
+
+    rows = []
+
+    def drifting_pow(a, n):
+        rows.append(n)
+        d = cover_pow(a, n)
+        return CoverElement(d.z, d.w, d.phi + 1e-3)
+
+    monkeypatch.setattr(reduction, "cover_pow", drifting_pow)
+    with pytest.raises(RuntimeError, match="sheet coordinates leave the line"):
+        _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
+    assert rows and 0 not in rows
 
 
 @pytest.mark.parametrize("series, k", [("E", 1), ("Z", 4), ("Z", 10)])
@@ -537,34 +551,29 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
     assert n_undecided < 1e-3 * n_window
 
 
-def test_prism_scan_rejects_a_d_list_off_the_axis_rotations(monkeypatch):
-    """The rotation table that the prism scans of all corona lifts share is
-    checked once per `_description_masks` call, on the path
-    `sample_equivalence` takes."""
+def test_prism_scan_rejects_a_d_off_the_axis_rotations():
+    """D is checked once per prism scan, in place of a table of its
+    powers: it must be an exact axis rotation through `step`, also on the
+    path `sample_equivalence` takes."""
     cons = series_constraints("E", 2)
     config = cons.config
     pts = _slab_samples(config, 200, 0)
+    Z, W, PHI = _chart_parts(pts)
     two_n = 4 * config.p_lcm
-    d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     step = math.pi * config.k / config.p_lcm
-    _check_axis_rotations(d_list, step)
-    d = d_list[3]
+    _, g = _corona_lifts(cons.tri, config)[0]
+    D = cons.D
+    _prism_scan(g, D, two_n, step, Z, W, PHI)
+    _description_masks(cons, pts)
     for bad in (
-        CoverElement(d.z, d.w, d.phi + 1e-6),
-        CoverElement(1e-9 + 0j, d.w, d.phi),
+        dataclasses.replace(D, phi=D.phi + 1e-6),
+        dataclasses.replace(D, z=1e-9 + 0j),
+        CoverElement(D.z, D.w, D.phi),
     ):
         with pytest.raises(RuntimeError, match="sheet coordinates"):
-            _check_axis_rotations(d_list[:3] + [bad] + d_list[4:], step)
-        monkeypatch.setattr(
-            reduction,
-            "cover_pow",
-            lambda a, n, bad=bad: (
-                bad if a is cons.D and n == 3 - two_n else cover_pow(a, n)
-            ),
-        )
+            _prism_scan(g, bad, two_n, step, Z, W, PHI)
         with pytest.raises(RuntimeError, match="sheet coordinates"):
-            _description_masks(cons, pts)
-        monkeypatch.undo()
+            _description_masks(dataclasses.replace(cons, D=bad), pts)
 
 
 def test_description_masks_check_the_window_edge_premise():
@@ -598,7 +607,7 @@ def test_prism_scan_matches_every_wall_of_a_short_family():
             want_2n |= inside
             if abs(n) <= two_n // 2:
                 want_n |= inside
-        got = _prism_scan(g, d_list, step, Z, W, PHI)
+        got = _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
         for name, a, b in zip(("n", "2n", "near"), got, (want_n, want_2n, want_near)):
             assert np.array_equal(a, b), name
         n_differ += int((want_n != want_2n).sum())

@@ -2,7 +2,9 @@ import dataclasses
 import importlib.util
 import os
 
-from lorentzdomains import cli
+import numpy as np
+
+from lorentzdomains import cli, domain
 from lorentzdomains.cli import main
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -185,3 +187,61 @@ def test_build_all_reports_failed_level_and_goes_on(tmp_path, monkeypatch, capsy
     assert sorted(os.listdir(tmp_path)) == [
         "fund_E_k1.json", "fund_Z_k1.json", "fund_Z_k2.json",
     ]
+
+
+def test_build_all_fails_a_level_with_no_vertices_and_goes_on(tmp_path, monkeypatch, capsys):
+    """A level whose constraint set pins no vertex fails its enumeration
+    stage: a FAIL line, the next level builds, and the sweep exits 1."""
+    real = domain._pinned
+
+    def none_at_e1(cs, normals, pts, *tols):
+        if (cs.series, cs.k) == ("E", 1):
+            return np.empty(0, dtype=np.intp)
+        return real(cs, normals, pts, *tols)
+
+    monkeypatch.setattr(domain, "_pinned", none_at_e1)
+    code = _load("build_all").main(["--kmax", "1", "--out", str(tmp_path), "--formats", "json"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL E k=1: no vertices found")
+    assert any(line.startswith("Z k=1:") for line in lines)
+    assert os.listdir(tmp_path) == ["fund_Z_k1.json"]
+
+
+def test_verify_reduction_rejects_a_negative_seed(monkeypatch, capsys):
+    verify_reduction = _load("verify_reduction")
+    monkeypatch.setattr(verify_reduction, "check_reduction_bound", _no_work)
+    monkeypatch.setattr(verify_reduction, "sample_equivalence", _no_work)
+    for seed in ("-1", "-5"):
+        assert verify_reduction.main(["--kmax", "1", "--samples", "50", "--seed", seed]) == 2
+        assert capsys.readouterr().out == "--seed must be at least 0\n"
+
+
+def test_verify_reduction_reports_a_failed_level_and_goes_on(monkeypatch, capsys):
+    """A check that raises prints a FAIL line for its level; the other
+    levels still run, and the sweep exits 1."""
+    verify_reduction = _load("verify_reduction")
+    real_bound = verify_reduction.check_reduction_bound
+    real_sample = verify_reduction.sample_equivalence
+
+    def bound(series, k):
+        if (series, k) == ("E", 1):
+            raise ArithmeticError("forced bound failure")
+        return real_bound(series, k)
+
+    def sample(series, k, n_samples, seed):
+        if (series, k) == ("Z", 1):
+            raise RuntimeError("forced scan failure")
+        return real_sample(series, k, n_samples=n_samples, seed=seed)
+
+    monkeypatch.setattr(verify_reduction, "check_reduction_bound", bound)
+    monkeypatch.setattr(verify_reduction, "sample_equivalence", sample)
+    assert verify_reduction.main(["--kmax", "1", "--samples", "50"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "FAIL" in line] == [
+        "FAIL E k=1: forced bound failure",
+        "FAIL equivalence Z k=1: forced scan failure",
+    ]
+    assert any(line.startswith("Z k=  1") and line.endswith("ok") for line in lines)
+    assert "equivalence E k=1: " in lines[-2] and lines[-2].endswith("(ok)")

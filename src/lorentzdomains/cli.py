@@ -1,13 +1,15 @@
 """Command-line interface: build, verify, and inspect fundamental domains.
 
 Exit codes: 0 success, 2 invalid request (a command line the parser
-rejects, a bad series, level, format, word budget, sample count or seed,
-or a `build --out` where the artifacts cannot be written), 1
-failed verification (a stage check fails, faces stay unpaired, the
-reduction inequality or the orbit premise fails, or the sampled
-descriptions disagree).  Errors are reported as a single JSON
-object {"error", "series", "k"} on stdout, with null for a series or level
-that did not parse, so callers never have to parse prose.
+rejects, a bad series, level, format, sample count or seed, a level the
+lift cannot represent in double precision, or a `build --out` where the
+artifacts cannot be written), 1 failed verification (a stage check
+fails, faces stay unpaired, the reduction inequality or the orbit premise
+fails, or the sampled descriptions disagree).  Errors are reported as a
+single JSON object {"error", "series", "k"} on stdout, with null for a
+series or level that did not parse, so callers never have to parse
+prose.  Every command lifts its level (`lift_level`) before any other
+work, and gets the lift's `LevelConfig`.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .cover import lift_level
+from .cover import LevelConfig, lift_level, series_signature
 from .domain import (
     ConstraintSet,
     PairingReport,
@@ -34,7 +36,6 @@ from .reduction import (
     ReductionReport,
     check_reduction_bound,
     sample_equivalence,
-    series_signature,
 )
 
 DEFAULT_FORMATS = "off,obj,json,svg"
@@ -53,7 +54,7 @@ class DomainBuild:
     report: dict
 
 
-def build_domain(series: str, k: int, word_budget: int = 8) -> DomainBuild:
+def build_domain(series: str, k: int) -> DomainBuild:
     """Construct and certify the fundamental polyhedron for one series level.
 
     Raises ValueError for an invalid request (unknown series, level
@@ -62,7 +63,7 @@ def build_domain(series: str, k: int, word_budget: int = 8) -> DomainBuild:
     """
     cs = series_constraints(series, k)
     poly = build_polyhedron(cs, enumerate_vertices(cs))
-    pairings = find_pairings(poly, cs, max_word_len=word_budget)
+    pairings = find_pairings(poly, cs)
     symmetry_angle = detect_symmetry(poly, cs)
     edge_cycles = edge_cycle_check(poly, pairings)
     reduction = check_reduction_bound(series, k)
@@ -84,12 +85,8 @@ def _fail(args, error: str, code: int = 2) -> int:
     return _error(error, args.series, args.k, code)
 
 
-def cmd_info(args) -> int:
-    try:
-        p, q, r = series_signature(args.series, args.k)
-        config = lift_level(p, q, r, args.k)
-    except ValueError as exc:
-        return _fail(args, str(exc))
+def cmd_info(args, config: LevelConfig) -> int:
+    p, q, r = config.signature
     info = {
         "series": args.series,
         "k": args.k,
@@ -107,23 +104,18 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_build(args) -> int:
-    if args.word_budget < 1:
-        return _fail(args, f"--word-budget must be at least 1, got {args.word_budget}")
+def cmd_build(args, config: LevelConfig) -> int:
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     unknown = [fmt for fmt in formats if fmt not in WRITERS]
     if unknown:
         return _fail(args, f"unknown format {unknown[0]!r}")
     out_dir = args.out or os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
     try:
-        lift_level(*series_signature(args.series, args.k), args.k)
         os.makedirs(out_dir, exist_ok=True)
-    except ValueError as exc:
-        return _fail(args, str(exc))
     except OSError as exc:
         return _fail(args, f"cannot write artifacts: {exc}")
     try:
-        build = build_domain(args.series, args.k, word_budget=args.word_budget)
+        build = build_domain(args.series, args.k)
     except ValueError as exc:
         return _fail(args, str(exc))
     except (RuntimeError, ArithmeticError) as exc:
@@ -146,7 +138,7 @@ def cmd_build(args) -> int:
     return 0 if build.reduction.certified and not report["unpaired"] else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, config: LevelConfig) -> int:
     if args.samples < 1:
         return _fail(args, f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
@@ -226,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="construct the domain and write artifacts")
     common(p_build)
-    p_build.add_argument("--word-budget", type=int, default=8)
     p_build.add_argument(
         "--out", default=None,
         help="output directory (default: $LORENTZDOMAINS_OUT or ./artifacts)",
@@ -249,7 +240,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         return _error(str(exc), *_parsed_request(argv))
-    return args.func(args)
+    try:
+        config = lift_level(*series_signature(args.series, args.k), args.k)
+    except ValueError as exc:
+        return _fail(args, str(exc))
+    except ArithmeticError as exc:
+        return _fail(args, f"level k={args.k} cannot be lifted in double precision: {exc}")
+    return args.func(args, config)
 
 
 if __name__ == "__main__":

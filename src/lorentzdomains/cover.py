@@ -166,6 +166,17 @@ class LevelConfig:
     signature: tuple
 
 
+def series_signature(series: str, k: int) -> tuple[int, int, int]:
+    """Triangle signature (p, 3, 3) for series tag 'E' or 'Z' at level k."""
+    if k < 1:
+        raise ValueError(f"level k must be a positive integer, got {k}")
+    if series == "E":
+        return (k + 3, 3, 3)
+    if series == "Z":
+        return (2 * k + 3, 3, 3)
+    raise ValueError(f"unknown series tag {series!r}, expected 'E' or 'Z'")
+
+
 def lift_level(p: int, q: int, r: int, k: int) -> LevelConfig:
     """Solve the central-correction congruences for the level-k lift.
 

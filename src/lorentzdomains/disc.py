@@ -109,6 +109,9 @@ def build_triangle_group(p: int, q: int, r: int) -> TriangleGroupData:
     The triangle has angles pi/p at u = 0, pi/q at v > 0 on the real axis
     and pi/r at w in the upper half disc; the generators are the
     anticlockwise rotations through 2pi/p, 2pi/q, 2pi/r about the vertices.
+    Raises ValueError for a signature that is not hyperbolic, and
+    ArithmeticError when the computed generator product is not +-identity
+    (at large p double precision no longer resolves the triangle).
     """
     if min(p, q, r) < 2:
         raise ValueError("triangle signature entries must be >= 2")
@@ -132,7 +135,7 @@ def build_triangle_group(p: int, q: int, r: int) -> TriangleGroupData:
 
     prod = group_mul(group_mul(gen_u, gen_v), gen_w)
     if abs(prod.z) > 1e-9 or abs(prod.w.imag) > 1e-9 or abs(abs(prod.w.real) - 1) > 1e-9:
-        raise ValueError("generator product is not +-identity; broken convention")
+        raise ArithmeticError("generator product is not +-identity within 1e-9")
 
     sinh_L = math.sinh(L)
     sq = sinh_L * math.sin(aq)

@@ -42,6 +42,7 @@ from .cover import (
     lift_level,
     lifted_generators,
     R_param,
+    series_signature,
 )
 from .disc import (
     GroupElement,
@@ -63,6 +64,11 @@ _SEED_SLACK = 2.0
 _SEED_MEMBERSHIP_TOL = 1e-6
 _SEED_INCIDENCE_TOL = 1e-7
 _STAB_TURN_TOL = 1e-6
+# Most syllables of a pairing certificate, and the depth of its word
+# search.  No certificate at any admissible k <= 50 of either series, or at
+# E80, has more than 4: at 3 some face stays unpaired at each of those
+# levels, and 4 gives the same pairings as 8 bit for bit.
+WORD_BUDGET = 8
 # sector triples per block of the seed pass
 _SEED_BLOCK = 4096
 
@@ -164,8 +170,6 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     wall and its margin pi/2 - |phi_g|.  The check is in closed form, on
     each wall's (z, w, phi) alone.
     """
-    from .reduction import series_signature
-
     p_tri, q, r = series_signature(series, k)
     config = lift_level(p_tri, q, r, k)
     tri = build_triangle_group(p_tri, q, r)
@@ -807,18 +811,19 @@ class _SchreierTree:
     to 6 digits, was not seen before; once 100,000 positions are seen,
     new nodes still count but are not expanded.  The discovery order does
     not depend on any target, so one tree serves every certificate of a
-    `find_pairings` call, and it grows to depth 8 only as far as some
-    target asks.
+    `find_pairings` call, and it grows to depth WORD_BUDGET only as far as
+    some target asks (no certificate path is longer than 4 syllables at the
+    levels measured, see WORD_BUDGET): a longer path would fail the
+    certificate's syllable count anyway.
     """
 
-    def __init__(self, tri: TriangleGroupData, depth: int = 8):
+    def __init__(self, tri: TriangleGroupData):
         self.moves = []
         for letter, gen, order in (("u", tri.gen_u, tri.p), ("v", tri.gen_v, tri.q)):
             acc = GroupElement(0j, 1.0 + 0j)
             for t in range(1, order):
                 acc = group_mul(acc, gen)  # gen^t
                 self.moves.append((letter, t if 2 * t <= order else t - order, acc))
-        self.depth = depth
         self.frontier = [(0j, ())]
         self.seen = {(0.0, 0.0)}
         self.levels = []  # per level: (positions, paths) in discovery order
@@ -846,10 +851,10 @@ class _SchreierTree:
         """Generator word carrying the base point to `target` in the disc:
         the path of the earliest-discovered node within 1e-7 of it, as a
         syllable list in product order, [] at the base point, or None when
-        no node within the depth bound is that close."""
+        no node within WORD_BUDGET syllables is that close."""
         if abs(target) < 1e-7:
             return []
-        for level in range(self.depth):
+        for level in range(WORD_BUDGET):
             if level == len(self.levels):
                 self._grow()
             positions, paths = self.levels[level]
@@ -862,7 +867,7 @@ class _SchreierTree:
 
 
 def _gamma1_certificate(
-    g1: CoverElement, cs: ConstraintSet, power, tail, budget: int, syllables_to
+    g1: CoverElement, cs: ConstraintSet, power, tail, syllables_to
 ):
     """Express g1 as a word in the acting group's generators, or None.
 
@@ -871,8 +876,9 @@ def _gamma1_certificate(
     `_SchreierTree.syllables`, and `power(letter, n)` is the n-th power of
     the lifted generator `letter`); the residue must be a power of the
     lifted stabilizer generator D^3 times a central element C^(k j), and
-    `tail(t, j)` is D^(3 t) C^(k j).  Syllable count (each generator power
-    is one syllable) must fit the budget.
+    `tail(t, j)` is D^(3 t) C^(k j).  The syllable count (each generator
+    power is one syllable) must be at most WORD_BUDGET; the longest
+    certificate at the levels measured has 4 (see WORD_BUDGET).
     """
     p_tri = cs.tri.p
     k = cs.k
@@ -902,7 +908,7 @@ def _gamma1_certificate(
     ) > 1e-6:
         return None
     count = len(syllables) + (1 if t else 0) + (1 if j else 0)
-    if count > budget:
+    if count > WORD_BUDGET:
         return None
     parts = [f"{letter}^{n}" if n != 1 else letter for letter, n in syllables]
     if t:
@@ -1077,7 +1083,7 @@ def _check_inverses(poly: Polyhedron, inverses: list, vertex_order):
             raise RuntimeError("pairing inverse does not invert the vertex map")
 
 
-def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
+def find_pairings(poly: Polyhedron, cs: ConstraintSet):
     """Discover the side-face identifications of the domain.
 
     Every side face lies on a wall of the prism over one orbit point; the
@@ -1089,11 +1095,11 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
     |t| <= 2 p_lcm, u over the powers h^u, |u| <= 4); one is accepted when
     the chart image of the face's vertex loop is another face's loop
     (bijectively, respecting the cycle) and the left factor admits a word
-    certificate in the acting group within the syllable budget.  The
-    partner face is then assigned the inverse map, provided the inverse's
-    left factor has a word certificate within the budget too; otherwise
-    neither face is paired.  Faces left unpaired are reported, never
-    silently dropped.
+    certificate in the acting group of at most WORD_BUDGET syllables (4 at
+    most at the levels measured).  The partner face is then assigned the
+    inverse map, provided the inverse's left factor has such a certificate
+    too; otherwise neither face is paired.  Faces left unpaired are
+    reported, never silently dropped.
 
     The scan runs in arrays, all faces at once:
     - the quick check (`_window_rows`) maps each face's first vertex under
@@ -1202,7 +1208,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
             if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                 continue
             g1 = left(i)
-            cert = _gamma1_certificate(g1, cs, power, tail, max_word_len, tree.syllables)
+            cert = _gamma1_certificate(g1, cs, power, tail, tree.syllables)
             if cert is None:
                 continue
             found = (fj, g1, h_powers[u[i]], h_inverses[u[i]], vmap, cert)
@@ -1214,11 +1220,9 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet, max_word_len: int = 8):
             g1_inv = cover_inv(g1)
             rmap = {b: a for a, b in vmap.items()}
             inverses.append((fj, g1_inv, g2, rmap))
-            cert_back = _gamma1_certificate(
-                g1_inv, cs, power, tail, max_word_len, tree.syllables
-            )
+            cert_back = _gamma1_certificate(g1_inv, cs, power, tail, tree.syllables)
             if cert_back is None:
-                # no word for the inverse within the budget: both faces
+                # no word for the inverse within WORD_BUDGET: both faces
                 # stay unpaired and are reported as such
                 continue
             paired[fj] = Pairing(

@@ -21,6 +21,7 @@ from .cover import (
     cover_pow,
     lift_level,
     lifted_generators,
+    series_signature,
 )
 from .disc import (
     TriangleGroupData,
@@ -36,17 +37,6 @@ TIGHT_MARGIN = 1e-6
 PREMISE_SLACK = 1e-9
 CORONA_MATCH_TOL = 1e-7
 BOUNDARY_BAND = 1e-6
-
-
-def series_signature(series: str, k: int) -> tuple[int, int, int]:
-    """Triangle signature (p, 3, 3) for series tag 'E' or 'Z' at level k."""
-    if k < 1:
-        raise ValueError(f"level k must be a positive integer, got {k}")
-    if series == "E":
-        return (k + 3, 3, 3)
-    if series == "Z":
-        return (2 * k + 3, 3, 3)
-    raise ValueError(f"unknown series tag {series!r}, expected 'E' or 'Z'")
 
 
 def ell(t: float, sign: int, group: TriangleGroupData) -> float:
@@ -96,20 +86,16 @@ class ReductionReport:
     p_tri: int
     p_lcm: int
     tanh_L: float
-    orbit_premise_ok: Optional[bool] = None
+    orbit_premise_ok: bool
     extended_precision: bool = False
 
     @property
     def certified(self) -> bool:
-        """The inequality holds and the orbit premise was checked and holds."""
-        return self.holds and self.orbit_premise_ok is True
+        """The inequality and the orbit premise both hold."""
+        return self.holds and self.orbit_premise_ok
 
 
-def check_reduction_bound(
-    series: str,
-    k: int,
-    verify_orbit_premise: bool = True,
-) -> ReductionReport:
+def check_reduction_bound(series: str, k: int) -> ReductionReport:
     """Evaluate the reduction inequality ell^-(sec(pi k/2p_lcm)) <= (1-sqrt(1-R^2))/R.
 
     R is the second-shell radius in its closed form; the inequality is
@@ -117,11 +103,11 @@ def check_reduction_bound(
     FORM_AGREEMENT_TOL, and is re-derived with mpmath at 50 digits whenever
     the margin is tighter than TIGHT_MARGIN.  The shell premise (no orbit
     point other than the base point and its corona lies inside radius R) is
-    checked by enumeration unless verify_orbit_premise is False.  The walk
-    is `orbit(tri, R)`: only a point with |x| < R - PREMISE_SLACK can fail
-    the premise, and `orbit` explores a hyperbolic padding `_ORBIT_PAD`
-    beyond its radius, so a breadth-first path to such a point may leave
-    the ball of radius R and come back.
+    always walked, by enumeration.  The walk is `orbit(tri, R)`: only a
+    point with |x| < R - PREMISE_SLACK can fail the premise, and `orbit`
+    explores a hyperbolic padding `_ORBIT_PAD` beyond its radius, so a
+    breadth-first path to such a point may leave the ball of radius R and
+    come back.
     """
     p_tri, q, r = series_signature(series, k)
     config = lift_level(p_tri, q, r, k)
@@ -159,13 +145,10 @@ def check_reduction_bound(
 
     holds = ell_route <= rhs_route and ell_route <= 1.0
 
-    premise_ok = None
-    if verify_orbit_premise:
-        pts = np.array(orbit(tri, R))
-        gap = np.abs(pts[:, None] - np.array(edge_corona(tri))).min(axis=1)
-        r = np.abs(pts)
-        fails = (r >= 1e-9) & (gap >= CORONA_MATCH_TOL) & (r < R - PREMISE_SLACK)
-        premise_ok = not fails.any()
+    pts = np.array(orbit(tri, R))
+    gap = np.abs(pts[:, None] - np.array(edge_corona(tri))).min(axis=1)
+    r = np.abs(pts)
+    fails = (r >= 1e-9) & (gap >= CORONA_MATCH_TOL) & (r < R - PREMISE_SLACK)
 
     return ReductionReport(
         series=series,
@@ -179,7 +162,7 @@ def check_reduction_bound(
         p_tri=p_tri,
         p_lcm=config.p_lcm,
         tanh_L=tanh_L,
-        orbit_premise_ok=premise_ok,
+        orbit_premise_ok=not fails.any(),
         extended_precision=extended,
     )
 
@@ -465,14 +448,11 @@ def sample_equivalence(
     certifies.  Points within BOUNDARY_BAND of a slab wall or of a prism
     wall are excluded (see `_description_masks`); off the boundary the two
     membership predicates must agree point for point, and the returned
-    statistics record how often they do.
+    statistics record how often they do.  Sampling derives no reduction
+    bound: a caller reads the inequality and the orbit premise from
+    `check_reduction_bound`, and a sample at a level where they fail
+    certifies nothing.
     """
-    report = check_reduction_bound(series, k, verify_orbit_premise=False)
-    if not report.holds:
-        raise ArithmeticError(
-            f"reduction bound fails for {series}, k={k}; sampling is meaningless"
-        )
-
     cons = series_constraints(series, k)
     in_linear, in_prism_complement, near_boundary = _description_masks(
         cons, _slab_samples(cons.config, n_samples, seed)

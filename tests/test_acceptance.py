@@ -254,7 +254,7 @@ def test_criterion_7_pairing_scheme(built_cases):
     ok = True
     detail = []
     for (series, k), (cs, poly) in built_cases.items():
-        rep = find_pairings(poly, cs, max_word_len=8)
+        rep = find_pairings(poly, cs)
         partner = rep.partner_of()
         ok = ok and rep.unpaired == ()
         side = [i for i, f in enumerate(poly.faces) if not f.is_slab]

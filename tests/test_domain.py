@@ -1034,7 +1034,7 @@ def _fresh_powers(cs):
     return power, tail
 
 
-def _reference_pairings(poly, cs, max_word_len=8):
+def _reference_pairings(poly, cs):
     power, tail = _fresh_powers(cs)
     search = functools.partial(_reference_schreier_syllables, cs.tri)
     h_gen = cover_pow(cs.D, cs.tri.p)
@@ -1074,7 +1074,7 @@ def _reference_pairings(poly, cs, max_word_len=8):
                     continue
                 if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                     continue
-                cert = _gamma1_certificate(g1, cs, power, tail, max_word_len, search)
+                cert = _gamma1_certificate(g1, cs, power, tail, search)
                 if cert is None:
                     continue
                 found = (fj, g1, g2, vmap, cert)
@@ -1092,9 +1092,7 @@ def _reference_pairings(poly, cs, max_word_len=8):
             assert _match_vertices(back, poly.vertices) == [
                 rmap[v] for v in poly.faces[fj].loop
             ]
-            cert_back = _gamma1_certificate(
-                g1_inv, cs, power, tail, max_word_len, search
-            )
+            cert_back = _gamma1_certificate(g1_inv, cs, power, tail, search)
             if cert_back is None:
                 continue
             paired[fj] = Pairing(
@@ -1107,7 +1105,7 @@ def _reference_pairings(poly, cs, max_word_len=8):
     return PairingReport(tuple(paired[i] for i in sorted(paired)), unpaired)
 
 
-def _per_face_pairings(poly, cs, max_word_len=8):
+def _per_face_pairings(poly, cs):
     """The pairing scan as it ran before it was batched over faces: per
     face, a quick check of the first vertex over the full (t, u) grid, one
     loop check per survivor and the inverse check inside the walk, with
@@ -1169,7 +1167,7 @@ def _per_face_pairings(poly, cs, max_word_len=8):
                 continue
             if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                 continue
-            cert = _gamma1_certificate(g1, cs, power, tail, max_word_len, tree.syllables)
+            cert = _gamma1_certificate(g1, cs, power, tail, tree.syllables)
             if cert is None:
                 continue
             found = (fj, g1, g2, g2_inv, vmap, cert)
@@ -1191,9 +1189,7 @@ def _per_face_pairings(poly, cs, max_word_len=8):
             )
             if any(rmap[v] != m for v, m in zip(loop_j, back_match.tolist())):
                 raise RuntimeError("pairing inverse does not invert the vertex map")
-            cert_back = _gamma1_certificate(
-                g1_inv, cs, power, tail, max_word_len, tree.syllables
-            )
+            cert_back = _gamma1_certificate(g1_inv, cs, power, tail, tree.syllables)
             if cert_back is None:
                 continue
             paired[fj] = Pairing(
@@ -1270,10 +1266,13 @@ def _polyhedron(series, k):
 @pytest.mark.parametrize(
     "series,k,budget", [(s, k, 8) for s, k in ORACLE_LEVELS] + [("E", 1, 1)]
 )
-def test_find_pairings_matches_reference_scan(series, k, budget):
+def test_find_pairings_matches_reference_scan(series, k, budget, monkeypatch):
+    """The reference's word search always walks to depth 8: at budget 1 a
+    longer path fails the syllable count, so the outcome is the same."""
+    monkeypatch.setattr(domain, "WORD_BUDGET", budget)
     cs, poly = _polyhedron(series, k)
-    got = find_pairings(poly, cs, max_word_len=budget)
-    ref = _reference_pairings(poly, cs, max_word_len=budget)
+    got = find_pairings(poly, cs)
+    ref = _reference_pairings(poly, cs)
     assert got == ref
     assert _report_bits(got) == _report_bits(ref)
     if budget == 1:
@@ -1287,11 +1286,26 @@ def test_find_pairings_matches_reference_scan(series, k, budget):
     [(s, k, 8) for s, k in ORACLE_LEVELS + [("Z", 14), ("E", 40), ("Z", 50)]]
     + [("E", 1, 1)],
 )
-def test_find_pairings_matches_the_per_face_scan(series, k, budget):
+def test_find_pairings_matches_the_per_face_scan(series, k, budget, monkeypatch):
+    monkeypatch.setattr(domain, "WORD_BUDGET", budget)
     cs, poly = _polyhedron(series, k)
-    got = find_pairings(poly, cs, max_word_len=budget)
-    assert _report_bits(got) == _report_bits(_per_face_pairings(poly, cs, budget))
+    got = find_pairings(poly, cs)
+    assert _report_bits(got) == _report_bits(_per_face_pairings(poly, cs))
     assert bool(got.unpaired) == (budget == 1)
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS)
+def test_word_budget_four_pairs_as_the_default(series, k, monkeypatch):
+    """No certificate at the oracle levels has more than 4 syllables: a
+    budget of 4 gives the default's report bit for bit, and 3 leaves some
+    face unpaired."""
+    assert domain.WORD_BUDGET == 8
+    cs, poly = _polyhedron(series, k)
+    default = find_pairings(poly, cs)
+    monkeypatch.setattr(domain, "WORD_BUDGET", 4)
+    assert _report_bits(find_pairings(poly, cs)) == _report_bits(default)
+    monkeypatch.setattr(domain, "WORD_BUDGET", 3)
+    assert find_pairings(poly, cs).unpaired
 
 
 def _window_inputs(cs, poly):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentzdomains import cli, domain
+from lorentzdomains import cli, domain, reduction
 from lorentzdomains.cli import main
 from lorentzdomains.domain import (
     Face,
@@ -322,14 +322,10 @@ def test_cli_build_with_no_vertices_is_a_failed_stage(tmp_path, capsys, monkeypa
     assert os.listdir(tmp_path) == []
 
 
-def test_cli_build_low_word_budget_reports_unpaired(tmp_path, capsys):
+def test_cli_build_low_word_budget_reports_unpaired(tmp_path, capsys, monkeypatch):
     """Pairings whose words exceed the budget leave faces unpaired, not a crash."""
-    code = main(
-        [
-            "build", "--series", "E", "--k", "1", "--word-budget", "1",
-            "--out", str(tmp_path),
-        ]
-    )
+    monkeypatch.setattr(domain, "WORD_BUDGET", 1)
+    code = main(["build", "--series", "E", "--k", "1", "--out", str(tmp_path)])
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["counts"]["faces"] == 18
@@ -404,13 +400,38 @@ def test_cli_build_fails_on_failed_certificate(tmp_path, capsys, monkeypatch, fi
 
 @pytest.mark.parametrize("field", ["holds", "orbit_premise_ok"])
 def test_cli_verify_fails_on_failed_certificate(capsys, monkeypatch, field):
-    """A failed reduction or orbit premise exits 1 after the usual report."""
+    """A failed reduction or orbit premise exits 1 after the usual report;
+    the bound is derived once, and sampling derives none of its own."""
     _fail_certificate(monkeypatch, field)
+
+    def no_bound(*args, **kwargs):
+        raise AssertionError("sampling may not derive a bound")
+
+    monkeypatch.setattr(reduction, "check_reduction_bound", no_bound)
     code = main(["verify", "--series", "E", "--k", "1", "--samples", "500"])
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["reduction"][field] is False
     assert out["equivalence"]["agreement"] == 1.0
+
+
+@pytest.mark.parametrize("series,k", [("E", 3716), ("Z", 2651), ("E", 1_000_000_001)])
+@pytest.mark.parametrize("command", ["info", "build", "verify"])
+def test_cli_rejects_a_level_the_lift_cannot_represent(tmp_path, capsys, command, series, k):
+    """A level whose lift fails in double precision is an invalid request:
+    exit 2, one JSON error naming the series and the level, nothing on
+    stderr and nothing written.  The three levels fail in the triangle's
+    generator check, the centrality check of the defect and a division."""
+    argv = [command, "--series", series, "--k", str(k)]
+    if command == "build":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert set(out) == {"error", "series", "k"} and (out["series"], out["k"]) == (series, k)
+    assert out["error"].startswith(f"level k={k} cannot be lifted in double precision: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_verify_rejects_a_negative_seed(capsys, monkeypatch):
@@ -449,20 +470,6 @@ def test_cli_parser_errors_are_json(capsys):
         assert (out["series"], out["k"]) == (series, k), argv
 
 
-def test_cli_build_rejects_word_budget_below_one(tmp_path, capsys, monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("nothing may be built")
-
-    monkeypatch.setattr(cli, "build_domain", no_build)
-    for budget in ("0", "-3"):
-        argv = ["build", "--series", "E", "--k", "1", "--word-budget", budget,
-                "--out", str(tmp_path)]
-        assert main(argv) == 2
-        out = json.loads(capsys.readouterr().out)
-        assert "--word-budget" in out["error"] and (out["series"], out["k"]) == ("E", 1)
-    assert os.listdir(tmp_path) == []
-
-
 def _flag(name, good, bad):
     """`name value` with a good value about two times in three; otherwise a
     bad value, the flag without a value, or no flag at all (None)."""
@@ -477,7 +484,6 @@ _COMMANDS = {
     "info": [_SERIES, _LEVEL | st.integers(-2, 40).map(lambda k: ["--k", str(k)])],
     "build": [
         _SERIES, _LEVEL,
-        _flag("--word-budget", ["1", "8"], ["0", "-2", "x"]),
         _flag("--formats", ["json"], ["off,xyz", ""]).filter(bool),
     ],
     "verify": [

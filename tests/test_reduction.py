@@ -150,8 +150,8 @@ def test_inadmissible_level_rejected():
 def test_margins_positive_all_admissible():
     for series in ("E", "Z"):
         for k in ADMISSIBLE:
-            rep = check_reduction_bound(series, k, verify_orbit_premise=False)
-            assert rep.holds, (series, k)
+            rep = check_reduction_bound(series, k)
+            assert rep.holds and rep.orbit_premise_ok is True, (series, k)
             assert rep.margin > 0.0, (series, k)
             assert rep.ell_minus_at_sec <= 1.0, (series, k)
             assert rep.R >= rep.tanh_L, (series, k)

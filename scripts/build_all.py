@@ -9,8 +9,9 @@ stage check, whose artifacts cannot be written under --out, that leaves
 faces unpaired, or whose reduction inequality or orbit premise fails (its
 artifacts are still written), and a totals line at the end.  Exit codes:
 0 when every level built and certified, 1 when some level failed, 2 for
-an unknown format, a --kmax below 1 or an --out that is not and cannot be
-made a directory (all checked before anything is built).
+an empty --formats list or an unknown format, a --kmax below 1 or an
+--out that is not and cannot be made a directory (all checked before
+anything is built).
 """
 
 import argparse
@@ -19,7 +20,7 @@ import sys
 import time
 
 from lorentzdomains.cli import build_domain
-from lorentzdomains.export import WRITERS, write_artifacts
+from lorentzdomains.export import WRITERS, parse_formats, write_artifacts
 
 
 def main(argv=None) -> int:
@@ -31,10 +32,10 @@ def main(argv=None) -> int:
     if args.kmax < 1:
         print("--kmax must be at least 1")
         return 2
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    unknown = [fmt for fmt in formats if fmt not in WRITERS]
-    if unknown:
-        print(f"unknown format {unknown[0]!r}; known: {', '.join(sorted(WRITERS))}")
+    try:
+        formats = parse_formats(args.formats)
+    except ValueError as exc:
+        print(f"{exc}; known: {', '.join(sorted(WRITERS))}")
         return 2
     try:
         os.makedirs(args.out, exist_ok=True)

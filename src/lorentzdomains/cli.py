@@ -1,7 +1,7 @@
 """Command-line interface: build, verify, and inspect fundamental domains.
 
 Exit codes: 0 success, 2 invalid request (a command line the parser
-rejects, a bad series, level, format, sample count or seed, a level the
+rejects, a bad series, level, format list, sample count or seed, a level the
 lift cannot represent in double precision, or a `build --out` where the
 artifacts cannot be written), 1 failed verification (a stage check
 fails, faces stay unpaired, the reduction inequality or the orbit premise
@@ -31,7 +31,7 @@ from .domain import (
     find_pairings,
     series_constraints,
 )
-from .export import WRITERS, report_dict, singularity_label, write_artifacts
+from .export import parse_formats, report_dict, singularity_label, write_artifacts
 from .reduction import (
     ReductionReport,
     check_reduction_bound,
@@ -105,21 +105,13 @@ def cmd_info(args, config: LevelConfig) -> int:
 
 
 def cmd_build(args, config: LevelConfig) -> int:
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    unknown = [fmt for fmt in formats if fmt not in WRITERS]
-    if unknown:
-        return _fail(args, f"unknown format {unknown[0]!r}")
+    formats = parse_formats(args.formats)
     out_dir = args.out or os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         return _fail(args, f"cannot write artifacts: {exc}")
-    try:
-        build = build_domain(args.series, args.k)
-    except ValueError as exc:
-        return _fail(args, str(exc))
-    except (RuntimeError, ArithmeticError) as exc:
-        return _fail(args, str(exc), code=1)
+    build = build_domain(args.series, args.k)
     report = build.report
     try:
         written = write_artifacts(out_dir, args.series, args.k, build.poly, report, formats)
@@ -143,15 +135,10 @@ def cmd_verify(args, config: LevelConfig) -> int:
         return _fail(args, f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         return _fail(args, f"--seed must be at least 0, got {args.seed}")
-    try:
-        reduction = check_reduction_bound(args.series, args.k)
-        stats = sample_equivalence(
-            args.series, args.k, n_samples=args.samples, seed=args.seed
-        )
-    except ValueError as exc:
-        return _fail(args, str(exc))
-    except (RuntimeError, ArithmeticError) as exc:
-        return _fail(args, str(exc), code=1)
+    reduction = check_reduction_bound(args.series, args.k)
+    stats = sample_equivalence(
+        args.series, args.k, n_samples=args.samples, seed=args.seed
+    )
     result = {
         "series": args.series,
         "k": args.k,
@@ -246,7 +233,13 @@ def main(argv=None) -> int:
         return _fail(args, str(exc))
     except ArithmeticError as exc:
         return _fail(args, f"level k={args.k} cannot be lifted in double precision: {exc}")
-    return args.func(args, config)
+    # a bad request raises ValueError, a failed stage check the other two
+    try:
+        return args.func(args, config)
+    except ValueError as exc:
+        return _fail(args, str(exc))
+    except (RuntimeError, ArithmeticError) as exc:
+        return _fail(args, str(exc), code=1)
 
 
 if __name__ == "__main__":

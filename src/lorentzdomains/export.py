@@ -204,6 +204,18 @@ WRITERS = {
 }
 
 
+def parse_formats(text: str) -> tuple:
+    """The formats of a comma-separated list such as "off,json", blank
+    entries dropped.  An empty list or an unknown format raises ValueError."""
+    formats = tuple(f.strip() for f in text.split(",") if f.strip())
+    if not formats:
+        raise ValueError(f"no artifact format in {text!r}")
+    unknown = [fmt for fmt in formats if fmt not in WRITERS]
+    if unknown:
+        raise ValueError(f"unknown format {unknown[0]!r}")
+    return formats
+
+
 def write_artifacts(out_dir, series, k, poly, report, formats=("off", "obj", "json", "svg")):
     """Write the requested artifact files; returns {format: path}.  An
     unknown format raises ValueError before any file is written."""

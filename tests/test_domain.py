@@ -29,7 +29,6 @@ from lorentzdomains.domain import (
     MEMBERSHIP_TOL,
     PLANE_INCIDENCE_TOL,
     PAIRING_MATCH_TOL,
-    PAIRING_QUICK_TOL,
     VERTEX_MERGE_TOL,
     AffineFunctional,
     Pairing,
@@ -43,6 +42,7 @@ from lorentzdomains.domain import (
     _cyclic_adjacent,
     _gamma1_certificate,
     _in_slab_cone,
+    _loop_images,
     _merge_vertices,
     _nearest_vertices,
     _newell_normal,
@@ -944,6 +944,11 @@ def test_condition_number_bounded_by_determinant(entries):
 # fresh breadth-first search; the table-driven scan with its broadcast
 # chart map and shared Schreier tree must reproduce its report
 
+# the first-vertex prefilter of the oracle scans below: the tolerance the
+# package's quick check used before both of its checks matched at
+# PAIRING_MATCH_TOL, kept so that the oracles scan exactly as they did
+_ORACLE_QUICK_TOL = 1e-6
+
 
 def _reference_schreier_syllables(tri, target, depth=8):
     """The word search as it ran once per certificate before the tree was
@@ -1141,7 +1146,7 @@ def _per_face_pairings(poly, cs):
             (phi_t + w_inv.phi)[:, None], w_u, phi_u, verts_i[0],
         )
         near = _nearest_vertices(
-            quick, poly.vertices, PAIRING_QUICK_TOL, vertex_order
+            quick, poly.vertices, _ORACLE_QUICK_TOL, vertex_order
         ) >= 0
         found = None
         for ti, ui in np.argwhere(quick_on)[near].tolist():
@@ -1232,11 +1237,11 @@ def _match_vertices(image, vertices):
     return mapping
 
 
-def _scalar_quick_check(g1, g2_inv, vertex, vertices):
+def _scalar_quick_check(g1, g2_inv, vertex, vertices, tol=_ORACLE_QUICK_TOL):
     quick = _chart_image(g1, g2_inv, vertex[None, :])
     if quick is None:
         return False
-    return np.min(np.linalg.norm(vertices - quick[0], axis=1)) <= PAIRING_QUICK_TOL
+    return np.min(np.linalg.norm(vertices - quick[0], axis=1)) <= tol
 
 
 def _element_bits(g):
@@ -1320,11 +1325,12 @@ def _window_inputs(cs, poly):
 
 @pytest.mark.parametrize("series,k", [("E", 2), ("Z", 4)])
 def test_quick_survivors_keep_every_scalar_survivor(series, k):
-    """The windowed prefilter never drops a candidate the scalar check keeps."""
+    """The windowed prefilter never drops a candidate the scalar check
+    keeps, both at PAIRING_MATCH_TOL."""
     cs, poly = _polyhedron(series, k)
     w_inv, h_inverses, t_range = _window_inputs(cs, poly)
     face, t, u, on_sheet, image = _window_rows(poly, cs, w_inv, h_inverses)
-    near = _nearest_vertices(image, poly.vertices, PAIRING_QUICK_TOL) >= 0
+    near = _nearest_vertices(image, poly.vertices, PAIRING_MATCH_TOL) >= 0
     kept = set(zip(*(a[on_sheet][near].tolist() for a in (face, t, u))))
     n_scalar = 0
     for fi, face_i in enumerate(poly.faces):
@@ -1332,7 +1338,9 @@ def test_quick_survivors_keep_every_scalar_survivor(series, k):
         for tt in t_range:
             g1 = cover_mul(cover_pow(cs.D, tt), w_inv[fi])
             for uu, g2_inv in h_inverses.items():
-                if _scalar_quick_check(g1, g2_inv, vertex, poly.vertices):
+                if _scalar_quick_check(
+                    g1, g2_inv, vertex, poly.vertices, PAIRING_MATCH_TOL
+                ):
                     assert (fi, tt, uu) in kept, (face_i.label, tt, uu)
                     n_scalar += 1
     # every face has a partner, and the prefilter drops most candidates
@@ -1345,9 +1353,8 @@ def test_sheet_windows_hold_every_on_sheet_candidate(series, k):
     """Every (face, t, u) whose scalar first-vertex image has |phi| < pi/2 -
     1e-3 is a row of its window, and on the sheet there; the rows come in
     (face, t, u) order, once each; and each on-sheet row's image is the
-    scalar `_chart_image` up to a gap far below PAIRING_QUICK_TOL -
-    PAIRING_MATCH_TOL, the margin the quick check needs (largest gap
-    measured: 2.8e-12, Z7)."""
+    scalar `_chart_image` up to a gap far below PAIRING_MATCH_TOL (largest
+    gap measured: 2.8e-12, Z7)."""
     cs, poly = _polyhedron(series, k)
     w_inv, h_inverses, t_range = _window_inputs(cs, poly)
     face, t, u, on_sheet, image = _window_rows(poly, cs, w_inv, h_inverses)
@@ -1374,7 +1381,67 @@ def test_sheet_windows_hold_every_on_sheet_candidate(series, k):
         ref = _chart_image(g1, h_inverses[uu], poly.vertices[[poly.faces[fi].loop[0]]])
         if ref is not None:
             gap = max(gap, float(np.linalg.norm(ref[0] - row)))
-    assert gap < (PAIRING_QUICK_TOL - PAIRING_MATCH_TOL) / 100
+    assert gap < PAIRING_MATCH_TOL / 100
+
+
+def _survivors(cs, poly):
+    """The inputs of `_window_rows`, the first-vertex images of its
+    on-sheet rows, and the quick check's survivors as `find_pairings`
+    keeps them: the rows whose image lies within PAIRING_MATCH_TOL of a
+    vertex, as arrays face, t, u."""
+    w_inv, h_inverses, _ = _window_inputs(cs, poly)
+    face, t, u, on_sheet, quick = _window_rows(poly, cs, w_inv, h_inverses)
+    near = _nearest_vertices(quick, poly.vertices, PAIRING_MATCH_TOL) >= 0
+    keep = np.flatnonzero(on_sheet)[near]
+    return w_inv, h_inverses, quick, face[keep], t[keep], u[keep]
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 14), ("E", 40)])
+def test_pairing_images_lie_on_a_vertex_or_far_from_every_vertex(series, k):
+    """PAIRING_MATCH_TOL = 1e-7 lies between two populations: every
+    on-sheet window row's first-vertex image, and every survivor's loop
+    image, lies within 1e-12 of its nearest vertex or more than 1e-3 from
+    every vertex.  Measured at every admissible k <= 50 of both series and
+    at E80: at most 1.45e-13, and at least 6.55e-3 (first vertices, Z50)
+    and 0.227 (loops, Z1)."""
+    cs, poly = _polyhedron(series, k)
+    w_inv, h_inverses, quick, face, t, u = _survivors(cs, poly)
+    _, loops, _ = _loop_images(poly, cs, w_inv, h_inverses, face, t, u)
+    for image in (quick, loops):
+        near = _nearest_vertices(image, poly.vertices, 1e-3)
+        hit = near >= 0
+        assert hit.sum() >= len(poly.faces)
+        assert np.linalg.norm(image[hit] - poly.vertices[near[hit]], axis=1).max() <= 1e-12
+    assert (_nearest_vertices(quick, poly.vertices, 1e-3) < 0).any()
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 14), ("E", 40)])
+def test_loop_check_matches_a_scalar_map_per_survivor(series, k):
+    """The array loop check against one scalar `_chart_images` call per
+    survivor, under its left factor cover_mul(cover_pow(D, t), w^-1): the
+    same loops, on-sheet verdicts and matches, and the same images up to
+    rounding (1.96e-11 at most, measured at every admissible k <= 50 of
+    both series and at E80)."""
+    cs, poly = _polyhedron(series, k)
+    w_inv, h_inverses, _, face, t, u = _survivors(cs, poly)
+    on_sheet, image, first = _loop_images(poly, cs, w_inv, h_inverses, face, t, u)
+    loops = [list(poly.faces[fi].loop) for fi in face.tolist()]
+    assert np.array_equal(np.diff(first), [len(loop) for loop in loops])
+    ref_on, ref_image = [], []
+    for loop, tt, uu, fi in zip(loops, t.tolist(), u.tolist(), face.tolist()):
+        g1 = cover_mul(cover_pow(cs.D, tt), w_inv[fi])
+        g2_inv = h_inverses[uu]
+        on, img = _chart_images(
+            g1.z, g1.w, g1.phi, g2_inv.w, g2_inv.phi, poly.vertices[loop]
+        )
+        ref_on.append(on)
+        ref_image.append(img)
+    ref_on, ref_image = np.concatenate(ref_on), np.concatenate(ref_image)
+    assert np.array_equal(on_sheet, ref_on)
+    assert np.abs(image - ref_image).max() <= PAIRING_MATCH_TOL / 100
+    match = _nearest_vertices(image, poly.vertices, PAIRING_MATCH_TOL)
+    assert np.array_equal(match, _nearest_vertices(ref_image, poly.vertices, PAIRING_MATCH_TOL))
+    assert (match >= 0).sum() >= sum(len(f.loop) for f in poly.faces)
 
 
 def _turned_inverse_check(monkeypatch, turns):

@@ -353,6 +353,25 @@ def test_cli_build_rejects_unknown_format_before_building(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("formats", ["", ","])
+def test_cli_build_rejects_an_empty_format_list_before_building(
+    tmp_path, capsys, monkeypatch, formats
+):
+    """A --formats list with no format would build for no artifact: it is
+    a bad request, answered before anything is built or written."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(cli, "build_domain", no_build)
+    out_dir = tmp_path / "out"
+    argv = ["build", "--series", "E", "--k", "1", "--out", str(out_dir), "--formats", formats]
+    assert main(argv) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": f"no artifact format in {formats!r}", "series": "E", "k": 1}
+    assert not out_dir.exists()
+
+
 def test_cli_verify_needs_evidence(capsys, monkeypatch):
     """No samples is a bad request, and zero evaluated points never pass."""
     code = main(["verify", "--series", "E", "--k", "1", "--samples", "0"])

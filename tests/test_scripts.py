@@ -169,6 +169,19 @@ def test_build_all_rejects_unknown_format_before_building(tmp_path, capsys):
     assert os.listdir(out_dir) == []
 
 
+def test_build_all_rejects_an_empty_format_list_before_building(
+    tmp_path, monkeypatch, capsys
+):
+    build_all = _load("build_all")
+    monkeypatch.setattr(build_all, "build_domain", _no_work)
+    out_dir = tmp_path / "all"
+    for formats in ("", ","):
+        code = build_all.main(["--kmax", "1", "--out", str(out_dir), "--formats", formats])
+        assert code == 2
+        assert capsys.readouterr().out.startswith(f"no artifact format in {formats!r}; known: ")
+        assert not out_dir.exists()
+
+
 def test_build_all_reports_failed_level_and_goes_on(tmp_path, monkeypatch, capsys):
     build_all = _load("build_all")
     real = build_all.build_domain

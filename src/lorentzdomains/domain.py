@@ -24,13 +24,14 @@ group.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .cover import (
+    CENTRAL_Z_TOL,
     COVER_IDENTITY,
     CoverElement,
     as_central_power,
@@ -296,17 +297,6 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     return out, act
 
 
-def _undecided(cs: ConstraintSet, pts: np.ndarray, tol: float, n_terms: int):
-    """Indices of the chart points that the cone test and the first n_terms
-    membership terms of `_wall_pass` at tol leave undecided: in the cone,
-    and held by every one of those terms.  The decided points are dropped
-    after every term, so each term runs on the undecided ones only."""
-    live = np.flatnonzero(_in_slab_cone(pts))
-    for _, members in _terms(cs)[:n_terms]:
-        live = live[_term_verdicts(members, pts[live], tol)[0]]
-    return live
-
-
 def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
     """Exact sheet-aware membership of chart points in the domain, read
     from the chart functionals alone.
@@ -509,13 +499,14 @@ def _seed_triples(cs: ConstraintSet, normals, offsets) -> np.ndarray:
     """The seeds of `enumerate_vertices`: the sector triples that pass
     every filter at its seed setting, in lexicographic order, from the
     sector in blocks of _SEED_BLOCK triples."""
-    n_terms = len(cs.slab) + 1
+    # the first terms `_wall_pass` runs: the slab pair and union group 0
+    lead = replace(cs, groups=cs.groups[:1])
     kept_triples, kept_points = [], []
     for block in _sector_blocks(len(cs.groups[0]), len(normals), _SEED_BLOCK):
         triples, pts = _solve_triples(normals, offsets, block, _SEED_SLACK)
-        undecided = _undecided(cs, pts, _SEED_MEMBERSHIP_TOL, n_terms)
-        kept_triples.append(triples[undecided])
-        kept_points.append(pts[undecided])
+        held = membership_mask(lead, pts, _SEED_MEMBERSHIP_TOL)
+        kept_triples.append(triples[held])
+        kept_points.append(pts[held])
     triples, pts = np.vstack(kept_triples), np.vstack(kept_points)
     return triples[_pinned(
         cs, normals, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
@@ -555,15 +546,16 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
 
     The seed pass streams the sector in blocks of _SEED_BLOCK triples
     (`_sector_blocks`), so it holds one block and the points still
-    undecided after the cone test, the slab pair and union group 0
-    (`_undecided`; 3,452 of 49,410 solved sector points at Z14, 28,598
+    undecided after the cone test, the slab pair and union group 0 (the
+    `membership_mask` of a constraint set cut to union group 0, through the
+    same `_wall_pass`; 3,452 of 49,410 solved sector points at Z14, 28,598
     of 549,810 at Z50), not the O(L W^2) sector; only those go to one
-    `_pinned` call.  A point is dropped in its block only when a term
-    rules it out, the rule by which `_wall_pass` compacts: no later term
-    can bring it back, so `_wall_pass` would leave it outside, and the
-    seed superset argument above is untouched.  Every filter acts on each
-    triple or point alone and the blocks keep the sector's order, so the
-    seeds and their order are those of one pass over the whole sector.
+    `_pinned` call.  A point is dropped in its block only when a term rules
+    it out, the rule by which `_wall_pass` compacts: no later term can
+    bring it back, so `_wall_pass` would leave it outside, and the seed
+    superset argument above is untouched.  Every filter acts on each triple
+    or point alone and the blocks keep the sector's order, so the seeds and
+    their order are those of one pass over the whole sector.
 
     The seeds' sigma-orbits, sorted and deduplicated into
     itertools.combinations order, then go through the filters at their
@@ -645,7 +637,8 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     level up to k = 50.)  Every vertex of a wall's skeleton must have
     degree exactly two there, every edge must lie in exactly two faces
     with opposite orientations, and the Euler characteristic must be 2;
-    violations are hard errors, not warnings.
+    violations are hard errors, not warnings.  With degree two, a wall's
+    loops run along all its pairs: the shared-wall pairs are the edges.
     """
     if len(vertices) == 0:
         raise RuntimeError("cannot build a polyhedron without vertices")
@@ -722,11 +715,9 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
                     f"directed edge {(i, j)} traversed twice; not orientable"
                 )
             directed[(i, j)] = fi
-    used_edges = set()
     for (i, j) in directed:
         if (j, i) not in directed:
             raise RuntimeError(f"edge {(i, j)} lacks its reversed twin; not closed")
-        used_edges.add((min(i, j), max(i, j)))
     # so each edge lies in exactly two faces, one per direction of travel
 
     touched = {v for f in faces for v in f.loop}
@@ -736,7 +727,7 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     poly = Polyhedron(
         vertices=vertices,
         faces=tuple(faces),
-        edges=tuple(sorted(used_edges)),
+        edges=tuple(edges),
     )
     if poly.euler_characteristic != 2:
         raise RuntimeError(
@@ -1234,15 +1225,25 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
 def edge_cycle_check(poly: Polyhedron, report: PairingReport):
     """Develop the domain around every edge class; each cycle must close.
 
-    An identification can carry the shared edge of two glued faces to
-    itself, so the combinatorial state repeats long before the development
-    has wrapped all the way around the edge.  The walk therefore composes
-    pairings until the accumulated pair is central; that composite is the
-    holonomy of one full turn and its two factors must be equal central
-    powers, else the identifications do not define a quotient.  Chains that
-    reach an unpaired face are skipped as boundary chains; with a complete
-    pairing report there are none.  Returns one (central exponent, cycle
-    length) record per edge class.
+    A walk from a (face, edge) state applies the face's pairing, carries
+    the edge by its vertex map and goes on from the other face at the image
+    edge, composing the pairings (g1, g2).  Poincare's cycle condition asks
+    that it come back on a diagonal central (C^n, C^n); the state can
+    repeat sooner (a pairing may fix the shared edge of two glued faces),
+    so the walk stops on the composite.  Every g2 is an exact axis
+    rotation: the Gamma2 composite is C^n just when its summed `axis_turns`
+    is the integer n.  Only there is g1 tested, central at tol =
+    CENTRAL_Z_TOL max(1, max |w|)^2 over its factors, as rounding grows
+    with them (`as_central_power`), and a central g1 must be C^n with the
+    walk back at its start, else RuntimeError.  At every admissible k <=
+    50, E80, E173, E400, Z110 and Z160, a closing g1 lies within 3.25e-9 of
+    C^n (E400; at most 2e-15 max |w|^4) and every other one at least 1.27
+    from the centre lattice; unscaled, CENTRAL_Z_TOL fails at E173
+    (residual 1.14e-9) and Z110.  A walk that reaches an unpaired face (a
+    boundary chain; none with a complete report) is skipped; one still open
+    after 200 steps raises with its edge, steps, tolerance and last centre
+    residual.  Returns one (central exponent, cycle length) record per
+    walk: two per edge class, one per orientation.
     """
     partner = report.partner_of()
     vertex_maps = {f: dict(pr.vertex_map) for f, pr in partner.items()}
@@ -1250,47 +1251,45 @@ def edge_cycle_check(poly: Polyhedron, report: PairingReport):
     for fi, face in enumerate(poly.faces):
         for i, j in zip(face.loop, face.loop[1:] + face.loop[:1]):
             edge_faces.setdefault((min(i, j), max(i, j)), []).append(fi)
+    inexact = [f for f, pr in partner.items() if pr.g2.axis_turns is None]
+    if inexact:
+        raise RuntimeError(f"faces {inexact}: g2 is not an exact axis rotation")
 
-    visited = set()
-    records = []
+    visited, records = set(), []
     for edge, inc in edge_faces.items():
         for f0 in inc:
             if (f0, edge) in visited:
                 continue
-            g_tot1, g_tot2 = COVER_IDENTITY, COVER_IDENTITY
+            g1, turns, size, steps = COVER_IDENTITY, Fraction(0), 1.0, 0
+            tol = resid = math.nan
             f, e = f0, edge
-            steps = 0
-            boundary = False
-            while True:
+            while f in partner:
                 visited.add((f, e))
-                pr = partner.get(f)
-                if pr is None:
-                    boundary = True
-                    break
-                vmap = vertex_maps[f]
+                pr, vmap = partner[f], vertex_maps[f]
                 e2 = (min(vmap[e[0]], vmap[e[1]]), max(vmap[e[0]], vmap[e[1]]))
-                g_tot1 = cover_mul(pr.g1, g_tot1)
-                g_tot2 = cover_mul(pr.g2, g_tot2)
-                others = [x for x in edge_faces[e2] if x != pr.face_j]
+                others = [x for x in edge_faces.get(e2, ()) if x != pr.face_j]
                 if len(others) != 1:
                     raise RuntimeError(f"edge {e2} has ambiguous continuation")
-                steps += 1
+                g1, turns = cover_mul(pr.g1, g1), turns + pr.g2.axis_turns
+                size, steps = max(size, abs(pr.g1.w)), steps + 1
                 f, e = others[0], e2
-                try:
-                    n1, n2 = as_central_power(g_tot1), as_central_power(g_tot2)
-                    break
-                except ArithmeticError:
-                    if steps > 200:
-                        raise RuntimeError("edge cycle failed to close") from None
-            if boundary:
-                continue
-            if (f, e) != (f0, edge):
-                raise RuntimeError(
-                    "central edge holonomy did not return to its start state"
-                )
-            if n1 != n2:
-                raise RuntimeError(
-                    f"edge cycle composition ({n1}, {n2}) is not a diagonal centre"
-                )
-            records.append((n1, steps))
+                if turns.denominator == 1:
+                    tol = CENTRAL_Z_TOL * size**2
+                    try:
+                        n = as_central_power(g1, tol)
+                    except ArithmeticError:
+                        resid = max(abs(g1.z), abs(g1.phi + round(-g1.phi / math.pi) * math.pi))
+                    else:
+                        if n != turns or (f, e) != (f0, edge):
+                            raise RuntimeError(
+                                f"edge {edge}: central (C^{n}, C^{turns}) after {steps} steps "
+                                f"at {(f, e)} is not a diagonal centre back at {(f0, edge)}"
+                            )
+                        records.append((n, steps))
+                        break
+                if steps > 200:
+                    raise RuntimeError(
+                        f"edge cycle failed to close: edge {edge}, {steps} steps, "
+                        f"tolerance {tol:.3g}, last centre residual {resid:.3g}"
+                    )
     return records

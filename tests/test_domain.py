@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,8 @@ from lorentzdomains import domain
 from lorentzdomains.cli import build_domain
 from lorentzdomains.cover import (
     CoverElement,
+    R_param,
+    as_central_power,
     axis_rotation,
     central,
     cover_inv,
@@ -52,8 +55,6 @@ from lorentzdomains.domain import (
     _seed_triples,
     _sigma_permutation,
     _solve_triples,
-    _terms,
-    _undecided,
     _wall_pass,
     _window_rows,
     build_polyhedron,
@@ -811,21 +812,16 @@ def test_sector_blocks_split_the_sector_in_order(series, k):
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_undecided_keeps_every_point_the_wall_pass_keeps(series, k):
-    """After any number of leading terms, the points `_undecided` drops
-    are outside the domain; after all of them it keeps exactly the
-    points inside (the two verdicts agree on every point)."""
+    """The seed prefilter, the mask of the slab pair and union group 0
+    alone, keeps every point the full `_wall_pass` keeps, and drops some
+    points of the cone already."""
     cs = series_constraints(series, k)
     pts = _probe_points(cs, np.random.default_rng(k))
     inside = _wall_pass(cs, pts, _SEED_MEMBERSHIP_TOL)[0]
-    n_lead = len(cs.slab) + 1
-    counts = []
-    for n in (0, 1, n_lead, len(_terms(cs))):
-        undecided = _undecided(cs, pts, _SEED_MEMBERSHIP_TOL, n)
-        assert np.isin(np.flatnonzero(inside), undecided).all()
-        counts.append(len(undecided))
-    assert np.array_equal(undecided, np.flatnonzero(inside))
-    # the cone test, then the slab pair and group 0, already drop points
-    assert counts[2] < counts[0] < len(pts)
+    lead = dataclasses.replace(cs, groups=cs.groups[:1])
+    held = membership_mask(lead, pts, _SEED_MEMBERSHIP_TOL)
+    assert held[inside].all()
+    assert inside.sum() < held.sum() < _in_slab_cone(pts).sum() < len(pts)
 
 
 STREAM_LEVELS = [(s, k) for s in ("E", "Z") for k in (1, 2, 4, 5)]
@@ -915,6 +911,120 @@ def test_build_domain_past_z24():
     assert len(build.poly.vertices) == 4 * G == 424
     assert len(build.poly.faces) == 3 * G + 2 == 320
     assert build.pairings.unpaired == ()
+    assert build.reduction.certified
+
+
+def _with_pairing(rep, i, **change):
+    """The report with pairing i changed by `dataclasses.replace`."""
+    pairings = list(rep.pairings)
+    pairings[i] = dataclasses.replace(pairings[i], **change)
+    return PairingReport(tuple(pairings), rep.unpaired)
+
+
+@pytest.mark.parametrize("series,k", [("E", 2), ("Z", 4), ("E", 40)])
+@pytest.mark.parametrize(
+    "turn", [R_param(0.3 + 0.1j, 1e-8), axis_rotation(1e-8)], ids=["point", "axis"]
+)
+def test_edge_cycles_reject_a_perturbed_g1(series, k, turn):
+    """A pairing whose g1 is turned by 1e-8, about a disc point or about
+    the axis, leaves its cycles open: the failure names the edge, the
+    steps, the tolerance in force and the residual of the last centre
+    test, which lies above that tolerance."""
+    cs, poly = _polyhedron(series, k)
+    rep = find_pairings(poly, cs)
+    bad = _with_pairing(rep, 0, g1=cover_mul(turn, rep.pairings[0].g1))
+    with pytest.raises(RuntimeError) as err:
+        edge_cycle_check(poly, bad)
+    found = re.fullmatch(
+        r"edge cycle failed to close: edge \((\d+), (\d+)\), 201 steps, "
+        r"tolerance (\S+), last centre residual (\S+)",
+        str(err.value),
+    )
+    assert found, str(err.value)
+    assert tuple(map(int, found.groups()[:2])) in poly.edges
+    tol, resid = map(float, found.groups()[2:])
+    assert domain.CENTRAL_Z_TOL <= tol < resid
+
+
+def test_edge_cycles_name_a_face_whose_g2_is_not_exact(e2):
+    _, poly, rep = e2
+    g2 = rep.pairings[3].g2
+    bad = _with_pairing(rep, 3, g2=CoverElement(g2.z, g2.w, g2.phi))
+    face = rep.pairings[3].face_i
+    with pytest.raises(RuntimeError, match=rf"faces \[{face}\]: g2 is not an exact axis"):
+        edge_cycle_check(poly, bad)
+
+
+def test_edge_cycles_reject_a_central_composite_off_the_diagonal(e2):
+    """A factor C on one g1 keeps its cycles' composites central, but as
+    (C^(n+1), C^n): not a diagonal centre."""
+    _, poly, rep = e2
+    bad = _with_pairing(rep, 0, g1=cover_mul(central(1), rep.pairings[0].g1))
+    with pytest.raises(RuntimeError, match="is not a diagonal centre") as err:
+        edge_cycle_check(poly, bad)
+    n1, n2 = map(int, re.search(r"central \(C\^(-?\d+), C\^(-?\d+)\) after 3 steps",
+                                str(err.value)).groups())
+    assert abs(n1 - n2) == 1
+
+
+@pytest.mark.parametrize("series,k", [("E", 2), ("Z", 1)])
+def test_edge_cycles_reject_a_vertex_map_off_the_partner_face(series, k):
+    """A vertex map that carries an edge of face i onto an edge off face j
+    leaves the walk no unique face to go on from."""
+    cs, poly = _polyhedron(series, k)
+    rep = find_pairings(poly, cs)
+    pr = rep.pairings[0]
+    on_j = set(poly.faces[pr.face_j].loop)
+    a, b = next(e for e in poly.edges if not on_j & set(e))
+    loop = poly.faces[pr.face_i].loop
+    vmap = dict(pr.vertex_map)
+    vmap[loop[0]], vmap[loop[1]] = a, b
+    bad = _with_pairing(rep, 0, vertex_map=tuple(sorted(vmap.items())))
+    with pytest.raises(RuntimeError, match="ambiguous continuation"):
+        edge_cycle_check(poly, bad)
+
+
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 14), ("E", 40)])
+def test_edge_cycle_centre_tests_lie_near_a_centre_or_far_from_it(series, k, monkeypatch):
+    """Every centre test of the walks, one per step with integer Gamma2
+    turns, sees a Gamma1 composite within tol / 100 of a central power,
+    which then closes its walk back at the start as C^n, or one at least 1
+    from the centre lattice: the tolerance lies between two populations."""
+    cs, poly = _polyhedron(series, k)
+    rep = find_pairings(poly, cs)
+    tests = []
+
+    def recording(g, tol):
+        tests.append((g, tol))
+        return as_central_power(g, tol)
+
+    monkeypatch.setattr(domain, "as_central_power", recording)
+    records = edge_cycle_check(poly, rep)
+    near = 0
+    for g, tol in tests:
+        n = round(-g.phi / math.pi)
+        dist = max(abs(g.z), abs(g.phi + n * math.pi), abs(g.w - (-1) ** (n % 2)))
+        if dist <= tol / 100:
+            near += 1
+        else:
+            assert dist >= 1.0, (dist, tol)
+    # each near composite passed the test, and a passing one ends its walk
+    assert near == len(records)
+    assert len(tests) < sum(steps for _, steps in records)
+
+
+@pytest.mark.parametrize("series,k", [("E", 173), ("Z", 110)])
+def test_build_domain_where_an_absolute_centre_test_failed(series, k):
+    """E173 and Z110, the first levels where an absolute 1e-9 centre test
+    left edge cycles open, build with every face paired, every cycle
+    closed in 3 steps and the reduction certified, on the template
+    V = 2G, F = 2G + 2 (E) and V = 4G, F = 3G + 2 (Z)."""
+    build = build_domain(series, k)
+    G = build.cs.period
+    v, f = (2 * G, 2 * G + 2) if series == "E" else (4 * G, 3 * G + 2)
+    assert (len(build.poly.vertices), len(build.poly.faces)) == (v, f)
+    assert build.pairings.unpaired == ()
+    assert {steps for _, steps in build.edge_cycles} == {3}
     assert build.reduction.certified
 
 

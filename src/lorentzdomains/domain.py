@@ -256,23 +256,23 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     the active incidences at incidence_tol of the points that end inside,
     from the chart functionals of each membership term (`_term_verdicts`).
 
-    Returns the mask and a (walls x inside points) table in `all_walls()`
-    order, its columns the True entries of the mask in order (None without
-    incidence_tol).  A wall is active at a point on it (|value + 1| <=
-    incidence_tol) where no member of its union group holds strictly
-    (value < -1 - incidence_tol): there the group is slack and the plane
-    is invisible to the boundary; for a slab wall, a group of one, that
-    condition is void.  The incidences are kept as (row, point) index
-    pairs of the points still inside, so no walls-by-points table is built
-    before the end.  See `membership_mask` for the terms and the lemma;
-    the live points are compacted only once an eighth of them is decided
-    (a decided point stays decided whatever later terms say).
+    Returns the mask and the incidences as (point, wall) index arrays, a
+    point a row of pts and a wall a row in `all_walls()` order, sorted by
+    point and then by wall (None without incidence_tol).  A wall is active
+    at a point on it (|value + 1| <= incidence_tol) where no member of its
+    union group holds strictly (value < -1 - incidence_tol): there the
+    group is slack and the plane is invisible to the boundary; for a slab
+    wall, a group of one, that condition is void.  The incidences are kept
+    as index pairs throughout, so no walls-by-points table is built.  See
+    `membership_mask` for the terms and the lemma; the live points are
+    compacted only once an eighth of them is decided (a decided point
+    stays decided whatever later terms say).
     """
     pts = np.asarray(pts, dtype=float)
     live = np.flatnonzero(_in_slab_cone(pts))  # original rows of the undecided points
     sub = pts[live]
     inside = np.ones(len(live), dtype=bool)
-    hit_rows, hit_points = [], []
+    hit_walls, hit_points = [], []
     for first_row, members in _terms(cs):
         holds, lin = _term_verdicts(members, sub, tol)
         inside &= holds
@@ -280,7 +280,7 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
             strict = lin < -1.0 - incidence_tol
             on = np.abs(lin + 1.0) <= incidence_tol
             rows, cols = np.nonzero(on & ~strict.any(0) & inside)
-            hit_rows.append(first_row + rows)
+            hit_walls.append(first_row + rows)
             hit_points.append(live[cols])
         keep = np.flatnonzero(inside)
         if 8 * len(keep) <= 7 * len(live):
@@ -289,12 +289,10 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     out[live[inside]] = True
     if incidence_tol is None:
         return out, None
-    inside = np.flatnonzero(out)
-    rows, points = np.concatenate(hit_rows), np.concatenate(hit_points)
-    kept = out[points]
-    act = np.zeros((len(cs.all_walls()), len(inside)), dtype=bool)
-    act[rows[kept], np.searchsorted(inside, points[kept])] = True
-    return out, act
+    wall, point = np.concatenate(hit_walls), np.concatenate(hit_points)
+    kept = np.flatnonzero(out[point])
+    kept = kept[np.lexsort((wall[kept], point[kept]))]
+    return out, (point[kept], wall[kept])
 
 
 def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
@@ -424,30 +422,31 @@ def _solve_triples(normals, offsets, triples, slack: float = 1.0):
     return triples[keep], np.linalg.solve(A[keep], b[..., None])[..., 0]
 
 
-def _ranks(normals: np.ndarray, act: np.ndarray, tol: float) -> np.ndarray:
-    """Per column i of the incidence table act, the rank of the rows
-    normals[act[:, i]]: the singular values above tol, as `np.linalg.
-    matrix_rank` counts them.  The columns with equally many active rows
-    are stacked into one `np.linalg.svd` call, which runs the same LAPACK
+def _ranks(normals: np.ndarray, point: np.ndarray, wall: np.ndarray, tol: float, n: int):
+    """Per point 0..n-1 of the (point, wall) incidence pairs, sorted by
+    point and then by wall, the rank of the rows normals[its walls]: the
+    singular values above tol, as `np.linalg.matrix_rank` counts them (0
+    for a point without pairs).  The points with equally many walls are
+    stacked into one `np.linalg.svd` call, which runs the same LAPACK
     routine on each matrix, so every rank is that of the per-matrix call."""
-    count = act.sum(axis=0)
-    rank = np.zeros(len(count), dtype=int)
-    for c in np.unique(count[count > 0]).tolist():
-        cols = np.flatnonzero(count == c)
-        # each column's active walls in ascending order, as normals[act[:, i]]
-        walls = np.nonzero(act[:, cols].T)[1].reshape(len(cols), c)
-        singular = np.linalg.svd(normals[walls], compute_uv=False)
-        rank[cols] = (singular > tol).sum(axis=1)
+    per_pair = np.bincount(point, minlength=n)[point]
+    rank = np.zeros(n, dtype=int)
+    for c in np.unique(per_pair).tolist():
+        sel = per_pair == c
+        # each point's c walls are consecutive pairs, in ascending order
+        singular = np.linalg.svd(normals[wall[sel].reshape(-1, c)], compute_uv=False)
+        rank[point[sel][::c]] = (singular > tol).sum(axis=1)
     return rank
 
 
 def _pinned(cs, normals, pts, membership_tol, incidence_tol, rank_tol):
     """Indices of the points in the domain (membership at membership_tol)
     pinned by active walls (incidence at incidence_tol) of rank 3 (`_ranks`
-    at rank_tol), all from one `_wall_pass`."""
-    inside, act = _wall_pass(cs, pts, membership_tol, incidence_tol)
-    cols = np.flatnonzero(act.sum(axis=0) >= 3)
-    return np.flatnonzero(inside)[cols[_ranks(normals, act[:, cols], rank_tol) == 3]]
+    at rank_tol), all from one `_wall_pass`; only the points with at least
+    three incidences are ranked."""
+    point, wall = _wall_pass(cs, pts, membership_tol, incidence_tol)[1]
+    many = np.bincount(point, minlength=len(pts))[point] >= 3
+    return np.flatnonzero(_ranks(normals, point[many], wall[many], rank_tol, len(pts)) == 3)
 
 
 def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float, order=None):
@@ -520,10 +519,13 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     planes.  A triple of planes yields a vertex when it is regular
     (`_solve_triples`), its point lies in the cone and passes the
     membership predicate, and the point is pinned by rank-3 many active
-    walls (`_pinned`: membership and incidence from one `_wall_pass`, the
-    ranks from one batched SVD per active-wall count, `_ranks`).  The
-    vertices are merged at VERTEX_MERGE_TOL, first candidate in (s, x1, x2)
-    order wins (ties in triple order), and returned in that order; the
+    walls (`_pinned`: membership and the (point, wall) incidence pairs
+    from one `_wall_pass`, the ranks of the points with three or more
+    pairs from one batched SVD per pair count, `_ranks`).  No table of
+    walls by points is built, so the passes hold memory linear in the
+    points and their incidences.  The vertices are merged at
+    VERTEX_MERGE_TOL, first candidate in (s, x1, x2) order wins (ties in
+    triple order), and returned in that order; the
     greedy merge is decided on the close pairs of a sorted window
     (`_merge_vertices`), not by a loop over the candidates.
 
@@ -625,9 +627,10 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
 
     Faces are extracted per wall by walking the 1-skeleton.  Every vertex
     must lie in the domain (membership at MEMBERSHIP_TOL), else this raises
-    RuntimeError naming it, and the incidence table comes from the same
-    `_wall_pass` (active walls at PLANE_INCIDENCE_TOL).  An edge is a vertex
-    pair whose columns share two walls, and those two walls are the edge's
+    RuntimeError naming it, and the walls-by-vertices incidence table is
+    filled from the incidence pairs of the same `_wall_pass` (active walls
+    at PLANE_INCIDENCE_TOL).  An edge is a vertex pair whose columns share
+    two walls, and those two walls are the edge's
     walls; each wall's edges are read from its row of the shared-wall
     table.  The two ends of an edge lie on both its walls, so the
     shared-wall pairs hold every edge.  A shared-wall pair that is not an
@@ -644,9 +647,11 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
         raise RuntimeError("cannot build a polyhedron without vertices")
     walls = cs.all_walls()
     nv = len(vertices)
-    inside, inc = _wall_pass(cs, vertices, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
+    inside, (vertex, row) = _wall_pass(cs, vertices, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
     if not inside.all():
         raise RuntimeError(f"vertex {int(np.argmin(inside))} lies outside the domain")
+    inc = np.zeros((len(walls), nv), dtype=bool)
+    inc[row, vertex] = True
     # the vertex pairs sharing two walls, in itertools.combinations order
     # a float64 product runs on BLAS and holds the counts (at most W) exactly
     count = inc.astype(float)
@@ -677,8 +682,7 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
             seen.add(start)
             prev, cur = None, start
             while True:
-                nxt = [v for v in adj[cur] if v != prev]
-                nxt = nxt[0] if nxt else adj[cur][0]
+                nxt = next(v for v in adj[cur] if v != prev)
                 if nxt == start:
                     break
                 loop.append(nxt)

@@ -29,7 +29,7 @@ from .disc import (
     edge_corona,
     orbit,
 )
-from .domain import membership_mask, series_constraints
+from .domain import _parts, membership_mask, series_constraints
 from .halfspaces import batch_wall, wall_masks
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -87,7 +87,6 @@ class ReductionReport:
     p_lcm: int
     tanh_L: float
     orbit_premise_ok: bool
-    extended_precision: bool = False
 
     @property
     def certified(self) -> bool:
@@ -100,14 +99,16 @@ def check_reduction_bound(series: str, k: int) -> ReductionReport:
 
     R is the second-shell radius in its closed form; the inequality is
     evaluated through two independent expression routes which must agree to
-    FORM_AGREEMENT_TOL, and is re-derived with mpmath at 50 digits whenever
-    the margin is tighter than TIGHT_MARGIN.  The shell premise (no orbit
-    point other than the base point and its corona lies inside radius R) is
-    always walked, by enumeration.  The walk is `orbit(tri, R)`: only a
-    point with |x| < R - PREMISE_SLACK can fail the premise, and `orbit`
-    explores a hyperbolic padding `_ORBIT_PAD` beyond its radius, so a
-    breadth-first path to such a point may leave the ball of radius R and
-    come back.
+    FORM_AGREEMENT_TOL.  A margin, or a gap 1 - ell^-, tighter than
+    TIGHT_MARGIN raises ArithmeticError: double precision does not decide
+    it.  Over the 3,715 admissible levels E k <= 3715 and Z k <= 1857 the
+    tightest are 1.75e-4 (margin) and 5.97e-4 (gap), both at E3715.  The
+    shell premise (no orbit point other than the base point and its corona
+    lies inside radius R) is always walked, by enumeration.  The walk is
+    `orbit(tri, R)`: only a point with |x| < R - PREMISE_SLACK can fail the
+    premise, and `orbit` explores a hyperbolic padding `_ORBIT_PAD` beyond
+    its radius, so a breadth-first path to such a point may leave the ball
+    of radius R and come back.
     """
     p_tri, q, r = series_signature(series, k)
     config = lift_level(p_tri, q, r, k)
@@ -134,14 +135,11 @@ def check_reduction_bound(series: str, k: int) -> ReductionReport:
         )
 
     margin = rhs_route - ell_route
-    extended = False
     if abs(margin) < TIGHT_MARGIN or abs(1.0 - ell_route) < TIGHT_MARGIN:
-        import mpmath  # imported here: the branch fires at no level k <= 50
-        with mpmath.workdps(50):
-            R_mp, ell_mp, rhs_mp = _closed_quantities(p_tri, k, config.p_lcm, mpmath)
-            margin = float(rhs_mp - ell_mp)
-            R, ell_route, rhs_route = (float(v) for v in (R_mp, ell_mp, rhs_mp))
-        extended = True
+        raise ArithmeticError(
+            f"reduction margin {margin:.3g} or 1 - ell^- = {1.0 - ell_route:.3g} is "
+            f"below {TIGHT_MARGIN:g}: too tight to decide in double precision"
+        )
 
     holds = ell_route <= rhs_route and ell_route <= 1.0
 
@@ -163,7 +161,6 @@ def check_reduction_bound(series: str, k: int) -> ReductionReport:
         p_lcm=config.p_lcm,
         tanh_L=tanh_L,
         orbit_premise_ok=not fails.any(),
-        extended_precision=extended,
     )
 
 
@@ -351,12 +348,8 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
     point, n = point[n != 0], n[n != 0]
 
     rows, row_of = np.unique(n, return_inverse=True)
-    walls = [cover_mul(g, cover_pow(D, row)) for row in rows]
-    wall = CoverElement(
-        np.array([w.z for w in walls], dtype=complex)[row_of],
-        np.array([w.w for w in walls], dtype=complex)[row_of],
-        np.array([w.phi for w in walls], dtype=float)[row_of],
-    )
+    walls = _parts([cover_mul(g, cover_pow(D, row)) for row in rows])
+    wall = CoverElement(*(a[row_of] for a in walls))
     val, phi = batch_wall(wall, Z[point], W[point], PHI[point])
     if np.any(np.abs(phi - (phi0[point] + n * step)) > BOUNDARY_BAND):
         raise RuntimeError(
@@ -404,11 +397,7 @@ def _description_masks(cons, pts):
             )
     in_linear = membership_mask(cons, pts)
     # the slab walls as one column of (2, 1) arrays: (2, n) values
-    slab = CoverElement(
-        np.array([wall.g.z for wall in cons.slab], dtype=complex)[:, None],
-        np.array([wall.g.w for wall in cons.slab], dtype=complex)[:, None],
-        np.array([wall.g.phi for wall in cons.slab], dtype=float)[:, None],
-    )
+    slab = CoverElement(*(a[:, None] for a in _parts([wall.g for wall in cons.slab])))
     slab_values = batch_wall(slab, Z, W, PHI)
     near_boundary = _window_masks(*slab_values)[1].any(0)
 

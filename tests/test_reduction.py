@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 
 import lorentzdomains
 import lorentzdomains.reduction as reduction
+from lorentzdomains.cli import main
 from lorentzdomains.cover import CoverElement, cover_mul, cover_pow, lift_level
 from lorentzdomains.disc import build_triangle_group, edge_corona, orbit
 from lorentzdomains.domain import _in_slab_cone, series_constraints
@@ -126,7 +128,6 @@ def test_check_reduction_bound_E2():
     assert abs(rep.tanh_L - E2_TANH_L) < 1e-12
     assert rep.holds
     assert rep.orbit_premise_ok
-    assert not rep.extended_precision
     assert rep.R > rep.tanh_L
 
 
@@ -248,29 +249,36 @@ def test_extended_precision_route_consistent():
     assert abs(rhs - E2_RHS) < 1e-14
 
 
-def test_tight_margin_takes_the_extended_precision_route(monkeypatch):
-    """With the threshold raised above every margin, the mpmath route runs
-    and agrees with the float route."""
-    plain = check_reduction_bound("E", 2)
+def test_a_tight_margin_is_too_tight_to_decide(monkeypatch, capsys):
+    """With the threshold raised above every margin, the bound raises
+    ArithmeticError, and `verify` exits 1 with one JSON error naming the
+    level."""
     monkeypatch.setattr(reduction, "TIGHT_MARGIN", 1.0)
-    rep = check_reduction_bound("E", 2)
-    assert rep.extended_precision and not plain.extended_precision
-    assert abs(rep.margin - plain.margin) < 1e-12
-    assert abs(rep.R - plain.R) < 1e-12
-    assert abs(rep.ell_minus_at_sec - plain.ell_minus_at_sec) < 1e-12
-    assert abs(rep.rhs - plain.rhs) < 1e-12
-    assert rep.certified
+    with pytest.raises(ArithmeticError, match="too tight to decide in double precision"):
+        check_reduction_bound("E", 2)
+    assert main(["verify", "--series", "E", "--k", "2", "--samples", "100"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"error", "series", "k"} and (out["series"], out["k"]) == ("E", 2)
+    assert "too tight to decide in double precision" in out["error"]
 
 
-def test_importing_the_cli_leaves_mpmath_unloaded():
+def test_importing_the_cli_leaves_mpmath_unloaded(tmp_path):
+    """Importing the CLI, one build and one verify load no mpmath."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lorentzdomains.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, lorentzdomains.cli; print('mpmath' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    code = (
+        "import sys, lorentzdomains.cli as cli\n"
+        "assert cli.main(['build', '--series', 'E', '--k', '1', '--formats', 'json',"
+        " '--out', sys.argv[1]]) == 0\n"
+        "assert cli.main(['verify', '--series', 'E', '--k', '1', '--samples', '500']) == 0\n"
+        "print('mpmath' in sys.modules, file=sys.stderr)"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stderr.strip() == "False"
 
 
 def test_a_missing_corona_point_fails_the_orbit_premise(monkeypatch):

@@ -110,8 +110,8 @@ def build_triangle_group(p: int, q: int, r: int) -> TriangleGroupData:
     and pi/r at w in the upper half disc; the generators are the
     anticlockwise rotations through 2pi/p, 2pi/q, 2pi/r about the vertices.
     Raises ValueError for a signature that is not hyperbolic, and
-    ArithmeticError when the computed generator product is not +-identity
-    (at large p double precision no longer resolves the triangle).
+    ArithmeticError when double precision does not resolve the triangle's
+    vertices or generators (at large p), or their product is not +-identity.
     """
     if min(p, q, r) < 2:
         raise ValueError("triangle signature entries must be >= 2")
@@ -124,14 +124,17 @@ def build_triangle_group(p: int, q: int, r: int) -> TriangleGroupData:
     cosh_uw = (math.cos(ap) * math.cos(ar) + math.cos(aq)) / (
         math.sin(ap) * math.sin(ar)
     )
-    L = math.acosh(cosh_uv)
-    L_uw = math.acosh(cosh_uw)
-    u = 0.0 + 0.0j
-    v = complex(math.tanh(L / 2.0), 0.0)
-    w = math.tanh(L_uw / 2.0) * cmath.exp(1j * ap)
-    gen_u = rotation_about(u, 2.0 * ap)
-    gen_v = rotation_about(v, 2.0 * aq)
-    gen_w = rotation_about(w, 2.0 * ar)
+    try:
+        L = math.acosh(cosh_uv)
+        L_uw = math.acosh(cosh_uw)
+        u = 0.0 + 0.0j
+        v = complex(math.tanh(L / 2.0), 0.0)
+        w = math.tanh(L_uw / 2.0) * cmath.exp(1j * ap)
+        gen_u = rotation_about(u, 2.0 * ap)
+        gen_v = rotation_about(v, 2.0 * aq)
+        gen_w = rotation_about(w, 2.0 * ar)
+    except ValueError as exc:
+        raise ArithmeticError(f"triangle ({p},{q},{r}) not resolved: {exc}") from None
 
     prod = group_mul(group_mul(gen_u, gen_v), gen_w)
     if abs(prod.z) > 1e-9 or abs(prod.w.imag) > 1e-9 or abs(abs(prod.w.real) - 1) > 1e-9:

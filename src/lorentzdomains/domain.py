@@ -627,21 +627,22 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
 
     Faces are extracted per wall by walking the 1-skeleton.  Every vertex
     must lie in the domain (membership at MEMBERSHIP_TOL), else this raises
-    RuntimeError naming it, and the walls-by-vertices incidence table is
-    filled from the incidence pairs of the same `_wall_pass` (active walls
-    at PLANE_INCIDENCE_TOL).  An edge is a vertex pair whose columns share
-    two walls, and those two walls are the edge's
-    walls; each wall's edges are read from its row of the shared-wall
-    table.  The two ends of an edge lie on both its walls, so the
-    shared-wall pairs hold every edge.  A shared-wall pair that is not an
+    RuntimeError naming it, and the walls at each vertex are its active
+    walls at PLANE_INCIDENCE_TOL, the (vertex, wall) pairs of the same
+    `_wall_pass`.  Every two walls at a vertex meet there, and two vertices
+    where the same two walls meet form an edge on every wall the two share;
+    each wall's 1-skeleton is those edges.  The two ends of an edge lie on
+    both its walls, so these pairs hold every edge.  A pair that is not an
     edge joins two vertices of one face that its boundary does not join,
     so in that wall's skeleton its ends get a third neighbour and the
-    degree check below raises.  (No vertex pair shares three walls at any
-    level up to k = 50.)  Every vertex of a wall's skeleton must have
-    degree exactly two there, every edge must lie in exactly two faces
-    with opposite orientations, and the Euler characteristic must be 2;
-    violations are hard errors, not warnings.  With degree two, a wall's
-    loops run along all its pairs: the shared-wall pairs are the edges.
+    degree check below raises.  (At E1, Z5, Z14, E40, Z50, E173 and E400
+    two walls meet at one vertex or along one edge, never at more than two
+    vertices, and every edge lies on exactly two walls.)  Every vertex of a
+    wall's skeleton must have degree exactly two there, every edge must lie
+    in exactly two faces with opposite orientations, and the Euler
+    characteristic must be 2; violations are hard errors, not warnings.
+    With degree two, a wall's loops run along all its pairs: the pairs are
+    the edges.
     """
     if len(vertices) == 0:
         raise RuntimeError("cannot build a polyhedron without vertices")
@@ -650,24 +651,23 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     inside, (vertex, row) = _wall_pass(cs, vertices, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
     if not inside.all():
         raise RuntimeError(f"vertex {int(np.argmin(inside))} lies outside the domain")
-    inc = np.zeros((len(walls), nv), dtype=bool)
-    inc[row, vertex] = True
-    # the vertex pairs sharing two walls, in itertools.combinations order
-    # a float64 product runs on BLAS and holds the counts (at most W) exactly
-    count = inc.astype(float)
-    ii, jj = np.nonzero(np.triu(count.T @ count >= 2, 1))
-    edge_walls = inc[:, ii] & inc[:, jj]
-    edges = list(zip(ii.tolist(), jj.tolist()))
+    # per two walls, the vertices where they meet, ascending
+    meet: dict[tuple[int, int], list[int]] = {}
+    for v, at in itertools.groupby(zip(vertex.tolist(), row.tolist()), key=lambda p: p[0]):
+        for pair in itertools.combinations([w for _, w in at], 2):
+            meet.setdefault(pair, []).append(v)
+    skeleton: dict[int, dict[int, set[int]]] = {}
+    for pair, ends in meet.items():
+        for i, j in itertools.combinations(ends, 2):
+            for w in pair:
+                adj = skeleton.setdefault(w, {})
+                adj.setdefault(i, set()).add(j)
+                adj.setdefault(j, set()).add(i)
+    edges = sorted({e for ends in meet.values() for e in itertools.combinations(ends, 2)})
 
     faces = []
-    for wi, wall in enumerate(walls):
-        adj: dict[int, list[int]] = {}
-        for e in np.flatnonzero(edge_walls[wi]).tolist():
-            i, j = edges[e]
-            adj.setdefault(i, []).append(j)
-            adj.setdefault(j, []).append(i)
-        if not adj:
-            continue
+    for wi in sorted(skeleton):
+        wall, adj = walls[wi], skeleton[wi]
         bad = {v: ns for v, ns in adj.items() if len(ns) != 2}
         if bad:
             raise RuntimeError(

@@ -102,6 +102,17 @@ def test_build_rejects_non_hyperbolic():
         build_triangle_group(2, 2, 5)
 
 
+@pytest.mark.parametrize("p", [100_000_000_004, 100_000_000_000_000_004])
+def test_build_names_a_triangle_double_precision_cannot_resolve(p):
+    """At these p the rotation about v breaks down: the triangle is
+    hyperbolic, so this is ArithmeticError, while a bad centre passed to
+    `rotation_about` directly stays ValueError."""
+    with pytest.raises(ArithmeticError, match=rf"triangle \({p},3,3\) not resolved: "):
+        build_triangle_group(p, 3, 3)
+    with pytest.raises(ValueError, match="open unit disc"):
+        rotation_about(1.0 + 0j, 1.0)
+
+
 def test_generator_orders():
     tri = build_triangle_group(5, 3, 3)
     probe = 0.2 + 0.4j

@@ -769,6 +769,69 @@ def test_build_polyhedron_rejects_a_broken_vertex_set(series, k):
         build_polyhedron(cs, vertices[:0])
 
 
+def _dense_rule_polyhedron(cs, vertices):
+    """The face assembly by the dense shared-wall rule: a walls x vertices
+    incidence table from the `_wall_pass` pairs, an edge for each vertex
+    pair whose columns share two walls (`count.T @ count >= 2`), and a
+    walls x edges table of the walls each edge lies on, walked per wall.
+    Returns the edges, the (label, loop) list in face order, the
+    incidence table and the walls x edges table."""
+    walls = cs.all_walls()
+    inside, (vertex, row) = _wall_pass(cs, vertices, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
+    assert inside.all()
+    inc = np.zeros((len(walls), len(vertices)), dtype=bool)
+    inc[row, vertex] = True
+    count = inc.astype(float)
+    ii, jj = np.nonzero(np.triu(count.T @ count >= 2, 1))
+    edge_walls = inc[:, ii] & inc[:, jj]
+    edges = list(zip(ii.tolist(), jj.tolist()))
+    faces = []
+    for wi, wall in enumerate(walls):
+        adj = {}
+        for e in np.flatnonzero(edge_walls[wi]).tolist():
+            i, j = edges[e]
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
+        assert all(len(ns) == 2 for ns in adj.values())
+        seen, loops = set(), []
+        for start in sorted(adj):
+            if start in seen:
+                continue
+            loop, prev, cur = [start], None, start
+            seen.add(start)
+            while (nxt := [v for v in adj[cur] if v != prev][0]) != start:
+                loop.append(nxt)
+                seen.add(nxt)
+                prev, cur = cur, nxt
+            loops.append(loop)
+        outward = wall.normal_hat if wall.side == "I" else -wall.normal_hat
+        for li, loop in enumerate(loops):
+            if _newell_normal(vertices, loop) @ outward < 0:
+                loop = loop[::-1]
+            pivot = loop.index(min(loop))
+            label = wall.label if len(loops) == 1 else f"{wall.label}#{li}"
+            faces.append((label, tuple(loop[pivot:] + loop[:pivot])))
+    faces.sort(key=lambda f: (_LABEL_ORDER.get(f[0].split("[")[0], 9), f[0]))
+    return tuple(edges), faces, inc, edge_walls
+
+
+def test_build_polyhedron_matches_the_dense_rule_above_k50():
+    """At E173 the edges and face loops read off the walls meeting at each
+    vertex equal those of the dense shared-wall rule, and the two facts
+    the rule leans on hold: no two walls meet at more than two vertices,
+    and every edge lies on exactly two walls."""
+    cs = series_constraints("E", 173)
+    vertices = enumerate_vertices(cs)
+    poly = build_polyhedron(cs, vertices)
+    edges, faces, inc, edge_walls = _dense_rule_polyhedron(cs, vertices)
+    assert poly.edges == edges
+    assert [(f.label, f.loop) for f in poly.faces] == faces
+    meet = inc.astype(np.int64) @ inc.T.astype(np.int64)
+    np.fill_diagonal(meet, 0)
+    assert meet.max() == 2
+    assert (edge_walls.sum(axis=0) == 2).all()
+
+
 def _sector_triples(n_first, n):
     """The index triples i < j < l < n with i < n_first, the whole sector
     at once."""
@@ -891,6 +954,21 @@ def test_vertex_search_builds_no_walls_by_points_table():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_face_complex_builds_no_dense_incidence_table():
+    """The Python-heap peak of `build_polyhedron` at Z50, 824 vertices on
+    620 walls: 10.3 MiB with a walls x vertices table and a vertex x
+    vertex product of it, under 2 MiB without."""
+    cs = series_constraints("Z", 50)
+    vertices = enumerate_vertices(cs)
+    tracemalloc.start()
+    try:
+        build_polyhedron(cs, vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _with_group(cs, m, walls):

@@ -434,13 +434,19 @@ def test_cli_verify_fails_on_failed_certificate(capsys, monkeypatch, field):
     assert out["equivalence"]["agreement"] == 1.0
 
 
-@pytest.mark.parametrize("series,k", [("E", 3716), ("Z", 2651), ("E", 1_000_000_001)])
+@pytest.mark.parametrize(
+    "series,k",
+    [("E", 3716), ("Z", 2651), ("E", 1_000_000_001), ("E", 100_000_000_001),
+     ("E", 100_000_000_000_000_001)],
+)
 @pytest.mark.parametrize("command", ["info", "build", "verify"])
 def test_cli_rejects_a_level_the_lift_cannot_represent(tmp_path, capsys, command, series, k):
     """A level whose lift fails in double precision is an invalid request:
     exit 2, one JSON error naming the series and the level, nothing on
-    stderr and nothing written.  The three levels fail in the triangle's
-    generator check, the centrality check of the defect and a division."""
+    stderr and nothing written.  The five levels fail in the triangle's
+    generator check, the centrality check of the defect, a division, and
+    the rotation about the triangle's vertex v (a square root of a
+    negative number, then a centre rounded onto the unit circle)."""
     argv = [command, "--series", series, "--k", str(k)]
     if command == "build":
         argv += ["--out", str(tmp_path / "out")]

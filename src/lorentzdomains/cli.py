@@ -13,6 +13,7 @@ work, and gets the lift's `LevelConfig`.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -188,7 +189,11 @@ def _parsed_request(argv):
     return series, k
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  It depends on nothing and parsing leaves
+    it unchanged, so it is built once, on first use (about a millisecond),
+    and every later `main` call reuses it."""
     parser = _Parser(
         prog="lorentzdomains",
         description="Polyhedral fundamental domains for Lorentz bi-quotients.",

@@ -23,39 +23,39 @@ from .cover import CoverElement
 
 
 def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
-    """Form values <g, p> and sheet coordinates phi(g^{-1} p), vectorised.
+    """Form values <g, p>, sheet coordinates phi(g^{-1} p) and moduli
+    |w_h|, h = g^{-1} p, vectorised.
 
     Z, W, PHI are parallel arrays describing cone points.  g is one wall;
     or one wall per point, a CoverElement whose z, w and phi are arrays
     parallel to Z; or a column of L walls, (L, 1) arrays, which gives
-    (L, n) values on n points.  The elementwise arithmetic is the same in
+    (L, n) results on n points.  The elementwise arithmetic is the same in
     every form.  Each of the two complex products a = conj(z_g) Z and
-    b = conj(w_g) W is formed once and serves both the value Re(a) - Re(b),
-    which is Re(a - b) bit for bit and holds no complex array, and the
-    cocycle bracket 1 - a / b; both are freed before the phase is formed.
+    b = conj(w_g) W is formed once and serves the value Re(a) - Re(b),
+    which is Re(a - b) bit for bit and holds no complex array, the modulus
+    |a - b| = |w_h|, and the cocycle bracket 1 - a / b; both are freed
+    before the phase is formed.
     """
     a = np.conjugate(g.z) * Z
     b = np.conjugate(g.w) * W
     val = a.real - b.real
+    modulus = np.abs(a - b)
     bracket = 1.0 - a / b
     del a, b
     if not (bracket.real > 0.0).all():
         raise ArithmeticError("cocycle bracket left the principal branch")
     phi = -g.phi + PHI + np.angle(bracket)
-    return val, phi
+    return val, phi, modulus
 
 
-def wall_masks(val, phi, tol: float):
-    """The wall rule on `batch_wall` values, at tolerance tol.
+def wall_masks(val, phi, band: float):
+    """The wall rule on `batch_wall` values, with a band about the wall.
 
-    Returns the masks (holds, strict, on): the point is on the I-side,
-    <g, p> <= -1 + tol; strictly inside it, <g, p> < -1 - tol; on the wall,
-    |<g, p> + 1| <= tol.  Each holds only inside the sheet window
-    |phi| < pi/2, so H_g is the complement of `strict`.
+    Returns the masks (holds, on): the point is on the I-side,
+    <g, p> <= -1, and it is within band of the wall, |<g, p> + 1| <= band.
+    Each holds only inside the sheet window |phi| < pi/2, found once for
+    both.  The point is strictly inside where it holds and is not on the
+    wall at band 0, and H_g is the complement of that.
     """
     window = np.abs(phi) < math.pi / 2.0
-    return (
-        (val <= -1.0 + tol) & window,
-        (val < -1.0 - tol) & window,
-        (np.abs(val + 1.0) <= tol) & window,
-    )
+    return (val <= -1.0) & window, (np.abs(val + 1.0) <= band) & window

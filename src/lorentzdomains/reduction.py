@@ -29,7 +29,7 @@ from .disc import (
     edge_corona,
     orbit,
 )
-from .domain import _parts, membership_mask, series_constraints
+from .domain import _close_pairs, _parts, membership_mask, series_constraints
 from .halfspaces import batch_wall, wall_masks
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -108,7 +108,9 @@ def check_reduction_bound(series: str, k: int) -> ReductionReport:
     `orbit(tri, R)`: only a point with |x| < R - PREMISE_SLACK can fail the
     premise, and `orbit` explores a hyperbolic padding `_ORBIT_PAD` beyond
     its radius, so a breadth-first path to such a point may leave the ball
-    of radius R and come back.
+    of radius R and come back.  Each such point is matched to the corona
+    within CORONA_MATCH_TOL through a sorted window (`_close_pairs`), so no
+    orbit-by-corona table is formed.
     """
     p_tri, q, r = series_signature(series, k)
     config = lift_level(p_tri, q, r, k)
@@ -144,9 +146,16 @@ def check_reduction_bound(series: str, k: int) -> ReductionReport:
     holds = ell_route <= rhs_route and ell_route <= 1.0
 
     pts = np.array(orbit(tri, R))
-    gap = np.abs(pts[:, None] - np.array(edge_corona(tri))).min(axis=1)
     r = np.abs(pts)
-    fails = (r >= 1e-9) & (gap >= CORONA_MATCH_TOL) & (r < R - PREMISE_SLACK)
+    inner = pts[(r >= 1e-9) & (r < R - PREMISE_SLACK)]
+    corona = np.array(edge_corona(tri))
+    row, _, gap = _close_pairs(
+        np.column_stack([inner.real, inner.imag]),
+        np.column_stack([corona.real, corona.imag]),
+        CORONA_MATCH_TOL,
+    )
+    matched = np.zeros(len(inner), dtype=bool)
+    matched[row[gap < CORONA_MATCH_TOL]] = True
 
     return ReductionReport(
         series=series,
@@ -160,7 +169,7 @@ def check_reduction_bound(series: str, k: int) -> ReductionReport:
         p_tri=p_tri,
         p_lcm=config.p_lcm,
         tanh_L=tanh_L,
-        orbit_premise_ok=not fails.any(),
+        orbit_premise_ok=bool(matched.all()),
     )
 
 
@@ -227,9 +236,9 @@ def _slab_samples(config: LevelConfig, n_samples: int, seed: int) -> np.ndarray:
 
 
 def _window_masks(val, phi):
-    """Capture and boundary masks of walls evaluated by `batch_wall`: the
-    wall holds (`wall_masks` at tolerance 0), and the point is on the wall
-    at tolerance BOUNDARY_BAND.
+    """Capture and boundary masks of walls evaluated by `batch_wall`, from
+    one window: the wall holds (at tolerance 0), and the point is on the
+    wall at tolerance BOUNDARY_BAND (`wall_masks` at band BOUNDARY_BAND).
 
     The window edge |phi| = pi/2 needs no band of its own.  Write
     B = BOUNDARY_BAND and h = g^{-1} p.  Then <g, p> = -|w_h| cos(phi), so
@@ -240,50 +249,50 @@ def _window_masks(val, phi):
     on the points it is given.  On 10^4 slab samples it is at most 68 over
     every admissible level k <= 50 of both series (Z50).
     """
-    inside = wall_masks(val, phi, 0.0)[0]
-    near = wall_masks(val, phi, BOUNDARY_BAND)[2]
-    return inside, near
+    return wall_masks(val, phi, BOUNDARY_BAND)
 
 
 def _n_range(phi0, step: float, half_width: int, reach):
     """Per point, the inclusive range lo..hi of the n in [-half_width,
-    half_width] with |phi0 + n step| <= reach (empty when lo > hi)."""
-    lo = np.maximum(np.ceil((-reach - phi0) / step), -half_width)
-    hi = np.minimum(np.floor((reach - phi0) / step), half_width)
-    return lo.astype(np.int64), hi.astype(np.int64)
+    half_width] with |phi0 + n step| <= reach (empty when lo > hi), as
+    whole numbers in float64."""
+    # in place: at 10^4 points each (2, n) temporary is 160 KB
+    lo = -reach - phi0
+    lo /= step
+    np.maximum(np.ceil(lo, out=lo), -half_width, out=lo)
+    hi = reach - phi0
+    hi /= step
+    np.minimum(np.floor(hi, out=hi), half_width, out=hi)
+    return lo, hi
 
 
-def _open_window_range(phi0, step: float, half_width: int, r=np.inf):
-    """Per point, the inclusive range lo..hi of the n in [-half_width,
-    half_width] with |phi0 + n step| <= arccos(min(1, (1 - 2B) / r)) + 2B,
-    B = BOUNDARY_BAND (empty when lo > hi).
+def _decided_ranges(phi0, step: float, half_width: int, r):
+    """The ranges of n in [-half_width, half_width] that the moduli r of a
+    prism's walls decide, from one (2, n) pass through `_n_range`.
 
-    Outside it a prism wall of modulus r on the point neither captures the
-    point nor puts it near a boundary (see `_prism_scan`).  The default
-    r = inf gives the sheet window itself, pi/2 + 2B: beyond pi/2 + B no
-    wall captures or is near, and the second band is the margin for the
-    drift of the computed coordinate from the line phi0 + n step.
+    Returns (lo, hi) as `_n_range` does, each of shape (2, n); write
+    B = BOUNDARY_BAND.  Row 0 is the open range |phi0 + n step| <=
+    arccos(min(1, (1 - 2B) / r)) + 2B: outside it a prism wall of modulus
+    r on the point neither captures the point nor puts it near a
+    boundary.  Row 1 is the decided-hit range
+    |phi0 + n step| <= arccos(min(1, (1 + 2B) / r)) - 2B, empty unless
+    r > 1 + 2B: inside it the wall holds strictly on the point and is not
+    near it (see `_prism_scan`).  r = inf gives the sheet window in row 0,
+    pi/2 + 2B: beyond pi/2 + B no wall captures or is near, and the second
+    band is the margin for the drift of the computed coordinate from the
+    line phi0 + n step.
     """
     band = 2.0 * BOUNDARY_BAND
-    reach = np.arccos(np.minimum(1.0, (1.0 - band) / r)) + band
+    reach = np.array([[1.0 - band], [1.0 + band]]) / r
+    np.arccos(np.minimum(1.0, reach, out=reach), out=reach)
+    reach += np.array([[band], [-band]])
     return _n_range(phi0, step, half_width, reach)
-
-
-def _sure_hit_range(phi0, step: float, half_width: int, r):
-    """Per point, the inclusive range lo..hi of the n in [-half_width,
-    half_width] with |phi0 + n step| <= arccos(min(1, (1 + 2B) / r)) - 2B,
-    B = BOUNDARY_BAND; empty (lo > hi) unless r > 1 + 2B.  Inside it a
-    prism wall of modulus r holds strictly on the point and is not near it
-    (see `_prism_scan`).
-    """
-    band = 2.0 * BOUNDARY_BAND
-    sure = np.arccos(np.minimum(1.0, (1.0 + band) / r)) - band
-    return _n_range(phi0, step, half_width, sure)
 
 
 def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W, PHI):
     """Violation masks of the prism over the corona lift g, and its
-    boundary mask.
+    boundary mask, from one `batch_wall` call on every point and rows
+    only where the moduli leave some n undecided.
 
     D is the wall-rotation step.  Returns (violated_n, violated_2n, near):
     whether a point strictly violates some wall g D^n with |n| <= N, resp.
@@ -292,25 +301,28 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
     The identity.  D^n is the axis rotation z = 0, w = exp(-i n step),
     phi = -n step, so on a point p every wall g D^n has the same modulus
     r = |conj(z_g) Z - conj(w_g) W| = |w_h|, h = g^{-1} p, the sheet
-    coordinate phi_n = phi_0 + n step and the value -r cos(phi_n), where
-    phi_0 comes from the n = 0 wall, g itself.  Write B = BOUNDARY_BAND;
-    the margins 2B below cover the rounding of values and coordinates,
-    which stays near 1e-13.
+    coordinate phi_n = phi_0 + n step and the value -r cos(phi_n); the
+    n = 0 wall, g itself, gives phi_0 and r with its value.  Write
+    B = BOUNDARY_BAND; the margins 2B below cover the rounding of values
+    and coordinates, which stays near 1e-13.
 
     - Decided miss: |phi_n| > arccos(min(1, (1 - 2B) / r)) + 2B, outside
-      `_open_window_range`.  Then r cos(phi_n) < 1 - 2B or the window is
-      shut, and the wall neither captures the point nor is near it.
+      the open range of `_decided_ranges`.  Then r cos(phi_n) < 1 - 2B or
+      the window is shut, and the wall neither captures the point nor is
+      near it.
     - Decided hit: |phi_n| <= arccos(min(1, (1 + 2B) / r)) - 2B, inside
-      `_sure_hit_range`, which is empty unless r > 1 + 2B.  Then the value
-      lies below -1 - 2B inside the window, and the wall holds strictly
-      and is not near.  This is an interval of n: violated_2n is set where
-      it meets [-2N, 2N], and violated_n where it meets [-N, N].
+      its decided-hit range, which is empty unless r > 1 + 2B.  Then the
+      value lies below -1 - 2B inside the window, and the wall holds
+      strictly and is not near.  This is an interval of n: violated_2n is
+      set where it meets [-2N, 2N], and violated_n where it meets [-N, N].
     - Evaluated: the n = 0 wall on every point, and the n != 0 walls
-      between the two bounds, go through `batch_wall` and `_window_masks`.
-      Only the rows n read there are built, each as
-      cover_mul(g, cover_pow(D, n)).  Each evaluated wall must keep its
-      sheet coordinate within B of the line phi_0 + n step, or
-      RuntimeError is raised.
+      of the open range outside the decided-hit range, go through
+      `batch_wall` and `_window_masks`.  Those rows are listed only on the
+      points whose open range the decided-hit range does not cover, and
+      only the rows n read there are built, each as
+      cover_mul(g, cover_pow(D, n)); with none, no power is built.  Each
+      evaluated wall must keep its sheet coordinate within B of the line
+      phi_0 + n step, or RuntimeError is raised.
 
     The guard.  The identity needs every D^n to be that axis rotation, and
     the points to be cone points, exp(i PHI) = W/|W|.  D is checked once
@@ -327,30 +339,31 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
             f"D is not the exact axis rotation through that step "
             f"(axis_turns {D.axis_turns}, |z| {abs(D.z):.3g}, phi off by {deviation:.3g})"
         )
-    val0, phi0 = batch_wall(g, Z, W, PHI)
+    val0, phi0, r = batch_wall(g, Z, W, PHI)
     violated_n, near = _window_masks(val0, phi0)
     violated_2n = violated_n.copy()
 
-    r = np.abs(np.conjugate(g.z) * Z - np.conjugate(g.w) * W)
-    lo, hi = _open_window_range(phi0, step, two_n, r)
-    sure_lo, sure_hi = _sure_hit_range(phi0, step, two_n, r)
+    (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
     violated_2n |= sure_lo <= sure_hi
     violated_n |= np.maximum(sure_lo, -(two_n // 2)) <= np.minimum(sure_hi, two_n // 2)
 
-    # the undecided n: [lo, hi] less the decided-hit interval inside it
-    no_sure = sure_lo > sure_hi
-    first = np.concatenate([lo, np.where(no_sure, hi + 1, np.maximum(lo, sure_hi + 1))])
-    last = np.concatenate([np.where(no_sure, hi, np.minimum(hi, sure_lo - 1)), hi])
-    some = np.flatnonzero(last >= first)
-    first, count = first[some], last[some] - first[some] + 1
-    point = np.repeat(some % len(Z), count)
-    n = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-    point, n = point[n != 0], n[n != 0]
+    # the undecided (point, n): [lo, hi] less the decided-hit interval and n = 0
+    open_points = np.flatnonzero((lo <= hi) & ((sure_lo > lo) | (sure_hi < hi)))
+    bounds = (a[open_points].astype(np.int64).tolist() for a in (lo, hi, sure_lo, sure_hi))
+    pairs = [
+        (i, n)
+        for i, first, last, hit_first, hit_last in zip(open_points.tolist(), *bounds)
+        for n in range(first, last + 1)
+        if n and not hit_first <= n <= hit_last
+    ]
+    if not pairs:
+        return violated_n, violated_2n, near
+    point, n = np.array(pairs).T
 
     rows, row_of = np.unique(n, return_inverse=True)
     walls = _parts([cover_mul(g, cover_pow(D, row)) for row in rows])
     wall = CoverElement(*(a[row_of] for a in walls))
-    val, phi = batch_wall(wall, Z[point], W[point], PHI[point])
+    val, phi, _ = batch_wall(wall, Z[point], W[point], PHI[point])
     if np.any(np.abs(phi - (phi0[point] + n * step)) > BOUNDARY_BAND):
         raise RuntimeError(
             f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}"
@@ -398,8 +411,8 @@ def _description_masks(cons, pts):
     in_linear = membership_mask(cons, pts)
     # the slab walls as one column of (2, 1) arrays: (2, n) values
     slab = CoverElement(*(a[:, None] for a in _parts([wall.g for wall in cons.slab])))
-    slab_values = batch_wall(slab, Z, W, PHI)
-    near_boundary = _window_masks(*slab_values)[1].any(0)
+    val, phi, _ = batch_wall(slab, Z, W, PHI)
+    near_boundary = _window_masks(val, phi)[1].any(0)
 
     # Prism description: the point must escape the prism over every corona
     # point, i.e. strictly violate at least one of its translated walls.

@@ -326,7 +326,7 @@ def _reference_membership(cs, pts, tol):
     Z, W, PHI = _chart_parts(sub)
     vals, windows = {}, {}
     for wall in cs.all_walls():
-        val, phi = batch_wall(wall.g, Z, W, PHI)
+        val, phi, _ = batch_wall(wall.g, Z, W, PHI)
         vals[wall.label] = val
         windows[wall.label] = np.abs(phi) < math.pi / 2.0
     exact = np.ones(len(sub), dtype=bool)
@@ -438,7 +438,7 @@ def _reference_active(cs, pts, tol):
     vals = np.empty((len(walls), len(Z)))
     windows = np.empty_like(vals, dtype=bool)
     for i, wall in enumerate(walls):
-        val, phi = batch_wall(wall.g, Z, W, PHI)
+        val, phi, _ = batch_wall(wall.g, Z, W, PHI)
         vals[i] = val
         windows[i] = np.abs(phi) < math.pi / 2.0
     on_plane = (np.abs(vals + 1.0) <= tol) & windows
@@ -534,7 +534,7 @@ def test_the_window_is_open_wherever_a_wall_can_hold(series, k):
     held = 0
     widest = 0.0
     for wall in cs.all_walls():
-        val, phi = batch_wall(wall.g, Z, W, PHI)
+        val, phi, _ = batch_wall(wall.g, Z, W, PHI)
         phases = np.abs(phi[val <= -1.0 + _SEED_MEMBERSHIP_TOL])
         assert (phases < math.pi / 2.0).all(), wall.label
         held += len(phases)

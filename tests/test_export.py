@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -493,6 +495,35 @@ def test_cli_parser_errors_are_json(capsys):
         out = json.loads(captured.out)
         assert set(out) == {"error", "series", "k"} and out["error"], argv
         assert (out["series"], out["k"]) == (series, k), argv
+
+
+def test_cli_parser_is_built_once_and_replies_as_fresh_processes(capsys):
+    """`main` builds its parser once per process.  Rejected command lines
+    followed by valid ones, all in one process, give the exit codes and
+    replies that each gives in a fresh process."""
+    argvs = [
+        ["build", "--series", "E", "--k", "1", "--bogus"],
+        ["info", "--series", "Z", "--k", "2"],
+        ["verify", "--series", "E", "--k"],
+        ["verify", "--series", "E", "--k", "1", "--samples", "100"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    in_process = []
+    for argv in argvs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lorentzdomains.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.stderr == "", argv
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [2, 0, 2, 0]
 
 
 def _flag(name, good, bad):

@@ -23,11 +23,10 @@ from lorentzdomains.reduction import (
     _chart_parts,
     _closed_quantities,
     _corona_lifts,
+    _decided_ranges,
     _description_masks,
-    _open_window_range,
     _prism_scan,
     _slab_samples,
-    _sure_hit_range,
     _window_masks,
     check_reduction_bound,
     ell,
@@ -283,13 +282,18 @@ def test_importing_the_cli_leaves_mpmath_unloaded(tmp_path):
 
 def test_a_missing_corona_point_fails_the_orbit_premise(monkeypatch):
     """Dropped from the corona, a first-shell point is an orbit point inside
-    R that matches no corona point."""
-    full = edge_corona(build_triangle_group(4, 3, 3))
-    assert check_reduction_bound("E", 1).certified
-    monkeypatch.setattr(reduction, "edge_corona", lambda tri: edge_corona(tri)[1:])
-    rep = check_reduction_bound("E", 1)
-    assert abs(full[0]) < rep.R - PREMISE_SLACK
-    assert rep.holds and rep.orbit_premise_ok is False and not rep.certified
+    R that matches no corona point: the first, a middle or the last one,
+    up to E400, where the corona has 806 points."""
+    for series, k, drop in [("E", 1, 0), ("Z", 50, None), ("E", 400, -1)]:
+        monkeypatch.setattr(reduction, "edge_corona", edge_corona)
+        assert check_reduction_bound(series, k).certified
+        full = edge_corona(build_triangle_group(*series_signature(series, k)))
+        drop = len(full) // 2 if drop is None else drop % len(full)
+        kept = full[:drop] + full[drop + 1:]
+        monkeypatch.setattr(reduction, "edge_corona", lambda tri: kept)
+        rep = check_reduction_bound(series, k)
+        assert abs(full[drop]) < rep.R - PREMISE_SLACK
+        assert rep.holds and rep.orbit_premise_ok is False and not rep.certified
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,7 @@ def _reference_description_masks(cons, pts):
     bands = np.zeros(len(Z), dtype=bool)
 
     def wall_masks(g):
-        val, phi = batch_wall(g, Z, W, PHI)
+        val, phi, _ = batch_wall(g, Z, W, PHI)
         window = np.abs(phi) < math.pi / 2.0
         inside = (val <= -1.0) & window
         nonlocal bands
@@ -384,7 +388,7 @@ def _probe_points(cons, n_samples, seed):
             g = cover_mul(lifts[i % len(lifts)], cover_pow(D, int(rng.integers(-2, 3))))
         else:
             g = linear[i % len(linear)]
-        val, _ = batch_wall(g, Z[i:i + 1], W[i:i + 1], PHI[i:i + 1])
+        val, _, _ = batch_wall(g, Z[i:i + 1], W[i:i + 1], PHI[i:i + 1])
         z = Z[i] + (-1.0 + shifts - val[0]) * g.z / abs(g.z) ** 2
         probes.append(np.column_stack([z.real, z.imag, np.full(len(z), W[i].imag)]))
     edge = math.pi / 2.0 + BOUNDARY_BAND * np.array([0.0, 0.5, 1.5, 2.5])
@@ -477,11 +481,11 @@ def test_skipped_prism_walls_are_inert(series, k):
     step = math.pi * k / config.p_lcm
     n_skipped = 0
     for _, g in _corona_lifts(cons.tri, config):
-        _, phi0 = batch_wall(cover_mul(g, cover_pow(D, 0)), Z, W, PHI)
-        lo, hi = _open_window_range(phi0, step, two_n)
+        _, phi0, _ = batch_wall(cover_mul(g, cover_pow(D, 0)), Z, W, PHI)
+        (lo, _), (hi, _) = _decided_ranges(phi0, step, two_n, np.inf)
         for n in range(-two_n, two_n + 1):
             wall = cover_mul(g, cover_pow(D, n))
-            val, phi = batch_wall(wall, Z, W, PHI)
+            val, phi, _ = batch_wall(wall, Z, W, PHI)
             kept = (lo <= n) & (n <= hi)
             _, near = _window_masks(val, phi)
             assert not np.any(~kept & ((np.abs(phi) < math.pi / 2.0) | near))
@@ -490,7 +494,7 @@ def test_skipped_prism_walls_are_inert(series, k):
             per_point = CoverElement(
                 np.full(m, wall.z), np.full(m, wall.w), np.full(m, wall.phi)
             )
-            val_k, phi_k = batch_wall(per_point, Z[kept], W[kept], PHI[kept])
+            val_k, phi_k, _ = batch_wall(per_point, Z[kept], W[kept], PHI[kept])
             assert val_k.tobytes() == val[kept].tobytes()
             assert phi_k.tobytes() == phi[kept].tobytes()
     assert n_skipped > 0.8 * len(Z) * (2 * two_n + 1) * 2 * cons.tri.p
@@ -539,13 +543,12 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     n_hit = n_window = n_undecided = 0
     for _, g in _corona_lifts(cons.tri, config):
-        _, phi0 = batch_wall(g, Z, W, PHI)
+        _, phi0, _ = batch_wall(g, Z, W, PHI)
         r = np.abs(np.conjugate(g.z) * Z - np.conjugate(g.w) * W)
-        lo, hi = _open_window_range(phi0, step, two_n, r)
-        sure_lo, sure_hi = _sure_hit_range(phi0, step, two_n, r)
-        window_lo, window_hi = _open_window_range(phi0, step, two_n)
+        (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
+        (window_lo, _), (window_hi, _) = _decided_ranges(phi0, step, two_n, np.inf)
         for n in range(-two_n, two_n + 1):
-            val, phi = batch_wall(cover_mul(g, d_list[n + two_n]), Z, W, PHI)
+            val, phi, _ = batch_wall(cover_mul(g, d_list[n + two_n]), Z, W, PHI)
             inside, near = _window_masks(val, phi)
             miss = (n < lo) | (n > hi)
             hit = (sure_lo <= n) & (n <= sure_hi)
@@ -597,20 +600,20 @@ def test_description_masks_check_the_window_edge_premise():
         _description_masks(cons, pts)
 
 
-def test_prism_scan_matches_every_wall_of_a_short_family():
-    """On a family short enough that the |n| <= N and |n| <= 2N verdicts
-    differ, the scan returns what evaluating every wall returns."""
-    two_n = 2
-    cons = series_constraints("Z", 4)
+def _scan_against_every_wall(series, k, two_n, n_samples):
+    """Check that the scan returns what evaluating every wall g D^n,
+    |n| <= two_n, returns on probe points, and return the number of points
+    where the |n| <= N and |n| <= 2N verdicts differ."""
+    cons = series_constraints(series, k)
     config = cons.config
-    Z, W, PHI = _chart_parts(_probe_points(cons, 600, seed=2))
+    Z, W, PHI = _chart_parts(_probe_points(cons, n_samples, seed=2))
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     step = math.pi * config.k / config.p_lcm
     n_differ = 0
     for _, g in _corona_lifts(cons.tri, config):
         want_n, want_2n, want_near = (np.zeros(len(Z), dtype=bool) for _ in range(3))
         for n, d in zip(range(-two_n, two_n + 1), d_list):
-            inside, near = _window_masks(*batch_wall(cover_mul(g, d), Z, W, PHI))
+            inside, near = _window_masks(*batch_wall(cover_mul(g, d), Z, W, PHI)[:2])
             want_near |= near
             want_2n |= inside
             if abs(n) <= two_n // 2:
@@ -619,4 +622,48 @@ def test_prism_scan_matches_every_wall_of_a_short_family():
         for name, a, b in zip(("n", "2n", "near"), got, (want_n, want_2n, want_near)):
             assert np.array_equal(a, b), name
         n_differ += int((want_n != want_2n).sum())
-    assert n_differ > 0
+    return n_differ
+
+
+def test_prism_scan_matches_every_wall_of_a_short_family():
+    """On a family short enough that the |n| <= N and |n| <= 2N verdicts
+    differ, the scan returns what evaluating every wall returns."""
+    assert _scan_against_every_wall("Z", 4, 2, 600) > 0
+
+
+@pytest.mark.parametrize("series, k", [("E", 1), ("Z", 5)])
+def test_prism_scan_matches_every_wall_of_the_full_family(series, k):
+    """On the family |n| <= 4 p_lcm that `_description_masks` scans, the
+    scan returns what evaluating every wall returns."""
+    p_lcm = lift_level(*series_signature(series, k), k).p_lcm
+    _scan_against_every_wall(series, k, 4 * p_lcm, 2000)
+
+
+def test_prism_scan_builds_powers_only_for_undecided_rows(monkeypatch):
+    """On 10^4 slab samples a lift whose moduli decide every n != 0 builds
+    no power of D, and every other lift builds each undecided row once."""
+    cons = series_constraints("E", 1)
+    config = cons.config
+    Z, W, PHI = _chart_parts(_slab_samples(config, 10_000, 0))
+    two_n = 4 * config.p_lcm
+    step = math.pi * config.k / config.p_lcm
+    built = []
+
+    def counted_pow(a, n):
+        built.append(n)
+        return cover_pow(a, n)
+
+    monkeypatch.setattr(reduction, "cover_pow", counted_pow)
+    rows_per_lift = []
+    for _, g in _corona_lifts(cons.tri, config):
+        _, phi0, r = batch_wall(g, Z, W, PHI)
+        (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
+        undecided = {
+            n for n in range(-two_n, two_n + 1)
+            if n and np.any((lo <= n) & (n <= hi) & ~((sure_lo <= n) & (n <= sure_hi)))
+        }
+        built.clear()
+        _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
+        assert sorted(built) == sorted(undecided)
+        rows_per_lift.append(len(undecided))
+    assert 0 in rows_per_lift and sum(rows_per_lift) > 0

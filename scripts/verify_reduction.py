@@ -63,12 +63,11 @@ def main(argv=None) -> int:
                 failures += 1
                 print(f"FAIL equivalence {series} k={k}: {exc}")
                 continue
-            agree = st.n_evaluated > 0 and st.n_agree == st.n_evaluated
-            if not agree:
+            if not st.agrees:
                 failures += 1
             print(
                 f"equivalence {series} k={k}: {st.n_agree}/{st.n_evaluated} agree "
-                f"({'ok' if agree else 'FAIL'})"
+                f"({'ok' if st.agrees else 'FAIL'})"
             )
     return 1 if failures else 0
 

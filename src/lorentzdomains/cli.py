@@ -54,6 +54,11 @@ class DomainBuild:
     reduction: ReductionReport
     report: dict
 
+    @property
+    def certified(self) -> bool:
+        """No face is left unpaired and the reduction is certified."""
+        return self.reduction.certified and not self.pairings.unpaired
+
 
 def build_domain(series: str, k: int) -> DomainBuild:
     """Construct and certify the fundamental polyhedron for one series level.
@@ -128,7 +133,7 @@ def cmd_build(args, config: LevelConfig) -> int:
         "artifacts": {fmt: written[fmt] for fmt in sorted(written)},
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0 if build.reduction.certified and not report["unpaired"] else 1
+    return 0 if build.certified else 1
 
 
 def cmd_verify(args, config: LevelConfig) -> int:
@@ -159,8 +164,7 @@ def cmd_verify(args, config: LevelConfig) -> int:
         },
     }
     print(json.dumps(result, indent=2, sort_keys=True))
-    ok = reduction.certified and 0 < stats.n_evaluated == stats.n_agree
-    return 0 if ok else 1
+    return 0 if reduction.certified and stats.agrees else 1
 
 
 class _UsageError(Exception):

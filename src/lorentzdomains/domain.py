@@ -52,6 +52,7 @@ from .disc import (
     group_mul,
     mobius_apply,
 )
+from .halfspaces import _chart_cone, _cover_product
 
 VERTEX_MERGE_TOL = 1e-8
 PLANE_INCIDENCE_TOL = 1e-9
@@ -76,31 +77,28 @@ _LABEL_ORDER = {"a": 0, "b": 1, "c": 2, "slab": 3}
 # wall letters of one union group; each letter after a adds a trailing D
 _SERIES_LETTERS = {"E": "ab", "Z": "abc"}
 
-@dataclass(frozen=True)
-class AffineFunctional:
-    """value(x) = normal . (x1, x2, s) + constant; wall sits at value == -1."""
-
-    normal: np.ndarray
-    constant: float
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.normal + self.constant
+def _parts(gs):
+    """The z, w and phi arrays of a list of cover elements."""
+    return (
+        np.array([g.z for g in gs], dtype=complex),
+        np.array([g.w for g in gs], dtype=complex),
+        np.array([g.phi for g in gs], dtype=float),
+    )
 
 
-def linearize(g: CoverElement) -> AffineFunctional:
-    """Restrict the functional of the wall E_g to the slab chart.
+def linearize(gs):
+    """Restrict the functionals of the walls E_g, g in gs, to the slab chart:
+    the normals (W, 3) and constants (W,) of value = normal . x + constant.
 
     <pi(g), p> = Re(z_g) x1 + Im(z_g) x2 - Im(w_g) s - Re(w_g) on points
-    p = (x1 + i x2, 1 + i s).  Side I keeps value <= -1, side H keeps
-    value >= -1.  The functional does not depend on the level.  It decides
-    the exact wall rule on the whole cone wherever the premise of the lemma
-    in `membership_mask` holds, and `series_constraints` checks that premise
-    for every wall it builds.
+    p = (x1 + i x2, 1 + i s).  The wall sits at value == -1; side I keeps
+    value <= -1, side H keeps value >= -1.  The functional does not depend
+    on the level.  It decides the exact wall rule on the whole cone wherever
+    the premise of the lemma in `membership_mask` holds, and
+    `series_constraints` checks that premise for every wall it builds.
     """
-    return AffineFunctional(
-        normal=np.array([g.z.real, g.z.imag, -g.w.imag]),
-        constant=-g.w.real,
-    )
+    z, w, _ = _parts(gs)
+    return np.column_stack([z.real, z.imag, -w.imag]), -w.real
 
 
 def _in_slab_cone(pts: np.ndarray) -> np.ndarray:
@@ -114,22 +112,16 @@ class Wall:
     label: str
     g: CoverElement
     side: str  # "I" or "H"
-    functional: AffineFunctional
-    # unit-normal form of the wall plane, normal_hat . x = offset
-    normal_hat: np.ndarray = field(init=False)
-    offset: float = field(init=False)
-
-    def __post_init__(self):
-        n = self.functional.normal
-        scale = float(np.linalg.norm(n))
-        if scale < 1e-12:
-            raise RuntimeError(f"degenerate wall functional for {self.label}")
-        object.__setattr__(self, "normal_hat", n / scale)
-        object.__setattr__(self, "offset", (-1.0 - self.functional.constant) / scale)
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
+    """The walls of one series level and their plane table, one row per
+    wall in `all_walls()` order, derived from the walls' elements when the
+    set is made (`dataclasses.replace` derives it afresh): the functionals
+    normals . x + constants (`linearize`) and the unit-normal planes
+    unit_normals . x = offsets.  A degenerate normal raises RuntimeError."""
+
     series: str
     k: int
     period: int
@@ -138,16 +130,28 @@ class ConstraintSet:
     D: CoverElement
     groups: tuple  # tuple of tuples of Wall, one tuple per union index m
     slab: tuple  # the two H-side Walls
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+    constants: np.ndarray = field(init=False, repr=False, compare=False)
+    unit_normals: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        walls = self.all_walls()
+        normals, constants = linearize([w.g for w in walls])
+        # a stack of dot products rounds as `np.linalg.norm` of each row
+        scale = np.sqrt((normals[:, None, :] @ normals[:, :, None])[:, 0, 0])
+        small = np.flatnonzero(scale < 1e-12)
+        if len(small):
+            raise RuntimeError(f"degenerate wall functional for {walls[small[0]].label}")
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "unit_normals", normals / scale[:, None])
+        object.__setattr__(self, "offsets", (-1.0 - constants) / scale)
 
     def all_walls(self):
         out = [w for grp in self.groups for w in grp]
         out.extend(self.slab)
         return out
-
-    def planes(self):
-        """Unit normals (W, 3) and offsets (W,), normal_hat . x = offset."""
-        walls = self.all_walls()
-        return np.array([w.normal_hat for w in walls]), np.array([w.offset for w in walls])
 
 
 def series_constraints(series: str, k: int) -> ConstraintSet:
@@ -166,7 +170,8 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     |phi_g| < pi/2 and |z_g| < |w_g|, under which its chart functional
     decides its exact rule on the whole cone; else RuntimeError names the
     wall and its margin pi/2 - |phi_g|.  The check is in closed form, on
-    each wall's (z, w, phi) alone.
+    each wall's (z, w, phi) alone.  A wall stores only (label, g, side);
+    the set derives its plane table from the g's once (`ConstraintSet`).
     """
     p_tri, q, r = series_signature(series, k)
     config = lift_level(p_tri, q, r, k)
@@ -200,12 +205,12 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         for _ in letters[1:]:
             members.append(cover_mul(members[-1], D))
         groups.append(tuple(
-            Wall(f"{letter}[{m}]", g, "I", linearize(g))
+            Wall(f"{letter}[{m}]", g, "I")
             for letter, g in zip(letters, members)
         ))
 
     slab_walls = tuple(
-        Wall(name, g, "H", linearize(g))
+        Wall(name, g, "H")
         for g, name in ((D, "slab[D]"), (cover_inv(D), "slab[D^-1]"))
     )
     cs = ConstraintSet(
@@ -232,22 +237,20 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
 
 def _terms(cs: ConstraintSet):
     """The membership terms in the order `_wall_pass` runs them, the two
-    slab walls, then the union groups, each as (its first row in
-    `all_walls()` order, its walls)."""
-    first_rows = np.cumsum([0] + [len(grp) for grp in cs.groups]).tolist()
-    terms = [(first_rows[-1] + i, (wall,)) for i, wall in enumerate(cs.slab)]
-    return terms + list(zip(first_rows, cs.groups))
+    slab walls, then the union groups, each as (its rows of the plane
+    table, a slice of `all_walls()` order, and its side)."""
+    ends = np.cumsum([0] + [len(grp) for grp in cs.groups]).tolist()
+    terms = [(slice(ends[-1] + i, ends[-1] + i + 1), w.side) for i, w in enumerate(cs.slab)]
+    return terms + [(slice(a, b), grp[0].side) for a, b, grp in zip(ends, ends[1:], cs.groups)]
 
 
-def _term_verdicts(members, sub, tol):
+def _term_verdicts(cs: ConstraintSet, rows: slice, side: str, sub, tol):
     """One membership term (a union group, or a slab wall as a group of
-    one) on chart points `sub`: per point whether it holds at tol, and the
-    (L, n) chart functional values of its L walls."""
-    normals = np.array([w.functional.normal for w in members])
-    constants = np.array([w.functional.constant for w in members])[:, None]
-    # a stack of matrix-vector products rounds as `AffineFunctional.value`
-    lin = (sub @ normals[:, :, None])[..., 0] + constants
-    holds = ~(lin < -1.0 - tol) if members[0].side == "H" else lin <= -1.0 + tol
+    one), its L walls the table rows `rows`, on chart points `sub`: per
+    point whether it holds at tol, and the (L, n) chart functional values
+    of its walls."""
+    lin = (sub @ cs.normals[rows, :, None])[..., 0] + cs.constants[rows, None]
+    holds = ~(lin < -1.0 - tol) if side == "H" else lin <= -1.0 + tol
     return holds.any(0), lin
 
 
@@ -273,14 +276,14 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     sub = pts[live]
     inside = np.ones(len(live), dtype=bool)
     hit_walls, hit_points = [], []
-    for first_row, members in _terms(cs):
-        holds, lin = _term_verdicts(members, sub, tol)
+    for rows, side in _terms(cs):
+        holds, lin = _term_verdicts(cs, rows, side, sub, tol)
         inside &= holds
         if incidence_tol is not None:
             strict = lin < -1.0 - incidence_tol
             on = np.abs(lin + 1.0) <= incidence_tol
-            rows, cols = np.nonzero(on & ~strict.any(0) & inside)
-            hit_walls.append(first_row + rows)
+            on_rows, cols = np.nonzero(on & ~strict.any(0) & inside)
+            hit_walls.append(rows.start + on_rows)
             hit_points.append(live[cols])
         keep = np.flatnonzero(inside)
         if 8 * len(keep) <= 7 * len(live):
@@ -297,7 +300,7 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
 
 def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_TOL):
     """Exact sheet-aware membership of chart points in the domain, read
-    from the chart functionals alone.
+    from the chart functionals of the plane table of `cs` alone.
 
     Membership is a conjunction of terms: the two slab walls (H side), then
     one term per union group, which holds where any of its members (I side)
@@ -306,11 +309,13 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
     val = <g, p> <= -1 + tol, strictly where val < -1 - tol, and puts p on
     the wall where |val + 1| <= tol, each only inside the window
     |phi| < pi/2 of the sheet coordinate phi = phi(g^{-1} p).  The chart
-    functional (`linearize`) is val up to rounding (2.8e-14 at most,
-    measured), and the window decides nothing, by this lemma.
+    functional, the wall's row of the table, is val up to rounding
+    (2.8e-14 at most, measured), and the window decides nothing, by this
+    lemma.
 
     Lemma.  Write p = (Z, W) = (x1 + i x2, 1 + i s) and
-    w' = conj(w_g) W - conj(z_g) Z.  Then val = -Re w', and
+    w' = conj(w_g) W - conj(z_g) Z, the w of g^{-1} p that `batch_wall`
+    forms (`_cover_product`).  Then val = -Re w', and
     phi = -phi_g + arctan s + arg(1 - conj(z_g) Z / (conj(w_g) W)) is
     arg w' mod 2 pi.  Suppose |phi_g| < pi/2 and |z_g| < |w_g|.  On the
     cone |Z| < |W|, so the bracket has positive real part and
@@ -327,10 +332,10 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
 
     The conjunction short-circuits: a point that fails a term stays outside
     whatever later terms say, and is dropped, so the mask is that of the
-    full walls-by-points table at the cost of one (L, n) array per term.
-    The terms run in `_wall_pass`, which the builds call directly
-    (`enumerate_vertices`, `build_polyhedron`) to get the active incidences
-    from the same values.
+    full walls-by-points table at the cost of one (L, n) array per term,
+    from its L rows of the table.  The terms run in `_wall_pass`, which the
+    builds call directly (`enumerate_vertices`, `build_polyhedron`) to get
+    the active incidences from the same values.
     """
     return _wall_pass(cs, pts, tol)[0]
 
@@ -365,7 +370,7 @@ def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
     n_group = cs.period * len(letters)
     index = np.arange(len(walls))
     perm = np.where(index < n_group, (index + len(letters)) % n_group, index)
-    normals, offsets = cs.planes()
+    normals, offsets = cs.unit_normals, cs.offsets
     rot = _s_axis_rotation(math.pi / cs.tri.p)
     resid = np.maximum(
         np.abs(normals @ rot.T - normals[perm]).max(axis=1),
@@ -565,7 +570,7 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     survivors, their points and their order are those of the full scan,
     and so is the merge.  Every level tried has 14 seeds (E) or 44 (Z).
     """
-    normals, offsets = cs.planes()
+    normals, offsets = cs.unit_normals, cs.offsets
     perm = _sigma_permutation(cs)
     seeds = _seed_triples(cs, normals, offsets)
     images = [seeds]
@@ -691,7 +696,7 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
             if len(loop) < 3:
                 raise RuntimeError(f"wall {wall.label}: degenerate loop {loop}")
             loops.append(loop)
-        outward = wall.normal_hat if wall.side == "I" else -wall.normal_hat
+        outward = cs.unit_normals[wi] if wall.side == "I" else -cs.unit_normals[wi]
         for li, loop in enumerate(loops):
             newell = _newell_normal(vertices, loop)
             sense = float(newell @ outward)
@@ -910,29 +915,15 @@ def _gamma1_certificate(
     return count, " ".join(parts) if parts else "e"
 
 
-def _parts(gs):
-    """The z, w and phi arrays of a list of cover elements."""
-    return (
-        np.array([g.z for g in gs], dtype=complex),
-        np.array([g.w for g in gs], dtype=complex),
-        np.array([g.phi for g in gs], dtype=float),
-    )
-
-
 def _cone_points(z1, w1, phi1, pts: np.ndarray):
     """The cone points (qz, qw, qphi) of g1 . p for chart points p, the
     product of `cover_mul`, with g1 = (z1, w1, phi1) broadcast against the
-    leading axes of pts (shape (..., 3)).  The chart point (x1, x2, s) is
-    the cone point (x1 + i x2, 1 + i s, arctan s).  Each cocycle bracket
-    must have positive real part, else ArithmeticError."""
-    z = pts[..., 0] + 1j * pts[..., 1]
-    w = 1.0 + 1j * pts[..., 2]
-    bracket = 1.0 + (np.conjugate(z1) * z) / (w1 * w)
-    if not (bracket.real > 0.0).all():
-        raise ArithmeticError("cocycle bracket left the principal branch")
-    qz = np.conjugate(w1) * z + z1 * w
-    qw = np.conjugate(z1) * z + w1 * w
-    return qz, qw, phi1 + np.arctan(pts[..., 2]) + np.angle(bracket)
+    leading axes of pts (shape (..., 3)).  The chart point is the cone
+    point (Z, W, PHI) of `_chart_cone`; qw and qphi are `_cover_product`'s,
+    with its bracket check, and qz = conj(w1) Z + z1 W."""
+    Z, W, PHI = _chart_cone(pts)
+    qw, qphi = _cover_product(z1, w1, phi1, Z, W, PHI)
+    return np.conjugate(w1) * Z + z1 * W, qw, qphi
 
 
 def _sheet_project(qz, qw, qphi):

@@ -1,4 +1,5 @@
-"""The wall kernel and the wall rule on the cone over the SU(1,1) quadric.
+"""The array cover product, the wall kernel built on it and the wall rule
+on the cone over the SU(1,1) quadric.
 
 Points of the ambient space are CoverElement triples (z, w, phi) with
 |z| < |w| and exp(i phi) = w/|w|; they need not satisfy the quadric
@@ -22,6 +23,31 @@ import numpy as np
 from .cover import CoverElement
 
 
+def _chart_cone(pts: np.ndarray):
+    """The cone points (Z, W, PHI) of chart points pts (shape (..., 3)):
+    (x1, x2, s) is (x1 + i x2, 1 + i s, arctan s)."""
+    Z = pts[..., 0] + 1j * pts[..., 1]
+    W = 1.0 + 1j * pts[..., 2]
+    return Z, W, np.arctan(pts[..., 2])
+
+
+def _cover_product(z1, w1, phi1, Z, W, PHI):
+    """The w and phi of `cover_mul`'s product g . p, vectorised, for
+    g = (z1, w1, phi1) and cone points p = (Z, W, PHI) broadcast together:
+    w = conj(z1) Z + w1 W, phi = phi1 + PHI + arg(1 + conj(z1) Z / (w1 W)).
+    Each cocycle bracket must have positive real part, else ArithmeticError.
+    conj(z1) Z serves the bracket, then becomes w in place."""
+    qw = np.conjugate(z1) * Z
+    b = w1 * W
+    bracket = qw / b
+    bracket += 1.0
+    qw += b
+    del b  # freed before the phase is formed: fewer fresh pages per call
+    if not (bracket.real > 0.0).all():
+        raise ArithmeticError("cocycle bracket left the principal branch")
+    return qw, phi1 + PHI + np.angle(bracket)
+
+
 def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
     """Form values <g, p>, sheet coordinates phi(g^{-1} p) and moduli
     |w_h|, h = g^{-1} p, vectorised.
@@ -30,22 +56,11 @@ def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
     or one wall per point, a CoverElement whose z, w and phi are arrays
     parallel to Z; or a column of L walls, (L, 1) arrays, which gives
     (L, n) results on n points.  The elementwise arithmetic is the same in
-    every form.  Each of the two complex products a = conj(z_g) Z and
-    b = conj(w_g) W is formed once and serves the value Re(a) - Re(b),
-    which is Re(a - b) bit for bit and holds no complex array, the modulus
-    |a - b| = |w_h|, and the cocycle bracket 1 - a / b; both are freed
-    before the phase is formed.
+    every form.  h is `_cover_product` with g^{-1} = (-z_g, conj(w_g),
+    -phi_g), and <g, p> = -Re w_h.
     """
-    a = np.conjugate(g.z) * Z
-    b = np.conjugate(g.w) * W
-    val = a.real - b.real
-    modulus = np.abs(a - b)
-    bracket = 1.0 - a / b
-    del a, b
-    if not (bracket.real > 0.0).all():
-        raise ArithmeticError("cocycle bracket left the principal branch")
-    phi = -g.phi + PHI + np.angle(bracket)
-    return val, phi, modulus
+    w_h, phi = _cover_product(-g.z, np.conjugate(g.w), -g.phi, Z, W, PHI)
+    return -w_h.real, phi, np.abs(w_h)
 
 
 def wall_masks(val, phi, band: float):

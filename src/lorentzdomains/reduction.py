@@ -30,7 +30,7 @@ from .disc import (
     orbit,
 )
 from .domain import _close_pairs, _parts, membership_mask, series_constraints
-from .halfspaces import batch_wall, wall_masks
+from .halfspaces import _chart_cone, batch_wall, wall_masks
 
 FORM_AGREEMENT_TOL = 1e-10
 TIGHT_MARGIN = 1e-6
@@ -190,6 +190,11 @@ class EquivalenceStats:
             return None
         return self.n_agree / self.n_evaluated
 
+    @property
+    def agrees(self) -> bool:
+        """Some point was evaluated, and every evaluated point agrees."""
+        return 0 < self.n_evaluated == self.n_agree
+
 
 def _corona_lifts(tri: TriangleGroupData, config: LevelConfig):
     """Cover lifts g with g(0) = x for each corona point x, as (x, g) pairs.
@@ -214,15 +219,6 @@ def _corona_lifts(tri: TriangleGroupData, config: LevelConfig):
     return pairs
 
 
-def _chart_parts(pts: np.ndarray):
-    """The cone points (Z, W, PHI) of chart points (x1, x2, s), as
-    `batch_wall` takes them: Z = x1 + i x2, W = 1 + i s, PHI = arctan s."""
-    Z = pts[:, 0] + 1j * pts[:, 1]
-    W = 1.0 + 1j * pts[:, 2]
-    PHI = np.arctan(pts[:, 2])
-    return Z, W, PHI
-
-
 def _slab_samples(config: LevelConfig, n_samples: int, seed: int) -> np.ndarray:
     """Uniform points of the slab cylinder |s| <= h, x1^2 + x2^2 < 1 + s^2,
     as (n, 3) chart points (x1, x2, s)."""
@@ -233,23 +229,6 @@ def _slab_samples(config: LevelConfig, n_samples: int, seed: int) -> np.ndarray:
     rad = np.sqrt(rng.uniform(0.0, 1.0, n_samples)) * np.sqrt(1.0 + s * s)
     z = rad * np.exp(1j * theta)
     return np.column_stack([z.real, z.imag, s])
-
-
-def _window_masks(val, phi):
-    """Capture and boundary masks of walls evaluated by `batch_wall`, from
-    one window: the wall holds (at tolerance 0), and the point is on the
-    wall at tolerance BOUNDARY_BAND (`wall_masks` at band BOUNDARY_BAND).
-
-    The window edge |phi| = pi/2 needs no band of its own.  Write
-    B = BOUNDARY_BAND and h = g^{-1} p.  Then <g, p> = -|w_h| cos(phi), so
-    within B of the edge |<g, p>| < |w_h| B, and <g, p> <= -1 + B needs
-    |w_h| > (1 - B) / B, about 10^6.  But |w_h| <= |w_g| |w_p| + |z_g| |z_p|
-    <= (|z_g| + |w_g|) |w_p|, and `_description_masks` raises RuntimeError
-    unless that bound stays below (1 - B) / B for every wall and corona lift
-    on the points it is given.  On 10^4 slab samples it is at most 68 over
-    every admissible level k <= 50 of both series (Z50).
-    """
-    return wall_masks(val, phi, BOUNDARY_BAND)
 
 
 def _n_range(phi0, step: float, half_width: int, reach):
@@ -317,7 +296,7 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
       set where it meets [-2N, 2N], and violated_n where it meets [-N, N].
     - Evaluated: the n = 0 wall on every point, and the n != 0 walls
       of the open range outside the decided-hit range, go through
-      `batch_wall` and `_window_masks`.  Those rows are listed only on the
+      `batch_wall` and `wall_masks`.  Those rows are listed only on the
       points whose open range the decided-hit range does not cover, and
       only the rows n read there are built, each as
       cover_mul(g, cover_pow(D, n)); with none, no power is built.  Each
@@ -340,7 +319,7 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
             f"(axis_turns {D.axis_turns}, |z| {abs(D.z):.3g}, phi off by {deviation:.3g})"
         )
     val0, phi0, r = batch_wall(g, Z, W, PHI)
-    violated_n, near = _window_masks(val0, phi0)
+    violated_n, near = wall_masks(val0, phi0, BOUNDARY_BAND)
     violated_2n = violated_n.copy()
 
     (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
@@ -368,7 +347,7 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
         raise RuntimeError(
             f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}"
         )
-    hit, near_wall = _window_masks(val, phi)
+    hit, near_wall = wall_masks(val, phi, BOUNDARY_BAND)
     near[point[near_wall]] = True
     violated_2n[point[hit]] = True
     violated_n[point[hit & (np.abs(n) <= two_n // 2)]] = True
@@ -386,15 +365,22 @@ def _description_masks(cons, pts):
     wall g D^n, so its band is among those; and excluding fewer points only
     makes the comparison stricter, as a point left in can fail it but never
     pass it falsely.  The verdict at MEMBERSHIP_TOL differs from the exact
-    one only within MEMBERSHIP_TOL of a wall, inside its band.  Raises
-    RuntimeError when a wall breaks the window-edge premise of
-    `_window_masks`, when D is not the axis rotation `_prism_scan` needs,
-    and when a prism verdict off the boundary changes as the wall scan
-    doubles.  Each scan builds only the powers D^n that its modulus bounds
-    leave undecided.
+    one only within MEMBERSHIP_TOL of a wall, inside its band.  Each scan
+    builds only the powers D^n that its modulus bounds leave undecided.
+
+    The window edge |phi| = pi/2 of `wall_masks` needs no band of its own.
+    Write B = BOUNDARY_BAND and h = g^{-1} p.  Then <g, p> = -|w_h| cos(phi),
+    so within B of the edge |<g, p>| < |w_h| B, and <g, p> <= -1 + B needs
+    |w_h| > (1 - B) / B, about 10^6.  But |w_h| <= |w_g| |w_p| + |z_g| |z_p|
+    <= (|z_g| + |w_g|) |w_p|, and that bound must stay below (1 - B) / B
+    for every wall and corona lift on pts, else RuntimeError names the
+    wall.  On 10^4 slab samples it is at most 68 over every admissible
+    level k <= 50 of both series (Z50).  RuntimeError is also raised when
+    D is not the axis rotation `_prism_scan` needs, and when a prism
+    verdict off the boundary changes as the wall scan doubles.
     """
     config, tri = cons.config, cons.tri
-    Z, W, PHI = _chart_parts(pts)
+    Z, W, PHI = _chart_cone(pts)
     lifts = _corona_lifts(tri, config)
     # the premise on g bounds every g D^n too: D^n keeps |z| and |w|
     limit = (1.0 - BOUNDARY_BAND) / BOUNDARY_BAND
@@ -412,7 +398,7 @@ def _description_masks(cons, pts):
     # the slab walls as one column of (2, 1) arrays: (2, n) values
     slab = CoverElement(*(a[:, None] for a in _parts([wall.g for wall in cons.slab])))
     val, phi, _ = batch_wall(slab, Z, W, PHI)
-    near_boundary = _window_masks(val, phi)[1].any(0)
+    near_boundary = wall_masks(val, phi, BOUNDARY_BAND)[1].any(0)
 
     # Prism description: the point must escape the prism over every corona
     # point, i.e. strictly violate at least one of its translated walls.

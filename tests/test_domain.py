@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lorentzdomains import domain
 from lorentzdomains.cli import build_domain
 from lorentzdomains.cover import (
+    COVER_IDENTITY,
     CoverElement,
     R_param,
     as_central_power,
@@ -33,7 +34,6 @@ from lorentzdomains.domain import (
     PLANE_INCIDENCE_TOL,
     PAIRING_MATCH_TOL,
     VERTEX_MERGE_TOL,
-    AffineFunctional,
     Pairing,
     PairingReport,
     _LABEL_ORDER,
@@ -66,8 +66,7 @@ from lorentzdomains.domain import (
     membership_mask,
     series_constraints,
 )
-from lorentzdomains.halfspaces import batch_wall
-from lorentzdomains.reduction import _chart_parts
+from lorentzdomains.halfspaces import _chart_cone, batch_wall
 
 from halfspace_oracle import chart_point, pairing_form
 
@@ -235,14 +234,14 @@ def test_linearize_matches_pairing_form():
     cs = series_constraints("E", 2)
     rng = np.random.default_rng(7)
     g = cs.groups[0][0].g
-    fn = linearize(g)
-    stored = cs.groups[0][0].functional
-    assert fn.normal.tobytes() == stored.normal.tobytes() and fn.constant == stored.constant
+    normals, constants = linearize([g])
+    assert normals.tobytes() == cs.normals[:1].tobytes()
+    assert constants.tobytes() == cs.constants[:1].tobytes()
     for _ in range(50):
         x1, x2, s = rng.uniform(-0.5, 0.5, size=3)
         p = chart_point(x1, x2, s)
         direct = pairing_form(g, p)
-        assert abs(fn.value(np.array([[x1, x2, s]]))[0] - direct) < 1e-12
+        assert abs(np.array([x1, x2, s]) @ normals[0] + constants[0] - direct) < 1e-12
 
 
 def test_series_constraints_names_a_wall_whose_window_opens(monkeypatch):
@@ -275,8 +274,8 @@ def test_every_wall_meets_the_window_premise_with_margin(series, k):
 
 
 def test_linearize_identity_is_constant():
-    fn = AffineFunctional(normal=np.zeros(3), constant=-1.0)
-    vals = fn.value(np.random.default_rng(0).uniform(-1, 1, size=(10, 3)))
+    normals, constants = linearize([COVER_IDENTITY])
+    vals = np.random.default_rng(0).uniform(-1, 1, size=(10, 3)) @ normals[0] + constants[0]
     assert np.all(vals == -1.0)
 
 
@@ -323,7 +322,7 @@ def _reference_membership(cs, pts, tol):
     cone_ok = pts[:, 0] ** 2 + pts[:, 1] ** 2 < (1.0 + pts[:, 2] ** 2) * (1.0 - 1e-12)
     out = np.zeros(len(pts), dtype=bool)
     sub = pts[cone_ok]
-    Z, W, PHI = _chart_parts(sub)
+    Z, W, PHI = _chart_cone(sub)
     vals, windows = {}, {}
     for wall in cs.all_walls():
         val, phi, _ = batch_wall(wall.g, Z, W, PHI)
@@ -331,15 +330,20 @@ def _reference_membership(cs, pts, tol):
         windows[wall.label] = np.abs(phi) < math.pi / 2.0
     exact = np.ones(len(sub), dtype=bool)
     linear = np.ones(len(sub), dtype=bool)
+    rows = {wall.label: i for i, wall in enumerate(cs.all_walls())}
+
+    def value(wall):
+        return sub @ cs.normals[rows[wall.label]] + cs.constants[rows[wall.label]]
+
     for wall in cs.slab:
         exact &= ~((vals[wall.label] < -1.0 - tol) & windows[wall.label])
-        linear &= ~(wall.functional.value(sub) < -1.0 - tol)
+        linear &= ~(value(wall) < -1.0 - tol)
     for grp in cs.groups:
         cap_exact = np.zeros(len(sub), dtype=bool)
         cap_linear = np.zeros(len(sub), dtype=bool)
         for wall in grp:
             cap_exact |= (vals[wall.label] <= -1.0 + tol) & windows[wall.label]
-            cap_linear |= wall.functional.value(sub) <= -1.0 + tol
+            cap_linear |= value(wall) <= -1.0 + tol
         exact &= cap_exact
         linear &= cap_linear
     assert np.array_equal(exact, linear)
@@ -349,8 +353,7 @@ def _reference_membership(cs, pts, tol):
 
 def _reference_vertices(cs):
     walls = cs.all_walls()
-    normals = np.array([w.normal_hat for w in walls])
-    offsets = np.array([w.offset for w in walls])
+    normals, offsets = cs.unit_normals, cs.offsets
     triples = np.array(list(itertools.combinations(range(len(walls)), 3)), dtype=int)
     A, b = normals[triples], offsets[triples]
     keep = np.abs(np.linalg.det(A)) > _DET_FLOOR
@@ -411,10 +414,9 @@ def _probe_points(cs, rng, n=3000, per_wall=40):
         for sign in (-1.0, 1.0)
     ]
     on_walls = []
-    for wall in cs.all_walls():
+    for unit, offset, normal in zip(cs.unit_normals, cs.offsets, cs.normals):
         seed = inside[rng.integers(0, n, per_wall)]
-        plane = seed - np.outer(seed @ wall.normal_hat - wall.offset, wall.normal_hat)
-        normal = wall.functional.normal
+        plane = seed - np.outer(seed @ unit - offset, unit)
         for delta in shifts:
             on_walls.append(plane + (delta / (normal @ normal)) * normal)
     # inside the cone by a relative gap of 1e-11 to 1e-2, in the slab and
@@ -433,7 +435,7 @@ def _probe_points(cs, rng, n=3000, per_wall=40):
 
 def _reference_active(cs, pts, tol):
     """Active incidences and on-plane incidences from the full tables."""
-    Z, W, PHI = _chart_parts(np.asarray(pts, dtype=float))
+    Z, W, PHI = _chart_cone(np.asarray(pts, dtype=float))
     walls = cs.all_walls()
     vals = np.empty((len(walls), len(Z)))
     windows = np.empty_like(vals, dtype=bool)
@@ -530,7 +532,7 @@ def test_the_window_is_open_wherever_a_wall_can_hold(series, k):
     cs = series_constraints(series, k)
     per_wall = 40 if k <= 7 else 4
     pts = _probe_points(cs, np.random.default_rng(k), per_wall=per_wall)
-    Z, W, PHI = _chart_parts(pts[_in_slab_cone(pts)])
+    Z, W, PHI = _chart_cone(pts[_in_slab_cone(pts)])
     held = 0
     widest = 0.0
     for wall in cs.all_walls():
@@ -667,7 +669,7 @@ def _reference_polyhedron(cs, vertices):
     inc = incidence.astype(np.int64)
     for i, j in np.argwhere(np.triu(inc.T @ inc >= 2, 1)).tolist():
         shared = np.flatnonzero(incidence[:, i] & incidence[:, j])
-        span = np.array([walls[w].normal_hat for w in shared])
+        span = cs.unit_normals[shared]
         if np.linalg.matrix_rank(span, tol=1e-8) < 2:
             continue
         pair_shared[(i, j)] = tuple(shared)
@@ -687,7 +689,7 @@ def _reference_polyhedron(cs, vertices):
         alive = [w for w in pair_shared[owner] if all(probe_act[w, r] for r in rows)]
         if len(alive) < 2:
             continue
-        span = np.array([walls[w].normal_hat for w in alive])
+        span = cs.unit_normals[alive]
         if np.linalg.matrix_rank(span, tol=1e-8) < 2:
             continue
         seg_walls[owner] = tuple(alive)
@@ -714,7 +716,7 @@ def _reference_polyhedron(cs, vertices):
                 seen.add(nxt)
                 prev, cur = cur, nxt
             loops.append(loop)
-        outward = wall.normal_hat if wall.side == "I" else -wall.normal_hat
+        outward = cs.unit_normals[wi] if wall.side == "I" else -cs.unit_normals[wi]
         for li, loop in enumerate(loops):
             if _newell_normal(vertices, loop) @ outward < 0:
                 loop = loop[::-1]
@@ -804,7 +806,7 @@ def _dense_rule_polyhedron(cs, vertices):
                 seen.add(nxt)
                 prev, cur = cur, nxt
             loops.append(loop)
-        outward = wall.normal_hat if wall.side == "I" else -wall.normal_hat
+        outward = cs.unit_normals[wi] if wall.side == "I" else -cs.unit_normals[wi]
         for li, loop in enumerate(loops):
             if _newell_normal(vertices, loop) @ outward < 0:
                 loop = loop[::-1]
@@ -845,7 +847,7 @@ def _sector_triples(n_first, n):
 def _one_shot_seeds(cs):
     """The seed pass over the whole sector in one go: every sector triple
     solved at once and all its points through one `_pinned` call."""
-    normals, offsets = cs.planes()
+    normals, offsets = cs.unit_normals, cs.offsets
     sector = _sector_triples(len(cs.groups[0]), len(normals))
     seeds, pts = _solve_triples(normals, offsets, sector, _SEED_SLACK)
     return seeds[_pinned(
@@ -912,7 +914,7 @@ def test_streamed_seed_pass_matches_the_one_shot_pass(series, k, monkeypatch):
     for bit, those of one pass over the whole sector, at block sizes that
     split a first-wall row, span rows, and hold the whole sector."""
     cs = series_constraints(series, k)
-    normals, offsets = cs.planes()
+    normals, offsets = cs.unit_normals, cs.offsets
     ref_seeds = _one_shot_seeds(cs)
     assert len(ref_seeds)
     with monkeypatch.context() as patch:
@@ -971,6 +973,66 @@ def test_face_complex_builds_no_dense_incidence_table():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("E", 173), ("Z", 110)])
+def test_plane_table_matches_each_walls_own_norm(series, k):
+    """The unit normals and offsets of the plane table, bit for bit, as
+    each wall's own chart normal (Re z_g, Im z_g, -Im w_g) and its
+    `np.linalg.norm` give them; `np.linalg.norm(..., axis=1)` rounds
+    otherwise and moves the offsets at most levels."""
+    cs = series_constraints(series, k)
+    for row, wall in enumerate(cs.all_walls()):
+        g = wall.g
+        normal = np.array([g.z.real, g.z.imag, -g.w.imag])
+        scale = float(np.linalg.norm(normal))
+        assert cs.normals[row].tobytes() == normal.tobytes(), wall.label
+        assert cs.constants[row] == -g.w.real, wall.label
+        assert cs.unit_normals[row].tobytes() == (normal / scale).tobytes(), wall.label
+        assert cs.offsets[row] == (-1.0 - -g.w.real) / scale, wall.label
+
+
+def test_plane_table_names_a_degenerate_wall():
+    cs = series_constraints("E", 2)
+    flat = dataclasses.replace(cs.groups[0][1], g=CoverElement(0j, 1.0 + 0j, 0.0))
+    with pytest.raises(RuntimeError, match=r"degenerate wall functional for b\[0\]"):
+        _with_group(cs, 0, [cs.groups[0][0], flat])
+
+
+def _written_out_cone_points(z1, w1, phi1, pts):
+    """`_cone_points` with the product of `cover_mul` written out in full,
+    the chart point made a cone point inline."""
+    z = pts[..., 0] + 1j * pts[..., 1]
+    w = 1.0 + 1j * pts[..., 2]
+    bracket = 1.0 + (np.conjugate(z1) * z) / (w1 * w)
+    if not (bracket.real > 0.0).all():
+        raise ArithmeticError("cocycle bracket left the principal branch")
+    qz = np.conjugate(w1) * z + z1 * w
+    qw = np.conjugate(z1) * z + w1 * w
+    return qz, qw, phi1 + np.arctan(pts[..., 2]) + np.angle(bracket)
+
+
+@pytest.mark.parametrize("series,k", [("E", 2), ("Z", 5)])
+def test_cone_points_match_the_written_out_product(series, k, monkeypatch):
+    """Every `_cone_points` call of `find_pairings`, on its real elements
+    and points, bit for bit against the written-out product: the quick
+    check, the loop check and the inverse check."""
+    cs = series_constraints(series, k)
+    poly = build_polyhedron(cs, enumerate_vertices(cs))
+    real = domain._cone_points
+    calls = []
+
+    def checked(z1, w1, phi1, pts):
+        got = real(z1, w1, phi1, pts)
+        ref = _written_out_cone_points(z1, w1, phi1, pts)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        calls.append(len(pts))
+        return got
+
+    monkeypatch.setattr(domain, "_cone_points", checked)
+    report = find_pairings(poly, cs)
+    assert report.unpaired == () and len(calls) == 3 and min(calls) > 0
+
+
 def _with_group(cs, m, walls):
     groups = list(cs.groups)
     groups[m] = tuple(walls)
@@ -978,10 +1040,10 @@ def _with_group(cs, m, walls):
 
 
 def _shift_offset(wall, delta):
-    fn = wall.functional
-    return dataclasses.replace(
-        wall, functional=AffineFunctional(fn.normal, fn.constant - delta)
-    )
+    """The wall with its chart constant -Re w_g lowered by delta: g moves,
+    its normal (Re z_g, Im z_g, -Im w_g) stays."""
+    g = wall.g
+    return dataclasses.replace(wall, g=CoverElement(g.z, g.w + delta, g.phi))
 
 
 def test_sigma_guard_rejects_a_pruned_group():
@@ -1001,14 +1063,24 @@ def test_sigma_guard_rejects_a_missing_letter():
 def test_sigma_guard_names_a_moved_wall(series, k):
     cs = series_constraints(series, k)
     grp = list(cs.groups[3])
-    scale = float(np.linalg.norm(grp[1].functional.normal))
+    row = [w.label for w in cs.all_walls()].index("b[3]")
+    scale = float(np.linalg.norm(cs.normals[row]))
     # the offset moves by delta / scale; 1e-14 is inside the bound
     grp[1] = _shift_offset(grp[1], 1e-14 * scale)
     assert np.array_equal(_sigma_permutation(_with_group(cs, 3, grp)),
                           _sigma_permutation(cs))
     grp[1] = _shift_offset(cs.groups[3][1], 1e-10 * scale)
+    moved = _with_group(cs, 3, grp)
+    # `replace` derives the plane table afresh: only row b[3] moves, and
+    # only its constant and offset
+    assert moved.normals.tobytes() == cs.normals.tobytes()
+    assert moved.unit_normals.tobytes() == cs.unit_normals.tobytes()
+    for table in ("constants", "offsets"):
+        changed = np.flatnonzero(getattr(moved, table) != getattr(cs, table))
+        assert changed.tolist() == [row]
+    assert moved.offsets[row] - cs.offsets[row] == pytest.approx(1e-10, rel=1e-3)
     with pytest.raises(RuntimeError, match=r"b\[3\].*residual 1e-10 > 1e-12"):
-        enumerate_vertices(_with_group(cs, 3, grp))
+        enumerate_vertices(moved)
 
 
 def test_build_domain_past_z24():

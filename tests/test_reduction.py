@@ -16,18 +16,16 @@ from lorentzdomains.cli import main
 from lorentzdomains.cover import CoverElement, cover_mul, cover_pow, lift_level
 from lorentzdomains.disc import build_triangle_group, edge_corona, orbit
 from lorentzdomains.domain import _in_slab_cone, series_constraints
-from lorentzdomains.halfspaces import batch_wall
+from lorentzdomains.halfspaces import _chart_cone, batch_wall, wall_masks
 from lorentzdomains.reduction import (
     BOUNDARY_BAND,
     PREMISE_SLACK,
-    _chart_parts,
     _closed_quantities,
     _corona_lifts,
     _decided_ranges,
     _description_masks,
     _prism_scan,
     _slab_samples,
-    _window_masks,
     check_reduction_bound,
     ell,
     sample_equivalence,
@@ -306,7 +304,7 @@ def _reference_description_masks(cons, pts):
     every point, one `batch_wall` call per wall, with a band about every
     wall.  Also returns the bands of the union-group walls alone."""
     config, tri = cons.config, cons.tri
-    Z, W, PHI = _chart_parts(pts)
+    Z, W, PHI = _chart_cone(pts)
     bands = np.zeros(len(Z), dtype=bool)
 
     def wall_masks(g):
@@ -376,7 +374,7 @@ def _probe_points(cons, n_samples, seed):
     config = cons.config
     rng = np.random.default_rng(seed)
     samples = _slab_samples(config, n_samples, seed)
-    Z, W, PHI = _chart_parts(samples)
+    Z, W, PHI = _chart_cone(samples)
     D = cons.D
     step = math.pi * config.k / config.p_lcm
     lifts = [g for _, g in _corona_lifts(cons.tri, config)]
@@ -475,7 +473,7 @@ def test_skipped_prism_walls_are_inert(series, k):
     bit for bit as the one wall on all points."""
     cons = series_constraints(series, k)
     config = cons.config
-    Z, W, PHI = _chart_parts(_probe_points(cons, 1500, seed=3))
+    Z, W, PHI = _chart_cone(_probe_points(cons, 1500, seed=3))
     D = cons.D
     two_n = 4 * config.p_lcm
     step = math.pi * k / config.p_lcm
@@ -487,7 +485,7 @@ def test_skipped_prism_walls_are_inert(series, k):
             wall = cover_mul(g, cover_pow(D, n))
             val, phi, _ = batch_wall(wall, Z, W, PHI)
             kept = (lo <= n) & (n <= hi)
-            _, near = _window_masks(val, phi)
+            _, near = wall_masks(val, phi, BOUNDARY_BAND)
             assert not np.any(~kept & ((np.abs(phi) < math.pi / 2.0) | near))
             n_skipped += int((~kept).sum())
             m = int(kept.sum())
@@ -506,7 +504,7 @@ def test_prism_scan_rejects_sheet_coordinates_off_the_line(monkeypatch):
     phi_0 + n step is refused after its evaluation."""
     cons = series_constraints("E", 2)
     config = cons.config
-    Z, W, PHI = _chart_parts(_probe_points(cons, 300, seed=1))
+    Z, W, PHI = _chart_cone(_probe_points(cons, 300, seed=1))
     two_n = 4 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
     _, g = _corona_lifts(cons.tri, config)[0]
@@ -536,7 +534,7 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
     cons = series_constraints(series, k)
     config = cons.config
     n_samples = 1500
-    Z, W, PHI = _chart_parts(_probe_points(cons, n_samples, seed=5))
+    Z, W, PHI = _chart_cone(_probe_points(cons, n_samples, seed=5))
     plain = np.arange(len(Z)) < n_samples
     two_n = 4 * config.p_lcm
     step = math.pi * k / config.p_lcm
@@ -549,7 +547,7 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
         (window_lo, _), (window_hi, _) = _decided_ranges(phi0, step, two_n, np.inf)
         for n in range(-two_n, two_n + 1):
             val, phi, _ = batch_wall(cover_mul(g, d_list[n + two_n]), Z, W, PHI)
-            inside, near = _window_masks(val, phi)
+            inside, near = wall_masks(val, phi, BOUNDARY_BAND)
             miss = (n < lo) | (n > hi)
             hit = (sure_lo <= n) & (n <= sure_hi)
             assert not np.any(miss & (inside | near))
@@ -569,7 +567,7 @@ def test_prism_scan_rejects_a_d_off_the_axis_rotations():
     cons = series_constraints("E", 2)
     config = cons.config
     pts = _slab_samples(config, 200, 0)
-    Z, W, PHI = _chart_parts(pts)
+    Z, W, PHI = _chart_cone(pts)
     two_n = 4 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
     _, g = _corona_lifts(cons.tri, config)[0]
@@ -606,14 +604,14 @@ def _scan_against_every_wall(series, k, two_n, n_samples):
     where the |n| <= N and |n| <= 2N verdicts differ."""
     cons = series_constraints(series, k)
     config = cons.config
-    Z, W, PHI = _chart_parts(_probe_points(cons, n_samples, seed=2))
+    Z, W, PHI = _chart_cone(_probe_points(cons, n_samples, seed=2))
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     step = math.pi * config.k / config.p_lcm
     n_differ = 0
     for _, g in _corona_lifts(cons.tri, config):
         want_n, want_2n, want_near = (np.zeros(len(Z), dtype=bool) for _ in range(3))
         for n, d in zip(range(-two_n, two_n + 1), d_list):
-            inside, near = _window_masks(*batch_wall(cover_mul(g, d), Z, W, PHI)[:2])
+            inside, near = wall_masks(*batch_wall(cover_mul(g, d), Z, W, PHI)[:2], BOUNDARY_BAND)
             want_near |= near
             want_2n |= inside
             if abs(n) <= two_n // 2:
@@ -644,7 +642,7 @@ def test_prism_scan_builds_powers_only_for_undecided_rows(monkeypatch):
     no power of D, and every other lift builds each undecided row once."""
     cons = series_constraints("E", 1)
     config = cons.config
-    Z, W, PHI = _chart_parts(_slab_samples(config, 10_000, 0))
+    Z, W, PHI = _chart_cone(_slab_samples(config, 10_000, 0))
     two_n = 4 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
     built = []

@@ -70,8 +70,6 @@ _STAB_TURN_TOL = 1e-6
 # E80, has more than 4: at 3 some face stays unpaired at each of those
 # levels, and 4 gives the same pairings as 8 bit for bit.
 WORD_BUDGET = 8
-# sector triples per block of the seed pass
-_SEED_BLOCK = 4096
 
 _LABEL_ORDER = {"a": 0, "b": 1, "c": 2, "slab": 3}
 # wall letters of one union group; each letter after a adds a trailing D
@@ -385,25 +383,6 @@ def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
     return perm
 
 
-def _sector_blocks(n_first: int, n: int, size: int):
-    """The index triples i < j < l < n with i < n_first, in lexicographic
-    order, as consecutive blocks of `size` rows (the last one shorter).
-
-    The triples with first two indices (i, j) form one line, l = j + 1,
-    ..., n - 1; a block's rows are read off the line starts, so no block
-    needs more than O(size + n_first n) memory.
-    """
-    line_i, line_j = np.triu_indices(n_first, 1, n - 1)
-    count = n - 1 - line_j
-    starts = np.cumsum(count) - count
-    total = int(count.sum())
-    for first in range(0, total, size):
-        index = np.arange(first, min(first + size, total))
-        line = np.searchsorted(starts, index, side="right") - 1
-        j = line_j[line]
-        yield np.column_stack([line_i[line], j, j + 1 + index - starts[line]])
-
-
 def _solve_triples(normals, offsets, triples, slack: float = 1.0):
     """The triples whose planes meet in one well-conditioned point, and the
     points.
@@ -444,14 +423,15 @@ def _ranks(normals: np.ndarray, point: np.ndarray, wall: np.ndarray, tol: float,
     return rank
 
 
-def _pinned(cs, normals, pts, membership_tol, incidence_tol, rank_tol):
+def _pinned(cs, pts, membership_tol, incidence_tol, rank_tol):
     """Indices of the points in the domain (membership at membership_tol)
     pinned by active walls (incidence at incidence_tol) of rank 3 (`_ranks`
     at rank_tol), all from one `_wall_pass`; only the points with at least
     three incidences are ranked."""
     point, wall = _wall_pass(cs, pts, membership_tol, incidence_tol)[1]
     many = np.bincount(point, minlength=len(pts))[point] >= 3
-    return np.flatnonzero(_ranks(normals, point[many], wall[many], rank_tol, len(pts)) == 3)
+    ranks = _ranks(cs.unit_normals, point[many], wall[many], rank_tol, len(pts))
+    return np.flatnonzero(ranks == 3)
 
 
 def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float, order=None):
@@ -499,21 +479,38 @@ def _merge_vertices(candidates: np.ndarray, tol: float) -> np.ndarray:
     return candidates[kept]
 
 
-def _seed_triples(cs: ConstraintSet, normals, offsets) -> np.ndarray:
-    """The seeds of `enumerate_vertices`: the sector triples that pass
-    every filter at its seed setting, in lexicographic order, from the
-    sector in blocks of _SEED_BLOCK triples."""
+def _seed_window(cs: ConstraintSet) -> np.ndarray:
+    """The walls the seed triples are drawn from, ascending in
+    `all_walls()` order, group 0 first: the union groups at offsets
+    {0, +-1} (E) or {0, +-1, +-k, +-(k + 1)} (Z) from group 0, mod the
+    period, and the slab pair; 8 walls for E, 23 for Z (17 at Z1).
+
+    An observation, not a theorem: the seeds from the window equal those
+    of the whole sector (kept as a test oracle) bit for bit at every
+    admissible k <= 50 of both series and at E80, E173, Z110, E400 and
+    Z160.
+    """
+    steps = (0, 1) if cs.series == "E" else (0, 1, cs.k, cs.k + 1)
+    groups = np.unique(np.array(steps + tuple(-m for m in steps)) % cs.period)
+    n_letters = len(cs.groups[0])
+    n_group = n_letters * len(cs.groups)
+    group_walls = (n_letters * groups[:, None] + np.arange(n_letters)).ravel()
+    return np.concatenate([group_walls, [n_group, n_group + 1]])
+
+
+def _seed_triples(cs: ConstraintSet) -> np.ndarray:
+    """The seeds of `enumerate_vertices`: the triples of `_seed_window`
+    walls whose first wall lies in union group 0 that pass every filter
+    at its seed setting, in lexicographic order."""
+    window = _seed_window(cs)
+    combos = np.array(list(itertools.combinations(range(len(window)), 3)))
+    triples = window[combos[combos[:, 0] < len(cs.groups[0])]]
+    triples, pts = _solve_triples(cs.unit_normals, cs.offsets, triples, _SEED_SLACK)
     # the first terms `_wall_pass` runs: the slab pair and union group 0
-    lead = replace(cs, groups=cs.groups[:1])
-    kept_triples, kept_points = [], []
-    for block in _sector_blocks(len(cs.groups[0]), len(normals), _SEED_BLOCK):
-        triples, pts = _solve_triples(normals, offsets, block, _SEED_SLACK)
-        held = membership_mask(lead, pts, _SEED_MEMBERSHIP_TOL)
-        kept_triples.append(triples[held])
-        kept_points.append(pts[held])
-    triples, pts = np.vstack(kept_triples), np.vstack(kept_points)
+    held = membership_mask(replace(cs, groups=cs.groups[:1]), pts, _SEED_MEMBERSHIP_TOL)
+    triples, pts = triples[held], pts[held]
     return triples[_pinned(
-        cs, normals, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
+        cs, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
     )]
 
 
@@ -534,35 +531,34 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     greedy merge is decided on the close pairs of a sorted window
     (`_merge_vertices`), not by a loop over the candidates.
 
-    Only O(W^2) of the C(W, 3) triples are solved.  There are only two
+    Only O(W) of the C(W, 3) triples are solved.  There are only two
     slab walls, so some power of the rotation sigma (`_sigma_permutation`)
     moves a group wall of any triple into union group 0: every sigma-orbit
     of triples meets the sector of the triples whose first wall lies in
-    group 0 (L W^2 / 2 triples for L letters per group).  A seed pass
-    (`_seed_triples`) keeps the sector triples that survive every filter
-    at a looser setting: determinant floor and condition limit by a factor
-    _SEED_SLACK, membership at _SEED_MEMBERSHIP_TOL, incidence at
-    _SEED_INCIDENCE_TOL and rank at 1e-8 / _SEED_SLACK.  This is a
-    superset: sigma moves each plane by at most _SIGMA_TOL (about 1e-15
-    measured) and the wall values at a rotated point by rounding of the
-    same order, far inside every loosening, and a looser filter keeps
-    more (a wall is active where it is on the plane and no sibling holds
-    strictly, and both widen with the tolerance).  So the sector image of
-    every triple the full scan keeps is a seed.  The cone test is not
-    loosened: the vertices lie at least 6% inside the cone up to E80.
+    group 0.  A seed pass (`_seed_triples`) keeps the triples of that
+    sector that survive every filter at a looser setting: determinant
+    floor and condition limit by a factor _SEED_SLACK, membership at
+    _SEED_MEMBERSHIP_TOL, incidence at _SEED_INCIDENCE_TOL and rank at
+    1e-8 / _SEED_SLACK.  Run over the whole sector this is a superset:
+    sigma moves each plane by at most _SIGMA_TOL (about 1e-15 measured)
+    and the wall values at a rotated point by rounding of the same order,
+    far inside every loosening, and a looser filter keeps more (a wall is
+    active where it is on the plane and no sibling holds strictly, and
+    both widen with the tolerance).  So the sector image of every triple
+    the full scan keeps is a seed.  The cone test is not loosened: the
+    vertices lie at least 6% inside the cone up to E80.
 
-    The seed pass streams the sector in blocks of _SEED_BLOCK triples
-    (`_sector_blocks`), so it holds one block and the points still
-    undecided after the cone test, the slab pair and union group 0 (the
-    `membership_mask` of a constraint set cut to union group 0, through the
-    same `_wall_pass`; 3,452 of 49,410 solved sector points at Z14, 28,598
-    of 549,810 at Z50), not the O(L W^2) sector; only those go to one
-    `_pinned` call.  A point is dropped in its block only when a term rules
-    it out, the rule by which `_wall_pass` compacts: no later term can
-    bring it back, so `_wall_pass` would leave it outside, and the seed
-    superset argument above is untouched.  Every filter acts on each triple
-    or point alone and the blocks keep the sector's order, so the seeds and
-    their order are those of one pass over the whole sector.
+    The seed pass solves only the sector triples whose other two walls
+    lie in a fixed window next to group 0 (`_seed_window`), at most 631 at
+    any level; the slab pair and union group 0 (the `membership_mask` of a
+    constraint set cut to group 0) sift their points before one `_pinned`
+    call over all the walls.  The window is measured, not proved, and
+    closure does not guard it: a window of group 0 and the slab pair alone
+    finds 4 of the 44 seeds at Z14, yet its vertices (off in the last
+    bits) close up into a sphere with every face paired.  Until the build
+    checks its volume against the covolume, the guards are the test that
+    the window's seeds equal the whole sector's bit for bit, and the
+    pinned artifact bytes.
 
     The seeds' sigma-orbits, sorted and deduplicated into
     itertools.combinations order, then go through the filters at their
@@ -570,18 +566,14 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     survivors, their points and their order are those of the full scan,
     and so is the merge.  Every level tried has 14 seeds (E) or 44 (Z).
     """
-    normals, offsets = cs.unit_normals, cs.offsets
     perm = _sigma_permutation(cs)
-    seeds = _seed_triples(cs, normals, offsets)
-    images = [seeds]
+    images = [_seed_triples(cs)]
     for _ in range(cs.period - 1):
         images.append(perm[images[-1]])
     triples = np.unique(np.sort(np.vstack(images), axis=1), axis=0)
 
-    _, candidates = _solve_triples(normals, offsets, triples)
-    candidates = candidates[
-        _pinned(cs, normals, candidates, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL, 1e-8)
-    ]
+    _, candidates = _solve_triples(cs.unit_normals, cs.offsets, triples)
+    candidates = candidates[_pinned(cs, candidates, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL, 1e-8)]
     if not len(candidates):
         raise RuntimeError("no vertices found; the constraint set is degenerate")
 

@@ -49,8 +49,9 @@ def _cover_product(z1, w1, phi1, Z, W, PHI):
 
 
 def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
-    """Form values <g, p>, sheet coordinates phi(g^{-1} p) and moduli
-    |w_h|, h = g^{-1} p, vectorised.
+    """Form values <g, p>, sheet coordinates phi(g^{-1} p) and the w_h of
+    h = g^{-1} p, vectorised; a caller that needs the modulus |w_h| forms
+    it from w_h.
 
     Z, W, PHI are parallel arrays describing cone points.  g is one wall;
     or one wall per point, a CoverElement whose z, w and phi are arrays
@@ -60,7 +61,7 @@ def batch_wall(g: CoverElement, Z: np.ndarray, W: np.ndarray, PHI: np.ndarray):
     -phi_g), and <g, p> = -Re w_h.
     """
     w_h, phi = _cover_product(-g.z, np.conjugate(g.w), -g.phi, Z, W, PHI)
-    return -w_h.real, phi, np.abs(w_h)
+    return -w_h.real, phi, w_h
 
 
 def wall_masks(val, phi, band: float):

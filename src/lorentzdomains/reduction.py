@@ -281,7 +281,7 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
     phi = -n step, so on a point p every wall g D^n has the same modulus
     r = |conj(z_g) Z - conj(w_g) W| = |w_h|, h = g^{-1} p, the sheet
     coordinate phi_n = phi_0 + n step and the value -r cos(phi_n); the
-    n = 0 wall, g itself, gives phi_0 and r with its value.  Write
+    n = 0 wall, g itself, gives phi_0 and w_h, so r, with its value.  Write
     B = BOUNDARY_BAND; the margins 2B below cover the rounding of values
     and coordinates, which stays near 1e-13.
 
@@ -318,7 +318,9 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
             f"D is not the exact axis rotation through that step "
             f"(axis_turns {D.axis_turns}, |z| {abs(D.z):.3g}, phi off by {deviation:.3g})"
         )
-    val0, phi0, r = batch_wall(g, Z, W, PHI)
+    val0, phi0, w_h = batch_wall(g, Z, W, PHI)
+    r = np.abs(w_h)
+    del w_h
     violated_n, near = wall_masks(val0, phi0, BOUNDARY_BAND)
     violated_2n = violated_n.copy()
 
@@ -342,7 +344,7 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
     rows, row_of = np.unique(n, return_inverse=True)
     walls = _parts([cover_mul(g, cover_pow(D, row)) for row in rows])
     wall = CoverElement(*(a[row_of] for a in walls))
-    val, phi, _ = batch_wall(wall, Z[point], W[point], PHI[point])
+    val, phi = batch_wall(wall, Z[point], W[point], PHI[point])[:2]
     if np.any(np.abs(phi - (phi0[point] + n * step)) > BOUNDARY_BAND):
         raise RuntimeError(
             f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}"
@@ -397,7 +399,7 @@ def _description_masks(cons, pts):
     in_linear = membership_mask(cons, pts)
     # the slab walls as one column of (2, 1) arrays: (2, n) values
     slab = CoverElement(*(a[:, None] for a in _parts([wall.g for wall in cons.slab])))
-    val, phi, _ = batch_wall(slab, Z, W, PHI)
+    val, phi = batch_wall(slab, Z, W, PHI)[:2]
     near_boundary = wall_masks(val, phi, BOUNDARY_BAND)[1].any(0)
 
     # Prism description: the point must escape the prism over every corona

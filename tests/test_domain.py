@@ -51,8 +51,8 @@ from lorentzdomains.domain import (
     _newell_normal,
     _pinned,
     _ranks,
-    _sector_blocks,
     _seed_triples,
+    _seed_window,
     _sigma_permutation,
     _solve_triples,
     _wall_pass,
@@ -69,6 +69,7 @@ from lorentzdomains.domain import (
 from lorentzdomains.halfspaces import _chart_cone, batch_wall
 
 from halfspace_oracle import chart_point, pairing_form
+from seed_oracle import SEED_BLOCK, sector_blocks, sector_seeds
 
 # frozen combinatorics of the verified builds; p1 is the primary rotation
 # order (k+3 resp. 2k+3) and every count below is linear in it
@@ -847,12 +848,15 @@ def _sector_triples(n_first, n):
 def _one_shot_seeds(cs):
     """The seed pass over the whole sector in one go: every sector triple
     solved at once and all its points through one `_pinned` call."""
-    normals, offsets = cs.unit_normals, cs.offsets
-    sector = _sector_triples(len(cs.groups[0]), len(normals))
-    seeds, pts = _solve_triples(normals, offsets, sector, _SEED_SLACK)
+    sector = _sector_triples(len(cs.groups[0]), len(cs.all_walls()))
+    seeds, pts = _solve_triples(cs.unit_normals, cs.offsets, sector, _SEED_SLACK)
     return seeds[_pinned(
-        cs, normals, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
+        cs, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
     )]
+
+
+def _same_seeds(got, ref):
+    return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("series,k", [("E", 1), ("Z", 1)])
@@ -864,7 +868,7 @@ def test_sector_orbits_cover_every_triple(series, k):
     combos = np.array(list(itertools.combinations(range(n), 3)))
     perm = _sigma_permutation(cs)
     for size in (1, 97, len(combos)):
-        sector = np.vstack(list(_sector_blocks(L, n, size)))
+        sector = np.vstack(list(sector_blocks(L, n, size)))
         assert np.array_equal(sector, combos[combos[:, 0] < L])
         images = [sector]
         for _ in range(cs.period - 1):
@@ -874,18 +878,18 @@ def test_sector_orbits_cover_every_triple(series, k):
 
 @pytest.mark.parametrize("series,k", [("Z", 5), ("Z", 14), ("E", 40)])
 def test_sector_blocks_split_the_sector_in_order(series, k):
-    """The blocks, joined, are the whole sector in order; every block but
-    the last has the block size, and blocks split inside a first-wall row
-    and across two rows."""
+    """The oracle's blocks, joined, are the whole sector in order; every
+    block but the last has the block size, and blocks split inside a
+    first-wall row and across two rows."""
     cs = series_constraints(series, k)
     n, L = len(cs.all_walls()), len(cs.groups[0])
     sector = _sector_triples(L, n)
-    for size in (97, domain._SEED_BLOCK, len(sector) + 1):
-        blocks = list(_sector_blocks(L, n, size))
+    for size in (97, SEED_BLOCK, len(sector) + 1):
+        blocks = list(sector_blocks(L, n, size))
         assert np.vstack(blocks).tobytes() == sector.tobytes()
         assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
         assert 0 < len(blocks[-1]) <= size
-    blocks = list(_sector_blocks(L, n, 97))
+    blocks = list(sector_blocks(L, n, 97))
     assert any(b[0, 0] != b[-1, 0] for b in blocks)
     assert any(a[-1, 0] == b[0, 0] for a, b in zip(blocks, blocks[1:]))
 
@@ -910,44 +914,125 @@ STREAM_LEVELS += [("Z", 14), ("E", 40), ("Z", 20)]
 
 @pytest.mark.parametrize("series,k", STREAM_LEVELS)
 def test_streamed_seed_pass_matches_the_one_shot_pass(series, k, monkeypatch):
-    """The seeds and the vertices from the sector in blocks equal, bit
-    for bit, those of one pass over the whole sector, at block sizes that
-    split a first-wall row, span rows, and hold the whole sector."""
+    """The oracle's seeds from the sector in blocks equal, bit for bit,
+    those of one pass over the whole sector, at block sizes that split a
+    first-wall row, span rows, and hold the whole sector; and the vertices
+    seeded from them equal those of the windowed seed pass."""
     cs = series_constraints(series, k)
-    normals, offsets = cs.unit_normals, cs.offsets
     ref_seeds = _one_shot_seeds(cs)
     assert len(ref_seeds)
-    with monkeypatch.context() as patch:
-        patch.setattr(domain, "_seed_triples", lambda cs, *_: _one_shot_seeds(cs))
-        ref_vertices = enumerate_vertices(cs)
-    n_sector = len(cs.groups[0]) * len(normals) ** 2
-    sizes = [97, domain._SEED_BLOCK, n_sector] + ([1] if k <= 2 else [])
-    for size in sizes:
-        monkeypatch.setattr(domain, "_SEED_BLOCK", size)
-        seeds = _seed_triples(cs, normals, offsets)
-        assert seeds.dtype == ref_seeds.dtype and seeds.tobytes() == ref_seeds.tobytes()
-        vertices = enumerate_vertices(cs)
-        assert vertices.shape == ref_vertices.shape
-        assert vertices.tobytes() == ref_vertices.tobytes()
+    n_sector = len(cs.groups[0]) * len(cs.all_walls()) ** 2
+    for size in [97, SEED_BLOCK, n_sector] + ([1] if k <= 2 else []):
+        assert _same_seeds(sector_seeds(cs, size), ref_seeds)
+    vertices = enumerate_vertices(cs)
+    monkeypatch.setattr(domain, "_seed_triples", lambda cs: ref_seeds)
+    assert enumerate_vertices(cs).tobytes() == vertices.tobytes()
 
 
-def test_seed_pass_memory_is_bounded():
-    """The Python-heap peak of `enumerate_vertices` at Z20, whose sector
-    holds 99,460 triples: about 24 MiB with the sector in one piece."""
-    cs = series_constraints("Z", 20)
+SEED_WINDOW_LEVELS = [(s, k) for s in ("E", "Z") for k in (1, 2, 4, 5)]
+SEED_WINDOW_LEVELS += [("Z", 14), ("Z", 20), ("E", 40), ("Z", 50), ("E", 80)]
+
+
+@pytest.mark.parametrize("series,k", SEED_WINDOW_LEVELS)
+def test_windowed_seeds_equal_the_sector_oracle(series, k):
+    """The seeds drawn from the window of walls next to group 0 equal
+    those of the whole sector byte for byte, dtype included: 14 for E and
+    44 for Z."""
+    cs = series_constraints(series, k)
+    seeds = _seed_triples(cs)
+    assert _same_seeds(seeds, sector_seeds(cs))
+    assert len(seeds) == (14 if series == "E" else 44)
+
+
+@pytest.mark.parametrize(
+    "series,k,walls", [("E", 1, 8), ("E", 40, 8), ("Z", 1, 17), ("Z", 2, 23), ("Z", 50, 23)]
+)
+def test_seed_window_is_the_groups_next_to_group_0(series, k, walls):
+    """The window is every wall of the union groups at offsets {0, +-1}
+    (E) or {0, +-1, +-k, +-(k + 1)} (Z) from group 0, mod the period, and
+    the two slab walls, in ascending wall order."""
+    cs = series_constraints(series, k)
+    window = _seed_window(cs)
+    assert len(window) == walls and (np.diff(window) > 0).all()
+    labels = [cs.all_walls()[i].label for i in window]
+    offsets = {0, 1} if series == "E" else {0, 1, k, k + 1}
+    groups = sorted({m % cs.period for m in offsets | {-m for m in offsets}})
+    letters = "ab" if series == "E" else "abc"
+    assert labels == [f"{c}[{m}]" for m in groups for c in letters] + ["slab[D]", "slab[D^-1]"]
+
+
+def _narrowed(keep_groups):
+    """A `_seed_window` that keeps only the group walls whose union group
+    keep_groups(cs) names, and the slab pair."""
+    real = domain._seed_window
+
+    def window(cs):
+        walls = real(cs)
+        n_group = len(cs.groups[0]) * len(cs.groups)
+        group = walls // len(cs.groups[0])
+        return walls[(walls >= n_group) | np.isin(group, keep_groups(cs))]
+
+    return window
+
+
+@pytest.mark.parametrize("k,found", [(1, 24), (5, 16), (14, 16)])
+def test_a_narrowed_seed_window_fails_the_oracle(k, found, monkeypatch):
+    """A Z window of the groups at offsets {0, +-1} alone finds 16 of the
+    44 seeds (24 at Z1, where +-1 is +-k), and the seed-oracle equality
+    fails."""
+    cs = series_constraints("Z", k)
+    ref = sector_seeds(cs)
+    monkeypatch.setattr(domain, "_seed_window", _narrowed(lambda cs: [0, 1, cs.period - 1]))
+    seeds = _seed_triples(cs)
+    assert len(seeds) == found and not _same_seeds(seeds, ref)
+
+
+def test_closure_does_not_guard_the_seed_window(monkeypatch):
+    """A window of group 0 and the slab pair alone finds 4 of the 44
+    seeds at Z14, and the build still closes up with every face paired:
+    only the oracle equality and the pinned bytes tell its vertices (off
+    in the last bits) from the real ones."""
+    cs = series_constraints("Z", 14)
+    real = build_domain("Z", 14)
+    monkeypatch.setattr(domain, "_seed_window", _narrowed(lambda cs: [0]))
+    assert len(_seed_triples(cs)) == 4
+    narrowed = build_domain("Z", 14)
+    assert narrowed.certified
+    for b in (real, narrowed):
+        assert (len(b.poly.vertices), len(b.poly.edges), len(b.poly.faces)) == (248, 434, 188)
+    assert narrowed.poly.vertices.tobytes() != real.poly.vertices.tobytes()
+
+
+def test_seed_pass_memory_is_bounded(monkeypatch):
+    """The seed pass solves the same 631 window triples at every Z level
+    from Z2 up, so its Python-heap peak at Z160 (1,940 walls, a sector of
+    5.6 million triples) stays under 1 MiB."""
+    solved = []
+
+    def counted(normals, offsets, triples, slack=1.0):
+        solved.append(len(triples))
+        return _solve_triples(normals, offsets, triples, slack)
+
+    _seed_triples(series_constraints("Z", 1))  # first-call set-up
+    cs = series_constraints("Z", 160)
     tracemalloc.start()
     try:
-        enumerate_vertices(cs)
+        _seed_triples(cs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2**20
+    monkeypatch.setattr(domain, "_solve_triples", counted)
+    for k in (2, 14, 160):
+        _seed_triples(series_constraints("Z", k))
+    assert solved == [631] * 3
 
 
 def test_vertex_search_builds_no_walls_by_points_table():
-    """The Python-heap peak of `enumerate_vertices` at Z50, whose seed pass
-    ranks 21,930 points inside against 620 walls: 17.9 MiB with a walls x
-    points bool table of them (13 MiB alone), 7.2 MiB without."""
+    """The Python-heap peak of `enumerate_vertices` at Z50, whose
+    full-setting pass decides 4,532 candidate points against 620 walls: a
+    walls x points bool table of them is 2.7 MiB alone, and the peak is
+    7.2 MiB without one."""
     cs = series_constraints("Z", 50)
     tracemalloc.start()
     try:

@@ -313,9 +313,7 @@ def test_cli_build_stage_failure_is_json(tmp_path, capsys, monkeypatch):
 def test_cli_build_with_no_vertices_is_a_failed_stage(tmp_path, capsys, monkeypatch):
     """A constraint set that pins no vertex fails the enumeration stage:
     exit 1 with one JSON error object, not the invalid-request code."""
-    monkeypatch.setattr(
-        domain, "_pinned", lambda cs, normals, pts, *tols: np.empty(0, dtype=np.intp)
-    )
+    monkeypatch.setattr(domain, "_pinned", lambda cs, pts, *tols: np.empty(0, dtype=np.intp))
     code = main(["build", "--series", "E", "--k", "1", "--out", str(tmp_path)])
     assert code == 1
     out = json.loads(capsys.readouterr().out)

@@ -654,7 +654,8 @@ def test_prism_scan_builds_powers_only_for_undecided_rows(monkeypatch):
     monkeypatch.setattr(reduction, "cover_pow", counted_pow)
     rows_per_lift = []
     for _, g in _corona_lifts(cons.tri, config):
-        _, phi0, r = batch_wall(g, Z, W, PHI)
+        _, phi0, w_h = batch_wall(g, Z, W, PHI)
+        r = np.abs(w_h)
         (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
         undecided = {
             n for n in range(-two_n, two_n + 1)

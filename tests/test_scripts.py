@@ -207,10 +207,10 @@ def test_build_all_fails_a_level_with_no_vertices_and_goes_on(tmp_path, monkeypa
     stage: a FAIL line, the next level builds, and the sweep exits 1."""
     real = domain._pinned
 
-    def none_at_e1(cs, normals, pts, *tols):
+    def none_at_e1(cs, pts, *tols):
         if (cs.series, cs.k) == ("E", 1):
             return np.empty(0, dtype=np.intp)
-        return real(cs, normals, pts, *tols)
+        return real(cs, pts, *tols)
 
     monkeypatch.setattr(domain, "_pinned", none_at_e1)
     code = _load("build_all").main(["--kmax", "1", "--out", str(tmp_path), "--formats", "json"])

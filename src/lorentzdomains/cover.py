@@ -155,7 +155,8 @@ class LevelConfig:
     generators are R_vertex(2pi/order) * C^correction.  lam is the unit
     in {1, 2} with lam * k = 1 (mod 3) when q = r = 3, else None.
     p_lcm is lcm(p, 3), the combined rotation order about u once the
-    cyclic order-3 factor is adjoined.
+    cyclic order-3 factor is adjoined.  mu is `product_defect` of the
+    signature.
     """
 
     k: int
@@ -164,6 +165,7 @@ class LevelConfig:
     lam: Optional[int]
     central_corrections: tuple
     signature: tuple
+    mu: int
 
 
 def series_signature(series: str, k: int) -> tuple[int, int, int]:
@@ -210,6 +212,7 @@ def lift_level(p: int, q: int, r: int, k: int) -> LevelConfig:
         lam=lam,
         central_corrections=(x, y, z),
         signature=(p, q, r),
+        mu=mu,
     )
 
 

@@ -45,13 +45,7 @@ from .cover import (
     R_param,
     series_signature,
 )
-from .disc import (
-    GroupElement,
-    TriangleGroupData,
-    build_triangle_group,
-    group_mul,
-    mobius_apply,
-)
+from .disc import TriangleGroupData, build_triangle_group
 from .halfspaces import _chart_cone, _cover_product
 
 VERTEX_MERGE_TOL = 1e-8
@@ -64,11 +58,9 @@ _SIGMA_TOL = 1e-12
 _SEED_SLACK = 2.0
 _SEED_MEMBERSHIP_TOL = 1e-6
 _SEED_INCIDENCE_TOL = 1e-7
-_STAB_TURN_TOL = 1e-6
-# Most syllables of a pairing certificate, and the depth of its word
-# search.  No certificate at any admissible k <= 50 of either series, or at
-# E80, has more than 4: at 3 some face stays unpaired at each of those
-# levels, and 4 gives the same pairings as 8 bit for bit.
+# Most syllables of a pairing certificate.  A word u^a v^s (D^3)^tau
+# (C^k)^j has at most 4 by construction (`_certificate`); at 3 some face
+# stays unpaired at every admissible k <= 50 of either series.
 WORD_BUDGET = 8
 
 _LABEL_ORDER = {"a": 0, "b": 1, "c": 2, "slab": 3}
@@ -128,6 +120,8 @@ class ConstraintSet:
     D: CoverElement
     groups: tuple  # tuple of tuples of Wall, one tuple per union index m
     slab: tuple  # the two H-side Walls
+    exp_d: int  # a0 = R_v(8 pi / 3) D^exp_d C^exp_c
+    exp_c: int
     normals: np.ndarray = field(init=False, repr=False, compare=False)
     constants: np.ndarray = field(init=False, repr=False, compare=False)
     unit_normals: np.ndarray = field(init=False, repr=False, compare=False)
@@ -220,6 +214,8 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
         D=D,
         groups=tuple(groups),
         slab=slab_walls,
+        exp_d=exp_d,
+        exp_c=exp_c,
     )
     for wall in cs.all_walls():
         g = wall.g
@@ -791,120 +787,82 @@ class PairingReport:
         return {p.face_i: p for p in self.pairings}
 
 
-class _SchreierTree:
-    """Breadth-first tree of the base point's orbit, grown level by level.
+def _left_factor(cs: ConstraintSet, row: int, t: int):
+    """The left factor g1 = D^t g^-1 of the wall g at `row` (in
+    `all_walls()` order), exactly: (alpha, s, beta) with
+    g1 = T(alpha) v^s T(beta), T = `axis_rotation`, v the lifted generator
+    about the vertex v and s in {-1, 0, 1}.
 
-    The moves are whole generator powers rot_u^t, rot_v^t (each a single
-    syllable), never two of the same letter in a row, so a node's level
-    is its syllable count.  A node is kept only when its position, rounded
-    to 6 digits, was not seen before; once 100,000 positions are seen,
-    new nodes still count but are not expanded.  The discovery order does
-    not depend on any target, so one tree serves every certificate of a
-    `find_pairings` call, and it grows to depth WORD_BUDGET only as far as
-    some target asks (no certificate path is longer than 4 syllables at the
-    levels measured, see WORD_BUDGET): a longer path would fail the
-    certificate's syllable count anyway.
+    A slab wall D^+-1 gives s = 0 and g1 = T((t -+ 1) d), d the turns of
+    D.  A group wall (m, l) = divmod(row, letters) is
+    step^m a0 step^-m D^l with a0 = R_v(8 pi/3) D^e C^c (e = exp_d,
+    c = exp_c, step = T(1/(2p))), so g1 = T(delta) step^m R_v(-8 pi/3)
+    step^-m with delta = (t - l - e) d - c.  Three relations give the form:
+    R_v(-8 pi/3) = v^-1 C^(y - 1), y the central correction of
+    v = R_v(2 pi/3) C^y; step R_v step^-1 = R_w, as |v| = |w|; and
+    R_u R_v R_w = C^mu with R_u = T(1/p).  For m even, alpha =
+    delta + m/(2p) + y - 1, s = -1, beta = -m/(2p); for m odd, alpha =
+    delta + (m + 1)/(2p) - mu - y - 1, s = 1, beta = -(m - 1)/(2p).
     """
-
-    def __init__(self, tri: TriangleGroupData):
-        self.moves = []
-        for letter, gen, order in (("u", tri.gen_u, tri.p), ("v", tri.gen_v, tri.q)):
-            acc = GroupElement(0j, 1.0 + 0j)
-            for t in range(1, order):
-                acc = group_mul(acc, gen)  # gen^t
-                self.moves.append((letter, t if 2 * t <= order else t - order, acc))
-        self.frontier = [(0j, ())]
-        self.seen = {(0.0, 0.0)}
-        self.levels = []  # per level: (positions, paths) in discovery order
-
-    def _grow(self):
-        positions, paths, nxt = [], [], []
-        for x, path in self.frontier:
-            for letter, power, g in self.moves:
-                if path and path[-1][0] == letter:
-                    continue
-                y = mobius_apply(g, x)
-                key = (round(y.real, 6), round(y.imag, 6))
-                if key in self.seen:
-                    continue
-                self.seen.add(key)
-                path2 = path + ((letter, power),)
-                positions.append(y)
-                paths.append(path2)
-                if len(self.seen) < 100_000:
-                    nxt.append((y, path2))
-        self.frontier = nxt
-        self.levels.append((np.array(positions, dtype=complex), paths))
-
-    def syllables(self, target: complex):
-        """Generator word carrying the base point to `target` in the disc:
-        the path of the earliest-discovered node within 1e-7 of it, as a
-        syllable list in product order, [] at the base point, or None when
-        no node within WORD_BUDGET syllables is that close."""
-        if abs(target) < 1e-7:
-            return []
-        for level in range(WORD_BUDGET):
-            if level == len(self.levels):
-                self._grow()
-            positions, paths = self.levels[level]
-            hit = np.flatnonzero(np.abs(positions - target) < 1e-7)
-            if hit.size:
-                # moves compose as functions, so the group word reads
-                # right to left; return it in product order
-                return list(reversed(paths[hit[0]]))
-        return None
+    d = cs.D.axis_turns
+    n_group = len(cs.groups) * len(cs.groups[0])
+    if row >= n_group:
+        return (t - 1 if row == n_group else t + 1) * d, 0, Fraction(0)
+    m, letter = divmod(row, len(cs.groups[0]))
+    half = Fraction(1, 2 * cs.tri.p)
+    delta = (t - letter - cs.exp_d) * d - cs.exp_c
+    y, mu = cs.config.central_corrections[1], cs.config.mu
+    if m % 2 == 0:
+        return delta + m * half + y - 1, -1, -m * half
+    return delta + (m + 1) * half - mu - y - 1, 1, -(m - 1) * half
 
 
-def _gamma1_certificate(
-    g1: CoverElement, cs: ConstraintSet, power, tail, syllables_to
-):
-    """Express g1 as a word in the acting group's generators, or None.
+def _certificate(cs: ConstraintSet, factor, g1: CoverElement, power):
+    """The word of the left factor g1 = T(alpha) v^s T(beta) (`factor`,
+    as `_left_factor` gives it) in the acting group's generators, as
+    (syllables, word), or None when g1 is not in the group, the word has
+    more than WORD_BUDGET syllables, or the float g1 of the scan is not
+    the word's product.
 
-    The disc image of the base point is pulled back by a Schreier word in
-    the lifted u/v generators (`syllables_to(target)` finds the word, as
-    `_SchreierTree.syllables`, and `power(letter, n)` is the n-th power of
-    the lifted generator `letter`); the residue must be a power of the
-    lifted stabilizer generator D^3 times a central element C^(k j), and
-    `tail(t, j)` is D^(3 t) C^(k j).  The syllable count (each generator
-    power is one syllable) must be at most WORD_BUDGET; the longest
-    certificate at the levels measured has 4 (see WORD_BUDGET).
+    u = T(1/p + x) and D^3 = T(k/p) rotate about the origin.  For s != 0,
+    g1 is in the group only if p alpha is an integer; then, with
+    a = p alpha mod p in (-p/2, p/2], T(alpha) = u^a C^(alpha - a/p - a x)
+    and g1 = u^a v^s T(gamma), gamma = alpha - a/p - a x + beta.  For
+    s = 0, a = 0 and gamma = alpha + beta.  T(gamma) is in the group just
+    when n = p gamma is an integer divisible by k, and is then
+    (D^3)^tau (C^k)^j with n/k = tau + p j, 0 <= tau < p.  So the word is
+    u^a v^s (D^3)^tau (C^k)^j, one syllable per nonzero exponent, at most
+    4.  The float check: the word's product from the lifted generators
+    (`power(letter, n)` is the n-th power of one) must be g1 up to C^0 at
+    CENTRAL_Z_TOL max(1, |w_g1|)^2 (`as_central_power`).
     """
-    p_tri = cs.tri.p
-    k = cs.k
-    target = mobius_apply(GroupElement(g1.z, g1.w), 0j)
-    syllables = syllables_to(target)
-    if syllables is None:
+    alpha, s, beta = factor
+    p, k = cs.tri.p, cs.k
+    if (p * alpha).denominator != 1:
         return None
-    word = COVER_IDENTITY
-    for letter, n in syllables:
-        word = cover_mul(word, power(letter, n))
-    resid = cover_mul(cover_inv(word), g1)
-    if abs(resid.z) > 1e-7 * max(1.0, abs(resid.w)):
+    a, gamma = 0, alpha + beta
+    if s:
+        a = int(p * alpha) % p
+        a -= p if 2 * a > p else 0
+        gamma -= Fraction(a, p) + a * cs.config.central_corrections[0]
+    n = p * gamma
+    if n.denominator != 1 or n.numerator % k:
         return None
-    turns = -resid.phi / math.pi
-    scaled = turns * p_tri
-    n_near = round(scaled)
-    if abs(scaled - n_near) > _STAB_TURN_TOL:
+    j, tau = divmod(n.numerator // k, p)
+    syllables = [
+        (x, e) for x, e in (("u", a), ("v", s), ("(D^3)", tau), (f"(C^{k})", j)) if e
+    ]
+    if len(syllables) > WORD_BUDGET:
         return None
-    if n_near % k != 0:
+    product = cover_mul(cover_mul(power("u", a), power("v", s)), axis_rotation(gamma))
+    tol = CENTRAL_Z_TOL * max(1.0, abs(g1.w)) ** 2
+    try:
+        if as_central_power(cover_mul(cover_inv(product), g1), tol) != 0:
+            return None
+    except ArithmeticError:
         return None
-    m_total = n_near // k
-    t = m_total % p_tri
-    j = (m_total - t) // p_tri
-    check = cover_mul(word, tail(t, j))
-    if abs(check.z - g1.z) > 1e-6 * max(1.0, abs(g1.w)) or abs(
-        check.phi - g1.phi
-    ) > 1e-6:
-        return None
-    count = len(syllables) + (1 if t else 0) + (1 if j else 0)
-    if count > WORD_BUDGET:
-        return None
-    parts = [f"{letter}^{n}" if n != 1 else letter for letter, n in syllables]
-    if t:
-        parts.append(f"(D^3)^{t}" if t != 1 else "D^3")
-    if j:
-        parts.append(f"(C^{k})^{j}" if j != 1 else f"C^{k}")
-    return count, " ".join(parts) if parts else "e"
+    word = " ".join(x.strip("()") if e == 1 else f"{x}^{e}" for x, e in syllables)
+    return len(syllables), word or "e"
 
 
 def _cone_points(z1, w1, phi1, pts: np.ndarray):
@@ -1073,8 +1031,8 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
     |t| <= 2 p_lcm, u over the powers h^u, |u| <= 4); one is accepted when
     the chart image of the face's vertex loop is another face's loop
     (bijectively, respecting the cycle) and the left factor admits a word
-    certificate in the acting group of at most WORD_BUDGET syllables (4 at
-    most at the levels measured).  The partner face is then assigned the
+    certificate in the acting group of at most WORD_BUDGET syllables (at
+    most 4 by construction).  The partner face is then assigned the
     inverse map, provided the inverse's left factor has such a certificate
     too; otherwise neither face is paired.  Faces left unpaired are
     reported, never silently dropped.
@@ -1090,12 +1048,13 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
       each face not yet paired takes the first of its loop-check passers,
       in (t, u) order, that passes the rules in turn: partner not yet
       paired, slab to slab, not the identity map, `_cyclic_adjacent`, then
-      the certificate (`_gamma1_certificate`), the only step that builds
-      the scalar left factor `cover_mul(cover_pow(D, t), w^-1)`.
-    Generator powers and certificate tails D^(3t) C^(kj) are built once
-    per call, and so is the word search (`_SchreierTree`).  Every D^t must
-    rotate about the origin: D must have z = 0, else RuntimeError (powers
-    of an element with z = 0 keep z = 0).
+      the certificate, the only step that builds the scalar left factor
+      `cover_mul(cover_pow(D, t), w^-1)`.
+    The certificate reads the word off the face's wall row and t in exact
+    arithmetic (`_left_factor`, `_certificate`), and the inverse's word off
+    the same data; no word is searched for.  Generator powers are built
+    once per call.  Every D^t must rotate about the origin: D must have
+    z = 0, else RuntimeError (powers of an element with z = 0 keep z = 0).
 
     Exactness.  Every Pairing is that of a scan of the full (t, u) grid
     with the scalar products, because the tolerance lies between two
@@ -1108,7 +1067,15 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
     within 1.45e-13 of their vertex and unmatched ones at least 0.227 from
     every vertex.  A candidate whose first vertex matches lies on the
     sheet with |phi| = arctan|s_v| up to rounding, far from pi/2, so its
-    t lies inside the window.
+    t lies inside the window.  Both margins narrow as k grows and stay
+    wide: at E400, E1000, Z449 and E2000 a matched image, first vertex or
+    loop, lies at most 3.58e-10 (Z449) from its vertex, an unmatched first
+    vertex at least 6.03e-4 (E2000) and an unmatched loop point at least
+    0.818 (Z449) from every vertex.  The float check of `_certificate`
+    passes with residual at most 1.08e-12 max(1, |w|)^2 (Z449) against
+    its CENTRAL_Z_TOL max(1, |w|)^2, and no candidate reaches it and
+    fails there, at every admissible k <= 50, at E80, E173 and Z110, or
+    at E3715 (largest residual 2.45e-12 max(1, |w|)^2).
 
     The inverse check (`_check_inverses`) maps the partner's loop back,
     which must land on the sheet and on the inverse vertex map, else
@@ -1128,10 +1095,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
         )
     gens = lifted_generators(cs.config)
     power = functools.cache(lambda letter, n: cover_pow(gens[letter], n))
-    tail = functools.cache(
-        lambda t, j: cover_mul(power("D", 3 * t), central(cs.k * j))
-    )
-    tree = _SchreierTree(cs.tri)
+    row_of = {w.label: r for r, w in enumerate(cs.all_walls())}
     h_gen = cover_pow(cs.D, cs.tri.p)
     h_powers = {u: cover_pow(h_gen, u) for u in range(-4, 5)}
     h_inverses = {u: cover_inv(g2) for u, g2 in h_powers.items()}
@@ -1178,19 +1142,20 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
             if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                 continue
             g1 = cover_mul(cover_pow(cs.D, t[i]), w_inv[face[i]])
-            cert = _gamma1_certificate(g1, cs, power, tail, tree.syllables)
+            factor = _left_factor(cs, row_of[face_i.wall.label], t[i])
+            cert = _certificate(cs, factor, g1, power)
             if cert is None:
                 continue
-            found = (fj, g1, h_powers[u[i]], h_inverses[u[i]], vmap, cert)
+            found = (fj, g1, factor, h_powers[u[i]], h_inverses[u[i]], vmap, cert)
             break
         if not found:
             continue
-        fj, g1, g2, g2_inv, vmap, (count, word) = found
+        fj, g1, (alpha, s, beta), g2, g2_inv, vmap, (count, word) = found
         if fj != fi:
             g1_inv = cover_inv(g1)
             rmap = {b: a for a, b in vmap.items()}
             inverses.append((fj, g1_inv, g2, rmap))
-            cert_back = _gamma1_certificate(g1_inv, cs, power, tail, tree.syllables)
+            cert_back = _certificate(cs, (-beta, -s, -alpha), g1_inv, power)
             if cert_back is None:
                 # no word for the inverse within WORD_BUDGET: both faces
                 # stay unpaired and are reported as such

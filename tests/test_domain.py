@@ -40,11 +40,11 @@ from lorentzdomains.domain import (
     _SEED_INCIDENCE_TOL,
     _SEED_MEMBERSHIP_TOL,
     _SEED_SLACK,
-    _SchreierTree,
+    _certificate,
     _chart_images,
     _cyclic_adjacent,
-    _gamma1_certificate,
     _in_slab_cone,
+    _left_factor,
     _loop_images,
     _merge_vertices,
     _nearest_vertices,
@@ -70,6 +70,7 @@ from lorentzdomains.halfspaces import _chart_cone, batch_wall
 
 from halfspace_oracle import chart_point, pairing_form
 from seed_oracle import SEED_BLOCK, sector_blocks, sector_seeds
+from word_oracle import SchreierTree, gamma1_certificate
 
 # frozen combinatorics of the verified builds; p1 is the primary rotation
 # order (k+3 resp. 2k+3) and every count below is linear in it
@@ -1029,18 +1030,19 @@ def test_seed_pass_memory_is_bounded(monkeypatch):
 
 
 def test_vertex_search_builds_no_walls_by_points_table():
-    """The Python-heap peak of `enumerate_vertices` at Z50, whose
-    full-setting pass decides 4,532 candidate points against 620 walls: a
-    walls x points bool table of them is 2.7 MiB alone, and the peak is
-    7.2 MiB without one."""
-    cs = series_constraints("Z", 50)
+    """The Python-heap peak of `enumerate_vertices` at Z160, whose
+    full-setting pass decides 14,212 candidate points against 1,940 walls:
+    22.5 MiB without a table, 32.6 MiB when `_wall_pass` also fills a
+    walls x points bool table (26.3 MiB) of its incidences.  At Z50 that
+    table (2.7 MiB) does not move the peak, 8.2 MiB either way."""
+    cs = series_constraints("Z", 160)
     tracemalloc.start()
     try:
         enumerate_vertices(cs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 28 * 2**20
 
 
 def test_face_complex_builds_no_dense_incidence_table():
@@ -1316,7 +1318,7 @@ def test_condition_number_bounded_by_determinant(entries):
 # cover_pow and checked by the scalar chart map (one cover_mul pair per
 # point) and the scalar nearest-vertex match, and every word found by a
 # fresh breadth-first search; the table-driven scan with its broadcast
-# chart map and shared Schreier tree must reproduce its report
+# chart map and words read off the walls must reproduce its report
 
 # the first-vertex prefilter of the oracle scans below: the tolerance the
 # package's quick check used before both of its checks matched at
@@ -1453,7 +1455,7 @@ def _reference_pairings(poly, cs):
                     continue
                 if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                     continue
-                cert = _gamma1_certificate(g1, cs, power, tail, search)
+                cert = gamma1_certificate(g1, cs, power, tail, search)
                 if cert is None:
                     continue
                 found = (fj, g1, g2, vmap, cert)
@@ -1471,7 +1473,7 @@ def _reference_pairings(poly, cs):
             assert _match_vertices(back, poly.vertices) == [
                 rmap[v] for v in poly.faces[fj].loop
             ]
-            cert_back = _gamma1_certificate(g1_inv, cs, power, tail, search)
+            cert_back = gamma1_certificate(g1_inv, cs, power, tail, search)
             if cert_back is None:
                 continue
             paired[fj] = Pairing(
@@ -1491,7 +1493,7 @@ def _per_face_pairings(poly, cs):
     every axis power built by `cover_pow` and the certificate's powers
     recomputed at every use."""
     power, tail = _fresh_powers(cs)
-    tree = _SchreierTree(cs.tri)
+    tree = SchreierTree(cs.tri)
     h_gen = cover_pow(cs.D, cs.tri.p)
     t_range = range(-2 * cs.config.p_lcm, 2 * cs.config.p_lcm + 1)
     d_powers = [cover_pow(cs.D, t) for t in t_range]
@@ -1546,7 +1548,7 @@ def _per_face_pairings(poly, cs):
                 continue
             if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                 continue
-            cert = _gamma1_certificate(g1, cs, power, tail, tree.syllables)
+            cert = gamma1_certificate(g1, cs, power, tail, tree.syllables)
             if cert is None:
                 continue
             found = (fj, g1, g2, g2_inv, vmap, cert)
@@ -1568,7 +1570,7 @@ def _per_face_pairings(poly, cs):
             )
             if any(rmap[v] != m for v, m in zip(loop_j, back_match.tolist())):
                 raise RuntimeError("pairing inverse does not invert the vertex map")
-            cert_back = _gamma1_certificate(g1_inv, cs, power, tail, tree.syllables)
+            cert_back = gamma1_certificate(g1_inv, cs, power, tail, tree.syllables)
             if cert_back is None:
                 continue
             paired[fj] = Pairing(
@@ -1675,9 +1677,9 @@ def test_find_pairings_matches_the_per_face_scan(series, k, budget, monkeypatch)
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_word_budget_four_pairs_as_the_default(series, k, monkeypatch):
-    """No certificate at the oracle levels has more than 4 syllables: a
-    budget of 4 gives the default's report bit for bit, and 3 leaves some
-    face unpaired."""
+    """A word has at most 4 syllables by construction: a budget of 4
+    gives the default's report bit for bit, and 3 leaves some face
+    unpaired at the oracle levels."""
     assert domain.WORD_BUDGET == 8
     cs, poly = _polyhedron(series, k)
     default = find_pairings(poly, cs)
@@ -1685,6 +1687,77 @@ def test_word_budget_four_pairs_as_the_default(series, k, monkeypatch):
     assert _report_bits(find_pairings(poly, cs)) == _report_bits(default)
     monkeypatch.setattr(domain, "WORD_BUDGET", 3)
     assert find_pairings(poly, cs).unpaired
+
+
+@pytest.mark.parametrize(
+    "series,k", ORACLE_LEVELS + [("Z", 14), ("E", 40), ("Z", 50), ("E", 80)]
+)
+def test_words_equal_the_word_search_oracle(series, k, monkeypatch):
+    """Every certificate that `find_pairings` asks for, a face's and its
+    partner's inverse, accepted or not, is the word search's
+    (`word_oracle`): the same (syllables, word), or None on both sides."""
+    cs, poly = _polyhedron(series, k)
+    power, tail = _fresh_powers(cs)
+    tree = SchreierTree(cs.tri)
+    calls = []
+
+    def recorded(*args):
+        calls.append((args[2], _certificate(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(domain, "_certificate", recorded)
+    report = find_pairings(poly, cs)
+    assert report.unpaired == ()
+    for g1, got in calls:
+        assert got == gamma1_certificate(g1, cs, power, tail, tree.syllables)
+    assert sum(got is not None for _, got in calls) == len(report.pairings)
+    for p in report.pairings:
+        assert (p.syllables, p.word) == gamma1_certificate(
+            p.g1, cs, power, tail, tree.syllables
+        )
+
+
+def test_e910_builds_certified():
+    """The word search failed from E910 up: it left 3,652 of the 3,654
+    faces unpaired there.  The words read off the walls pair them all."""
+    build = build_domain("E", 910)
+    assert len(build.poly.faces) == 3654
+    assert build.pairings.unpaired == () and build.certified
+
+
+def test_a_wall_off_its_data_fails_the_float_check():
+    """A wall whose g is not the element its (m, letter) data names: with
+    exp_c moved by k, each group wall's data names g C^k, also a group
+    element, so the exact arithmetic still gives a word and only the float
+    check tells the two apart.  It refuses every group face's word, and
+    the slab faces, whose data do not read exp_c, stay paired.  A g1
+    moved off the word's product fails it too."""
+    cs, poly = _polyhedron("E", 2)
+    moved = dataclasses.replace(cs, exp_c=cs.exp_c + cs.k)
+    assert find_pairings(poly, moved).unpaired == tuple(
+        f.label for f in poly.faces if not f.is_slab
+    )
+    power = _fresh_powers(cs)[0]
+    labels = [w.label for w in cs.all_walls()]
+    checked = set()
+    for p in find_pairings(poly, cs).pairings:
+        face = poly.faces[p.face_i]
+        t = round(cover_mul(p.g1, face.wall.g).phi / cs.D.phi)
+        if cover_mul(cover_pow(cs.D, t), cover_inv(face.wall.g)) != p.g1:
+            continue  # a partner's inverse, not a scanned left factor
+        checked.add(face.is_slab)
+        row = labels.index(face.wall.label)
+        word = (p.syllables, p.word)
+        assert _certificate(cs, _left_factor(cs, row, t), p.g1, power) == word
+        off = _left_factor(moved, row, t)
+        if face.is_slab:
+            assert _certificate(moved, off, p.g1, power) == word
+            continue
+        assert _certificate(moved, off, p.g1, power) is None
+        assert _certificate(moved, off, cover_mul(p.g1, central(-cs.k)), power) is not None
+        nudged = dataclasses.replace(p.g1, z=p.g1.z + 1e-6)
+        assert _certificate(cs, _left_factor(cs, row, t), nudged, power) is None
+    assert checked == {False, True}
 
 
 def _window_inputs(cs, poly):
@@ -1985,7 +2058,7 @@ def test_find_pairings_rejects_an_axis_power_off_the_axis():
 
 def _schreier_targets(series, k):
     """The constraint set, and the word-search targets at one level: the
-    certified targets in the order `find_pairings` asks them, the base
+    certified targets in the order of `find_pairings`' report, the base
     point, and points off the orbit."""
     cs, poly = _polyhedron(series, k)
     report = find_pairings(poly, cs)
@@ -2006,11 +2079,11 @@ def test_one_reference_search_answers_each_target_as_alone():
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_schreier_tree_matches_a_fresh_search(series, k):
     """One tree, grown on demand, answers every query as a fresh search
-    would: the certified targets in the order `find_pairings` asks them,
+    would: the certified targets in the order of `find_pairings`' report,
     the base point, points off the orbit, and the certified targets again
     on the tree grown to full depth."""
     cs, certified, root, off_orbit = _schreier_targets(series, k)
-    tree = _SchreierTree(cs.tri)
+    tree = SchreierTree(cs.tri)
     for target in certified + root:
         assert tree.syllables(target) == _reference_schreier_syllables(cs.tri, target)
     # each off-orbit target costs a whole depth-8 walk: one walk answers both
@@ -2025,12 +2098,12 @@ def test_schreier_tree_matches_a_fresh_search(series, k):
 
 def test_schreier_tree_finds_a_depth_two_target_on_a_grown_tree():
     cs = series_constraints("Z", 4)
-    full = _SchreierTree(cs.tri)
+    full = SchreierTree(cs.tri)
     assert full.syllables(0.123 + 0.456j) is None
     (level1, _), (level2, _) = full.levels[:2]
     # two depth-2 targets that are not within 1e-7 of a depth-1 node
     b, c = [y for y in level2 if np.min(np.abs(level1 - y)) > 1e-6][:2]
-    tree = _SchreierTree(cs.tri)
+    tree = SchreierTree(cs.tri)
     first = tree.syllables(level1[0])
     assert len(first) == 1 and len(tree.levels) == 1
     for target in (c, b):

@@ -9,9 +9,9 @@ stage check, whose artifacts cannot be written under --out, that leaves
 faces unpaired, or whose reduction inequality or orbit premise fails (its
 artifacts are still written), and a totals line at the end.  Exit codes:
 0 when every level built and certified, 1 when some level failed, 2 for
-an empty --formats list or an unknown format, a --kmax below 1 or an
---out that is not and cannot be made a directory (all checked before
-anything is built).
+an empty --formats list or an unknown format, a --kmax below 1, or an
+--out that is not and cannot be made a directory or in which no file can
+be created (all checked before anything is built).
 """
 
 import argparse
@@ -20,7 +20,7 @@ import sys
 import time
 
 from lorentzdomains.cli import build_domain
-from lorentzdomains.export import WRITERS, parse_formats, write_artifacts
+from lorentzdomains.export import WRITERS, check_writable, parse_formats, write_artifacts
 
 
 def main(argv=None) -> int:
@@ -39,6 +39,7 @@ def main(argv=None) -> int:
         return 2
     try:
         os.makedirs(args.out, exist_ok=True)
+        check_writable(args.out)
     except OSError as exc:
         print(f"cannot write artifacts: {exc}")
         return 2

@@ -9,6 +9,8 @@ that reduce the construction to an edge-corona computation in the hyperbolic
 disc, and exports the resulting polyhedra as meshes and reports.
 """
 
+import importlib
+
 from .disc import (
     GroupElement,
     TriangleGroupData,
@@ -31,30 +33,33 @@ from .cover import (
     product_defect,
     R_param,
 )
-from .reduction import (
-    ReductionReport,
-    check_reduction_bound,
-    ell,
-    sample_equivalence,
-)
-from .domain import (
-    ConstraintSet,
-    PairingReport,
-    Polyhedron,
-    build_polyhedron,
-    detect_symmetry,
-    edge_cycle_check,
-    enumerate_vertices,
-    find_pairings,
-    linearize,
-    membership_mask,
-    series_constraints,
-)
-from .export import (
-    report_dict,
-    singularity_label,
-    write_artifacts,
-)
+
+# The geometry layers load numpy, so they load on first access to one of
+# their names (PEP 562): `info` and every rejected request answer from
+# `disc`, `cover` and `export` alone.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("reduction", ("ReductionReport", "check_reduction_bound", "ell", "sample_equivalence")),
+        ("domain", (
+            "ConstraintSet", "PairingReport", "Polyhedron", "build_polyhedron",
+            "detect_symmetry", "edge_cycle_check", "enumerate_vertices",
+            "find_pairings", "linearize", "membership_mask", "series_constraints",
+        )),
+        ("export", ("report_dict", "singularity_label", "write_artifacts")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

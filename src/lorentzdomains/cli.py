@@ -9,8 +9,14 @@ fails, or the sampled descriptions disagree).  Errors are reported as a
 single JSON object {"error", "series", "k"} on stdout, with null for a
 series or level that did not parse, so callers never have to parse
 prose.  Every command lifts its level (`lift_level`) before any other
-work, and gets the lift's `LevelConfig`.
+work, and gets the lift's `LevelConfig`.  The geometry layers (`domain`,
+`reduction` and numpy with them) load inside `build_domain` and
+`cmd_verify`, when a command first needs them, so `info` and every invalid
+request are answered without them; `build` checks its formats and that a
+file can be created in `--out` before that.
 """
+
+from __future__ import annotations
 
 import argparse
 import functools
@@ -18,26 +24,16 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .cover import LevelConfig, lift_level, series_signature
-from .domain import (
-    ConstraintSet,
-    PairingReport,
-    Polyhedron,
-    build_polyhedron,
-    detect_symmetry,
-    edge_cycle_check,
-    enumerate_vertices,
-    find_pairings,
-    series_constraints,
+from .export import (
+    check_writable, parse_formats, report_dict, singularity_label, write_artifacts,
 )
-from .export import parse_formats, report_dict, singularity_label, write_artifacts
-from .reduction import (
-    ReductionReport,
-    check_reduction_bound,
-    sample_equivalence,
-)
+
+if TYPE_CHECKING:
+    from .domain import ConstraintSet, PairingReport, Polyhedron
+    from .reduction import ReductionReport
 
 DEFAULT_FORMATS = "off,obj,json,svg"
 
@@ -67,6 +63,12 @@ def build_domain(series: str, k: int) -> DomainBuild:
     divisible by 3) and RuntimeError or ArithmeticError when a stage fails
     its own check.
     """
+    from .domain import (
+        build_polyhedron, detect_symmetry, edge_cycle_check,
+        enumerate_vertices, find_pairings, series_constraints,
+    )
+    from .reduction import check_reduction_bound
+
     cs = series_constraints(series, k)
     poly = build_polyhedron(cs, enumerate_vertices(cs))
     pairings = find_pairings(poly, cs)
@@ -115,6 +117,7 @@ def cmd_build(args, config: LevelConfig) -> int:
     out_dir = args.out or os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
     try:
         os.makedirs(out_dir, exist_ok=True)
+        check_writable(out_dir)
     except OSError as exc:
         return _fail(args, f"cannot write artifacts: {exc}")
     build = build_domain(args.series, args.k)
@@ -141,6 +144,8 @@ def cmd_verify(args, config: LevelConfig) -> int:
         return _fail(args, f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         return _fail(args, f"--seed must be at least 0, got {args.seed}")
+    from .reduction import check_reduction_bound, sample_equivalence
+
     reduction = check_reduction_bound(args.series, args.k)
     stats = sample_equivalence(
         args.series, args.k, n_samples=args.samples, seed=args.seed

@@ -243,7 +243,8 @@ def _term_verdicts(cs: ConstraintSet, rows: slice, side: str, sub, tol):
     one), its L walls the table rows `rows`, on chart points `sub`: per
     point whether it holds at tol, and the (L, n) chart functional values
     of its walls."""
-    lin = (sub @ cs.normals[rows, :, None])[..., 0] + cs.constants[rows, None]
+    lin = (sub @ cs.normals[rows, :, None])[..., 0]
+    lin += cs.constants[rows, None]  # in place: one (L, n) array per term
     holds = ~(lin < -1.0 - tol) if side == "H" else lin <= -1.0 + tol
     return holds.any(0), lin
 

@@ -3,14 +3,20 @@
 Identical inputs must give byte-identical files, so none of the writers
 embed timestamps or environment data, floats are printed with %.17g
 (value-faithful for doubles), and every file is written atomically via a
-temporary file in the target directory followed by os.replace.
+temporary file in the target directory followed by os.replace.  Files
+get the mode open() gives a new file, 0o666 less the umask.  The domain
+types are imported for annotations only, so the format and label helpers
+load no numpy.
 """
+
+from __future__ import annotations
 
 import json
 import os
-import tempfile
+from typing import TYPE_CHECKING
 
-from .domain import Polyhedron, PairingReport, ConstraintSet
+if TYPE_CHECKING:
+    from .domain import Polyhedron, PairingReport, ConstraintSet
 
 SCHEMA_VERSION = 1
 
@@ -38,10 +44,28 @@ def _fmt(x: float) -> str:
     return "%.17g" % (float(x) + 0.0)
 
 
+def _temp_file(directory: str) -> tuple:
+    """A new empty file in `directory` under a random name, created as
+    open() creates one (mode 0o666 less the umask, where mkstemp gives
+    0o600); returns its descriptor and path.  O_EXCL never opens an
+    existing file, and O_BINARY (Windows only) keeps newlines as written."""
+    path = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    return os.open(path, flags, 0o666), path
+
+
+def check_writable(directory: str) -> None:
+    """Create and remove one temporary file in `directory`, as every
+    artifact write does; raises OSError where no file can be created."""
+    fd, tmp = _temp_file(directory)
+    os.close(fd)
+    os.unlink(tmp)
+
+
 def _write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = _temp_file(directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

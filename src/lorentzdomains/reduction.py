@@ -397,10 +397,11 @@ def _description_masks(cons, pts):
                 f"(|z| + |w|) max|W| = {bound:.6g} >= (1 - B)/B = {limit:.6g}"
             )
     in_linear = membership_mask(cons, pts)
-    # the slab walls as one column of (2, 1) arrays: (2, n) values
-    slab = CoverElement(*(a[:, None] for a in _parts([wall.g for wall in cons.slab])))
-    val, phi = batch_wall(slab, Z, W, PHI)[:2]
-    near_boundary = wall_masks(val, phi, BOUNDARY_BAND)[1].any(0)
+    # one slab wall at a time: (n,) temporaries, as in the prism scans
+    near_boundary = np.zeros(len(Z), dtype=bool)
+    for wall in cons.slab:
+        val, phi = batch_wall(wall.g, Z, W, PHI)[:2]
+        near_boundary |= wall_masks(val, phi, BOUNDARY_BAND)[1]
 
     # Prism description: the point must escape the prism over every corona
     # point, i.e. strictly violate at least one of its translated walls.
@@ -409,19 +410,21 @@ def _description_masks(cons, pts):
     # wall family was too short to trust.
     two_n = 4 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
-    scans = []
+    # Each scan's masks fold in at once; only the points whose verdict the
+    # doubling changes, usually none, wait for the whole boundary mask.
+    in_prism_complement = np.ones(len(Z), dtype=bool)
+    changed = []
     for x, g in lifts:
         violated_n, violated_2n, near = _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
         near_boundary |= near
-        scans.append((x, violated_n, violated_2n))
+        in_prism_complement &= violated_2n
+        changed.append((x, np.flatnonzero(violated_n != violated_2n)))
 
-    in_prism_complement = np.ones(len(Z), dtype=bool)
-    for x, violated_n, violated_2n in scans:
-        if np.any((violated_n != violated_2n) & ~near_boundary):
+    for x, points in changed:
+        if not near_boundary[points].all():
             raise RuntimeError(
                 f"prism wall scan did not stabilise for corona point {x}"
             )
-        in_prism_complement &= violated_2n
     return in_linear, in_prism_complement, near_boundary
 
 

@@ -174,6 +174,23 @@ def test_write_artifacts_rejects_unknown_format(tmp_path, e1_run):
         assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.skipif(os.name != "posix", reason="file modes and umask are POSIX")
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_artifacts_file_mode_follows_the_umask(tmp_path, e1_run, umask, mode):
+    """Artifacts get the mode open() gives a new file, 0o666 less the
+    umask, and no temporary file is left behind."""
+    cs, poly, rep, _, _ = e1_run
+    report = report_dict(cs, poly, rep)
+    old = os.umask(umask)
+    try:
+        written = write_artifacts(tmp_path, "E", 1, poly, report)
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in written.values())
+    for path in written.values():
+        assert os.stat(path).st_mode & 0o777 == mode, path
+
+
 def test_cli_info(capsys):
     assert main(["info", "--series", "Z", "--k", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -190,7 +207,7 @@ def test_cli_info_builds_no_geometry(series, k, capsys, monkeypatch):
     def no_geometry(*args, **kwargs):
         raise AssertionError("info must not build the constraint set")
 
-    monkeypatch.setattr(cli, "series_constraints", no_geometry)
+    monkeypatch.setattr(domain, "series_constraints", no_geometry)
     assert main(["info", "--series", series, "--k", str(k)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["wall_groups"] == len(cs.groups)
@@ -288,6 +305,24 @@ def test_cli_build_unwritable_out_is_json(tmp_path, capsys, monkeypatch):
     assert taken.read_text() == ""
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs a Linux /proc")
+def test_cli_build_out_where_no_file_can_be_created(capsys, monkeypatch):
+    """An --out that is a directory in which no file can be created, for
+    root too (/proc), exits 2 before anything is built."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(cli, "build_domain", no_build)
+    code = main(["build", "--series", "E", "--k", "1", "--out", "/proc", "--formats", "off"])
+    assert code == 2
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert (out["series"], out["k"]) == ("E", 1)
+    assert out["error"].startswith("cannot write artifacts: ") and "/proc/" in out["error"]
+    assert captured.err == ""
+
+
 def test_cli_build_rejects_a_bad_level_before_making_out(tmp_path, capsys):
     out_dir = tmp_path / "new"
     assert main(["build", "--series", "E", "--k", "3", "--out", str(out_dir)]) == 2
@@ -302,7 +337,7 @@ def test_cli_build_stage_failure_is_json(tmp_path, capsys, monkeypatch):
     def failing_stage(cs):
         raise RuntimeError("forced stage failure")
 
-    monkeypatch.setattr(cli, "enumerate_vertices", failing_stage)
+    monkeypatch.setattr(domain, "enumerate_vertices", failing_stage)
     code = main(["build", "--series", "E", "--k", "1", "--out", str(tmp_path)])
     assert code == 1
     out = json.loads(capsys.readouterr().out)
@@ -378,9 +413,9 @@ def test_cli_verify_needs_evidence(capsys, monkeypatch):
     assert code == 2
     assert "error" in json.loads(capsys.readouterr().out)
 
-    real = cli.sample_equivalence
+    real = reduction.sample_equivalence
     monkeypatch.setattr(
-        cli, "sample_equivalence",
+        reduction, "sample_equivalence",
         lambda series, k, n_samples, seed: real(series, k, n_samples=0, seed=seed),
     )
     code = main(["verify", "--series", "E", "--k", "1", "--samples", "5"])
@@ -393,10 +428,12 @@ def test_cli_verify_needs_evidence(capsys, monkeypatch):
 
 
 def _fail_certificate(monkeypatch, field):
-    """Make every reduction record the CLI reads report `field` as False."""
-    real = cli.check_reduction_bound
+    """Make every reduction record the CLI reads report `field` as False.
+    The CLI imports `reduction` when a command runs, so the patch goes to
+    the defining module."""
+    real = reduction.check_reduction_bound
     monkeypatch.setattr(
-        cli, "check_reduction_bound",
+        reduction, "check_reduction_bound",
         lambda series, k: dataclasses.replace(real(series, k), **{field: False}),
     )
 
@@ -426,7 +463,14 @@ def test_cli_verify_fails_on_failed_certificate(capsys, monkeypatch, field):
     def no_bound(*args, **kwargs):
         raise AssertionError("sampling may not derive a bound")
 
-    monkeypatch.setattr(reduction, "check_reduction_bound", no_bound)
+    real_sampling = reduction.sample_equivalence
+
+    def sampling_with_no_bound(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "check_reduction_bound", no_bound)
+            return real_sampling(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "sample_equivalence", sampling_with_no_bound)
     code = main(["verify", "--series", "E", "--k", "1", "--samples", "500"])
     assert code == 1
     out = json.loads(capsys.readouterr().out)
@@ -465,8 +509,8 @@ def test_cli_verify_rejects_a_negative_seed(capsys, monkeypatch):
     def no_check(*args, **kwargs):
         raise AssertionError("nothing may be checked")
 
-    monkeypatch.setattr(cli, "check_reduction_bound", no_check)
-    monkeypatch.setattr(cli, "sample_equivalence", no_check)
+    monkeypatch.setattr(reduction, "check_reduction_bound", no_check)
+    monkeypatch.setattr(reduction, "sample_equivalence", no_check)
     for seed in ("-1", "-7"):
         assert main(["verify", "--series", "Z", "--k", "2", "--seed", seed]) == 2
         out = json.loads(capsys.readouterr().out)
@@ -522,6 +566,65 @@ def test_cli_parser_is_built_once_and_replies_as_fresh_processes(capsys):
         fresh.append((proc.returncode, proc.stdout))
     assert in_process == fresh
     assert [code for code, _ in fresh] == [2, 0, 2, 0]
+
+
+# Runs each command line of the JSON list argv[1] through `main` in one
+# process; prints, per command line, its exit code and the modules loaded
+# after it.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from lorentzdomains.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded = [m for m in sys.modules if m == "numpy" or m.startswith("lorentzdomains.")]
+    print(json.dumps([code, loaded]))
+"""
+_GEOMETRY = {"numpy", "lorentzdomains.domain", "lorentzdomains.reduction", "lorentzdomains.halfspaces"}
+# the layers bench/tracer.py looks up in sys.modules
+_TRACED_LAYERS = {
+    f"lorentzdomains.{layer}"
+    for layer in ("domain", "reduction", "halfspaces", "cover", "disc", "export")
+}
+
+
+def _modules_after(argvs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return [(code, set(loaded)) for code, loaded in map(json.loads, proc.stdout.splitlines())]
+
+
+def test_cli_answers_info_and_invalid_requests_without_the_geometry_layers(tmp_path):
+    """`info` and every invalid request load neither numpy nor a geometry
+    layer; a build then loads every layer the benchmark's tracer patches,
+    and so does a verify in a fresh process."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    e1 = ["--series", "E", "--k", "1"]
+    no_geometry = [
+        ["info", *e1],
+        ["info", "--series", "X", "--k", "1"],
+        ["info", "--series", "E", "--k", "3"],
+        ["info", "--series", "Z", "--k", "2651"],
+        ["build", *e1, "--out", str(tmp_path / "out"), "--formats", ","],
+        ["verify", *e1, "--samples", "0"],
+        ["verify", *e1, "--seed", "-1"],
+        ["build", *e1, "--out", str(taken), "--formats", "json"],
+    ]
+    if os.path.isdir("/proc/self"):
+        no_geometry.append(["build", *e1, "--out", "/proc", "--formats", "json"])
+    build = ["build", *e1, "--out", str(tmp_path / "out"), "--formats", "json"]
+    replies = _modules_after(no_geometry + [build])
+    assert [code for code, _ in replies] == [0] + [2] * (len(no_geometry) - 1) + [0]
+    for argv, (_, loaded) in zip(no_geometry, replies):
+        assert not loaded & _GEOMETRY, argv
+    assert _TRACED_LAYERS <= replies[-1][1]
+    [(code, loaded)] = _modules_after([["verify", *e1, "--samples", "100"]])
+    assert code == 0 and _TRACED_LAYERS <= loaded
 
 
 def _flag(name, good, bad):

@@ -3,8 +3,9 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
-from lorentzdomains import cli, domain
+from lorentzdomains import domain, reduction
 from lorentzdomains.cli import main
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -46,6 +47,17 @@ def test_build_all_reports_an_unwritable_out(tmp_path, monkeypatch, capsys):
         assert len(lines) == 1 and lines[0].startswith("cannot write artifacts: ")
         assert str(taken) in lines[0]
     assert taken.read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs a Linux /proc")
+def test_build_all_reports_an_out_where_no_file_can_be_created(monkeypatch, capsys):
+    """An --out directory in which no file can be created, for root too
+    (/proc), exits 2 with one line before any level is built."""
+    build_all = _load("build_all")
+    monkeypatch.setattr(build_all, "build_domain", _no_work)
+    assert build_all.main(["--kmax", "1", "--out", "/proc", "--formats", "off"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write artifacts: ")
 
 
 def test_verify_reduction_passes(capsys):
@@ -148,7 +160,7 @@ def test_verify_reduction_fails_a_failed_orbit_premise(monkeypatch, capsys):
 
 
 def test_build_all_fails_a_failed_orbit_premise_and_goes_on(tmp_path, monkeypatch, capsys):
-    _fail_premise_at(monkeypatch, cli, ("E", 1))
+    _fail_premise_at(monkeypatch, reduction, ("E", 1))
     code = _load("build_all").main(["--kmax", "1", "--out", str(tmp_path), "--formats", "json"])
     assert code == 1
     lines = capsys.readouterr().out.splitlines()

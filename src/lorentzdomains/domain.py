@@ -452,8 +452,9 @@ def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float, order=None):
 
 
 def _merge_vertices(candidates: np.ndarray, tol: float) -> np.ndarray:
-    """The candidates, in order, less each one that lies within tol of an
-    earlier kept one: the greedy merge.
+    """Which candidates, in order, the greedy merge keeps: a candidate is
+    dropped when it lies within tol of an earlier kept one.  Returns the
+    kept mask.
 
     The close pairs (`_close_pairs`) decide it in rounds.  A candidate is
     dropped once an earlier close one is kept, and kept once every earlier
@@ -473,7 +474,7 @@ def _merge_vertices(candidates: np.ndarray, tol: float) -> np.ndarray:
         keep = ~decided & ~blocked & ~pending
         kept |= keep
         decided |= keep | blocked
-    return candidates[kept]
+    return kept
 
 
 def _seed_window(cs: ConstraintSet) -> np.ndarray:
@@ -528,6 +529,17 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     greedy merge is decided on the close pairs of a sorted window
     (`_merge_vertices`), not by a loop over the candidates.
 
+    The merge runs first and only its keepers are pinned.  A keeper that
+    fails `_pinned` is dropped, the rest merged again, and the new keepers
+    pinned, until every keeper passes.  That is the merge of the pinned
+    candidates.  Lemma: removing candidates that a greedy merge did not
+    keep does not change it, since each candidate's fate depends only on
+    the earlier kept ones.  `_pinned` decides each point on its own, so
+    the candidates that fail it are either dropped keepers or candidates
+    the final merge does not keep, and removing the latter changes
+    nothing.  At Z14 the 1,364 candidates merge to 248 keepers, all
+    pinned, in one round.
+
     Only O(W) of the C(W, 3) triples are solved.  There are only two
     slab walls, so some power of the rotation sigma (`_sigma_permutation`)
     moves a group wall of any triple into union group 0: every sigma-orbit
@@ -570,10 +582,6 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     triples = np.unique(np.sort(np.vstack(images), axis=1), axis=0)
 
     _, candidates = _solve_triples(cs.unit_normals, cs.offsets, triples)
-    candidates = candidates[_pinned(cs, candidates, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL, 1e-8)]
-    if not len(candidates):
-        raise RuntimeError("no vertices found; the constraint set is degenerate")
-
     order = np.lexsort(
         (
             np.round(candidates[:, 1], 10),
@@ -581,7 +589,22 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
             np.round(candidates[:, 2], 10),
         )
     )
-    return _merge_vertices(candidates[order], VERTEX_MERGE_TOL)
+    candidates = candidates[order]
+    alive = np.ones(len(candidates), dtype=bool)
+    pinned = np.zeros(len(candidates), dtype=bool)
+    kept = new = np.flatnonzero(_merge_vertices(candidates, VERTEX_MERGE_TOL))
+    while len(new):
+        good = np.zeros(len(new), dtype=bool)
+        good[_pinned(cs, candidates[new], MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL, 1e-8)] = True
+        if good.all():
+            break
+        pinned[new[good]] = True
+        alive[new[~good]] = False
+        kept = np.flatnonzero(alive)[_merge_vertices(candidates[alive], VERTEX_MERGE_TOL)]
+        new = kept[~pinned[kept]]
+    if not len(kept):
+        raise RuntimeError("no vertices found; the constraint set is degenerate")
+    return candidates[kept]
 
 
 @dataclass(frozen=True)
@@ -791,74 +814,81 @@ class PairingReport:
 def _left_factor(cs: ConstraintSet, row: int, t: int):
     """The left factor g1 = D^t g^-1 of the wall g at `row` (in
     `all_walls()` order), exactly: (alpha, s, beta) with
-    g1 = T(alpha) v^s T(beta), T = `axis_rotation`, v the lifted generator
-    about the vertex v and s in {-1, 0, 1}.
+    g1 = T(alpha U) v^s T(beta U), T = `axis_rotation`, v the lifted
+    generator about the vertex v, s in {-1, 0, 1}, and alpha and beta
+    integers in the level's turn unit U = 1/(2 p_lcm).  In that unit a
+    whole turn is 2 p_lcm, the turns d = k/p_lcm of D are 2k and the half
+    step 1/(2p) is p_lcm/p (p divides p_lcm), so every term below is a
+    whole number of units.
 
-    A slab wall D^+-1 gives s = 0 and g1 = T((t -+ 1) d), d the turns of
-    D.  A group wall (m, l) = divmod(row, letters) is
-    step^m a0 step^-m D^l with a0 = R_v(8 pi/3) D^e C^c (e = exp_d,
-    c = exp_c, step = T(1/(2p))), so g1 = T(delta) step^m R_v(-8 pi/3)
-    step^-m with delta = (t - l - e) d - c.  Three relations give the form:
-    R_v(-8 pi/3) = v^-1 C^(y - 1), y the central correction of
-    v = R_v(2 pi/3) C^y; step R_v step^-1 = R_w, as |v| = |w|; and
-    R_u R_v R_w = C^mu with R_u = T(1/p).  For m even, alpha =
-    delta + m/(2p) + y - 1, s = -1, beta = -m/(2p); for m odd, alpha =
-    delta + (m + 1)/(2p) - mu - y - 1, s = 1, beta = -(m - 1)/(2p).
+    A slab wall D^+-1 gives s = 0 and g1 = T((t -+ 1) d).  A group wall
+    (m, l) = divmod(row, letters) is step^m a0 step^-m D^l with
+    a0 = R_v(8 pi/3) D^e C^c (e = exp_d, c = exp_c, step = T(1/(2p))), so
+    g1 = T(delta) step^m R_v(-8 pi/3) step^-m with delta = (t - l - e) d
+    - c.  Three relations give the form: R_v(-8 pi/3) = v^-1 C^(y - 1),
+    y the central correction of v = R_v(2 pi/3) C^y; step R_v step^-1 =
+    R_w, as |v| = |w|; and R_u R_v R_w = C^mu with R_u = T(1/p).  For m
+    even, alpha = delta + m/(2p) + y - 1, s = -1, beta = -m/(2p); for m
+    odd, alpha = delta + (m + 1)/(2p) - mu - y - 1, s = 1,
+    beta = -(m - 1)/(2p).
     """
-    d = cs.D.axis_turns
+    turn, d, half = 2 * cs.config.p_lcm, 2 * cs.k, cs.config.p_lcm // cs.tri.p
     n_group = len(cs.groups) * len(cs.groups[0])
     if row >= n_group:
-        return (t - 1 if row == n_group else t + 1) * d, 0, Fraction(0)
+        return (t - 1 if row == n_group else t + 1) * d, 0, 0
     m, letter = divmod(row, len(cs.groups[0]))
-    half = Fraction(1, 2 * cs.tri.p)
-    delta = (t - letter - cs.exp_d) * d - cs.exp_c
+    delta = (t - letter - cs.exp_d) * d - cs.exp_c * turn
     y, mu = cs.config.central_corrections[1], cs.config.mu
     if m % 2 == 0:
-        return delta + m * half + y - 1, -1, -m * half
-    return delta + (m + 1) * half - mu - y - 1, 1, -(m - 1) * half
+        return delta + m * half + (y - 1) * turn, -1, -m * half
+    return delta + (m + 1) * half - (mu + y + 1) * turn, 1, -(m - 1) * half
 
 
 def _certificate(cs: ConstraintSet, factor, g1: CoverElement, power):
-    """The word of the left factor g1 = T(alpha) v^s T(beta) (`factor`,
-    as `_left_factor` gives it) in the acting group's generators, as
-    (syllables, word), or None when g1 is not in the group, the word has
-    more than WORD_BUDGET syllables, or the float g1 of the scan is not
-    the word's product.
+    """The word of the left factor g1 = T(alpha U) v^s T(beta U) (`factor`,
+    as `_left_factor` gives it, in its turn unit U = 1/(2 p_lcm)) in the
+    acting group's generators, as (syllables, word), or None when g1 is
+    not in the group, the word has more than WORD_BUDGET syllables, or
+    the float g1 of the scan is not the word's product.
 
     u = T(1/p + x) and D^3 = T(k/p) rotate about the origin.  For s != 0,
-    g1 is in the group only if p alpha is an integer; then, with
-    a = p alpha mod p in (-p/2, p/2], T(alpha) = u^a C^(alpha - a/p - a x)
-    and g1 = u^a v^s T(gamma), gamma = alpha - a/p - a x + beta.  For
-    s = 0, a = 0 and gamma = alpha + beta.  T(gamma) is in the group just
-    when n = p gamma is an integer divisible by k, and is then
-    (D^3)^tau (C^k)^j with n/k = tau + p j, 0 <= tau < p.  So the word is
-    u^a v^s (D^3)^tau (C^k)^j, one syllable per nonzero exponent, at most
-    4.  The float check: the word's product from the lifted generators
-    (`power(letter, n)` is the n-th power of one) must be g1 up to C^0 at
-    CENTRAL_Z_TOL max(1, |w_g1|)^2 (`as_central_power`).
+    g1 is in the group only if p alpha U is an integer; then, with
+    a = p alpha U mod p in (-p/2, p/2], T(alpha U) = u^a C^(alpha U - a/p
+    - a x) and g1 = u^a v^s T(gamma U), gamma U = alpha U - a/p - a x +
+    beta U.  For s = 0, a = 0 and gamma = alpha + beta.  T(gamma U) is in
+    the group just when n = p gamma U is an integer divisible by k, and is
+    then (D^3)^tau (C^k)^j with n/k = tau + p j, 0 <= tau < p.  So the
+    word is u^a v^s (D^3)^tau (C^k)^j, one syllable per nonzero exponent,
+    at most 4; every step is integer arithmetic on the units.  The float
+    check: with P = u^a v^s (D^3)^tau, the word's product less its central
+    syllable, from the lifted generators' powers (`power(letter, n)` is
+    the n-th power of one, so a caller's cache builds each once however
+    many words share it), P^-1 g1 must be C^(k j) at CENTRAL_Z_TOL
+    max(1, |w_g1|)^2 (`as_central_power`): g1 is the word's product.
     """
     alpha, s, beta = factor
-    p, k = cs.tri.p, cs.k
-    if (p * alpha).denominator != 1:
+    p, k, turn = cs.tri.p, cs.k, 2 * cs.config.p_lcm
+    if p * alpha % turn:
         return None
     a, gamma = 0, alpha + beta
     if s:
-        a = int(p * alpha) % p
+        a = p * alpha // turn % p
         a -= p if 2 * a > p else 0
-        gamma -= Fraction(a, p) + a * cs.config.central_corrections[0]
-    n = p * gamma
-    if n.denominator != 1 or n.numerator % k:
+        gamma -= a * (turn // p + cs.config.central_corrections[0] * turn)
+    n, rest = divmod(p * gamma, turn)
+    if rest or n % k:
         return None
-    j, tau = divmod(n.numerator // k, p)
+    j, tau = divmod(n // k, p)
     syllables = [
         (x, e) for x, e in (("u", a), ("v", s), ("(D^3)", tau), (f"(C^{k})", j)) if e
     ]
     if len(syllables) > WORD_BUDGET:
         return None
-    product = cover_mul(cover_mul(power("u", a), power("v", s)), axis_rotation(gamma))
+    powers = [power(letter, e) for letter, e in (("u", a), ("v", s), ("D", 3 * tau)) if e]
+    product = functools.reduce(cover_mul, powers) if powers else COVER_IDENTITY
     tol = CENTRAL_Z_TOL * max(1.0, abs(g1.w)) ** 2
     try:
-        if as_central_power(cover_mul(cover_inv(product), g1), tol) != 0:
+        if as_central_power(cover_mul(cover_inv(product), g1), tol) != k * j:
             return None
     except ArithmeticError:
         return None
@@ -1142,7 +1172,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
                 continue
             if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
                 continue
-            g1 = cover_mul(cover_pow(cs.D, t[i]), w_inv[face[i]])
+            g1 = cover_mul(power("D", t[i]), w_inv[face[i]])
             factor = _left_factor(cs, row_of[face_i.wall.label], t[i])
             cert = _certificate(cs, factor, g1, power)
             if cert is None:
@@ -1175,6 +1205,18 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
     return PairingReport(pairings=pairings, unpaired=unpaired)
 
 
+def _centre_tests(z, w, phi, tol):
+    """`as_central_power`'s three conditions on arrays of cover elements
+    (z, w, phi) at tol (an array or a number): per element, the nearest
+    central exponent n = round(-phi / pi) (a float), whether the element
+    is C^n at tol, and its centre residual max(|z|, |phi + n pi|)."""
+    n = np.rint(-phi / math.pi)
+    off = np.abs(phi + n * math.pi)
+    sign = np.where(n % 2, -1.0, 1.0)
+    central = (np.abs(z) <= tol) & (off <= tol) & (np.abs(w - sign) <= 10 * tol)
+    return n, central, np.maximum(np.abs(z), off)
+
+
 def edge_cycle_check(poly: Polyhedron, report: PairingReport):
     """Develop the domain around every edge class; each cycle must close.
 
@@ -1197,52 +1239,116 @@ def edge_cycle_check(poly: Polyhedron, report: PairingReport):
     after 200 steps raises with its edge, steps, tolerance and last centre
     residual.  Returns one (central exponent, cycle length) record per
     walk: two per edge class, one per orientation.
+
+    The walks run in arrays.  The states run edge by edge in the order the
+    loops first reach the edges, each edge's two faces (`build_polyhedron`)
+    in face order.  The transition, each paired state's next state, is
+    built once; a state whose image edge is not an edge of its partner
+    face raises 'ambiguous continuation' there, before any walk.  A walk
+    starts at each state of a paired face that no earlier walk visited,
+    and it visits its start's orbit under the transition: a cycle back to
+    the start, or a path to an unpaired face (an orbit that is neither
+    never returns to its start, and its walk fails).  So the starts are
+    read off the transition alone, and then all walks step in lockstep:
+    the Gamma1 composites by the array form of `cover_mul`
+    (`halfspaces._cover_product`, and z), the Gamma2 turns as integers
+    over the lcm of the g2 denominators, the centre tests by
+    `_centre_tests`.  The records come out in walk order, and a failure
+    raises the first failing walk's error in walk order.  The scalar walk
+    is the test oracle (`tests/cycle_oracle.py`).
     """
     partner = report.partner_of()
-    vertex_maps = {f: dict(pr.vertex_map) for f, pr in partner.items()}
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, face in enumerate(poly.faces):
-        for i, j in zip(face.loop, face.loop[1:] + face.loop[:1]):
-            edge_faces.setdefault((min(i, j), max(i, j)), []).append(fi)
     inexact = [f for f, pr in partner.items() if pr.g2.axis_turns is None]
     if inexact:
         raise RuntimeError(f"faces {inexact}: g2 is not an exact axis rotation")
+    if not partner:
+        return []
+    pairs, nv = list(partner.values()), len(poly.vertices)
+    maps = {pr.face_i: dict(pr.vertex_map) for pr in pairs}
+    loops = [face.loop for face in poly.faces]
+    images = [[maps[f][v] for v in loop] if f in maps else loop for f, loop in enumerate(loops)]
+    # the loop edges (a, b) and their images (a2, b2) under the face's vertex map
+    a, a2 = np.concatenate(loops), np.concatenate(images)
+    b, b2 = (np.concatenate([x[1:] + x[:1] for x in xs]) for xs in (loops, images))
+    keys, first, edge = np.unique(
+        np.minimum(a, b) * nv + np.maximum(a, b), return_index=True, return_inverse=True
+    )
+    if (np.bincount(edge) != 2).any():
+        raise RuntimeError("an edge does not lie on exactly two faces")
+    order = np.argsort(first[edge], kind="stable")  # the states, in walk-start order
+    face = np.repeat(np.arange(len(loops)), [len(loop) for loop in loops])[order]
+    edge, lo2, hi2 = edge[order], np.minimum(a2, b2)[order], np.maximum(a2, b2)[order]
+    lead = np.empty(len(keys), dtype=int)  # each edge's first state; its second follows
+    lead[edge[::2]] = np.arange(0, len(edge), 2)
 
-    visited, records = set(), []
-    for edge, inc in edge_faces.items():
-        for f0 in inc:
-            if (f0, edge) in visited:
-                continue
-            g1, turns, size, steps = COVER_IDENTITY, Fraction(0), 1.0, 0
-            tol = resid = math.nan
-            f, e = f0, edge
-            while f in partner:
-                visited.add((f, e))
-                pr, vmap = partner[f], vertex_maps[f]
-                e2 = (min(vmap[e[0]], vmap[e[1]]), max(vmap[e[0]], vmap[e[1]]))
-                others = [x for x in edge_faces.get(e2, ()) if x != pr.face_j]
-                if len(others) != 1:
-                    raise RuntimeError(f"edge {e2} has ambiguous continuation")
-                g1, turns = cover_mul(pr.g1, g1), turns + pr.g2.axis_turns
-                size, steps = max(size, abs(pr.g1.w)), steps + 1
-                f, e = others[0], e2
-                if turns.denominator == 1:
-                    tol = CENTRAL_Z_TOL * size**2
-                    try:
-                        n = as_central_power(g1, tol)
-                    except ArithmeticError:
-                        resid = max(abs(g1.z), abs(g1.phi + round(-g1.phi / math.pi) * math.pi))
-                    else:
-                        if n != turns or (f, e) != (f0, edge):
-                            raise RuntimeError(
-                                f"edge {edge}: central (C^{n}, C^{turns}) after {steps} steps "
-                                f"at {(f, e)} is not a diagonal centre back at {(f0, edge)}"
-                            )
-                        records.append((n, steps))
-                        break
-                if steps > 200:
-                    raise RuntimeError(
-                        f"edge cycle failed to close: edge {edge}, {steps} steps, "
-                        f"tolerance {tol:.3g}, last centre residual {resid:.3g}"
-                    )
-    return records
+    def state(i):
+        return int(face[i]), divmod(int(keys[edge[i]]), nv)
+
+    # per state, the pairing applied from it (-1 on an unpaired face) and the next state
+    row_of = np.full(len(loops), -1)
+    row_of[[pr.face_i for pr in pairs]] = np.arange(len(pairs))
+    step_row, nxt = row_of[face], np.full(len(face), -1)
+    at = np.flatnonzero(step_row >= 0)
+    key2 = lo2[at] * nv + hi2[at]
+    s2 = lead[np.minimum(np.searchsorted(keys, key2), len(keys) - 1)]
+    face_j = np.array([pr.face_j for pr in pairs])[step_row[at]]
+    first_j = face[s2] == face_j
+    ambiguous = (keys[edge[s2]] != key2) | (~first_j & (face[s2 + 1] != face_j))
+    if ambiguous.any():
+        i = at[np.argmax(ambiguous)]
+        raise RuntimeError(f"edge {(int(lo2[i]), int(hi2[i]))} has ambiguous continuation")
+    nxt[at] = s2 + first_j
+    paired, after = (step_row >= 0).tolist(), nxt.tolist()
+    starts, visited = [], [False] * len(face)
+    for si in range(len(face)):
+        if visited[si] or not paired[si]:
+            continue
+        starts.append(si)
+        cur = si
+        while paired[cur] and not visited[cur]:
+            visited[cur] = True
+            cur = after[cur]
+
+    pz, pw, pphi = _parts([pr.g1 for pr in pairs])
+    turns_g2 = [pr.g2.axis_turns for pr in pairs]
+    unit = math.lcm(*(x.denominator for x in turns_g2))
+    pturns = np.array([x.numerator * (unit // x.denominator) for x in turns_g2])
+    outcome = [None] * len(starts)  # per walk: its record, or its error
+    walk = np.arange(len(starts))  # the walks still open
+    start = cur = np.array(starts)
+    z, w = np.zeros(len(walk), dtype=complex), np.ones(len(walk), dtype=complex)
+    phi, size, turns = np.zeros(len(walk)), np.ones(len(walk)), np.zeros(len(walk), dtype=int)
+    tol, resid = np.full(len(walk), math.nan), np.full(len(walk), math.nan)
+    for steps in range(1, 202):
+        r = step_row[cur]
+        w_next, phi = _cover_product(pz[r], pw[r], pphi[r], z, w, phi)
+        z, w = np.conjugate(pw[r]) * z + pz[r] * w, w_next
+        turns, size, cur = turns + pturns[r], np.maximum(size, np.abs(pw[r])), nxt[cur]
+        test = np.flatnonzero(turns % unit == 0)
+        tol[test] = CENTRAL_Z_TOL * size[test] ** 2
+        n, central, off = _centre_tests(z[test], w[test], phi[test], tol[test])
+        resid[test[~central]] = off[~central]
+        for i, n_1 in zip(test[central].tolist(), n[central].astype(int).tolist()):
+            n_2 = int(turns[i] // unit)
+            outcome[walk[i]] = (n_1, steps) if (n_1, cur[i]) == (n_2, start[i]) else (
+                f"edge {state(start[i])[1]}: central (C^{n_1}, C^{n_2}) after {steps} steps "
+                f"at {state(cur[i])} is not a diagonal centre back at {state(start[i])}"
+            )
+        still = np.ones(len(walk), dtype=bool)
+        still[test[central]] = False
+        if steps > 200:
+            for i in np.flatnonzero(still).tolist():
+                outcome[walk[i]] = (
+                    f"edge cycle failed to close: edge {state(start[i])[1]}, {steps} steps, "
+                    f"tolerance {tol[i]:.3g}, last centre residual {resid[i]:.3g}"
+                )
+            break
+        keep = np.flatnonzero(still & (step_row[cur] >= 0))
+        walk, start, cur = walk[keep], start[keep], cur[keep]
+        z, w, phi, size, turns = z[keep], w[keep], phi[keep], size[keep], turns[keep]
+        tol, resid = tol[keep], resid[keep]
+        if not len(walk):
+            break
+    for failure in (o for o in outcome if isinstance(o, str)):
+        raise RuntimeError(failure)
+    return [o for o in outcome if o is not None]

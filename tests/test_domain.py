@@ -18,7 +18,6 @@ from lorentzdomains.cover import (
     COVER_IDENTITY,
     CoverElement,
     R_param,
-    as_central_power,
     axis_rotation,
     central,
     cover_inv,
@@ -69,8 +68,14 @@ from lorentzdomains.domain import (
 from lorentzdomains.halfspaces import _chart_cone, batch_wall
 
 from halfspace_oracle import chart_point, pairing_form
+from cycle_oracle import scalar_edge_cycles
 from seed_oracle import SEED_BLOCK, sector_blocks, sector_seeds
-from word_oracle import SchreierTree, gamma1_certificate
+from word_oracle import (
+    SchreierTree,
+    fraction_certificate,
+    fraction_left_factor,
+    gamma1_certificate,
+)
 
 # frozen combinatorics of the verified builds; p1 is the primary rotation
 # order (k+3 resp. 2k+3) and every count below is linear in it
@@ -353,7 +358,9 @@ def _reference_membership(cs, pts, tol):
     return out
 
 
-def _reference_vertices(cs):
+def _reference_vertices(cs, banned=None):
+    """Every triple through the filters, then the merge; a `banned` point
+    is dropped with the filters."""
     walls = cs.all_walls()
     normals, offsets = cs.unit_normals, cs.offsets
     triples = np.array(list(itertools.combinations(range(len(walls)), 3)), dtype=int)
@@ -377,6 +384,8 @@ def _reference_vertices(cs):
         and np.linalg.matrix_rank(normals[act[:, col]], tol=1e-8) == 3
     ]
     candidates = candidates[keep]
+    if banned is not None:
+        candidates = candidates[(candidates != banned).any(axis=1)]
     order = np.lexsort(
         (
             np.round(candidates[:, 1], 10),
@@ -638,11 +647,11 @@ def test_merge_vertices_matches_the_sequential_merge():
     # absorbs, but not of the first, so it is kept
     step = np.array([0.8 * tol, 0.0, 0.0])
     chain = centres[0] + 3.0 + np.outer(np.arange(3), step)
-    assert np.array_equal(_merge_vertices(chain, tol), chain[[0, 2]])
+    assert np.array_equal(chain[_merge_vertices(chain, tol)], chain[[0, 2]])
     points = np.vstack([tight, loose, lone, chain, centres[:5]])
     for _ in range(20):
         order = rng.permutation(len(points))
-        got = _merge_vertices(points[order], tol)
+        got = points[order][_merge_vertices(points[order], tol)]
         ref = _sequential_merge(points[order], tol)
         assert got.tobytes() == ref.tobytes()
     assert len(lone) < len(got) < len(points)
@@ -656,6 +665,41 @@ def test_enumerate_vertices_matches_reference(series, k):
     ref = _reference_vertices(cs)
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "series,k,index,stand_in", [("E", 2, 5, True), ("Z", 4, 4, True), ("Z", 4, 5, False)]
+)
+def test_a_kept_vertex_that_fails_the_pin_gives_filter_then_merge(
+    series, k, index, stand_in, monkeypatch
+):
+    """The merge runs before the pin: when `_pinned` rejects one vertex
+    that the merge kept, the build drops it, merges again and pins the new
+    keepers, and the vertices are those of filtering every candidate
+    first and merging after, bit for bit.  Where another candidate lies
+    within the merge tolerance of the banned vertex, it stands in for it
+    and is pinned in a second round; else the vertex is gone."""
+    cs = series_constraints(series, k)
+    vertices = enumerate_vertices(cs)
+    banned = vertices[index]
+    real, calls = domain._pinned, []
+
+    def rejecting(cs, pts, *tols):
+        got = real(cs, pts, *tols)
+        if tols[0] != MEMBERSHIP_TOL:
+            return got  # the seed pass
+        calls.append(len(pts))
+        return got[(pts[got] != banned).any(axis=1)]
+
+    monkeypatch.setattr(domain, "_pinned", rejecting)
+    got = enumerate_vertices(cs)
+    ref = _reference_vertices(cs, banned)
+    assert got.tobytes() == ref.tobytes()
+    assert not (got == banned).all(axis=1).any()
+    if stand_in:
+        assert len(got) == len(vertices) and len(calls) == 2 and calls[1] < calls[0]
+    else:
+        assert len(got) == len(vertices) - 1 and len(calls) == 1
 
 
 def _reference_polyhedron(cs, vertices):
@@ -1201,6 +1245,7 @@ def test_edge_cycles_reject_a_perturbed_g1(series, k, turn):
     bad = _with_pairing(rep, 0, g1=cover_mul(turn, rep.pairings[0].g1))
     with pytest.raises(RuntimeError) as err:
         edge_cycle_check(poly, bad)
+    assert str(err.value) == _scalar_walk_error(poly, bad)
     found = re.fullmatch(
         r"edge cycle failed to close: edge \((\d+), (\d+)\), 201 steps, "
         r"tolerance (\S+), last centre residual (\S+)",
@@ -1217,8 +1262,9 @@ def test_edge_cycles_name_a_face_whose_g2_is_not_exact(e2):
     g2 = rep.pairings[3].g2
     bad = _with_pairing(rep, 3, g2=CoverElement(g2.z, g2.w, g2.phi))
     face = rep.pairings[3].face_i
-    with pytest.raises(RuntimeError, match=rf"faces \[{face}\]: g2 is not an exact axis"):
+    with pytest.raises(RuntimeError, match=rf"faces \[{face}\]: g2 is not an exact axis") as err:
         edge_cycle_check(poly, bad)
+    assert str(err.value) == _scalar_walk_error(poly, bad)
 
 
 def test_edge_cycles_reject_a_central_composite_off_the_diagonal(e2):
@@ -1228,6 +1274,7 @@ def test_edge_cycles_reject_a_central_composite_off_the_diagonal(e2):
     bad = _with_pairing(rep, 0, g1=cover_mul(central(1), rep.pairings[0].g1))
     with pytest.raises(RuntimeError, match="is not a diagonal centre") as err:
         edge_cycle_check(poly, bad)
+    assert str(err.value) == _scalar_walk_error(poly, bad)
     n1, n2 = map(int, re.search(r"central \(C\^(-?\d+), C\^(-?\d+)\) after 3 steps",
                                 str(err.value)).groups())
     assert abs(n1 - n2) == 1
@@ -1246,8 +1293,40 @@ def test_edge_cycles_reject_a_vertex_map_off_the_partner_face(series, k):
     vmap = dict(pr.vertex_map)
     vmap[loop[0]], vmap[loop[1]] = a, b
     bad = _with_pairing(rep, 0, vertex_map=tuple(sorted(vmap.items())))
-    with pytest.raises(RuntimeError, match="ambiguous continuation"):
+    with pytest.raises(RuntimeError, match="ambiguous continuation") as err:
         edge_cycle_check(poly, bad)
+    assert str(err.value) == _scalar_walk_error(poly, bad)
+
+
+def _scalar_walk_error(poly, report):
+    """The error text of the scalar walk (`cycle_oracle`) on a report."""
+    with pytest.raises(RuntimeError) as err:
+        scalar_edge_cycles(poly, report)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "series,k", ORACLE_LEVELS + [("Z", 14), ("E", 40), ("Z", 50), ("E", 80)]
+)
+def test_edge_cycles_equal_the_scalar_walk(series, k):
+    """The lockstep walks give the scalar walk's records, in its order."""
+    cs, poly = _polyhedron(series, k)
+    rep = find_pairings(poly, cs)
+    assert rep.unpaired == ()
+    records = edge_cycle_check(poly, rep)
+    assert records == scalar_edge_cycles(poly, rep)
+    assert all(type(n) is int and type(steps) is int for n, steps in records)
+
+
+@pytest.mark.parametrize("series,k", [("E", 1), ("E", 2), ("Z", 1), ("Z", 5), ("E", 40)])
+def test_edge_cycles_of_a_partial_report_equal_the_scalar_walk(series, k, monkeypatch):
+    """At WORD_BUDGET 3 some faces stay unpaired: the walks that reach one
+    stop without a record, in both walks alike."""
+    monkeypatch.setattr(domain, "WORD_BUDGET", 3)
+    cs, poly = _polyhedron(series, k)
+    rep = find_pairings(poly, cs)
+    assert rep.unpaired
+    assert edge_cycle_check(poly, rep) == scalar_edge_cycles(poly, rep)
 
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 14), ("E", 40)])
@@ -1259,17 +1338,18 @@ def test_edge_cycle_centre_tests_lie_near_a_centre_or_far_from_it(series, k, mon
     cs, poly = _polyhedron(series, k)
     rep = find_pairings(poly, cs)
     tests = []
+    centre_tests = domain._centre_tests
 
-    def recording(g, tol):
-        tests.append((g, tol))
-        return as_central_power(g, tol)
+    def recording(z, w, phi, tol):
+        tests.extend(zip(z, w, phi, np.broadcast_to(tol, z.shape)))
+        return centre_tests(z, w, phi, tol)
 
-    monkeypatch.setattr(domain, "as_central_power", recording)
+    monkeypatch.setattr(domain, "_centre_tests", recording)
     records = edge_cycle_check(poly, rep)
     near = 0
-    for g, tol in tests:
-        n = round(-g.phi / math.pi)
-        dist = max(abs(g.z), abs(g.phi + n * math.pi), abs(g.w - (-1) ** (n % 2)))
+    for z, w, phi, tol in tests:
+        n = round(-phi / math.pi)
+        dist = max(abs(z), abs(phi + n * math.pi), abs(w - (-1) ** (n % 2)))
         if dist <= tol / 100:
             near += 1
         else:
@@ -1715,6 +1795,40 @@ def test_words_equal_the_word_search_oracle(series, k, monkeypatch):
         assert (p.syllables, p.word) == gamma1_certificate(
             p.g1, cs, power, tail, tree.syllables
         )
+
+
+@pytest.mark.parametrize(
+    "series,k", ORACLE_LEVELS + [("Z", 14), ("E", 40), ("Z", 50), ("E", 80), ("E", 1000)]
+)
+def test_integer_certificates_equal_the_fraction_forms(series, k, monkeypatch):
+    """Every left factor that `find_pairings` asks for, per (row, t), is
+    the `Fraction` form's (`word_oracle`) once scaled by the turn unit
+    U = 1/(2 p_lcm), and every certificate it asks for, a face's and its
+    partner's inverse, accepted or not, equals the `Fraction` form's on
+    the scaled factor: the same (syllables, word), or None on both sides."""
+    cs, poly = _polyhedron(series, k)
+    unit = Fraction(1, 2 * cs.config.p_lcm)
+    left_factor, certificate = domain._left_factor, domain._certificate
+    factors, certificates = [], []
+
+    def recorded_factor(*args):
+        factors.append((args[1:], left_factor(*args)))
+        return factors[-1][1]
+
+    def recorded_certificate(*args):
+        certificates.append((args[1:], certificate(*args)))
+        return certificates[-1][1]
+
+    monkeypatch.setattr(domain, "_left_factor", recorded_factor)
+    monkeypatch.setattr(domain, "_certificate", recorded_certificate)
+    report = find_pairings(poly, cs)
+    assert report.unpaired == ()
+    for (row, t), (alpha, s, beta) in factors:
+        assert all(type(x) is int for x in (alpha, s, beta))
+        assert (alpha * unit, s, beta * unit) == fraction_left_factor(cs, row, t)
+    for ((alpha, s, beta), g1, power), got in certificates:
+        assert got == fraction_certificate(cs, (alpha * unit, s, beta * unit), g1, power)
+    assert sum(got is not None for _, got in certificates) == len(report.pairings)
 
 
 def test_e910_builds_certified():

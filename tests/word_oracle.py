@@ -8,14 +8,28 @@ point's orbit in the disc for the image of the base point
 times a central C^(k j) (`gamma1_certificate`).  Both read
 `domain.WORD_BUDGET` when called, so a test that patches the budget
 patches the oracle too.  The tests check the closed form against it.
+
+The closed form itself is kept here in exact `Fraction` turns as well
+(`fraction_left_factor`, `fraction_certificate`), as it stood before the
+build moved it to integers in the level's turn unit 1/(2 p_lcm); the
+tests check the integer form against it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from lorentzdomains import domain
-from lorentzdomains.cover import COVER_IDENTITY, CoverElement, cover_inv, cover_mul
+from lorentzdomains.cover import (
+    CENTRAL_Z_TOL,
+    COVER_IDENTITY,
+    CoverElement,
+    as_central_power,
+    axis_rotation,
+    cover_inv,
+    cover_mul,
+)
 from lorentzdomains.disc import GroupElement, TriangleGroupData, group_mul, mobius_apply
 
 # the residue's turn count must lie this close to a multiple of 1/p
@@ -131,3 +145,51 @@ def gamma1_certificate(g1: CoverElement, cs, power, tail, syllables_to):
     if j:
         parts.append(f"(C^{k})^{j}" if j != 1 else f"C^{k}")
     return count, " ".join(parts) if parts else "e"
+
+
+def fraction_left_factor(cs, row: int, t: int):
+    """`domain._left_factor` in `Fraction` turns: (alpha, s, beta) with
+    g1 = D^t g^-1 = T(alpha) v^s T(beta) for the wall g at `row`."""
+    d = cs.D.axis_turns
+    n_group = len(cs.groups) * len(cs.groups[0])
+    if row >= n_group:
+        return (t - 1 if row == n_group else t + 1) * d, 0, Fraction(0)
+    m, letter = divmod(row, len(cs.groups[0]))
+    half = Fraction(1, 2 * cs.tri.p)
+    delta = (t - letter - cs.exp_d) * d - cs.exp_c
+    y, mu = cs.config.central_corrections[1], cs.config.mu
+    if m % 2 == 0:
+        return delta + m * half + y - 1, -1, -m * half
+    return delta + (m + 1) * half - mu - y - 1, 1, -(m - 1) * half
+
+
+def fraction_certificate(cs, factor, g1: CoverElement, power):
+    """`domain._certificate` on a `Fraction` factor (`fraction_left_factor`),
+    with T(gamma) built by `axis_rotation`."""
+    alpha, s, beta = factor
+    p, k = cs.tri.p, cs.k
+    if (p * alpha).denominator != 1:
+        return None
+    a, gamma = 0, alpha + beta
+    if s:
+        a = int(p * alpha) % p
+        a -= p if 2 * a > p else 0
+        gamma -= Fraction(a, p) + a * cs.config.central_corrections[0]
+    n = p * gamma
+    if n.denominator != 1 or n.numerator % k:
+        return None
+    j, tau = divmod(n.numerator // k, p)
+    syllables = [
+        (x, e) for x, e in (("u", a), ("v", s), ("(D^3)", tau), (f"(C^{k})", j)) if e
+    ]
+    if len(syllables) > domain.WORD_BUDGET:
+        return None
+    product = cover_mul(cover_mul(power("u", a), power("v", s)), axis_rotation(gamma))
+    tol = CENTRAL_Z_TOL * max(1.0, abs(g1.w)) ** 2
+    try:
+        if as_central_power(cover_mul(cover_inv(product), g1), tol) != 0:
+            return None
+    except ArithmeticError:
+        return None
+    word = " ".join(x.strip("()") if e == 1 else f"{x}^{e}" for x, e in syllables)
+    return len(syllables), word or "e"

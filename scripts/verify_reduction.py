@@ -6,7 +6,9 @@ Usage: python3 scripts/verify_reduction.py [--kmax N] [--samples N] [--seed N]
 For each admissible level k <= kmax (3 does not divide k) of both series
 the script prints the two sides of the inequality and the margin, then
 cross-checks the half-space description of the domain against the
-prism-complement description on --samples random points per level.
+prism-complement description on --samples random points per level.  Each
+check reads the level from its constraint set (`series_constraints`),
+built afresh for it, so no set outlives its check.
 A level whose check raises (a stage that fails its own check) prints a
 FAIL line and the sweep goes on.  Exits 1 if any margin or orbit premise
 fails, any level fails, any sampled point disagrees or a case has no
@@ -17,6 +19,7 @@ below 0 (checked before any level runs).
 import argparse
 import sys
 
+from lorentzdomains.domain import series_constraints
 from lorentzdomains.reduction import check_reduction_bound, sample_equivalence
 
 
@@ -42,7 +45,7 @@ def main(argv=None) -> int:
     for series in ("E", "Z"):
         for k in levels:
             try:
-                rep = check_reduction_bound(series, k)
+                rep = check_reduction_bound(series_constraints(series, k))
             except (RuntimeError, ArithmeticError) as exc:
                 failures += 1
                 print(f"FAIL {series} k={k}: {exc}")
@@ -58,7 +61,8 @@ def main(argv=None) -> int:
     for series in ("E", "Z"):
         for k in levels:
             try:
-                st = sample_equivalence(series, k, n_samples=args.samples, seed=args.seed)
+                cs = series_constraints(series, k)
+                st = sample_equivalence(cs, n_samples=args.samples, seed=args.seed)
             except (RuntimeError, ArithmeticError) as exc:
                 failures += 1
                 print(f"FAIL equivalence {series} k={k}: {exc}")

@@ -30,7 +30,6 @@ from .cover import (
     cover_mul,
     cover_pow,
     lift_level,
-    product_defect,
     R_param,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "cover_mul",
     "cover_pow",
     "lift_level",
-    "product_defect",
     "R_param",
     "ReductionReport",
     "check_reduction_bound",

@@ -2,18 +2,22 @@
 
 Exit codes: 0 success, 2 invalid request (a command line the parser
 rejects, a bad series, level, format list, sample count or seed, a level the
-lift cannot represent in double precision, or a `build --out` where the
-artifacts cannot be written), 1 failed verification (a stage check
+lift cannot represent in double precision, a `build --out` where the
+artifacts cannot be written, an empty `--out` among them, or a request that
+runs out of memory), 1 failed verification (a stage check
 fails, faces stay unpaired, the reduction inequality or the orbit premise
 fails, or the sampled descriptions disagree).  Errors are reported as a
 single JSON object {"error", "series", "k"} on stdout, with null for a
 series or level that did not parse, so callers never have to parse
 prose.  Every command lifts its level (`lift_level`) before any other
-work, and gets the lift's `LevelConfig`.  The geometry layers (`domain`,
-`reduction` and numpy with them) load inside `build_domain` and
-`cmd_verify`, when a command first needs them, so `info` and every invalid
-request are answered without them; `build` checks its formats and that a
-file can be created in `--out` before that.
+work, as the request check, and gets the lift's `LevelConfig`; `build`
+and `verify` then build the level's constraint set once
+(`series_constraints`), and every later stage reads the level from it.
+The geometry layers (`domain`, `reduction` and numpy with them) load
+inside `build_domain` and `cmd_verify`, when a command first needs them,
+so `info` and every invalid request are answered without them; `build`
+checks its formats and that a file can be created in `--out` before
+that.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def build_domain(series: str, k: int) -> DomainBuild:
     pairings = find_pairings(poly, cs)
     symmetry_angle = detect_symmetry(poly, cs)
     edge_cycles = edge_cycle_check(poly, pairings)
-    reduction = check_reduction_bound(series, k)
+    reduction = check_reduction_bound(cs)
     report = report_dict(
         cs, poly, pairings,
         symmetry_angle=symmetry_angle,
@@ -114,7 +118,9 @@ def cmd_info(args, config: LevelConfig) -> int:
 
 def cmd_build(args, config: LevelConfig) -> int:
     formats = parse_formats(args.formats)
-    out_dir = args.out or os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
+    out_dir = args.out
+    if out_dir is None:  # an empty --out is a path that cannot be written
+        out_dir = os.environ.get("LORENTZDOMAINS_OUT", "artifacts")
     try:
         os.makedirs(out_dir, exist_ok=True)
         check_writable(out_dir)
@@ -144,12 +150,12 @@ def cmd_verify(args, config: LevelConfig) -> int:
         return _fail(args, f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         return _fail(args, f"--seed must be at least 0, got {args.seed}")
+    from .domain import series_constraints
     from .reduction import check_reduction_bound, sample_equivalence
 
-    reduction = check_reduction_bound(args.series, args.k)
-    stats = sample_equivalence(
-        args.series, args.k, n_samples=args.samples, seed=args.seed
-    )
+    cs = series_constraints(args.series, args.k)
+    reduction = check_reduction_bound(cs)
+    stats = sample_equivalence(cs, n_samples=args.samples, seed=args.seed)
     result = {
         "series": args.series,
         "k": args.k,
@@ -254,6 +260,8 @@ def main(argv=None) -> int:
         return _fail(args, str(exc))
     except (RuntimeError, ArithmeticError) as exc:
         return _fail(args, str(exc), code=1)
+    except MemoryError as exc:
+        return _fail(args, f"out of memory: {str(exc) or type(exc).__name__}")
 
 
 if __name__ == "__main__":

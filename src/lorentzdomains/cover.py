@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .disc import build_triangle_group
+from .disc import TriangleGroupData, build_triangle_group
 
 # |z| of a numerically central element must stay below this.
 CENTRAL_Z_TOL = 1e-9
@@ -133,19 +133,6 @@ def as_central_power(g: CoverElement, tol: float = CENTRAL_Z_TOL) -> int:
     return n
 
 
-def product_defect(p: int, q: int, r: int) -> int:
-    """The integer mu with R_u(2pi/p) R_v(2pi/q) R_w(2pi/r) = C^mu.
-
-    Always measured from the actual lifted product, never assumed.
-    """
-    tri = build_triangle_group(p, q, r)
-    gu = R_param(tri.u, 2.0 * math.pi / p)
-    gv = R_param(tri.v, 2.0 * math.pi / q)
-    gw = R_param(tri.w, 2.0 * math.pi / r)
-    prod = cover_mul(cover_mul(gu, gv), gw)
-    return as_central_power(prod)
-
-
 @dataclass(frozen=True)
 class LevelConfig:
     """Data of a level-k lift of a (p, q, r) rotation triangle group.
@@ -155,8 +142,15 @@ class LevelConfig:
     generators are R_vertex(2pi/order) * C^correction.  lam is the unit
     in {1, 2} with lam * k = 1 (mod 3) when q = r = 3, else None.
     p_lcm is lcm(p, 3), the combined rotation order about u once the
-    cyclic order-3 factor is adjoined.  mu is `product_defect` of the
-    signature.
+    cyclic order-3 factor is adjoined.  mu is the integer with
+    R_u(2pi/p) R_v(2pi/q) R_w(2pi/r) = C^mu.
+
+    tri is the triangle group and gens the lifted generators u, v, w, D
+    and C by letter, built once, by the lift; every later stage reads
+    them from here.  D = R_u(2 pi k / p_lcm) generates, together with the
+    centre, the combined rotation group about the axis of u; it is exact,
+    so D^p_lcm equals C^k bitwise.  The other fields determine tri and
+    gens, which take no part in comparison, hashing or repr.
     """
 
     k: int
@@ -166,6 +160,8 @@ class LevelConfig:
     central_corrections: tuple
     signature: tuple
     mu: int
+    tri: TriangleGroupData = field(compare=False, repr=False)
+    gens: dict = field(compare=False, repr=False)
 
 
 def series_signature(series: str, k: int) -> tuple[int, int, int]:
@@ -182,11 +178,18 @@ def series_signature(series: str, k: int) -> tuple[int, int, int]:
 def lift_level(p: int, q: int, r: int, k: int) -> LevelConfig:
     """Solve the central-correction congruences for the level-k lift.
 
+    The triangle group and the rotations R_u(2pi/p), R_v(2pi/q),
+    R_w(2pi/r) are built once: their product measures mu, never assumed,
+    and times their central corrections they are the lifted generators.
     Raises ValueError naming the failed condition when no lift exists.
     """
     if k < 1:
         raise ValueError("level k must be a positive integer")
-    mu = product_defect(p, q, r)
+    tri = build_triangle_group(p, q, r)
+    gu = R_param(tri.u, 2.0 * math.pi / p)
+    gv = R_param(tri.v, 2.0 * math.pi / q)
+    gw = R_param(tri.w, 2.0 * math.pi / r)
+    mu = as_central_power(cover_mul(cover_mul(gu, gv), gw))
     if math.gcd(k, p * q * r) != 1:
         raise ValueError(
             "no level-%d lift: gcd(k, pqr) = %d is not 1"
@@ -205,30 +208,22 @@ def lift_level(p: int, q: int, r: int, k: int) -> LevelConfig:
     lam = None
     if q == 3 and r == 3:
         lam = 1 if k % 3 == 1 else 2
+    p_lcm = (p * 3) // math.gcd(p, 3)
+    gens = {
+        letter: cover_mul(g, central(c))
+        for letter, g, c in zip("uvw", (gu, gv, gw), (x, y, z))
+    }
+    gens["D"] = axis_rotation(Fraction(k, p_lcm))
+    gens["C"] = central(1)
     return LevelConfig(
         k=k,
         p_tri=p,
-        p_lcm=(p * 3) // math.gcd(p, 3),
+        p_lcm=p_lcm,
         lam=lam,
         central_corrections=(x, y, z),
         signature=(p, q, r),
         mu=mu,
+        tri=tri,
+        gens=gens,
     )
-
-
-def lifted_generators(config: LevelConfig) -> dict:
-    """The lifted triangle generators plus D and C.
-
-    D = R_u(2 pi k / p_lcm) generates, together with the centre, the
-    combined rotation group about the axis of u; it is represented exactly
-    so that D^p_lcm equals C^k bitwise.
-    """
-    p, q, r = config.signature
-    tri = build_triangle_group(p, q, r)
-    x, y, z = config.central_corrections
-    gu = cover_mul(R_param(tri.u, 2.0 * math.pi / p), central(x))
-    gv = cover_mul(R_param(tri.v, 2.0 * math.pi / q), central(y))
-    gw = cover_mul(R_param(tri.w, 2.0 * math.pi / r), central(z))
-    D = axis_rotation(Fraction(config.k, config.p_lcm))
-    return {"u": gu, "v": gv, "w": gw, "D": D, "C": central(1)}
 

@@ -34,6 +34,7 @@ from .cover import (
     CENTRAL_Z_TOL,
     COVER_IDENTITY,
     CoverElement,
+    LevelConfig,
     as_central_power,
     axis_rotation,
     central,
@@ -41,11 +42,10 @@ from .cover import (
     cover_mul,
     cover_pow,
     lift_level,
-    lifted_generators,
     R_param,
     series_signature,
 )
-from .disc import TriangleGroupData, build_triangle_group
+from .disc import TriangleGroupData
 from .halfspaces import _chart_cone, _cover_product
 
 VERTEX_MERGE_TOL = 1e-8
@@ -110,12 +110,16 @@ class ConstraintSet:
     wall in `all_walls()` order, derived from the walls' elements when the
     set is made (`dataclasses.replace` derives it afresh): the functionals
     normals . x + constants (`linearize`) and the unit-normal planes
-    unit_normals . x = offsets.  A degenerate normal raises RuntimeError."""
+    unit_normals . x = offsets.  A degenerate normal raises RuntimeError.
+
+    config is the level's lift (`lift_level`), and tri and D are its own
+    triangle group and generator D, not copies: every later stage reads
+    the level's group data from here."""
 
     series: str
     k: int
     period: int
-    config: object
+    config: LevelConfig
     tri: TriangleGroupData
     D: CoverElement
     groups: tuple  # tuple of tuples of Wall, one tuple per union index m
@@ -164,12 +168,12 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     wall and its margin pi/2 - |phi_g|.  The check is in closed form, on
     each wall's (z, w, phi) alone.  A wall stores only (label, g, side);
     the set derives its plane table from the g's once (`ConstraintSet`).
+    This is the one map from (series, k) to the level's lift: the
+    triangle group and D are the lift's own.
     """
     p_tri, q, r = series_signature(series, k)
     config = lift_level(p_tri, q, r, k)
-    tri = build_triangle_group(p_tri, q, r)
-    gens = lifted_generators(config)
-    D = gens["D"]
+    tri, D = config.tri, config.gens["D"]
     lam = config.lam
     exp_d = 2 * lam * p_tri - (1 if series == "E" else 2)
     num = 2 * (lam * k + 2)
@@ -1124,7 +1128,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
         raise RuntimeError(
             "an axis power D^t has z != 0: the left-factor rows need z = 0"
         )
-    gens = lifted_generators(cs.config)
+    gens = cs.config.gens
     power = functools.cache(lambda letter, n: cover_pow(gens[letter], n))
     row_of = {w.label: r for r, w in enumerate(cs.all_walls())}
     h_gen = cover_pow(cs.D, cs.tri.p)

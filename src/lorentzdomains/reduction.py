@@ -14,22 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cover import (
-    CoverElement,
-    LevelConfig,
-    cover_mul,
-    cover_pow,
-    lift_level,
-    lifted_generators,
-    series_signature,
-)
-from .disc import (
-    TriangleGroupData,
-    build_triangle_group,
-    edge_corona,
-    orbit,
-)
-from .domain import _close_pairs, _parts, membership_mask, series_constraints
+from .cover import CoverElement, LevelConfig, cover_mul, cover_pow
+from .disc import TriangleGroupData, edge_corona, orbit
+from .domain import ConstraintSet, _close_pairs, _parts, membership_mask
 from .halfspaces import _chart_cone, batch_wall, wall_masks
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -94,8 +81,11 @@ class ReductionReport:
         return self.holds and self.orbit_premise_ok
 
 
-def check_reduction_bound(series: str, k: int) -> ReductionReport:
+def check_reduction_bound(cs: ConstraintSet) -> ReductionReport:
     """Evaluate the reduction inequality ell^-(sec(pi k/2p_lcm)) <= (1-sqrt(1-R^2))/R.
+
+    The series, the level, its lift and its triangle group are read from
+    the constraint set `cs` (`series_constraints`).
 
     R is the second-shell radius in its closed form; the inequality is
     evaluated through two independent expression routes which must agree to
@@ -112,9 +102,8 @@ def check_reduction_bound(series: str, k: int) -> ReductionReport:
     within CORONA_MATCH_TOL through a sorted window (`_close_pairs`), so no
     orbit-by-corona table is formed.
     """
-    p_tri, q, r = series_signature(series, k)
-    config = lift_level(p_tri, q, r, k)
-    tri = build_triangle_group(p_tri, q, r)
+    series, k, config, tri = cs.series, cs.k, cs.config, cs.tri
+    p_tri = config.p_tri
     alpha = math.pi / (2 * p_tri)
 
     sec = 1.0 / math.cos(math.pi * k / (2 * config.p_lcm))
@@ -196,8 +185,10 @@ class EquivalenceStats:
         return 0 < self.n_evaluated == self.n_agree
 
 
-def _corona_lifts(tri: TriangleGroupData, config: LevelConfig):
-    """Cover lifts g with g(0) = x for each corona point x, as (x, g) pairs.
+def _corona_lifts(config: LevelConfig):
+    """Cover lifts g with g(0) = x for each corona point x, as (x, g) pairs,
+    from the lift's triangle group and generators (`config.tri`,
+    `config.gens`).
 
     Each lift is normalised by a trailing power of the wall-rotation step
     so that its lifted argument is as small as possible.  The coset g<D>
@@ -205,7 +196,7 @@ def _corona_lifts(tri: TriangleGroupData, config: LevelConfig):
     band of active wall indices centred at zero, which the finite wall
     scans rely on.
     """
-    gens = lifted_generators(config)
+    tri, gens = config.tri, config.gens
     D = gens["D"]
     step_phi = math.pi * config.k / config.p_lcm
     pairs = []
@@ -381,9 +372,9 @@ def _description_masks(cons, pts):
     D is not the axis rotation `_prism_scan` needs, and when a prism
     verdict off the boundary changes as the wall scan doubles.
     """
-    config, tri = cons.config, cons.tri
+    config = cons.config
     Z, W, PHI = _chart_cone(pts)
-    lifts = _corona_lifts(tri, config)
+    lifts = _corona_lifts(config)
     # the premise on g bounds every g D^n too: D^n keeps |z| and |w|
     limit = (1.0 - BOUNDARY_BAND) / BOUNDARY_BAND
     w_max = float(np.max(np.abs(W), initial=0.0))
@@ -429,10 +420,7 @@ def _description_masks(cons, pts):
 
 
 def sample_equivalence(
-    series: str,
-    k: int,
-    n_samples: int = 10_000,
-    seed: int = 0,
+    cs: ConstraintSet, n_samples: int = 10_000, seed: int = 0
 ) -> EquivalenceStats:
     """Compare the finite half-space description of the domain in the slab
     against the prism-complement description on uniformly sampled points.
@@ -444,18 +432,18 @@ def sample_equivalence(
     statistics record how often they do.  Sampling derives no reduction
     bound: a caller reads the inequality and the orbit premise from
     `check_reduction_bound`, and a sample at a level where they fail
-    certifies nothing.
+    certifies nothing.  The level, its walls and its lift are read from
+    the constraint set `cs` (`series_constraints`).
     """
-    cons = series_constraints(series, k)
     in_linear, in_prism_complement, near_boundary = _description_masks(
-        cons, _slab_samples(cons.config, n_samples, seed)
+        cs, _slab_samples(cs.config, n_samples, seed)
     )
 
     ok = ~near_boundary
     agree = (in_linear == in_prism_complement) & ok
     return EquivalenceStats(
-        series=series,
-        k=k,
+        series=cs.series,
+        k=cs.k,
         seed=seed,
         n_samples=n_samples,
         n_boundary_excluded=int(np.sum(~ok)),

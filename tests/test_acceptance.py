@@ -22,7 +22,7 @@ from lorentzdomains.cover import (
     cover_mul,
     cover_pow,
     lift_level,
-    lifted_generators,
+    series_signature,
 )
 from lorentzdomains.disc import (
     build_triangle_group,
@@ -43,7 +43,6 @@ from lorentzdomains.reduction import (
     check_reduction_bound,
     ell,
     sample_equivalence,
-    series_signature,
 )
 
 CASES = [(s, k) for s in ("E", "Z") for k in (1, 2, 4, 5)]
@@ -151,7 +150,7 @@ def test_criterion_2_cover_arithmetic():
     for series_p in (lambda k: k + 3, lambda k: 2 * k + 3):
         for k in (1, 2, 4, 5):
             cfg = lift_level(series_p(k), 3, 3, k)
-            gens = lifted_generators(cfg)
+            gens = cfg.gens
             ok = ok and cover_pow(gens["D"], cfg.p_lcm) == central(k)
     dt = time.time() - t0
     _verdict(
@@ -173,7 +172,7 @@ def test_criterion_3_level_lifts():
             ok = ok and (got == admissible)
             if not got:
                 continue
-            gens = lifted_generators(cfg)
+            gens = cfg.gens
             rels = [
                 cover_pow(gens["u"], p),
                 cover_pow(gens["v"], 3),
@@ -192,10 +191,10 @@ def test_criterion_4_reduction_bound():
     worst_margin = float("inf")
     for series in ("E", "Z"):
         for k in [k for k in range(1, 21) if k % 3 != 0]:
-            rep = check_reduction_bound(series, k)
+            rep = check_reduction_bound(series_constraints(series, k))
             ok = ok and rep.holds and rep.margin > 0.0
             worst_margin = min(worst_margin, rep.margin)
-    rep2 = check_reduction_bound("E", 2)
+    rep2 = check_reduction_bound(series_constraints("E", 2))
     ok = ok and abs(rep2.ell_minus_at_sec - 0.5489) < 1e-3
     ok = ok and abs(rep2.rhs - 0.6687) < 1e-3
     # the geometric route and the closed-form route must coincide
@@ -215,7 +214,7 @@ def test_criterion_5_sample_equivalence():
     ok = True
     total = 0
     for series, k in CASES:
-        st = sample_equivalence(series, k, n_samples=10_000, seed=0)
+        st = sample_equivalence(series_constraints(series, k), n_samples=10_000, seed=0)
         ok = ok and st.n_evaluated >= 9_900 and st.n_agree == st.n_evaluated
         total += st.n_evaluated
     dt = time.time() - t0

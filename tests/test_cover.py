@@ -1,6 +1,9 @@
 import cmath
+import importlib
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,11 +17,12 @@ from lorentzdomains.cover import (
     cover_mul,
     cover_pow,
     lift_level,
-    lifted_generators,
-    product_defect,
     R_param,
 )
-from lorentzdomains.disc import GroupElement, group_mul, mobius_apply, rotation_about
+from lorentzdomains.cli import main
+from lorentzdomains.disc import (
+    GroupElement, build_triangle_group, group_mul, mobius_apply, rotation_about,
+)
 
 
 def random_cover_element(rng):
@@ -164,7 +168,7 @@ def test_path_lifting_oracle():
 
 def test_product_defect_is_plus_one():
     for sig in [(5, 3, 3), (7, 3, 3), (4, 3, 3), (13, 3, 3), (6, 4, 5)]:
-        assert product_defect(*sig) == 1
+        assert lift_level(*sig, 1).mu == 1
 
 
 def test_lift_level_admissibility():
@@ -194,7 +198,7 @@ def test_lift_level_lambda():
 def test_lifted_relations_are_central_of_level():
     for p, k in [(5, 2), (7, 4), (13, 5), (7, 2)]:
         cfg = lift_level(p, 3, 3, k)
-        gens = lifted_generators(cfg)
+        gens = cfg.gens
         rel_u = cover_pow(gens["u"], p)
         rel_v = cover_pow(gens["v"], 3)
         rel_w = cover_pow(gens["w"], 3)
@@ -207,7 +211,7 @@ def test_lifted_relations_are_central_of_level():
 def test_D_power_equals_central_exactly():
     for p, k in [(4, 1), (5, 2), (7, 4), (8, 5), (5, 1), (7, 2), (11, 4), (13, 5)]:
         cfg = lift_level(p, 3, 3, k)
-        gens = lifted_generators(cfg)
+        gens = cfg.gens
         assert cover_pow(gens["D"], cfg.p_lcm) == central(k)
         # D agrees with the generic continuous lift
         ref = R_param(0j, 2.0 * math.pi * k / cfg.p_lcm)
@@ -228,7 +232,7 @@ def lift_word(word, gens):
 
 def test_lift_word_association_independent():
     cfg = lift_level(5, 3, 3, 2)
-    gens = lifted_generators(cfg)
+    gens = cfg.gens
     word = [("u", 2), ("v", 1), ("D", 3), ("w", -1), ("C", 2), ("v", -2)]
     ref = lift_word(word, gens)
     for cut in range(1, len(word)):
@@ -255,3 +259,65 @@ def test_cover_pow_matches_repeated_mul():
     inv2 = cover_pow(g, -2)
     ref2 = cover_inv(cover_mul(g, g))
     assert abs(inv2.phi - ref2.phi) < 1e-12
+
+
+def _counted(monkeypatch, *functions):
+    """Wrap every `lorentzdomains.*` module binding of each function, as
+    bench/tracer.py does, and return the log of their calls by name.  The
+    geometry layers are imported first, so that their bindings exist."""
+    importlib.import_module("lorentzdomains.reduction")
+    log = []
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            log.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "lorentzdomains" or name.startswith("lorentzdomains."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return log
+
+
+@pytest.mark.parametrize("series,k", [("E", 1), ("Z", 2)])
+def test_each_request_lifts_its_level_at_most_twice(tmp_path, capsys, monkeypatch, series, k):
+    """`info` lifts once; `build` and `verify` lift at most twice (the
+    request check and the constraint set), and each lift builds the one
+    triangle group every stage reads."""
+    log = _counted(monkeypatch, lift_level, build_triangle_group)
+    level = ["--series", series, "--k", str(k)]
+    for argv, most in (
+        (["info", *level], 1),
+        (["build", *level, "--out", str(tmp_path), "--formats", "json"], 2),
+        (["verify", *level, "--samples", "200"], 2),
+    ):
+        log.clear()
+        assert main(argv) == 0, argv
+        lifts = len(log) // 2
+        assert log == ["lift_level", "build_triangle_group"] * lifts, argv
+        assert 1 <= lifts <= most, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "series,k,accepted",
+    [("E", 3715, True), ("Z", 1856, True), ("E", 3718, True), ("Z", 1859, True),
+     ("E", 3716, False), ("Z", 1858, False)],
+)
+def test_the_lift_keeps_its_boundary(capsys, series, k, accepted):
+    """The largest levels the lift represents, the first it rejects and
+    some it accepts above those; a rejection exits 2 with the lift's own
+    error text."""
+    code = main(["info", "--series", series, "--k", str(k)])
+    out = json.loads(capsys.readouterr().out)
+    if accepted:
+        assert code == 0 and (out["series"], out["k"]) == (series, k)
+    else:
+        assert code == 2
+        assert out == {
+            "error": f"level k={k} cannot be lifted in double precision: "
+            "generator product is not +-identity within 1e-9",
+            "series": series,
+            "k": k,
+        }

@@ -23,7 +23,6 @@ from lorentzdomains.cover import (
     cover_inv,
     cover_mul,
     cover_pow,
-    lifted_generators,
 )
 from lorentzdomains.disc import GroupElement, group_mul, mobius_apply
 from lorentzdomains.domain import (
@@ -1484,7 +1483,7 @@ def _reference_schreier_syllables_many(tri, targets, depth=8):
 def _fresh_powers(cs):
     """The certificate's generator powers and tails D^(3t) C^(kj), each
     recomputed at every use, as before `find_pairings` shared them."""
-    gens = lifted_generators(cs.config)
+    gens = cs.config.gens
 
     def power(letter, n):
         return cover_pow(gens[letter], n)

@@ -323,6 +323,47 @@ def test_cli_build_out_where_no_file_can_be_created(capsys, monkeypatch):
     assert captured.err == ""
 
 
+def test_cli_build_rejects_an_empty_out(tmp_path, capsys, monkeypatch):
+    """An empty --out names no directory: it is not the default, so the
+    build exits 2 with one JSON error, builds nothing and writes nothing."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(cli, "build_domain", no_build)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LORENTZDOMAINS_OUT", raising=False)
+    assert main(["build", "--series", "E", "--k", "1", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert (out["series"], out["k"]) == ("E", 1)
+    assert out["error"].startswith("cannot write artifacts: ")
+    assert captured.err == "" and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_cli_reports_running_out_of_memory_as_json(tmp_path, capsys, monkeypatch, command, message):
+    """A stage that runs out of memory is a request the machine cannot
+    serve: exit 2 with one JSON error, nothing on stderr.  The stages are
+    patched to raise, so nothing is allocated."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(domain, "enumerate_vertices", out_of_memory)
+    monkeypatch.setattr(reduction, "sample_equivalence", out_of_memory)
+    argv = [command, "--series", "Z", "--k", "2"]
+    argv += ["--out", str(tmp_path), "--formats", "json"] if command == "build" else []
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "error": f"out of memory: {message or 'MemoryError'}", "series": "Z", "k": 2,
+    }
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_build_rejects_a_bad_level_before_making_out(tmp_path, capsys):
     out_dir = tmp_path / "new"
     assert main(["build", "--series", "E", "--k", "3", "--out", str(out_dir)]) == 2
@@ -416,7 +457,7 @@ def test_cli_verify_needs_evidence(capsys, monkeypatch):
     real = reduction.sample_equivalence
     monkeypatch.setattr(
         reduction, "sample_equivalence",
-        lambda series, k, n_samples, seed: real(series, k, n_samples=0, seed=seed),
+        lambda cs, n_samples, seed: real(cs, n_samples=0, seed=seed),
     )
     code = main(["verify", "--series", "E", "--k", "1", "--samples", "5"])
     assert code == 1
@@ -434,7 +475,7 @@ def _fail_certificate(monkeypatch, field):
     real = reduction.check_reduction_bound
     monkeypatch.setattr(
         reduction, "check_reduction_bound",
-        lambda series, k: dataclasses.replace(real(series, k), **{field: False}),
+        lambda cs: dataclasses.replace(real(cs), **{field: False}),
     )
 
 

@@ -11,7 +11,6 @@ from lorentzdomains.cover import (
     cover_inv,
     cover_mul,
     lift_level,
-    lifted_generators,
     R_param,
 )
 from lorentzdomains import domain, halfspaces, reduction
@@ -138,7 +137,7 @@ def test_prism_lift_precondition():
 def test_prism_cylinder_sandwich():
     cfg = lift_level(5, 3, 3, 2)
     tri = build_triangle_group(5, 3, 3)
-    gens = lifted_generators(cfg)
+    gens = cfg.gens
     x0 = mobius_apply(GroupElement(gens["v"].z, gens["v"].w), 0j)
     assert abs(abs(x0) - tri.d) < 1e-12
     r_in, r_out = cylinder_bounds(x0, cfg)
@@ -164,7 +163,7 @@ def test_prism_cylinder_sandwich():
 
 def test_prism_window_consistency():
     cfg = lift_level(5, 3, 3, 2)
-    gens = lifted_generators(cfg)
+    gens = cfg.gens
     x0 = mobius_apply(GroupElement(gens["v"].z, gens["v"].w), 0j)
     rng = random.Random(61)
     half = math.tan(math.pi * cfg.k / (2 * cfg.p_lcm))
@@ -308,11 +307,11 @@ def test_batch_wall_matches_the_repeated_product_form_on_real_calls(series, k, m
     cs = domain.series_constraints(series, k)
     domain.build_polyhedron(cs, domain.enumerate_vertices(cs))
     assert calls == []
-    stats = reduction.sample_equivalence(series, k, n_samples=2000, seed=3)
+    stats = reduction.sample_equivalence(cs, n_samples=2000, seed=3)
     assert stats.n_agree == stats.n_evaluated > 0
     # the slab pair on every point, then the n = 0 wall of every corona
     # prism on every point, and its undecided rows if it has any
-    n_lifts = len(reduction._corona_lifts(cs.tri, cs.config))
+    n_lifts = len(reduction._corona_lifts(cs.config))
     assert len(calls) > n_lifts and sum(calls) >= (2 + n_lifts) * 2000
 
 

@@ -13,7 +13,9 @@ import pytest
 import lorentzdomains
 import lorentzdomains.reduction as reduction
 from lorentzdomains.cli import main
-from lorentzdomains.cover import CoverElement, cover_mul, cover_pow, lift_level
+from lorentzdomains.cover import (
+    CoverElement, cover_mul, cover_pow, lift_level, series_signature,
+)
 from lorentzdomains.disc import build_triangle_group, edge_corona, orbit
 from lorentzdomains.domain import _in_slab_cone, series_constraints
 from lorentzdomains.halfspaces import _chart_cone, batch_wall, wall_masks
@@ -29,7 +31,6 @@ from lorentzdomains.reduction import (
     check_reduction_bound,
     ell,
     sample_equivalence,
-    series_signature,
 )
 
 # high-precision references, evaluated at 40 digits
@@ -115,7 +116,7 @@ def test_f_bound():
 
 
 def test_check_reduction_bound_E2():
-    rep = check_reduction_bound("E", 2)
+    rep = check_reduction_bound(series_constraints("E", 2))
     assert rep.p_tri == 5 and rep.p_lcm == 15
     assert abs(rep.alpha - math.pi / 10) < 1e-15
     assert abs(rep.R - E2_R) < 1e-12
@@ -129,7 +130,7 @@ def test_check_reduction_bound_E2():
 
 
 def test_check_reduction_bound_Z2():
-    rep = check_reduction_bound("Z", 2)
+    rep = check_reduction_bound(series_constraints("Z", 2))
     assert rep.p_tri == 7 and rep.p_lcm == 21
     assert abs(rep.R - Z2_R) < 1e-12
     assert abs(rep.ell_minus_at_sec - Z2_ELL) < 1e-12
@@ -140,15 +141,15 @@ def test_check_reduction_bound_Z2():
 
 def test_inadmissible_level_rejected():
     with pytest.raises(ValueError):
-        check_reduction_bound("E", 3)
+        check_reduction_bound(series_constraints("E", 3))
     with pytest.raises(ValueError):
-        check_reduction_bound("Z", 6)
+        check_reduction_bound(series_constraints("Z", 6))
 
 
 def test_margins_positive_all_admissible():
     for series in ("E", "Z"):
         for k in ADMISSIBLE:
-            rep = check_reduction_bound(series, k)
+            rep = check_reduction_bound(series_constraints(series, k))
             assert rep.holds and rep.orbit_premise_ok is True, (series, k)
             assert rep.margin > 0.0, (series, k)
             assert rep.ell_minus_at_sec <= 1.0, (series, k)
@@ -157,7 +158,7 @@ def test_margins_positive_all_admissible():
 
 def test_orbit_premise_small_levels():
     for series, k in (("E", 1), ("E", 4), ("Z", 1), ("Z", 4)):
-        rep = check_reduction_bound(series, k)
+        rep = check_reduction_bound(series_constraints(series, k))
         assert rep.orbit_premise_ok, (series, k)
 
 
@@ -170,7 +171,7 @@ def test_orbit_premise_small_levels():
 def test_premise_walk_to_R_finds_every_point_inside_R(series, k):
     """Only points with |x| < R - PREMISE_SLACK can fail the premise; the
     walk to R finds the same ones as a walk to a wider radius."""
-    rep = check_reduction_bound(series, k)
+    rep = check_reduction_bound(series_constraints(series, k))
     assert rep.orbit_premise_ok is True
     R = rep.R
     wide = max(0.999, R + 5e-4)
@@ -252,7 +253,7 @@ def test_a_tight_margin_is_too_tight_to_decide(monkeypatch, capsys):
     level."""
     monkeypatch.setattr(reduction, "TIGHT_MARGIN", 1.0)
     with pytest.raises(ArithmeticError, match="too tight to decide in double precision"):
-        check_reduction_bound("E", 2)
+        check_reduction_bound(series_constraints("E", 2))
     assert main(["verify", "--series", "E", "--k", "2", "--samples", "100"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"error", "series", "k"} and (out["series"], out["k"]) == ("E", 2)
@@ -284,12 +285,12 @@ def test_a_missing_corona_point_fails_the_orbit_premise(monkeypatch):
     up to E400, where the corona has 806 points."""
     for series, k, drop in [("E", 1, 0), ("Z", 50, None), ("E", 400, -1)]:
         monkeypatch.setattr(reduction, "edge_corona", edge_corona)
-        assert check_reduction_bound(series, k).certified
+        assert check_reduction_bound(series_constraints(series, k)).certified
         full = edge_corona(build_triangle_group(*series_signature(series, k)))
         drop = len(full) // 2 if drop is None else drop % len(full)
         kept = full[:drop] + full[drop + 1:]
         monkeypatch.setattr(reduction, "edge_corona", lambda tri: kept)
-        rep = check_reduction_bound(series, k)
+        rep = check_reduction_bound(series_constraints(series, k))
         assert abs(full[drop]) < rep.R - PREMISE_SLACK
         assert rep.holds and rep.orbit_premise_ok is False and not rep.certified
 
@@ -303,7 +304,7 @@ def _reference_description_masks(cons, pts):
     wall, and every wall g D^n, |n| <= 4 p_lcm, of every corona lift, on
     every point, one `batch_wall` call per wall, with a band about every
     wall.  Also returns the bands of the union-group walls alone."""
-    config, tri = cons.config, cons.tri
+    config = cons.config
     Z, W, PHI = _chart_cone(pts)
     bands = np.zeros(len(Z), dtype=bool)
 
@@ -337,7 +338,7 @@ def _reference_description_masks(cons, pts):
         cur = cover_mul(cur, D)
 
     scans = []
-    for x, g in _corona_lifts(tri, config):
+    for x, g in _corona_lifts(config):
         violated_n = np.zeros(len(Z), dtype=bool)
         violated_2n = np.zeros(len(Z), dtype=bool)
         for n in range(-2 * N, 2 * N + 1):
@@ -377,7 +378,7 @@ def _probe_points(cons, n_samples, seed):
     Z, W, PHI = _chart_cone(samples)
     D = cons.D
     step = math.pi * config.k / config.p_lcm
-    lifts = [g for _, g in _corona_lifts(cons.tri, config)]
+    lifts = [g for _, g in _corona_lifts(config)]
     linear = [wall.g for grp in cons.groups for wall in grp]
     shifts = BOUNDARY_BAND * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
     probes = []
@@ -430,7 +431,7 @@ def test_description_masks_match_full_window_scan(series, k):
     in_linear, in_prism, near, _ = _reference_description_masks(
         cons, _slab_samples(cons.config, 2000, 11)
     )
-    stats = sample_equivalence(series, k, n_samples=2000, seed=11)
+    stats = sample_equivalence(series_constraints(series, k), n_samples=2000, seed=11)
     assert (stats.n_boundary_excluded, stats.n_evaluated, stats.n_agree) == (
         int(near.sum()),
         int((~near).sum()),
@@ -452,7 +453,7 @@ def test_group_walls_are_prism_walls(series, k):
     two_n = 4 * cons.config.p_lcm
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     products = [
-        cover_mul(g, d) for _, g in _corona_lifts(cons.tri, cons.config) for d in d_list
+        cover_mul(g, d) for _, g in _corona_lifts(cons.config) for d in d_list
     ]
     table = np.array([(h.z, h.w, h.phi) for h in products], dtype=complex)
 
@@ -478,7 +479,7 @@ def test_skipped_prism_walls_are_inert(series, k):
     two_n = 4 * config.p_lcm
     step = math.pi * k / config.p_lcm
     n_skipped = 0
-    for _, g in _corona_lifts(cons.tri, config):
+    for _, g in _corona_lifts(config):
         _, phi0, _ = batch_wall(cover_mul(g, cover_pow(D, 0)), Z, W, PHI)
         (lo, _), (hi, _) = _decided_ranges(phi0, step, two_n, np.inf)
         for n in range(-two_n, two_n + 1):
@@ -507,7 +508,7 @@ def test_prism_scan_rejects_sheet_coordinates_off_the_line(monkeypatch):
     Z, W, PHI = _chart_cone(_probe_points(cons, 300, seed=1))
     two_n = 4 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
-    _, g = _corona_lifts(cons.tri, config)[0]
+    _, g = _corona_lifts(config)[0]
     _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
     with pytest.raises(RuntimeError, match="sheet coordinates"):
         _prism_scan(g, cons.D, two_n, step * (1.0 + 1e-3), Z, W, PHI)
@@ -540,7 +541,7 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
     step = math.pi * k / config.p_lcm
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     n_hit = n_window = n_undecided = 0
-    for _, g in _corona_lifts(cons.tri, config):
+    for _, g in _corona_lifts(config):
         _, phi0, _ = batch_wall(g, Z, W, PHI)
         r = np.abs(np.conjugate(g.z) * Z - np.conjugate(g.w) * W)
         (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
@@ -570,7 +571,7 @@ def test_prism_scan_rejects_a_d_off_the_axis_rotations():
     Z, W, PHI = _chart_cone(pts)
     two_n = 4 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
-    _, g = _corona_lifts(cons.tri, config)[0]
+    _, g = _corona_lifts(config)[0]
     D = cons.D
     _prism_scan(g, D, two_n, step, Z, W, PHI)
     _description_masks(cons, pts)
@@ -608,7 +609,7 @@ def _scan_against_every_wall(series, k, two_n, n_samples):
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     step = math.pi * config.k / config.p_lcm
     n_differ = 0
-    for _, g in _corona_lifts(cons.tri, config):
+    for _, g in _corona_lifts(config):
         want_n, want_2n, want_near = (np.zeros(len(Z), dtype=bool) for _ in range(3))
         for n, d in zip(range(-two_n, two_n + 1), d_list):
             inside, near = wall_masks(*batch_wall(cover_mul(g, d), Z, W, PHI)[:2], BOUNDARY_BAND)
@@ -653,7 +654,7 @@ def test_prism_scan_builds_powers_only_for_undecided_rows(monkeypatch):
 
     monkeypatch.setattr(reduction, "cover_pow", counted_pow)
     rows_per_lift = []
-    for _, g in _corona_lifts(cons.tri, config):
+    for _, g in _corona_lifts(config):
         _, phi0, w_h = batch_wall(g, Z, W, PHI)
         r = np.abs(w_h)
         (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)

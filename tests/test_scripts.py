@@ -71,9 +71,9 @@ def test_verify_reduction_samples_every_level_up_to_kmax(monkeypatch, capsys):
     real = verify_reduction.sample_equivalence
     sampled = []
 
-    def recording(series, k, n_samples, seed):
-        sampled.append((series, k))
-        return real(series, k, n_samples=n_samples, seed=seed)
+    def recording(cs, n_samples, seed):
+        sampled.append((cs.series, cs.k))
+        return real(cs, n_samples=n_samples, seed=seed)
 
     monkeypatch.setattr(verify_reduction, "sample_equivalence", recording)
     assert verify_reduction.main(["--kmax", "2", "--samples", "50"]) == 0
@@ -119,9 +119,9 @@ def test_verify_reduction_fails_a_case_with_no_evidence(monkeypatch, capsys):
     verify_reduction = _load("verify_reduction")
     real = verify_reduction.sample_equivalence
 
-    def nothing_evaluated(series, k, n_samples, seed):
-        st = real(series, k, n_samples=n_samples, seed=seed)
-        if (series, k) != ("Z", 1):
+    def nothing_evaluated(cs, n_samples, seed):
+        st = real(cs, n_samples=n_samples, seed=seed)
+        if (cs.series, cs.k) != ("Z", 1):
             return st
         return dataclasses.replace(
             st, n_boundary_excluded=st.n_samples, n_evaluated=0, n_agree=0
@@ -139,9 +139,9 @@ def _fail_premise_at(monkeypatch, module, case):
     `case`, a (series, k) pair."""
     real = module.check_reduction_bound
 
-    def failing(series, k):
-        rep = real(series, k)
-        if (series, k) != case:
+    def failing(cs):
+        rep = real(cs)
+        if (cs.series, cs.k) != case:
             return rep
         return dataclasses.replace(rep, orbit_premise_ok=False)
 
@@ -250,15 +250,15 @@ def test_verify_reduction_reports_a_failed_level_and_goes_on(monkeypatch, capsys
     real_bound = verify_reduction.check_reduction_bound
     real_sample = verify_reduction.sample_equivalence
 
-    def bound(series, k):
-        if (series, k) == ("E", 1):
+    def bound(cs):
+        if (cs.series, cs.k) == ("E", 1):
             raise ArithmeticError("forced bound failure")
-        return real_bound(series, k)
+        return real_bound(cs)
 
-    def sample(series, k, n_samples, seed):
-        if (series, k) == ("Z", 1):
+    def sample(cs, n_samples, seed):
+        if (cs.series, cs.k) == ("Z", 1):
             raise RuntimeError("forced scan failure")
-        return real_sample(series, k, n_samples=n_samples, seed=seed)
+        return real_sample(cs, n_samples=n_samples, seed=seed)
 
     monkeypatch.setattr(verify_reduction, "check_reduction_bound", bound)
     monkeypatch.setattr(verify_reduction, "sample_equivalence", sample)

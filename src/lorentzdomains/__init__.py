@@ -15,7 +15,6 @@ from .disc import (
     GroupElement,
     TriangleGroupData,
     build_triangle_group,
-    dirichlet_corona_oracle,
     edge_corona,
     mobius_apply,
     orbit,
@@ -66,7 +65,6 @@ __all__ = [
     "GroupElement",
     "TriangleGroupData",
     "build_triangle_group",
-    "dirichlet_corona_oracle",
     "edge_corona",
     "mobius_apply",
     "orbit",

@@ -30,9 +30,6 @@ _GRID = 1e-7
 _ORBIT_PAD = 1.5
 # Abort an orbit walk that touches more points than this.
 DEFAULT_ORBIT_BUDGET = 200_000
-# Minimal length of a Dirichlet cell edge for its bisector to count as
-# contributing (measured in the Klein chart).
-EDGE_CONTACT_TOL = 1e-7
 
 
 class OrbitBudgetError(RuntimeError):
@@ -210,8 +207,8 @@ def edge_corona(tri: TriangleGroupData) -> list[complex]:
     """The 2p points (rot_u^m rot_v^l)(u), m = 0..p-1, l in {1, q-1}.
 
     These are the orbit points whose Dirichlet bisectors support the edges
-    of the Dirichlet cell of u; see dirichlet_corona_oracle for the
-    independent computation.
+    of the Dirichlet cell of u; the tests check them against an independent
+    clipping of the cell (`tests/dirichlet_oracle.py`).
     """
     pts = []
     for l in (1, tri.q - 1):
@@ -225,70 +222,3 @@ def edge_corona(tri: TriangleGroupData) -> list[complex]:
     for x in pts:
         _dedup_insert(out, x)
     return _canonical_order(list(out.values()))
-
-
-def _clip_with_labels(poly, labels, n: complex, c: float, lab: int):
-    """Clip a labeled polygon by the half-plane {Y : <Y, n> <= c}.
-
-    `labels[i]` names the source of the edge starting at poly[i].  New edges
-    created on the clip line are labeled `lab`.
-    """
-    eps = 1e-13
-    out_pts, out_labs = [], []
-    m = len(poly)
-    for i in range(m):
-        a, la = poly[i], labels[i]
-        b = poly[(i + 1) % m]
-        da = a.real * n.real + a.imag * n.imag - c
-        db = b.real * n.real + b.imag * n.imag - c
-        if da <= eps:
-            out_pts.append(a)
-            out_labs.append(la)
-            if db > eps:
-                t = da / (da - db)
-                out_pts.append(a + t * (b - a))
-                out_labs.append(lab)
-        elif db <= eps:
-            t = da / (da - db)
-            out_pts.append(a + t * (b - a))
-            out_labs.append(la)
-    return out_pts, out_labs
-
-
-def dirichlet_corona_oracle(
-    tri: TriangleGroupData,
-    radius: float = 0.999,
-    budget: int = DEFAULT_ORBIT_BUDGET,
-) -> list[complex]:
-    """Orbit points whose bisector supports an edge of the Dirichlet cell of u.
-
-    Works in the Klein chart, where the hyperbolic bisector of 0 and an
-    orbit point x (Poincare coordinates) is the straight line
-    <Y, x> = |x|^2.  The cell is cut out of a bounding square by sequential
-    half-plane clipping; a point contributes when its line carries a cell
-    edge longer than EDGE_CONTACT_TOL.
-    """
-    pts = [x for x in orbit(tri, radius, budget) if abs(x) > ORBIT_DEDUP_TOL]
-    side = 1.5
-    poly = [
-        complex(side, side),
-        complex(-side, side),
-        complex(-side, -side),
-        complex(side, -side),
-    ]
-    labels = [-1, -1, -1, -1]
-    for idx, x in enumerate(pts):
-        poly, labels = _clip_with_labels(poly, labels, x, abs(x) ** 2, idx)
-        if len(poly) < 3:
-            raise RuntimeError("Dirichlet cell collapsed; inconsistent orbit")
-
-    contributing = set()
-    m = len(poly)
-    for i in range(m):
-        if abs(poly[(i + 1) % m] - poly[i]) > EDGE_CONTACT_TOL:
-            if labels[i] == -1:
-                raise RuntimeError(
-                    "Dirichlet cell not bounded by bisectors; orbit radius too small"
-                )
-            contributing.add(labels[i])
-    return _canonical_order([pts[i] for i in sorted(contributing)])

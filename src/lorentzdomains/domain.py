@@ -261,10 +261,19 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     Returns the mask and the incidences as (point, wall) index arrays, a
     point a row of pts and a wall a row in `all_walls()` order, sorted by
     point and then by wall (None without incidence_tol).  A wall is active
-    at a point on it (|value + 1| <= incidence_tol) where no member of its
-    union group holds strictly (value < -1 - incidence_tol): there the
-    group is slack and the plane is invisible to the boundary; for a slab
-    wall, a group of one, that condition is void.  The incidences are kept
+    at a point on it (|value + 1| <= e) where no member of its union group
+    holds strictly (value < -1 - e): there the group is slack and the plane
+    is invisible to the boundary; for a slab wall, a group of one, that
+    condition is void.  e = incidence_tol max(1, |n|) per wall, n its chart
+    normal: incidence is tested in unit-normal distance (absolutely where
+    |n| < 1), as the normals grow with k (|n| up to 143 at E400, 713 at
+    Z1000 and 1,322 at E3713) and the rounding of value with them.  Over
+    the vertices at Z14, E40, Z50, E400, Z449, E1000, Z1000, Z1400, E3713,
+    E3715 and Z1856, a wall through a vertex lies at most 2.4e-12 from it
+    in unit-normal distance (Z1856) and every other wall at least 7.4e-7
+    (E3713).  Raw, a wall through a vertex reads up to 3.2e-9 (Z1856): an
+    absolute test at 1e-9 lost incidences, and the builds, at Z1400,
+    Z1550, Z1856, E3500 and E3713.  The incidences are kept
     as index pairs throughout, so no walls-by-points table is built.  See
     `membership_mask` for the terms and the lemma; the live points are
     compacted only once an eighth of them is decided (a decided point
@@ -275,12 +284,15 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     sub = pts[live]
     inside = np.ones(len(live), dtype=bool)
     hit_walls, hit_points = [], []
+    if incidence_tol is not None:
+        # per row, incidence_tol in unit-normal distance, absolute below |n| = 1
+        row_tol = incidence_tol * np.maximum(1.0, np.linalg.norm(cs.normals, axis=1))
     for rows, side in _terms(cs):
         holds, lin = _term_verdicts(cs, rows, side, sub, tol)
         inside &= holds
         if incidence_tol is not None:
-            strict = lin < -1.0 - incidence_tol
-            on = np.abs(lin + 1.0) <= incidence_tol
+            strict = lin < -1.0 - row_tol[rows, None]
+            on = np.abs(lin + 1.0) <= row_tol[rows, None]
             on_rows, cols = np.nonzero(on & ~strict.any(0) & inside)
             hit_walls.append(rows.start + on_rows)
             hit_points.append(live[cols])
@@ -853,7 +865,7 @@ def _certificate(cs: ConstraintSet, factor, g1: CoverElement, power):
     as `_left_factor` gives it, in its turn unit U = 1/(2 p_lcm)) in the
     acting group's generators, as (syllables, word), or None when g1 is
     not in the group, the word has more than WORD_BUDGET syllables, or
-    the float g1 of the scan is not the word's product.
+    the float g1 is not the word's product.
 
     u = T(1/p + x) and D^3 = T(k/p) rotate about the origin.  For s != 0,
     g1 is in the group only if p alpha U is an integer; then, with
@@ -911,59 +923,25 @@ def _cone_points(z1, w1, phi1, pts: np.ndarray):
     return np.conjugate(w1) * Z + z1 * W, qw, qphi
 
 
-def _sheet_project(qz, qw, qphi):
-    """Which cone points (qz, qw, qphi) lie on the slab's sheet, and the
-    chart images of those.
-
-    A cone point projects back to the chart by scaling to Re w = 1, which
-    is admissible only if Re w > 1e-9 and the lifted argument stays on the
-    principal sheet, |phi| < pi/2.  Returns that on-sheet mask and the
-    (n, 3) chart images of its True entries in C order; the entries off
-    the sheet are never projected.
-    """
-    on_sheet = (qw.real > 1e-9) & (np.abs(qphi) < math.pi / 2.0)
-    qz, qw = qz[on_sheet], qw[on_sheet]
-    return on_sheet, np.column_stack(
-        [qz.real / qw.real, qz.imag / qw.real, qw.imag / qw.real]
-    )
-
-
 def _chart_images(z1, w1, phi1, w2, phi2, pts: np.ndarray):
     """Chart images of g1 . p . g2 for chart points p, and which are admissible.
 
     g1 = (z1, w1, phi1) and g2 = (0, w2, phi2), a rotation about the
     origin.  The arguments broadcast against the leading axes of pts
-    (shape (..., 3)), so one call maps a row of elements, a loop of points,
-    or both.  The product is `cover_mul`'s (`_cone_points`, with its
-    bracket check), and the images are projected by `_sheet_project`.
+    (shape (..., 3)).  The product is `cover_mul`'s (`_cone_points`, with
+    its bracket check).  A cone point projects back to the chart by
+    scaling to Re w = 1, which is admissible only if Re w > 1e-9 and the
+    lifted argument stays on the principal sheet, |phi| < pi/2.  Returns
+    that on-sheet mask and the (n, 3) chart images of its True entries in
+    C order; the entries off the sheet are never projected.
     """
     qz, qw, qphi = _cone_points(z1, w1, phi1, pts)
-    return _sheet_project(qz * w2, qw * w2, qphi + phi2)
-
-
-def _turned_images(q, at, t, phi_d, unit, ui):
-    """`_sheet_project` of D^t . q[at] . h^-u per row, for cone points q =
-    (qz, qw, qphi) and unit[ui] = (w_u, phi_u) of h^-u.  Both factors
-    rotate about the origin: the product is (qz conj(w_t) w_u, qw w_t w_u,
-    qphi + phi_t + phi_u), phi_t = t phi_d, with w_t and phi_t from numpy
-    (the scalar products up to rounding, see `find_pairings`).  Each
-    product gathers its own rows, so no row-sized copy of q is held."""
-    (qz, qw, qphi), (w_u, phi_u) = q, unit
-    phi_t = t * phi_d
-    w_t = np.exp(1j * phi_t)
-    return _sheet_project(
-        qz[at] * np.conjugate(w_t) * w_u[ui],
-        qw[at] * w_t * w_u[ui],
-        qphi[at] + phi_t + phi_u[ui],
+    qz, qw, qphi = qz * w2, qw * w2, qphi + phi2
+    on_sheet = (qw.real > 1e-9) & (np.abs(qphi) < math.pi / 2.0)
+    qz, qw = qz[on_sheet], qw[on_sheet]
+    return on_sheet, np.column_stack(
+        [qz.real / qw.real, qz.imag / qw.real, qw.imag / qw.real]
     )
-
-
-def _loop_points(poly: Polyhedron, faces):
-    """The vertices of the faces' loops, loop after loop, and each loop's
-    first row (one more, the end)."""
-    size = [len(poly.faces[fi].loop) for fi in faces]
-    index = itertools.chain.from_iterable(poly.faces[fi].loop for fi in faces)
-    return poly.vertices[np.fromiter(index, int, sum(size))], np.cumsum([0] + size)
 
 
 def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
@@ -979,72 +957,35 @@ def _cyclic_adjacent(loop_i, loop_j, mapping: dict) -> bool:
     return deltas == {1} or deltas == {n - 1}
 
 
-def _window_rows(poly: Polyhedron, cs: ConstraintSet, w_inv: list, h_inverses: dict):
-    """The quick check's candidates for every face at once, and the chart
-    images of their first vertices.
-
-    A candidate of face f is a row (f, t, u): left factor D^t w_inv[f],
-    right factor h^-u = h_inverses[u].  The image of the face's first
-    vertex p is the cone point q = w_inv[f] . p (`_cone_points`, once per
-    face) turned by the row's unit factors (`_turned_images`).  phi_t =
-    t phi_D is linear in t, so for each (f, u) the sheet window |phi| <
-    pi/2 is one run of t, found in closed form, widened by one step at
-    each end and cut to |t| <= 2 p_lcm; only those rows are listed, never
-    the full grid.
-
-    Returns the row arrays f, t and u in (f, t, u) lexicographic order, the
-    rows' on-sheet mask and the chart images of the on-sheet rows.
-    """
-    q = _cone_points(
-        *_parts(w_inv), poly.vertices[[face.loop[0] for face in poly.faces]]
-    )
-    u_all = np.array(list(h_inverses))
-    unit = _parts(list(h_inverses.values()))[1:]
-    # per (f, u), the ends of the run of t with |qphi + phi_u + t phi_D| < pi/2
-    ends = np.array([-0.5, 0.5])[:, None, None] * math.pi - (q[2][:, None] + unit[1])
-    ends /= cs.D.phi
-    t_max = 2 * cs.config.p_lcm
-    lo = np.clip(np.ceil(ends.min(axis=0)) - 1, -t_max, t_max + 1).astype(int).ravel()
-    hi = np.clip(np.floor(ends.max(axis=0)) + 1, -t_max - 1, t_max).astype(int).ravel()
-    count = np.maximum(hi - lo + 1, 0)
-    t = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-    f, ui = np.divmod(np.repeat(np.arange(len(count)), count), len(u_all))
-    order = np.lexsort((ui, t, f))
-    f, t, ui = f[order], t[order], ui[order]
-    del order
-    on_sheet, image = _turned_images(q, f, t, cs.D.phi, unit, ui)
-    return f, t, u_all[ui], on_sheet, image
-
-
-def _loop_images(poly: Polyhedron, cs: ConstraintSet, w_inv, h_inverses, face, t, u):
-    """The loop check's chart images: the quick check's survivors (arrays
-    face, t, u) map their faces' whole loops as `_window_rows` maps the
-    first vertices.  Returns the points' on-sheet mask, the images of its
-    True entries, loop after loop, and each loop's first row."""
-    pts, first = _loop_points(poly, face.tolist())
-    row = np.repeat(np.arange(len(face)), np.diff(first))
-    q = _cone_points(*(a[face[row]] for a in _parts(w_inv)), pts)
-    unit = _parts([h_inverses[x] for x in u.tolist()])[1:]
-    return (*_turned_images(q, ..., t[row], cs.D.phi, unit, row), first)
+def _map_loops(poly: Polyhedron, faces, left, right, vertex_order):
+    """Map each face's loop by its pair of elements, every loop at once:
+    the chart images of left[i] . p . right[i] (right a rotation about the
+    origin) for the points p of faces[i]'s loop, in one `_chart_images`
+    and one `_nearest_vertices` call at PAIRING_MATCH_TOL.  Returns per
+    point whether its image lies on the sheet and the index of the vertex
+    it matches (-1 off the sheet or unmatched), and each loop's first row
+    (one more, the end)."""
+    size = [len(poly.faces[fi].loop) for fi in faces]
+    index = itertools.chain.from_iterable(poly.faces[fi].loop for fi in faces)
+    pts, first = poly.vertices[np.fromiter(index, int, sum(size))], np.cumsum([0] + size)
+    z1, w1, phi1 = (np.repeat(a, size) for a in _parts(left))
+    _, w2, phi2 = (np.repeat(a, size) for a in _parts(right))
+    on_sheet, image = _chart_images(z1, w1, phi1, w2, phi2, pts)
+    match = np.full(len(on_sheet), -1)
+    match[on_sheet] = _nearest_vertices(image, poly.vertices, PAIRING_MATCH_TOL, vertex_order)
+    return on_sheet, match, first
 
 
 def _check_inverses(poly: Polyhedron, inverses: list, vertex_order):
-    """The inverse check of `find_pairings`, every pair at once: each
-    entry's elements repeated over its loop, in one `_chart_images` and
-    one `_nearest_vertices` call at PAIRING_MATCH_TOL.  Each entry (face j,
-    g1^-1, g2, back map) must carry face j's loop onto the sheet, else
-    RuntimeError 'pairing inverse left the chart sheet', and each vertex v
-    of it to back map[v], else RuntimeError 'pairing inverse does not
-    invert the vertex map'.  The first failing entry raises, its sheet
-    test first."""
-    pts, first = _loop_points(poly, [fj for fj, _, _, _ in inverses])
-    size = np.diff(first)
-    z1, w1, phi1 = (np.repeat(a, size) for a in _parts([g for _, g, _, _ in inverses]))
-    _, w2, phi2 = (np.repeat(a, size) for a in _parts([g for _, _, g, _ in inverses]))
-    on_sheet, image = _chart_images(z1, w1, phi1, w2, phi2, pts)
-    back = np.full(len(on_sheet), -1)
-    back[on_sheet] = _nearest_vertices(
-        image, poly.vertices, PAIRING_MATCH_TOL, vertex_order
+    """The inverse check of `find_pairings`, every pair at once
+    (`_map_loops`).  Each entry (face j, g1^-1, g2, back map) must carry
+    face j's loop onto the sheet, else RuntimeError 'pairing inverse left
+    the chart sheet', and each vertex v of it to back map[v], else
+    RuntimeError 'pairing inverse does not invert the vertex map'.  The
+    first failing entry raises, its sheet test first."""
+    on_sheet, back, first = _map_loops(
+        poly, [fj for fj, _, _, _ in inverses], [g for _, g, _, _ in inverses],
+        [g for _, _, g, _ in inverses], vertex_order,
     )
     for (fj, _, _, rmap), a, b in zip(inverses, first, first[1:]):
         if not on_sheet[a:b].all():
@@ -1054,75 +995,83 @@ def _check_inverses(poly: Polyhedron, inverses: list, vertex_order):
             raise RuntimeError("pairing inverse does not invert the vertex map")
 
 
+def _partner_wall(cs: ConstraintSet, label: str):
+    """The wall of the partner face of a face on the wall `label`, and the
+    size |u| of the pairing's right factor h^u, h = D^p (p = `tri.p`),
+    read off the label alone.  With lam = `config.lam`, lam' the lam of
+    level p - 3 (lam for E, that of 2k for Z) and indices mod the period:
+
+        a[m]     <-> b[m - 1] (E), c[m - 1] (Z)     |u| = 2 lam
+        b[m] (Z) <-> b[m + p]                       |u| = 3
+        slab[D]  <-> slab[D^-1]                     |u| = 2 lam'
+
+    An observation, not a theorem: the scan it replaced, of every left
+    factor D^t g^-1 (|t| <= 2 p_lcm) and right factor h^u (|u| <= 4),
+    kept as a test oracle, pairs exactly these walls with t = p u.  The
+    scan and the rule give the same artifacts bit for bit at every
+    admissible k <= 50 of both series and at E80, E173, Z110, Z160, E400,
+    Z449, E1000, Z1400 and E3713.
+    """
+    if label.startswith("slab"):
+        lam = 1 if (cs.tri.p - 3) % 3 == 1 else 2
+        return ("slab[D^-1]" if label == "slab[D]" else "slab[D]"), 2 * lam
+    letter, m = label[0], int(label[2:-1])
+    last = _SERIES_LETTERS[cs.series][-1]
+    if letter == "a":
+        return f"{last}[{(m - 1) % cs.period}]", 2 * cs.config.lam
+    if letter == last:
+        return f"a[{(m + 1) % cs.period}]", 2 * cs.config.lam
+    return f"b[{(m + cs.tri.p) % cs.period}]", 3
+
+
 def find_pairings(poly: Polyhedron, cs: ConstraintSet):
-    """Discover the side-face identifications of the domain.
+    """The side-face identifications of the domain, read off the wall
+    labels and certified.
 
-    Every side face lies on a wall of the prism over one orbit point; the
-    identification carrying it into the domain again must send that prism
-    onto the central one, so its left factor has the form (wall-rotation
-    power) * (wall element inverse), while the right factor ranges over
-    small powers of the second acting group's generator.  Candidates are
-    scanned in that two-parameter family (t over the axis powers D^t,
-    |t| <= 2 p_lcm, u over the powers h^u, |u| <= 4); one is accepted when
-    the chart image of the face's vertex loop is another face's loop
-    (bijectively, respecting the cycle) and the left factor admits a word
-    certificate in the acting group of at most WORD_BUDGET syllables (at
-    most 4 by construction).  The partner face is then assigned the
-    inverse map, provided the inverse's left factor has such a certificate
-    too; otherwise neither face is paired.  Faces left unpaired are
-    reported, never silently dropped.
+    Every side face lies on a wall g of the prism over one orbit point; the
+    identification carrying it into the domain again sends that prism onto
+    the central one.  `_partner_wall` names the partner's wall and |u|,
+    and the pairing is (g1, g2) = (h^u g^-1, h^u), h = D^p: the left
+    factor D^t g^-1 with t = p u, and a right factor in the second acting
+    group.  The faces are walked in order, the non-slab faces first; of
+    each pair of walls the one walked first takes u = -|u|, and its faces
+    are the first faces.  Each first face's loop is mapped under its
+    (g1, g2), all loops at once (`_map_loops`), and the pairing is accepted
+    when, in turn: the image is the loop of a face not yet paired, that
+    face lies on the predicted wall (never the face's own, so no face is
+    mapped onto itself), the map respects the cycle
+    (`_cyclic_adjacent`), and the left factor g1 and its inverse admit
+    word certificates in the acting group of at most WORD_BUDGET syllables
+    (at most 4 by construction).  The partner then takes the inverse
+    (g1^-1, g2^-1).  A first face that fails leaves both faces unpaired:
+    there is no search to fall back on, and unpaired faces are reported,
+    never silently dropped.
 
-    The scan runs in arrays, all faces at once, and each check matches
-    vertices at one tolerance, PAIRING_MATCH_TOL, in one
-    `_nearest_vertices` call:
-    - the quick check (`_window_rows`) maps each face's first vertex under
-      the rows of its sheet windows, one run of t per (face, u);
-    - the loop check (`_loop_images`) maps every survivor's whole loop in
-      the same array form, and each point must stay on the sheet and match;
-    - the walk visits the faces in order, the non-slab faces first, and
-      each face not yet paired takes the first of its loop-check passers,
-      in (t, u) order, that passes the rules in turn: partner not yet
-      paired, slab to slab, not the identity map, `_cyclic_adjacent`, then
-      the certificate, the only step that builds the scalar left factor
-      `cover_mul(cover_pow(D, t), w^-1)`.
     The certificate reads the word off the face's wall row and t in exact
     arithmetic (`_left_factor`, `_certificate`), and the inverse's word off
     the same data; no word is searched for.  Generator powers are built
     once per call.  Every D^t must rotate about the origin: D must have
     z = 0, else RuntimeError (powers of an element with z = 0 keep z = 0).
 
-    Exactness.  Every Pairing is that of a scan of the full (t, u) grid
-    with the scalar products, because the tolerance lies between two
-    measured populations (every admissible k <= 50 of both series, and
-    E80).  Over 765,684 on-sheet window rows, a matched first-vertex image
-    lies at most 1.45e-13 from its vertex and an unmatched one at least
-    6.55e-3 (Z50) from every vertex.  Over every survivor's loop, the
-    array images differ from one scalar `_chart_images` call per survivor
-    by at most 1.96e-11, with equal sheet verdicts; matched images lie
-    within 1.45e-13 of their vertex and unmatched ones at least 0.227 from
-    every vertex.  A candidate whose first vertex matches lies on the
-    sheet with |phi| = arctan|s_v| up to rounding, far from pi/2, so its
-    t lies inside the window.  Both margins narrow as k grows and stay
-    wide: at E400, E1000, Z449 and E2000 a matched image, first vertex or
-    loop, lies at most 3.58e-10 (Z449) from its vertex, an unmatched first
-    vertex at least 6.03e-4 (E2000) and an unmatched loop point at least
-    0.818 (Z449) from every vertex.  The float check of `_certificate`
-    passes with residual at most 1.08e-12 max(1, |w|)^2 (Z449) against
-    its CENTRAL_Z_TOL max(1, |w|)^2, and no candidate reaches it and
-    fails there, at every admissible k <= 50, at E80, E173 and Z110, or
-    at E3715 (largest residual 2.45e-12 max(1, |w|)^2).
+    Exactness.  PAIRING_MATCH_TOL decides a match far from both of its
+    sides.  A mapped loop point lies at most 8.4e-14 from the vertex it
+    matches, and every other vertex at least 1.59e-2 from it, at every
+    admissible k <= 50 of both series and at E80; at most 2.83e-9 and at
+    least 6.0e-4 (both Z1400) at E400, Z449, E1000, E2000, Z1000, Z1400
+    and E3713.  The float check of `_certificate` passes with residual at
+    most 2.45e-12 max(1, |w|)^2 (E3715) against its CENTRAL_Z_TOL
+    max(1, |w|)^2.
 
     The inverse check (`_check_inverses`) maps the partner's loop back,
     which must land on the sheet and on the inverse vertex map, else
     RuntimeError.  It runs once, after the walk, on every pair that
     reached it, those whose inverse certificate fails included; it changes
-    no pairing, and the first failing pair in walk order raises, as a
-    check inside the walk would.
+    no pairing, and the first failing pair in walk order raises.
 
-    The two slab faces fall out of the same scan: their wall elements are
-    the axis steps D and D^-1, so the family degenerates to pure axis
-    powers, and the certificate only accepts the ones lying in the acting
-    groups.  That is the top-to-bottom gluing.
+    The two slab faces are glued top to bottom the same way: their wall
+    elements are the axis steps D and D^-1, so the pairing is a pure axis
+    power, and the certificate accepts it only if it lies in the acting
+    group.
     """
     if cs.D.z != 0:
         raise RuntimeError(
@@ -1132,75 +1081,59 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
     power = functools.cache(lambda letter, n: cover_pow(gens[letter], n))
     row_of = {w.label: r for r, w in enumerate(cs.all_walls())}
     h_gen = cover_pow(cs.D, cs.tri.p)
-    h_powers = {u: cover_pow(h_gen, u) for u in range(-4, 5)}
-    h_inverses = {u: cover_inv(g2) for u, g2 in h_powers.items()}
-    w_inv = [cover_inv(face.wall.g) for face in poly.faces]
     vertex_order = np.argsort(poly.vertices[:, 0])
-
-    face, t, u, on_sheet, quick = _window_rows(poly, cs, w_inv, h_inverses)
-    keep = np.flatnonzero(on_sheet)[
-        _nearest_vertices(quick, poly.vertices, PAIRING_MATCH_TOL, vertex_order) >= 0
-    ]
-    face, t, u = face[keep], t[keep], u[keep]
-    on_sheet, image, first = _loop_images(poly, cs, w_inv, h_inverses, face, t, u)
-    matches = np.full(len(on_sheet), -1)
-    matches[on_sheet] = _nearest_vertices(
-        image, poly.vertices, PAIRING_MATCH_TOL, vertex_order
-    )
-    face, t, u = face.tolist(), t.tolist(), u.tolist()
-    # survivors run face after face: those of face fi are bounds[fi]:bounds[fi + 1]
-    bounds = np.searchsorted(face, np.arange(len(poly.faces) + 1)).tolist()
 
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
     order += [i for i, f in enumerate(poly.faces) if f.is_slab]
+    first, second_walls = [], set()  # (face, partner wall, u) per first face
+    for fi in order:
+        wall = poly.faces[fi].wall.label
+        if wall not in second_walls:
+            partner, size = _partner_wall(cs, wall)
+            second_walls.add(partner)
+            first.append((fi, partner, -size))
+    g2 = {u: cover_pow(h_gen, u) for u in {u for _, _, u in first}}
+    g2_inv = {u: cover_inv(g) for u, g in g2.items()}
+    g1 = [
+        cover_mul(power("D", cs.tri.p * u), cover_inv(poly.faces[fi].wall.g))
+        for fi, _, u in first
+    ]
+    _, matches, bounds = _map_loops(
+        poly, [fi for fi, _, _ in first], g1,
+        [g2_inv[u] for _, _, u in first], vertex_order,
+    )
+
     loop_lookup = {frozenset(f.loop): i for i, f in enumerate(poly.faces)}
     paired: dict[int, Pairing] = {}
     inverses = []  # (face j, g1^-1, g2, back map) per pair, in walk order
-    for fi in order:
-        if fi in paired:
-            continue
+    for (fi, partner, u), g1_i, lo, hi in zip(first, g1, bounds, bounds[1:]):
         face_i = poly.faces[fi]
-        loop_i = list(face_i.loop)
-        found = None
-        for i in range(bounds[fi], bounds[fi + 1]):
-            matched = matches[first[i]:first[i + 1]].tolist()
-            if -1 in matched:
-                continue
-            fj = loop_lookup.get(frozenset(matched))
-            if fj is None or fj in paired:
-                continue
-            if poly.faces[fj].is_slab != face_i.is_slab:
-                continue
-            vmap = dict(zip(loop_i, matched))
-            if fj == fi and all(a == b for a, b in vmap.items()):
-                continue
-            if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
-                continue
-            g1 = cover_mul(power("D", t[i]), w_inv[face[i]])
-            factor = _left_factor(cs, row_of[face_i.wall.label], t[i])
-            cert = _certificate(cs, factor, g1, power)
-            if cert is None:
-                continue
-            found = (fj, g1, factor, h_powers[u[i]], h_inverses[u[i]], vmap, cert)
-            break
-        if not found:
+        matched = matches[lo:hi].tolist()
+        # an unmatched point (-1) keeps the image off every loop
+        fj = loop_lookup.get(frozenset(matched))
+        if fj is None or fj in paired or poly.faces[fj].wall.label != partner:
             continue
-        fj, g1, (alpha, s, beta), g2, g2_inv, vmap, (count, word) = found
-        if fj != fi:
-            g1_inv = cover_inv(g1)
-            rmap = {b: a for a, b in vmap.items()}
-            inverses.append((fj, g1_inv, g2, rmap))
-            cert_back = _certificate(cs, (-beta, -s, -alpha), g1_inv, power)
-            if cert_back is None:
-                # no word for the inverse within WORD_BUDGET: both faces
-                # stay unpaired and are reported as such
-                continue
-            paired[fj] = Pairing(
-                fj, fi, g1_inv, g2_inv,
-                tuple(sorted(rmap.items())),
-                cert_back[0], cert_back[1],
-            )
-        paired[fi] = Pairing(fi, fj, g1, g2, tuple(sorted(vmap.items())), count, word)
+        loop_i = list(face_i.loop)
+        vmap = dict(zip(loop_i, matched))
+        if not _cyclic_adjacent(loop_i, list(poly.faces[fj].loop), vmap):
+            continue
+        t = cs.tri.p * u
+        alpha, s, beta = factor = _left_factor(cs, row_of[face_i.wall.label], t)
+        cert = _certificate(cs, factor, g1_i, power)
+        if cert is None:
+            continue
+        g1_inv = cover_inv(g1_i)
+        rmap = {b: a for a, b in vmap.items()}
+        inverses.append((fj, g1_inv, g2[u], rmap))
+        cert_back = _certificate(cs, (-beta, -s, -alpha), g1_inv, power)
+        if cert_back is None:
+            # no word for the inverse within WORD_BUDGET: both faces
+            # stay unpaired and are reported as such
+            continue
+        paired[fj] = Pairing(
+            fj, fi, g1_inv, g2_inv[u], tuple(sorted(rmap.items())), *cert_back
+        )
+        paired[fi] = Pairing(fi, fj, g1_i, g2[u], tuple(sorted(vmap.items())), *cert)
     _check_inverses(poly, inverses, vertex_order)
     unpaired = tuple(
         poly.faces[i].label for i in range(len(poly.faces)) if i not in paired

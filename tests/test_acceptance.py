@@ -26,7 +26,6 @@ from lorentzdomains.cover import (
 )
 from lorentzdomains.disc import (
     build_triangle_group,
-    dirichlet_corona_oracle,
     edge_corona,
 )
 from lorentzdomains.domain import (
@@ -44,6 +43,8 @@ from lorentzdomains.reduction import (
     ell,
     sample_equivalence,
 )
+
+from dirichlet_oracle import dirichlet_corona_oracle
 
 CASES = [(s, k) for s in ("E", "Z") for k in (1, 2, 4, 5)]
 

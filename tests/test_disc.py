@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lorentzdomains.disc import (
     OrbitBudgetError,
     build_triangle_group,
-    dirichlet_corona_oracle,
     edge_corona,
     group_inv,
     group_mul,
@@ -16,6 +15,8 @@ from lorentzdomains.disc import (
     orbit,
     rotation_about,
 )
+
+from dirichlet_oracle import dirichlet_corona_oracle
 
 # High-precision reference values (50-digit evaluation of the closed forms).
 COSH_L_533 = 1.7769014186686121

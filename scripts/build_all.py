@@ -20,6 +20,7 @@ import sys
 import time
 
 from lorentzdomains.cli import build_domain
+from lorentzdomains.cover import lift_level, series_signature
 from lorentzdomains.export import WRITERS, check_writable, parse_formats, write_artifacts
 
 
@@ -53,14 +54,14 @@ def main(argv=None) -> int:
                 continue
             t1 = time.time()
             try:
-                build = build_domain(series, k)
+                build = build_domain(series, lift_level(*series_signature(series, k), k))
             except (RuntimeError, ArithmeticError) as exc:
                 failed += 1
                 print(f"FAIL {series} k={k}: {exc}")
                 continue
             poly = build.poly
             try:
-                write_artifacts(args.out, series, k, poly, build.report, formats)
+                write_artifacts(args.out, build.report, formats)
             except OSError as exc:
                 failed += 1
                 print(f"FAIL {series} k={k}: cannot write artifacts: {exc}")

@@ -8,7 +8,7 @@ the script prints the two sides of the inequality and the margin, then
 cross-checks the half-space description of the domain against the
 prism-complement description on --samples random points per level.  Each
 check reads the level from its constraint set (`series_constraints`),
-built afresh for it, so no set outlives its check.
+built afresh for it from the level's lift, so no set outlives its check.
 A level whose check raises (a stage that fails its own check) prints a
 FAIL line and the sweep goes on.  Exits 1 if any margin or orbit premise
 fails, any level fails, any sampled point disagrees or a case has no
@@ -19,6 +19,7 @@ below 0 (checked before any level runs).
 import argparse
 import sys
 
+from lorentzdomains.cover import lift_level, series_signature
 from lorentzdomains.domain import series_constraints
 from lorentzdomains.reduction import check_reduction_bound, sample_equivalence
 
@@ -45,7 +46,8 @@ def main(argv=None) -> int:
     for series in ("E", "Z"):
         for k in levels:
             try:
-                rep = check_reduction_bound(series_constraints(series, k))
+                config = lift_level(*series_signature(series, k), k)
+                rep = check_reduction_bound(series_constraints(series, config))
             except (RuntimeError, ArithmeticError) as exc:
                 failures += 1
                 print(f"FAIL {series} k={k}: {exc}")
@@ -61,7 +63,8 @@ def main(argv=None) -> int:
     for series in ("E", "Z"):
         for k in levels:
             try:
-                cs = series_constraints(series, k)
+                config = lift_level(*series_signature(series, k), k)
+                cs = series_constraints(series, config)
                 st = sample_equivalence(cs, n_samples=args.samples, seed=args.seed)
             except (RuntimeError, ArithmeticError) as exc:
                 failures += 1

@@ -78,22 +78,5 @@ __all__ = [
     "cover_pow",
     "lift_level",
     "R_param",
-    "ReductionReport",
-    "check_reduction_bound",
-    "ell",
-    "sample_equivalence",
-    "ConstraintSet",
-    "PairingReport",
-    "Polyhedron",
-    "build_polyhedron",
-    "detect_symmetry",
-    "edge_cycle_check",
-    "enumerate_vertices",
-    "find_pairings",
-    "linearize",
-    "membership_mask",
-    "series_constraints",
-    "report_dict",
-    "singularity_label",
-    "write_artifacts",
+    *_LAZY,
 ]

@@ -9,15 +9,16 @@ fails, faces stay unpaired, the reduction inequality or the orbit premise
 fails, or the sampled descriptions disagree).  Errors are reported as a
 single JSON object {"error", "series", "k"} on stdout, with null for a
 series or level that did not parse, so callers never have to parse
-prose.  Every command lifts its level (`lift_level`) before any other
-work, as the request check, and gets the lift's `LevelConfig`; `build`
-and `verify` then build the level's constraint set once
-(`series_constraints`), and every later stage reads the level from it.
-The geometry layers (`domain`, `reduction` and numpy with them) load
-inside `build_domain` and `cmd_verify`, when a command first needs them,
-so `info` and every invalid request are answered without them; `build`
-checks its formats and that a file can be created in `--out` before
-that.
+prose.  Every command lifts its level (`lift_level`) once, before any
+other work, as the request check; `build` and `verify` hand that lift to
+`series_constraints`, and every later stage reads the level from the
+constraint set.  `build_domain` is the one chain of the build stages,
+and every artifact `build` writes is rendered from the JSON run record
+it returns (`write_artifacts`).  The geometry layers (`domain`,
+`reduction` and numpy with them) load inside `build_domain` and
+`cmd_verify`, when a command first needs them, so `info` and every
+invalid request are answered without them; `build` checks its formats
+and that a file can be created in `--out` before that.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ class DomainBuild:
         return self.reduction.certified and not self.pairings.unpaired
 
 
-def build_domain(series: str, k: int) -> DomainBuild:
-    """Construct and certify the fundamental polyhedron for one series level.
+def build_domain(series: str, config: LevelConfig) -> DomainBuild:
+    """Construct and certify the fundamental polyhedron for one series
+    level, from the level's lift `config` (`lift_level` of
+    `series_signature`).
 
-    Raises ValueError for an invalid request (unknown series, level
-    divisible by 3) and RuntimeError or ArithmeticError when a stage fails
-    its own check.
+    Raises ValueError for a lift of another series and RuntimeError or
+    ArithmeticError when a stage fails its own check.
     """
     from .domain import (
         build_polyhedron, detect_symmetry, edge_cycle_check,
@@ -73,18 +75,13 @@ def build_domain(series: str, k: int) -> DomainBuild:
     )
     from .reduction import check_reduction_bound
 
-    cs = series_constraints(series, k)
+    cs = series_constraints(series, config)
     poly = build_polyhedron(cs, enumerate_vertices(cs))
     pairings = find_pairings(poly, cs)
     symmetry_angle = detect_symmetry(poly, cs)
     edge_cycles = edge_cycle_check(poly, pairings)
     reduction = check_reduction_bound(cs)
-    report = report_dict(
-        cs, poly, pairings,
-        symmetry_angle=symmetry_angle,
-        edge_cycles=edge_cycles,
-        reduction=reduction,
-    )
+    report = report_dict(cs, poly, pairings, symmetry_angle, edge_cycles, reduction)
     return DomainBuild(cs, poly, pairings, symmetry_angle, edge_cycles, reduction, report)
 
 
@@ -126,10 +123,10 @@ def cmd_build(args, config: LevelConfig) -> int:
         check_writable(out_dir)
     except OSError as exc:
         return _fail(args, f"cannot write artifacts: {exc}")
-    build = build_domain(args.series, args.k)
+    build = build_domain(args.series, config)
     report = build.report
     try:
-        written = write_artifacts(out_dir, args.series, args.k, build.poly, report, formats)
+        written = write_artifacts(out_dir, report, formats)
     except OSError as exc:
         return _fail(args, f"cannot write artifacts: {exc}")
     summary = {
@@ -153,7 +150,7 @@ def cmd_verify(args, config: LevelConfig) -> int:
     from .domain import series_constraints
     from .reduction import check_reduction_bound, sample_equivalence
 
-    cs = series_constraints(args.series, args.k)
+    cs = series_constraints(args.series, config)
     reduction = check_reduction_bound(cs)
     stats = sample_equivalence(cs, n_samples=args.samples, seed=args.seed)
     result = {

@@ -24,7 +24,7 @@ group.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -41,7 +41,6 @@ from .cover import (
     cover_inv,
     cover_mul,
     cover_pow,
-    lift_level,
     R_param,
     series_signature,
 )
@@ -150,8 +149,9 @@ class ConstraintSet:
         return out
 
 
-def series_constraints(series: str, k: int) -> ConstraintSet:
-    """Constraint families of the fundamental domain for one series level.
+def series_constraints(series: str, config: LevelConfig) -> ConstraintSet:
+    """Constraint families of the fundamental domain for one series level,
+    from the level's lift `config` (`lift_level` of `series_signature`).
 
     The base element is a0 = R_v(8 pi / 3) D^(2 lam p - 1) C^(-2(lam k + 2)/3)
     for series E, with D-exponent 2 lam p - 2 for series Z, where p is the
@@ -168,11 +168,12 @@ def series_constraints(series: str, k: int) -> ConstraintSet:
     wall and its margin pi/2 - |phi_g|.  The check is in closed form, on
     each wall's (z, w, phi) alone.  A wall stores only (label, g, side);
     the set derives its plane table from the g's once (`ConstraintSet`).
-    This is the one map from (series, k) to the level's lift: the
-    triangle group and D are the lift's own.
+    The level k, the triangle group and D are the lift's own; a lift of
+    another series' signature raises ValueError.
     """
-    p_tri, q, r = series_signature(series, k)
-    config = lift_level(p_tri, q, r, k)
+    k, p_tri = config.k, config.p_tri
+    if series_signature(series, k) != config.signature:
+        raise ValueError(f"the lift {config.signature} is not of series {series!r} at k={k}")
     tri, D = config.tri, config.gens["D"]
     lam = config.lam
     exp_d = 2 * lam * p_tri - (1 if series == "E" else 2)
@@ -520,9 +521,6 @@ def _seed_triples(cs: ConstraintSet) -> np.ndarray:
     combos = np.array(list(itertools.combinations(range(len(window)), 3)))
     triples = window[combos[combos[:, 0] < len(cs.groups[0])]]
     triples, pts = _solve_triples(cs.unit_normals, cs.offsets, triples, _SEED_SLACK)
-    # the first terms `_wall_pass` runs: the slab pair and union group 0
-    held = membership_mask(replace(cs, groups=cs.groups[:1]), pts, _SEED_MEMBERSHIP_TOL)
-    triples, pts = triples[held], pts[held]
     return triples[_pinned(
         cs, pts, _SEED_MEMBERSHIP_TOL, _SEED_INCIDENCE_TOL, 1e-8 / _SEED_SLACK
     )]
@@ -575,9 +573,10 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
 
     The seed pass solves only the sector triples whose other two walls
     lie in a fixed window next to group 0 (`_seed_window`), at most 631 at
-    any level; the slab pair and union group 0 (the `membership_mask` of a
-    constraint set cut to group 0) sift their points before one `_pinned`
-    call over all the walls.  The window is measured, not proved, and
+    any level, and passes their points to one `_pinned` call over all the
+    walls, whose `_wall_pass` runs the slab pair and union group 0 first
+    and drops each point at the first term it fails.  The window is
+    measured, not proved, and
     closure does not guard it: a window of group 0 and the slab pair alone
     finds 4 of the 44 seeds at Z14, yet its vertices (off in the last
     bits) close up into a sphere with every face paired.  Until the build

@@ -1,5 +1,9 @@
 """Deterministic artifact writers for computed fundamental domains.
 
+Every artifact is rendered from one object, the JSON run record of a
+build (`report_dict`): the OFF, OBJ and SVG files are views of the
+vertices and faces it lists, so the files of one build always agree, and
+a record read back with `json.loads` renders the same bytes again.
 Identical inputs must give byte-identical files, so none of the writers
 embed timestamps or environment data, floats are printed with %.17g
 (value-faithful for doubles), and every file is written atomically via a
@@ -76,26 +80,27 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def off_text(poly: Polyhedron) -> str:
+def off_text(report: dict) -> str:
     """OFF with outward-oriented faces; slab faces carry a trailing comment."""
-    lines = ["OFF", f"{len(poly.vertices)} {len(poly.faces)} {len(poly.edges)}"]
-    for v in poly.vertices:
+    counts = report["counts"]
+    lines = ["OFF", f"{counts['vertices']} {counts['faces']} {counts['edges']}"]
+    for v in report["vertices"]:
         lines.append(" ".join(_fmt(c) for c in v))
-    for face in poly.faces:
-        row = f"{len(face.loop)} " + " ".join(str(i) for i in face.loop)
-        if face.is_slab:
+    for face in report["faces"]:
+        row = f"{len(face['loop'])} " + " ".join(str(i) for i in face["loop"])
+        if face["slab"]:
             row += "  # slab"
         lines.append(row)
     return "\n".join(lines) + "\n"
 
 
-def obj_text(poly: Polyhedron) -> str:
+def obj_text(report: dict) -> str:
     lines = []
-    for v in poly.vertices:
+    for v in report["vertices"]:
         lines.append("v " + " ".join(_fmt(c) for c in v))
-    for face in poly.faces:
-        lines.append("g " + face.label)
-        lines.append("f " + " ".join(str(i + 1) for i in face.loop))
+    for face in report["faces"]:
+        lines.append("g " + face["label"])
+        lines.append("f " + " ".join(str(i + 1) for i in face["loop"]))
     return "\n".join(lines) + "\n"
 
 
@@ -113,12 +118,12 @@ def report_dict(
     cs: ConstraintSet,
     poly: Polyhedron,
     pairing_report: PairingReport,
-    symmetry_angle=None,
-    edge_cycles=None,
-    reduction=None,
+    symmetry_angle,
+    edge_cycles,
+    reduction,
 ) -> dict:
     """Full run record; every group element is (Re z, Im z, Re w, Im w, phi)."""
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "series": cs.series,
         "k": cs.k,
@@ -158,15 +163,12 @@ def report_dict(
             for p in pairing_report.pairings
         ],
         "unpaired": list(pairing_report.unpaired),
-    }
-    if edge_cycles is not None:
-        report["edge_cycles"] = {
+        "edge_cycles": {
             "count": len(edge_cycles),
             "exponents": sorted(set(n for n, _ in edge_cycles)),
             "lengths": sorted(set(steps for _, steps in edge_cycles)),
-        }
-    if reduction is not None:
-        report["reduction"] = {
+        },
+        "reduction": {
             "alpha": reduction.alpha,
             "R": reduction.R,
             "ell_minus_at_sec": reduction.ell_minus_at_sec,
@@ -174,8 +176,8 @@ def report_dict(
             "holds": reduction.holds,
             "margin": reduction.margin,
             "orbit_premise_ok": reduction.orbit_premise_ok,
-        }
-    return report
+        },
+    }
 
 
 def json_text(report: dict) -> str:
@@ -188,7 +190,7 @@ def _svg_map(x: float, y: float) -> tuple:
     return half + scale * x, half - scale * y
 
 
-def svg_text(poly: Polyhedron) -> str:
+def svg_text(report: dict) -> str:
     """Disc-projection render: side faces only, drawn over the unit circle."""
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
@@ -201,31 +203,23 @@ def svg_text(poly: Polyhedron) -> str:
         f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r_unit:.3f}" '
         'fill="none" stroke="#888888" stroke-width="1"/>'
     )
-    for face in poly.faces:
-        if face.is_slab:
+    points = [_svg_map(v[0], v[1]) for v in report["vertices"]]
+    for face in report["faces"]:
+        if face["slab"]:
             continue
-        pts = []
-        for i in face.loop:
-            px, py = _svg_map(poly.vertices[i][0], poly.vertices[i][1])
-            pts.append(f"{px:.3f},{py:.3f}")
-        stroke = _FACE_STROKE.get(face.label[0], "#000000")
+        pts = " ".join(f"{points[i][0]:.3f},{points[i][1]:.3f}" for i in face["loop"])
+        stroke = _FACE_STROKE.get(face["label"][0], "#000000")
         lines.append(
-            f'<polygon points="{" ".join(pts)}" fill="none" '
+            f'<polygon points="{pts}" fill="none" '
             f'stroke="{stroke}" stroke-width="1.2"/>'
         )
-    for v in poly.vertices:
-        px, py = _svg_map(v[0], v[1])
+    for px, py in points:
         lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="2" fill="#202020"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-WRITERS = {
-    "off": lambda poly, report: off_text(poly),
-    "obj": lambda poly, report: obj_text(poly),
-    "json": lambda poly, report: json_text(report),
-    "svg": lambda poly, report: svg_text(poly),
-}
+WRITERS = {"off": off_text, "obj": obj_text, "json": json_text, "svg": svg_text}
 
 
 def parse_formats(text: str) -> tuple:
@@ -240,16 +234,18 @@ def parse_formats(text: str) -> tuple:
     return formats
 
 
-def write_artifacts(out_dir, series, k, poly, report, formats=("off", "obj", "json", "svg")):
-    """Write the requested artifact files; returns {format: path}.  An
-    unknown format raises ValueError before any file is written."""
+def write_artifacts(out_dir, report: dict, formats=("off", "obj", "json", "svg")):
+    """Write the requested artifact files, each rendered from the run
+    record `report` and named from its series and level; returns
+    {format: path}.  An unknown format raises ValueError before any file
+    is written."""
     unknown = [fmt for fmt in formats if fmt not in WRITERS]
     if unknown:
         raise ValueError(f"unknown format {unknown[0]!r}")
-    base = artifact_basename(series, k)
+    base = artifact_basename(report["series"], report["k"])
     written = {}
     for fmt in formats:
         path = os.path.join(out_dir, f"{base}.{fmt}")
-        _write_text(path, WRITERS[fmt](poly, report))
+        _write_text(path, WRITERS[fmt](report))
         written[fmt] = path
     return written

@@ -34,9 +34,8 @@ from lorentzdomains.domain import (
     edge_cycle_check,
     enumerate_vertices,
     find_pairings,
-    series_constraints,
 )
-from lorentzdomains.export import json_text, off_text, report_dict
+from lorentzdomains.export import json_text, off_text
 from lorentzdomains.reduction import (
     _closed_quantities,
     check_reduction_bound,
@@ -45,6 +44,7 @@ from lorentzdomains.reduction import (
 )
 
 from dirichlet_oracle import dirichlet_corona_oracle
+from lifts import level_build, level_constraints
 
 CASES = [(s, k) for s in ("E", "Z") for k in (1, 2, 4, 5)]
 
@@ -60,7 +60,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
 def built_cases():
     out = {}
     for series, k in CASES:
-        cs = series_constraints(series, k)
+        cs = level_constraints(series, k)
         poly = build_polyhedron(cs, enumerate_vertices(cs))
         out[(series, k)] = (cs, poly)
     return out
@@ -192,10 +192,10 @@ def test_criterion_4_reduction_bound():
     worst_margin = float("inf")
     for series in ("E", "Z"):
         for k in [k for k in range(1, 21) if k % 3 != 0]:
-            rep = check_reduction_bound(series_constraints(series, k))
+            rep = check_reduction_bound(level_constraints(series, k))
             ok = ok and rep.holds and rep.margin > 0.0
             worst_margin = min(worst_margin, rep.margin)
-    rep2 = check_reduction_bound(series_constraints("E", 2))
+    rep2 = check_reduction_bound(level_constraints("E", 2))
     ok = ok and abs(rep2.ell_minus_at_sec - 0.5489) < 1e-3
     ok = ok and abs(rep2.rhs - 0.6687) < 1e-3
     # the geometric route and the closed-form route must coincide
@@ -215,7 +215,7 @@ def test_criterion_5_sample_equivalence():
     ok = True
     total = 0
     for series, k in CASES:
-        st = sample_equivalence(series_constraints(series, k), n_samples=10_000, seed=0)
+        st = sample_equivalence(level_constraints(series, k), n_samples=10_000, seed=0)
         ok = ok and st.n_evaluated >= 9_900 and st.n_agree == st.n_evaluated
         total += st.n_evaluated
     dt = time.time() - t0
@@ -292,12 +292,7 @@ def test_criterion_7_pairing_scheme(built_cases):
 def test_criterion_8_determinism(built_cases):
     texts = []
     for _ in range(2):
-        cs = series_constraints("Z", 2)
-        poly = build_polyhedron(cs, enumerate_vertices(cs))
-        rep = find_pairings(poly, cs)
-        sym = detect_symmetry(poly, cs)
-        cycles = edge_cycle_check(poly, rep)
-        report = report_dict(cs, poly, rep, symmetry_angle=sym, edge_cycles=cycles)
-        texts.append((off_text(poly), json_text(report)))
+        report = level_build("Z", 2).report
+        texts.append((off_text(report), json_text(report)))
     ok = texts[0][0] == texts[1][0] and texts[0][1] == texts[1][1]
     _verdict(8, "byte-identical artifacts", ok, "OFF and JSON")

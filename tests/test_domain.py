@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lorentzdomains import domain
-from lorentzdomains.cli import build_domain, main
+from lorentzdomains.cli import main
 from lorentzdomains.cover import (
     COVER_IDENTITY,
     CoverElement,
@@ -62,11 +62,11 @@ from lorentzdomains.domain import (
     find_pairings,
     linearize,
     membership_mask,
-    series_constraints,
 )
 from lorentzdomains.halfspaces import _chart_cone, batch_wall
 
 from halfspace_oracle import chart_point, pairing_form
+from lifts import level_build, level_constraints, lift
 from cycle_oracle import scalar_edge_cycles
 from seed_oracle import SEED_BLOCK, sector_blocks, sector_seeds
 from word_oracle import (
@@ -84,7 +84,7 @@ Z_COUNTS = {1: (40, 70, 32), 2: (56, 98, 44)}
 
 @pytest.fixture(scope="module")
 def e2():
-    cs = series_constraints("E", 2)
+    cs = level_constraints("E", 2)
     poly = build_polyhedron(cs, enumerate_vertices(cs))
     rep = find_pairings(poly, cs)
     return cs, poly, rep
@@ -92,19 +92,23 @@ def e2():
 
 @pytest.fixture(scope="module")
 def z1():
-    cs = series_constraints("Z", 1)
+    cs = level_constraints("Z", 1)
     poly = build_polyhedron(cs, enumerate_vertices(cs))
     rep = find_pairings(poly, cs)
     return cs, poly, rep
 
 
 def test_series_constraints_rejects_bad_level():
+    """A level with no lift fails at the lift; a lift of another series'
+    signature, or of no series, fails the constraint set."""
     with pytest.raises(ValueError):
-        series_constraints("E", 3)
+        lift("E", 3)
     with pytest.raises(ValueError):
-        series_constraints("Z", 6)
-    with pytest.raises(ValueError):
-        series_constraints("X", 1)
+        lift("Z", 6)
+    with pytest.raises(ValueError, match="not of series 'Z'"):
+        domain.series_constraints("Z", lift("E", 2))
+    with pytest.raises(ValueError, match="unknown series"):
+        domain.series_constraints("X", lift("E", 2))
 
 
 def test_e2_counts(e2):
@@ -136,7 +140,7 @@ def test_e2_symmetry(e2):
 def test_counts_scale_with_rotation_order():
     for series, table in (("E", E_COUNTS), ("Z", Z_COUNTS)):
         for k, (v, e, f) in table.items():
-            cs = series_constraints(series, k)
+            cs = level_constraints(series, k)
             poly = build_polyhedron(cs, enumerate_vertices(cs))
             assert (len(poly.vertices), len(poly.edges), len(poly.faces)) == (v, e, f)
             assert poly.euler_characteristic == 2
@@ -227,7 +231,7 @@ def test_pairing_words_recorded(e2):
 def test_build_is_deterministic():
     runs = []
     for _ in range(2):
-        cs = series_constraints("E", 2)
+        cs = level_constraints("E", 2)
         poly = build_polyhedron(cs, enumerate_vertices(cs))
         runs.append(poly)
     assert runs[0].vertices.tobytes() == runs[1].vertices.tobytes()
@@ -237,7 +241,7 @@ def test_build_is_deterministic():
 
 def test_linearize_matches_pairing_form():
     """The affine functional is the chart restriction of the invariant form."""
-    cs = series_constraints("E", 2)
+    cs = level_constraints("E", 2)
     rng = np.random.default_rng(7)
     g = cs.groups[0][0].g
     normals, constants = linearize([g])
@@ -259,7 +263,7 @@ def test_series_constraints_names_a_wall_whose_window_opens(monkeypatch):
         RuntimeError,
         match=r"premise fails for wall a\[0\] .*margin pi/2 - \|phi\| = -4\.5",
     ):
-        series_constraints("E", 2)
+        level_constraints("E", 2)
 
 
 ADMISSIBLE_LEVELS = [
@@ -272,7 +276,7 @@ def test_every_wall_meets_the_window_premise_with_margin(series, k):
     """The premise of the lemma in `membership_mask` at every admissible
     level k <= 50, with room: |z_g| < |w_g| and pi/2 - |phi_g| >= 0.5
     (0.58 at E50, its smallest)."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     for wall in cs.all_walls():
         g = wall.g
         assert abs(g.z) < abs(g.w), wall.label
@@ -488,7 +492,7 @@ def test_active_walls_matches_full_table(series, k):
     use, on every probe point within the loose seed membership tolerance,
     against the full walls-by-points table: the incidence rule holds apart
     from the membership tolerance that picks the columns."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     pts = _probe_points(cs, np.random.default_rng(k))
     for tol in (PLANE_INCIDENCE_TOL, _ORACLE_PROBE_TOL):
         inside, pairs = _wall_pass(cs, pts, _SEED_MEMBERSHIP_TOL, tol)
@@ -501,7 +505,7 @@ def test_active_walls_matches_full_table(series, k):
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_membership_mask_matches_full_table(series, k):
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     pts = _probe_points(cs, np.random.default_rng(k))
     for tol in (MEMBERSHIP_TOL, _ORACLE_PROBE_TOL):
         got = membership_mask(cs, pts, tol=tol)
@@ -514,7 +518,7 @@ def test_membership_mask_matches_full_table(series, k):
 def test_wall_pass_matches_membership_and_active_walls(series, k):
     """One pass gives the membership mask and, on the points inside, the
     active incidences of the full walls-by-points table, byte for byte."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     pts = _probe_points(cs, np.random.default_rng(k))
     for tol, incidence_tol in (
         (MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL),
@@ -543,7 +547,7 @@ def test_the_window_is_open_wherever_a_wall_can_hold(series, k):
     and the probes take that window to within 1e-3 of pi/2.  There the
     chart-functional pass gives the full tables' masks and incidences bit
     for bit."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     per_wall = 40 if k <= 7 else 4
     pts = _probe_points(cs, np.random.default_rng(k), per_wall=per_wall)
     Z, W, PHI = _chart_cone(pts[_in_slab_cone(pts)])
@@ -663,7 +667,7 @@ def test_merge_vertices_matches_the_sequential_merge():
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 10), ("E", 11)])
 def test_enumerate_vertices_matches_reference(series, k):
     """The sector scan against every triple of the full scan, bit for bit."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     got = enumerate_vertices(cs)
     ref = _reference_vertices(cs)
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
@@ -682,7 +686,7 @@ def test_a_kept_vertex_that_fails_the_pin_gives_filter_then_merge(
     first and merging after, bit for bit.  Where another candidate lies
     within the merge tolerance of the banned vertex, it stands in for it
     and is pinned in a second round; else the vertex is gone."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     vertices = enumerate_vertices(cs)
     banned = vertices[index]
     real, calls = domain._pinned, []
@@ -786,7 +790,7 @@ def _reference_polyhedron(cs, vertices):
 def test_build_polyhedron_matches_reference(series, k):
     """The edges read from the walls their ends share against the per-pair
     assembly with its segment probes and rank checks."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     vertices = enumerate_vertices(cs)
     poly = build_polyhedron(cs, vertices)
     edges, faces = _reference_polyhedron(cs, vertices)
@@ -800,7 +804,7 @@ def test_build_polyhedron_rejects_a_broken_vertex_set(series, k):
     edge's midpoint, a dropped vertex and a duplicated vertex each leave a
     wall skeleton with a vertex of degree other than two; an interior point
     lies on no face; a point beyond the slab lies outside the domain."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     vertices = enumerate_vertices(cs)
     poly = build_polyhedron(cs, vertices)
     nv = len(vertices)
@@ -871,7 +875,7 @@ def test_build_polyhedron_matches_the_dense_rule_above_k50():
     vertex equal those of the dense shared-wall rule, and the two facts
     the rule leans on hold: no two walls meet at more than two vertices,
     and every edge lies on exactly two walls."""
-    cs = series_constraints("E", 173)
+    cs = level_constraints("E", 173)
     vertices = enumerate_vertices(cs)
     poly = build_polyhedron(cs, vertices)
     edges, faces, inc, edge_walls = _dense_rule_polyhedron(cs, vertices)
@@ -911,7 +915,7 @@ def _same_seeds(got, ref):
 def test_sector_orbits_cover_every_triple(series, k):
     """The sector is the triples whose first wall lies in group 0, and
     its sigma-orbits hold every triple of the full scan."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     n, L = len(cs.all_walls()), len(cs.groups[0])
     combos = np.array(list(itertools.combinations(range(n), 3)))
     perm = _sigma_permutation(cs)
@@ -929,7 +933,7 @@ def test_sector_blocks_split_the_sector_in_order(series, k):
     """The oracle's blocks, joined, are the whole sector in order; every
     block but the last has the block size, and blocks split inside a
     first-wall row and across two rows."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     n, L = len(cs.all_walls()), len(cs.groups[0])
     sector = _sector_triples(L, n)
     for size in (97, SEED_BLOCK, len(sector) + 1):
@@ -944,10 +948,10 @@ def test_sector_blocks_split_the_sector_in_order(series, k):
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS)
 def test_undecided_keeps_every_point_the_wall_pass_keeps(series, k):
-    """The seed prefilter, the mask of the slab pair and union group 0
-    alone, keeps every point the full `_wall_pass` keeps, and drops some
-    points of the cone already."""
-    cs = series_constraints(series, k)
+    """The sector oracle's block prefilter (`sector_seeds`), the mask of
+    the slab pair and union group 0 alone, keeps every point the full
+    `_wall_pass` keeps, and drops some points of the cone already."""
+    cs = level_constraints(series, k)
     pts = _probe_points(cs, np.random.default_rng(k))
     inside = _wall_pass(cs, pts, _SEED_MEMBERSHIP_TOL)[0]
     lead = dataclasses.replace(cs, groups=cs.groups[:1])
@@ -966,7 +970,7 @@ def test_streamed_seed_pass_matches_the_one_shot_pass(series, k, monkeypatch):
     those of one pass over the whole sector, at block sizes that split a
     first-wall row, span rows, and hold the whole sector; and the vertices
     seeded from them equal those of the windowed seed pass."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     ref_seeds = _one_shot_seeds(cs)
     assert len(ref_seeds)
     n_sector = len(cs.groups[0]) * len(cs.all_walls()) ** 2
@@ -986,7 +990,7 @@ def test_windowed_seeds_equal_the_sector_oracle(series, k):
     """The seeds drawn from the window of walls next to group 0 equal
     those of the whole sector byte for byte, dtype included: 14 for E and
     44 for Z."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     seeds = _seed_triples(cs)
     assert _same_seeds(seeds, sector_seeds(cs))
     assert len(seeds) == (14 if series == "E" else 44)
@@ -999,7 +1003,7 @@ def test_seed_window_is_the_groups_next_to_group_0(series, k, walls):
     """The window is every wall of the union groups at offsets {0, +-1}
     (E) or {0, +-1, +-k, +-(k + 1)} (Z) from group 0, mod the period, and
     the two slab walls, in ascending wall order."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     window = _seed_window(cs)
     assert len(window) == walls and (np.diff(window) > 0).all()
     labels = [cs.all_walls()[i].label for i in window]
@@ -1028,7 +1032,7 @@ def test_a_narrowed_seed_window_fails_the_oracle(k, found, monkeypatch):
     """A Z window of the groups at offsets {0, +-1} alone finds 16 of the
     44 seeds (24 at Z1, where +-1 is +-k), and the seed-oracle equality
     fails."""
-    cs = series_constraints("Z", k)
+    cs = level_constraints("Z", k)
     ref = sector_seeds(cs)
     monkeypatch.setattr(domain, "_seed_window", _narrowed(lambda cs: [0, 1, cs.period - 1]))
     seeds = _seed_triples(cs)
@@ -1040,11 +1044,11 @@ def test_closure_does_not_guard_the_seed_window(monkeypatch):
     seeds at Z14, and the build still closes up with every face paired:
     only the oracle equality and the pinned bytes tell its vertices (off
     in the last bits) from the real ones."""
-    cs = series_constraints("Z", 14)
-    real = build_domain("Z", 14)
+    cs = level_constraints("Z", 14)
+    real = level_build("Z", 14)
     monkeypatch.setattr(domain, "_seed_window", _narrowed(lambda cs: [0]))
     assert len(_seed_triples(cs)) == 4
-    narrowed = build_domain("Z", 14)
+    narrowed = level_build("Z", 14)
     assert narrowed.certified
     for b in (real, narrowed):
         assert (len(b.poly.vertices), len(b.poly.edges), len(b.poly.faces)) == (248, 434, 188)
@@ -1061,8 +1065,8 @@ def test_seed_pass_memory_is_bounded(monkeypatch):
         solved.append(len(triples))
         return _solve_triples(normals, offsets, triples, slack)
 
-    _seed_triples(series_constraints("Z", 1))  # first-call set-up
-    cs = series_constraints("Z", 160)
+    _seed_triples(level_constraints("Z", 1))  # first-call set-up
+    cs = level_constraints("Z", 160)
     tracemalloc.start()
     try:
         _seed_triples(cs)
@@ -1072,7 +1076,7 @@ def test_seed_pass_memory_is_bounded(monkeypatch):
     assert peak < 2**20
     monkeypatch.setattr(domain, "_solve_triples", counted)
     for k in (2, 14, 160):
-        _seed_triples(series_constraints("Z", k))
+        _seed_triples(level_constraints("Z", k))
     assert solved == [631] * 3
 
 
@@ -1082,7 +1086,7 @@ def test_vertex_search_builds_no_walls_by_points_table():
     22.5 MiB without a table, 32.6 MiB when `_wall_pass` also fills a
     walls x points bool table (26.3 MiB) of its incidences.  At Z50 that
     table (2.7 MiB) does not move the peak, 8.2 MiB either way."""
-    cs = series_constraints("Z", 160)
+    cs = level_constraints("Z", 160)
     tracemalloc.start()
     try:
         enumerate_vertices(cs)
@@ -1096,7 +1100,7 @@ def test_face_complex_builds_no_dense_incidence_table():
     """The Python-heap peak of `build_polyhedron` at Z50, 824 vertices on
     620 walls: 10.3 MiB with a walls x vertices table and a vertex x
     vertex product of it, under 2 MiB without."""
-    cs = series_constraints("Z", 50)
+    cs = level_constraints("Z", 50)
     vertices = enumerate_vertices(cs)
     tracemalloc.start()
     try:
@@ -1113,7 +1117,7 @@ def test_plane_table_matches_each_walls_own_norm(series, k):
     each wall's own chart normal (Re z_g, Im z_g, -Im w_g) and its
     `np.linalg.norm` give them; `np.linalg.norm(..., axis=1)` rounds
     otherwise and moves the offsets at most levels."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     for row, wall in enumerate(cs.all_walls()):
         g = wall.g
         normal = np.array([g.z.real, g.z.imag, -g.w.imag])
@@ -1125,7 +1129,7 @@ def test_plane_table_matches_each_walls_own_norm(series, k):
 
 
 def test_plane_table_names_a_degenerate_wall():
-    cs = series_constraints("E", 2)
+    cs = level_constraints("E", 2)
     flat = dataclasses.replace(cs.groups[0][1], g=CoverElement(0j, 1.0 + 0j, 0.0))
     with pytest.raises(RuntimeError, match=r"degenerate wall functional for b\[0\]"):
         _with_group(cs, 0, [cs.groups[0][0], flat])
@@ -1149,7 +1153,7 @@ def test_cone_points_match_the_written_out_product(series, k, monkeypatch):
     """Every `_cone_points` call of `find_pairings`, on its real elements
     and points, bit for bit against the written-out product: the forward
     map of the first faces and the inverse check."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     poly = build_polyhedron(cs, enumerate_vertices(cs))
     real = domain._cone_points
     calls = []
@@ -1183,13 +1187,13 @@ def _shift_offset(wall, delta):
 
 
 def test_sigma_guard_rejects_a_pruned_group():
-    cs = series_constraints("Z", 2)
+    cs = level_constraints("Z", 2)
     with pytest.raises(RuntimeError, match=r"only 13 of 14 union groups"):
         enumerate_vertices(dataclasses.replace(cs, groups=cs.groups[1:]))
 
 
 def test_sigma_guard_rejects_a_missing_letter():
-    cs = series_constraints("Z", 2)
+    cs = level_constraints("Z", 2)
     expected = r"union group 3 has walls \['a\[3\]', 'b\[3\]'\], not abc"
     with pytest.raises(RuntimeError, match=expected):
         enumerate_vertices(_with_group(cs, 3, cs.groups[3][:2]))
@@ -1197,7 +1201,7 @@ def test_sigma_guard_rejects_a_missing_letter():
 
 @pytest.mark.parametrize("series,k", [("E", 4), ("Z", 4)])
 def test_sigma_guard_names_a_moved_wall(series, k):
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     grp = list(cs.groups[3])
     row = [w.label for w in cs.all_walls()].index("b[3]")
     scale = float(np.linalg.norm(cs.normals[row]))
@@ -1221,7 +1225,7 @@ def test_sigma_guard_names_a_moved_wall(series, k):
 
 def test_build_domain_past_z24():
     """Z25 has 5.4M plane triples; its sector holds 151,210 of them."""
-    build = build_domain("Z", 25)
+    build = level_build("Z", 25)
     G = build.cs.period
     assert len(build.poly.vertices) == 4 * G == 424
     assert len(build.poly.faces) == 3 * G + 2 == 320
@@ -1370,7 +1374,7 @@ def test_build_domain_where_an_absolute_centre_test_failed(series, k):
     left edge cycles open, build with every face paired, every cycle
     closed in 3 steps and the reduction certified, on the template
     V = 2G, F = 2G + 2 (E) and V = 4G, F = 3G + 2 (Z)."""
-    build = build_domain(series, k)
+    build = level_build(series, k)
     G = build.cs.period
     v, f = (2 * G, 2 * G + 2) if series == "E" else (4 * G, 3 * G + 2)
     assert (len(build.poly.vertices), len(build.poly.faces)) == (v, f)
@@ -1726,7 +1730,7 @@ def _report_bits(rep):
 
 
 def _polyhedron(series, k):
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
     return cs, build_polyhedron(cs, enumerate_vertices(cs))
 
 
@@ -1847,7 +1851,7 @@ def test_integer_certificates_equal_the_fraction_forms(series, k, monkeypatch):
 def test_e910_builds_certified():
     """The word search failed from E910 up: it left 3,652 of the 3,654
     faces unpaired there.  The words read off the walls pair them all."""
-    build = build_domain("E", 910)
+    build = level_build("E", 910)
     assert len(build.poly.faces) == 3654
     assert build.pairings.unpaired == () and build.certified
 
@@ -1862,7 +1866,7 @@ def test_builds_certified_where_an_absolute_incidence_test_failed(series, k):
     unit-normal distance the build is certified, with the template's
     counts: V = 8p, E = 14p, F = 6p + 2 (Z) and V = 4p, E = 8p, F = 4p + 2
     (E), p = 2k + 3 and k + 3."""
-    build = build_domain(series, k)
+    build = level_build(series, k)
     assert build.pairings.unpaired == () and build.certified
     p = build.cs.tri.p
     counts = (8 * p, 14 * p, 6 * p + 2) if series == "Z" else (4 * p, 8 * p, 4 * p + 2)
@@ -2050,7 +2054,7 @@ def test_the_rule_is_an_involution_on_the_walls():
     """`_partner_wall` pairs the walls: each wall's partner names it back
     with the same |u|, and no wall is its own partner."""
     for series, k in ORACLE_LEVELS + [("Z", 14), ("E", 40)]:
-        cs = series_constraints(series, k)
+        cs = level_constraints(series, k)
         for wall in cs.all_walls():
             partner, size = _partner_wall(cs, wall.label)
             assert partner != wall.label
@@ -2265,7 +2269,7 @@ def test_schreier_tree_matches_a_fresh_search(series, k):
 
 
 def test_schreier_tree_finds_a_depth_two_target_on_a_grown_tree():
-    cs = series_constraints("Z", 4)
+    cs = level_constraints("Z", 4)
     full = SchreierTree(cs.tri)
     assert full.syllables(0.123 + 0.456j) is None
     (level1, _), (level2, _) = full.levels[:2]

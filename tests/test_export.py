@@ -15,54 +15,44 @@ from hypothesis import strategies as st
 
 from lorentzdomains import cli, domain, reduction
 from lorentzdomains.cli import main
-from lorentzdomains.domain import (
-    Face,
-    Polyhedron,
-    build_polyhedron,
-    detect_symmetry,
-    edge_cycle_check,
-    enumerate_vertices,
-    find_pairings,
-    series_constraints,
-)
 from lorentzdomains.export import (
+    WRITERS,
     artifact_basename,
     json_text,
     obj_text,
     off_text,
-    report_dict,
     singularity_label,
     svg_text,
     write_artifacts,
 )
 
+from lifts import level_build, level_constraints
 
-def _tetrahedron() -> Polyhedron:
-    verts = np.array(
-        [
+
+def _tetrahedron() -> dict:
+    """A tetrahedron as the writers read a run record: its counts,
+    vertices and faces."""
+    loops = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
+    return {
+        "series": "E",
+        "k": 1,
+        "counts": {"vertices": 4, "edges": 6, "faces": 4, "euler_characteristic": 2},
+        "vertices": [
             [0.0, 0.0, 0.0],
             [1.0, 0.0, 0.0],
             [0.0, 1.0, 0.0],
             [0.0, 0.0, 1.0],
-        ]
-    )
-    loops = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]
-    faces = tuple(
-        Face(label=f"a[{i}]", wall=None, loop=loop)
-        for i, loop in enumerate(loops)
-    )
-    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    return Polyhedron(vertices=verts, faces=faces, edges=edges)
+        ],
+        "faces": [
+            {"label": f"a[{i}]", "loop": loop, "slab": False}
+            for i, loop in enumerate(loops)
+        ],
+    }
 
 
 @pytest.fixture(scope="module")
 def e1_run():
-    cs = series_constraints("E", 1)
-    poly = build_polyhedron(cs, enumerate_vertices(cs))
-    rep = find_pairings(poly, cs)
-    sym = detect_symmetry(poly, cs)
-    cycles = edge_cycle_check(poly, rep)
-    return cs, poly, rep, sym, cycles
+    return level_build("E", 1)
 
 
 def test_singularity_labels():
@@ -93,12 +83,13 @@ def test_off_tetrahedron():
 
 
 def test_obj_matches_off_combinatorics():
-    poly = _tetrahedron()
-    off_lines = off_text(poly).splitlines()
-    obj_lines = obj_text(poly).splitlines()
+    report = _tetrahedron()
+    n_vertices = len(report["vertices"])
+    off_lines = off_text(report).splitlines()
+    obj_lines = obj_text(report).splitlines()
     off_faces = [
         tuple(int(x) for x in line.split()[1:4])
-        for line in off_lines[2 + len(poly.vertices):]
+        for line in off_lines[2 + n_vertices:]
     ]
     obj_faces = [
         tuple(int(x) - 1 for x in line.split()[1:])
@@ -108,7 +99,7 @@ def test_obj_matches_off_combinatorics():
     assert off_faces == obj_faces
     off_verts = [
         tuple(float(x) for x in line.split())
-        for line in off_lines[2: 2 + len(poly.vertices)]
+        for line in off_lines[2: 2 + n_vertices]
     ]
     obj_verts = [
         tuple(float(x) for x in line.split()[1:])
@@ -119,17 +110,15 @@ def test_obj_matches_off_combinatorics():
 
 
 def test_slab_comment_only_on_slab_faces(e1_run):
-    _, poly, _, _, _ = e1_run
-    lines = off_text(poly).splitlines()[2 + len(poly.vertices):]
+    lines = off_text(e1_run.report).splitlines()[2 + len(e1_run.poly.vertices):]
     flagged = [line.endswith("# slab") for line in lines]
     assert sum(flagged) == 2
     assert flagged[-2:] == [True, True]
 
 
 def test_json_report_round_trip(e1_run):
-    cs, poly, rep, sym, cycles = e1_run
-    report = report_dict(cs, poly, rep, symmetry_angle=sym, edge_cycles=cycles)
-    text = json_text(report)
+    poly = e1_run.poly
+    text = json_text(e1_run.report)
     back = json.loads(text)
     assert back == json.loads(json_text(back))
     assert back["schema_version"] == 1
@@ -144,8 +133,8 @@ def test_json_report_round_trip(e1_run):
 
 
 def test_svg_render(e1_run):
-    _, poly, _, _, _ = e1_run
-    text = svg_text(poly)
+    poly = e1_run.poly
+    text = svg_text(e1_run.report)
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
     side = sum(1 for f in poly.faces if not f.is_slab)
@@ -154,10 +143,8 @@ def test_svg_render(e1_run):
 
 
 def test_write_artifacts_deterministic(tmp_path, e1_run):
-    cs, poly, rep, sym, cycles = e1_run
-    report = report_dict(cs, poly, rep, symmetry_angle=sym, edge_cycles=cycles)
-    a = write_artifacts(tmp_path / "a", "E", 1, poly, report)
-    b = write_artifacts(tmp_path / "b", "E", 1, poly, report)
+    a = write_artifacts(tmp_path / "a", e1_run.report)
+    b = write_artifacts(tmp_path / "b", e1_run.report)
     assert sorted(a) == ["json", "obj", "off", "svg"]
     for fmt in a:
         with open(a[fmt], "rb") as fa, open(b[fmt], "rb") as fb:
@@ -166,11 +153,9 @@ def test_write_artifacts_deterministic(tmp_path, e1_run):
 
 def test_write_artifacts_rejects_unknown_format(tmp_path, e1_run):
     """Every format is checked before any file is written."""
-    cs, poly, rep, _, _ = e1_run
-    report = report_dict(cs, poly, rep)
     for formats in (("stl",), ("off", "xyz")):
         with pytest.raises(ValueError, match=repr(formats[-1])):
-            write_artifacts(tmp_path, "E", 1, poly, report, formats=formats)
+            write_artifacts(tmp_path, e1_run.report, formats=formats)
         assert os.listdir(tmp_path) == []
 
 
@@ -179,16 +164,30 @@ def test_write_artifacts_rejects_unknown_format(tmp_path, e1_run):
 def test_write_artifacts_file_mode_follows_the_umask(tmp_path, e1_run, umask, mode):
     """Artifacts get the mode open() gives a new file, 0o666 less the
     umask, and no temporary file is left behind."""
-    cs, poly, rep, _, _ = e1_run
-    report = report_dict(cs, poly, rep)
     old = os.umask(umask)
     try:
-        written = write_artifacts(tmp_path, "E", 1, poly, report)
+        written = write_artifacts(tmp_path, e1_run.report)
     finally:
         os.umask(old)
     assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in written.values())
     for path in written.values():
         assert os.stat(path).st_mode & 0o777 == mode, path
+
+
+@pytest.mark.parametrize("series,k", [("E", 1), ("Z", 2)])
+def test_every_artifact_renders_from_the_json_file_alone(tmp_path, capsys, series, k):
+    """A build's OFF, OBJ and SVG bytes, and its JSON bytes too, render
+    again from `json.loads` of its own JSON file: the JSON run record
+    holds everything the other files show."""
+    argv = ["build", "--series", series, "--k", str(k), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    written = json.loads(capsys.readouterr().out)["artifacts"]
+    with open(written["json"], encoding="utf-8") as fh:
+        report = json.loads(fh.read())
+    assert sorted(written) == sorted(WRITERS)
+    for fmt, path in written.items():
+        with open(path, "rb") as fh:
+            assert WRITERS[fmt](report).encode() == fh.read(), fmt
 
 
 def test_cli_info(capsys):
@@ -202,7 +201,7 @@ def test_cli_info(capsys):
 def test_cli_info_builds_no_geometry(series, k, capsys, monkeypatch):
     """`info` reads its level data from the level lift alone, and they
     match the constraint set's."""
-    cs = series_constraints(series, k)
+    cs = level_constraints(series, k)
 
     def no_geometry(*args, **kwargs):
         raise AssertionError("info must not build the constraint set")

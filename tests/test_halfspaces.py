@@ -28,6 +28,7 @@ from halfspace_oracle import (
     prism_membership,
     slab_membership,
 )
+from lifts import level_constraints
 
 SEC_PI_15 = 1.0223405948650293
 R_IN_D533 = 0.6180339887498948
@@ -304,7 +305,7 @@ def test_batch_wall_matches_the_repeated_product_form_on_real_calls(series, k, m
     monkeypatch.setattr(reduction, "batch_wall", checked)
     monkeypatch.setattr(halfspaces, "batch_wall", checked)
     assert not hasattr(domain, "batch_wall")
-    cs = domain.series_constraints(series, k)
+    cs = level_constraints(series, k)
     domain.build_polyhedron(cs, domain.enumerate_vertices(cs))
     assert calls == []
     stats = reduction.sample_equivalence(cs, n_samples=2000, seed=3)

@@ -17,7 +17,7 @@ from lorentzdomains.cover import (
     CoverElement, cover_mul, cover_pow, lift_level, series_signature,
 )
 from lorentzdomains.disc import build_triangle_group, edge_corona, orbit
-from lorentzdomains.domain import _in_slab_cone, series_constraints
+from lorentzdomains.domain import _in_slab_cone
 from lorentzdomains.halfspaces import _chart_cone, batch_wall, wall_masks
 from lorentzdomains.reduction import (
     BOUNDARY_BAND,
@@ -32,6 +32,8 @@ from lorentzdomains.reduction import (
     ell,
     sample_equivalence,
 )
+
+from lifts import level_constraints, lift
 
 # high-precision references, evaluated at 40 digits
 E2_R = 0.9241763718304448
@@ -116,7 +118,7 @@ def test_f_bound():
 
 
 def test_check_reduction_bound_E2():
-    rep = check_reduction_bound(series_constraints("E", 2))
+    rep = check_reduction_bound(level_constraints("E", 2))
     assert rep.p_tri == 5 and rep.p_lcm == 15
     assert abs(rep.alpha - math.pi / 10) < 1e-15
     assert abs(rep.R - E2_R) < 1e-12
@@ -130,7 +132,7 @@ def test_check_reduction_bound_E2():
 
 
 def test_check_reduction_bound_Z2():
-    rep = check_reduction_bound(series_constraints("Z", 2))
+    rep = check_reduction_bound(level_constraints("Z", 2))
     assert rep.p_tri == 7 and rep.p_lcm == 21
     assert abs(rep.R - Z2_R) < 1e-12
     assert abs(rep.ell_minus_at_sec - Z2_ELL) < 1e-12
@@ -141,15 +143,15 @@ def test_check_reduction_bound_Z2():
 
 def test_inadmissible_level_rejected():
     with pytest.raises(ValueError):
-        check_reduction_bound(series_constraints("E", 3))
+        check_reduction_bound(level_constraints("E", 3))
     with pytest.raises(ValueError):
-        check_reduction_bound(series_constraints("Z", 6))
+        check_reduction_bound(level_constraints("Z", 6))
 
 
 def test_margins_positive_all_admissible():
     for series in ("E", "Z"):
         for k in ADMISSIBLE:
-            rep = check_reduction_bound(series_constraints(series, k))
+            rep = check_reduction_bound(level_constraints(series, k))
             assert rep.holds and rep.orbit_premise_ok is True, (series, k)
             assert rep.margin > 0.0, (series, k)
             assert rep.ell_minus_at_sec <= 1.0, (series, k)
@@ -158,7 +160,7 @@ def test_margins_positive_all_admissible():
 
 def test_orbit_premise_small_levels():
     for series, k in (("E", 1), ("E", 4), ("Z", 1), ("Z", 4)):
-        rep = check_reduction_bound(series_constraints(series, k))
+        rep = check_reduction_bound(level_constraints(series, k))
         assert rep.orbit_premise_ok, (series, k)
 
 
@@ -171,7 +173,7 @@ def test_orbit_premise_small_levels():
 def test_premise_walk_to_R_finds_every_point_inside_R(series, k):
     """Only points with |x| < R - PREMISE_SLACK can fail the premise; the
     walk to R finds the same ones as a walk to a wider radius."""
-    rep = check_reduction_bound(series_constraints(series, k))
+    rep = check_reduction_bound(level_constraints(series, k))
     assert rep.orbit_premise_ok is True
     R = rep.R
     wide = max(0.999, R + 5e-4)
@@ -253,7 +255,7 @@ def test_a_tight_margin_is_too_tight_to_decide(monkeypatch, capsys):
     level."""
     monkeypatch.setattr(reduction, "TIGHT_MARGIN", 1.0)
     with pytest.raises(ArithmeticError, match="too tight to decide in double precision"):
-        check_reduction_bound(series_constraints("E", 2))
+        check_reduction_bound(level_constraints("E", 2))
     assert main(["verify", "--series", "E", "--k", "2", "--samples", "100"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"error", "series", "k"} and (out["series"], out["k"]) == ("E", 2)
@@ -285,12 +287,12 @@ def test_a_missing_corona_point_fails_the_orbit_premise(monkeypatch):
     up to E400, where the corona has 806 points."""
     for series, k, drop in [("E", 1, 0), ("Z", 50, None), ("E", 400, -1)]:
         monkeypatch.setattr(reduction, "edge_corona", edge_corona)
-        assert check_reduction_bound(series_constraints(series, k)).certified
+        assert check_reduction_bound(level_constraints(series, k)).certified
         full = edge_corona(build_triangle_group(*series_signature(series, k)))
         drop = len(full) // 2 if drop is None else drop % len(full)
         kept = full[:drop] + full[drop + 1:]
         monkeypatch.setattr(reduction, "edge_corona", lambda tri: kept)
-        rep = check_reduction_bound(series_constraints(series, k))
+        rep = check_reduction_bound(level_constraints(series, k))
         assert abs(full[drop]) < rep.R - PREMISE_SLACK
         assert rep.holds and rep.orbit_premise_ok is False and not rep.certified
 
@@ -418,7 +420,7 @@ def test_description_masks_match_full_window_scan(series, k):
     which also bands every union-group wall; the prism verdicts are equal,
     and off the boundary `membership_mask` agrees with the scan's finite
     description at tolerance 0."""
-    cons = series_constraints(series, k)
+    cons = level_constraints(series, k)
     pts = _probe_points(cons, 1500, seed=k)
     in_linear, in_prism, near = _description_masks(cons, pts)
     want_linear, want_prism, want_near, near_group = _reference_description_masks(cons, pts)
@@ -431,7 +433,7 @@ def test_description_masks_match_full_window_scan(series, k):
     in_linear, in_prism, near, _ = _reference_description_masks(
         cons, _slab_samples(cons.config, 2000, 11)
     )
-    stats = sample_equivalence(series_constraints(series, k), n_samples=2000, seed=11)
+    stats = sample_equivalence(level_constraints(series, k), n_samples=2000, seed=11)
     assert (stats.n_boundary_excluded, stats.n_evaluated, stats.n_agree) == (
         int(near.sum()),
         int((~near).sum()),
@@ -449,7 +451,7 @@ def test_group_walls_are_prism_walls(series, k):
     every group wall and `_description_masks` needs no group band; the
     slab walls D and D^-1 are no such product, and their bands are added
     on their own."""
-    cons = series_constraints(series, k)
+    cons = level_constraints(series, k)
     two_n = 4 * cons.config.p_lcm
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
     products = [
@@ -472,7 +474,7 @@ def test_skipped_prism_walls_are_inert(series, k):
     """Every wall the scan skips has its sheet window closed on the point
     and is not near it; every wall it keeps evaluates, one wall per point,
     bit for bit as the one wall on all points."""
-    cons = series_constraints(series, k)
+    cons = level_constraints(series, k)
     config = cons.config
     Z, W, PHI = _chart_cone(_probe_points(cons, 1500, seed=3))
     D = cons.D
@@ -503,7 +505,7 @@ def test_prism_scan_rejects_sheet_coordinates_off_the_line(monkeypatch):
     """A step that D does not rotate by is refused before any wall is
     built, and an evaluated row whose sheet coordinate drifts off the line
     phi_0 + n step is refused after its evaluation."""
-    cons = series_constraints("E", 2)
+    cons = level_constraints("E", 2)
     config = cons.config
     Z, W, PHI = _chart_cone(_probe_points(cons, 300, seed=1))
     two_n = 4 * config.p_lcm
@@ -532,7 +534,7 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
     not near the point, and every wall it decides as a miss neither holds
     nor is near; on plain slab samples almost no n != 0 wall is left to
     evaluate."""
-    cons = series_constraints(series, k)
+    cons = level_constraints(series, k)
     config = cons.config
     n_samples = 1500
     Z, W, PHI = _chart_cone(_probe_points(cons, n_samples, seed=5))
@@ -565,7 +567,7 @@ def test_prism_scan_rejects_a_d_off_the_axis_rotations():
     """D is checked once per prism scan, in place of a table of its
     powers: it must be an exact axis rotation through `step`, also on the
     path `sample_equivalence` takes."""
-    cons = series_constraints("E", 2)
+    cons = level_constraints("E", 2)
     config = cons.config
     pts = _slab_samples(config, 200, 0)
     Z, W, PHI = _chart_cone(pts)
@@ -590,7 +592,7 @@ def test_description_masks_check_the_window_edge_premise():
     """A point far enough out along s makes the bound (|z| + |w|) |W| on
     |w_h| reach (1 - B)/B, where the window edge would need a band of its
     own."""
-    cons = series_constraints("E", 1)
+    cons = level_constraints("E", 1)
     pts = _slab_samples(cons.config, 50, 0)
     _description_masks(cons, pts)
     pts[7, 2] = (1.0 - BOUNDARY_BAND) / BOUNDARY_BAND
@@ -603,7 +605,7 @@ def _scan_against_every_wall(series, k, two_n, n_samples):
     """Check that the scan returns what evaluating every wall g D^n,
     |n| <= two_n, returns on probe points, and return the number of points
     where the |n| <= N and |n| <= 2N verdicts differ."""
-    cons = series_constraints(series, k)
+    cons = level_constraints(series, k)
     config = cons.config
     Z, W, PHI = _chart_cone(_probe_points(cons, n_samples, seed=2))
     d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
@@ -634,14 +636,14 @@ def test_prism_scan_matches_every_wall_of_a_short_family():
 def test_prism_scan_matches_every_wall_of_the_full_family(series, k):
     """On the family |n| <= 4 p_lcm that `_description_masks` scans, the
     scan returns what evaluating every wall returns."""
-    p_lcm = lift_level(*series_signature(series, k), k).p_lcm
+    p_lcm = lift(series, k).p_lcm
     _scan_against_every_wall(series, k, 4 * p_lcm, 2000)
 
 
 def test_prism_scan_builds_powers_only_for_undecided_rows(monkeypatch):
     """On 10^4 slab samples a lift whose moduli decide every n != 0 builds
     no power of D, and every other lift builds each undecided row once."""
-    cons = series_constraints("E", 1)
+    cons = level_constraints("E", 1)
     config = cons.config
     Z, W, PHI = _chart_cone(_slab_samples(config, 10_000, 0))
     two_n = 4 * config.p_lcm

@@ -198,10 +198,10 @@ def test_build_all_reports_failed_level_and_goes_on(tmp_path, monkeypatch, capsy
     build_all = _load("build_all")
     real = build_all.build_domain
 
-    def flaky(series, k):
-        if (series, k) == ("E", 2):
+    def flaky(series, config):
+        if (series, config.k) == ("E", 2):
             raise RuntimeError("forced stage failure")
-        return real(series, k)
+        return real(series, config)
 
     monkeypatch.setattr(build_all, "build_domain", flaky)
     code = build_all.main(["--kmax", "2", "--out", str(tmp_path), "--formats", "json"])

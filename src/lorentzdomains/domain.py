@@ -54,6 +54,7 @@ PAIRING_MATCH_TOL = 1e-7
 _DET_FLOOR = 1e-12
 _COND_LIMIT = 1e8
 _SIGMA_TOL = 1e-12
+_ORBIT_TOL = 1e-11
 _SEED_SLACK = 2.0
 _SEED_MEMBERSHIP_TOL = 1e-6
 _SEED_INCIDENCE_TOL = 1e-7
@@ -243,31 +244,46 @@ def _terms(cs: ConstraintSet):
     return terms + [(slice(a, b), grp[0].side) for a, b, grp in zip(ends, ends[1:], cs.groups)]
 
 
-def _term_verdicts(cs: ConstraintSet, rows: slice, side: str, sub, tol):
-    """One membership term (a union group, or a slab wall as a group of
-    one), its L walls the table rows `rows`, on chart points `sub`: per
-    point whether it holds at tol, and the (L, n) chart functional values
-    of its walls."""
-    lin = (sub @ cs.normals[rows, :, None])[..., 0]
-    lin += cs.constants[rows, None]  # in place: one (L, n) array per term
-    holds = ~(lin < -1.0 - tol) if side == "H" else lin <= -1.0 + tol
-    return holds.any(0), lin
+def _term_holds(lin: np.ndarray, side: str, tol: float, axis: int = 0) -> np.ndarray:
+    """Per membership term and point, whether the term holds at tol, from
+    the chart functional values lin of its walls, a term's walls along
+    axis: a union group (side I) where any member reads <= -1 + tol, a
+    slab wall (H, a group of one) where it does not read < -1 - tol."""
+    return (~(lin < -1.0 - tol) if side == "H" else lin <= -1.0 + tol).any(axis)
+
+
+def _term_incidence(lin: np.ndarray, row_tol: np.ndarray, axis: int = 0):
+    """Per wall of membership terms, from the chart functional values lin
+    (a term's walls along axis) and the wall tolerances row_tol
+    (`_row_tol`, broadcast against lin): whether it is on its plane,
+    |value + 1| <= row_tol, and whether it is active, on it where no wall
+    of its term holds strictly (value < -1 - row_tol); there the group is
+    slack and the plane is invisible to the boundary.  For a slab wall, a
+    group of one, that condition is void."""
+    on = np.abs(lin + 1.0) <= row_tol
+    return on, on & ~(lin < -1.0 - row_tol).any(axis, keepdims=True)
+
+
+def _row_tol(cs: ConstraintSet, incidence_tol: float) -> np.ndarray:
+    """Per wall, incidence_tol in unit-normal distance: incidence_tol
+    max(1, |n|), n its chart normal (absolute below |n| = 1)."""
+    return incidence_tol * np.maximum(1.0, np.linalg.norm(cs.normals, axis=1))
 
 
 def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=None):
     """Membership of chart points at tol and, when incidence_tol is given,
     the active incidences at incidence_tol of the points that end inside,
-    from the chart functionals of each membership term (`_term_verdicts`).
+    from the chart functionals of each membership term (`_term_holds`,
+    `_term_incidence`).
 
     Returns the mask and the incidences as (point, wall) index arrays, a
     point a row of pts and a wall a row in `all_walls()` order, sorted by
     point and then by wall (None without incidence_tol).  A wall is active
     at a point on it (|value + 1| <= e) where no member of its union group
-    holds strictly (value < -1 - e): there the group is slack and the plane
-    is invisible to the boundary; for a slab wall, a group of one, that
-    condition is void.  e = incidence_tol max(1, |n|) per wall, n its chart
-    normal: incidence is tested in unit-normal distance (absolutely where
-    |n| < 1), as the normals grow with k (|n| up to 143 at E400, 713 at
+    holds strictly (value < -1 - e).  e = incidence_tol max(1, |n|) per
+    wall (`_row_tol`), n its chart normal: incidence is tested in
+    unit-normal distance (absolutely where |n| < 1), as the normals grow
+    with k (|n| up to 143 at E400, 713 at
     Z1000 and 1,322 at E3713) and the rounding of value with them.  Over
     the vertices at Z14, E40, Z50, E400, Z449, E1000, Z1000, Z1400, E3713,
     E3715 and Z1856, a wall through a vertex lies at most 2.4e-12 from it
@@ -279,6 +295,12 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     `membership_mask` for the terms and the lemma; the live points are
     compacted only once an eighth of them is decided (a decided point
     stays decided whatever later terms say).
+
+    The seed pass runs it (`_pinned`).  The vertex search decides its
+    keepers once per sigma-orbit by the same rules (`_pin_orbits`), and
+    `build_polyhedron` reads the incidences the search decided, so no
+    build runs it over the vertices; a full pass over the vertices is the
+    test oracle of the per-orbit incidences.
     """
     pts = np.asarray(pts, dtype=float)
     live = np.flatnonzero(_in_slab_cone(pts))  # original rows of the undecided points
@@ -286,15 +308,13 @@ def _wall_pass(cs: ConstraintSet, pts: np.ndarray, tol: float, incidence_tol=Non
     inside = np.ones(len(live), dtype=bool)
     hit_walls, hit_points = [], []
     if incidence_tol is not None:
-        # per row, incidence_tol in unit-normal distance, absolute below |n| = 1
-        row_tol = incidence_tol * np.maximum(1.0, np.linalg.norm(cs.normals, axis=1))
+        row_tol = _row_tol(cs, incidence_tol)[:, None]
     for rows, side in _terms(cs):
-        holds, lin = _term_verdicts(cs, rows, side, sub, tol)
-        inside &= holds
+        lin = (sub @ cs.normals[rows, :, None])[..., 0]
+        lin += cs.constants[rows, None]  # in place: one (L, n) array per term
+        inside &= _term_holds(lin, side, tol)
         if incidence_tol is not None:
-            strict = lin < -1.0 - row_tol[rows, None]
-            on = np.abs(lin + 1.0) <= row_tol[rows, None]
-            on_rows, cols = np.nonzero(on & ~strict.any(0) & inside)
+            on_rows, cols = np.nonzero(_term_incidence(lin, row_tol[rows])[1] & inside)
             hit_walls.append(rows.start + on_rows)
             hit_points.append(live[cols])
         keep = np.flatnonzero(inside)
@@ -346,8 +366,8 @@ def membership_mask(cs: ConstraintSet, pts: np.ndarray, tol: float = MEMBERSHIP_
     whatever later terms say, and is dropped, so the mask is that of the
     full walls-by-points table at the cost of one (L, n) array per term,
     from its L rows of the table.  The terms run in `_wall_pass`, which the
-    builds call directly (`enumerate_vertices`, `build_polyhedron`) to get
-    the active incidences from the same values.
+    seed pass calls directly (`_pinned`) to get the active incidences from
+    the same values.
     """
     return _wall_pass(cs, pts, tol)[0]
 
@@ -356,6 +376,25 @@ def _s_axis_rotation(psi: float) -> np.ndarray:
     """The matrix of the chart rotation through psi about the s-axis."""
     c, s = math.cos(psi), math.sin(psi)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _sigma_power(cs: ConstraintSet, rows, m):
+    """The walls that sigma^m carries the walls `rows` to, in
+    `all_walls()` order, with m broadcast against rows: a group wall moves
+    m union groups on, mod the period, and a slab wall stays.  This is the
+    permutation of `_sigma_permutation` to the power m."""
+    n_letters = len(cs.groups[0])
+    n_group = n_letters * len(cs.groups)
+    return np.where(rows < n_group, (rows + n_letters * m) % n_group, rows)
+
+
+def _sigma_rotate(cs: ConstraintSet, pts: np.ndarray, m) -> np.ndarray:
+    """Chart points turned by sigma^m, the rotation through m pi/p about
+    the s-axis, with m broadcast against the rows of pts."""
+    psi = np.asarray(m) * (math.pi / cs.tri.p)
+    c, s = np.cos(psi), np.sin(psi)
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([c * x - s * y, s * x + c * y, pts[:, 2]])
 
 
 def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
@@ -379,9 +418,7 @@ def _sigma_permutation(cs: ConstraintSet) -> np.ndarray:
         if labels != [f"{c}[{m}]" for c in letters]:
             raise RuntimeError(f"union group {m} has walls {labels}, not {letters}")
     walls = cs.all_walls()
-    n_group = cs.period * len(letters)
-    index = np.arange(len(walls))
-    perm = np.where(index < n_group, (index + len(letters)) % n_group, index)
+    perm = _sigma_power(cs, np.arange(len(walls)), 1)
     normals, offsets = cs.unit_normals, cs.offsets
     rot = _s_axis_rotation(math.pi / cs.tri.p)
     resid = np.maximum(
@@ -437,15 +474,52 @@ def _ranks(normals: np.ndarray, point: np.ndarray, wall: np.ndarray, tol: float,
     return rank
 
 
+def _rank_three(cs, point, wall, rank_tol, n):
+    """Per point 0..n-1 of the (point, wall) incidence pairs, whether its
+    active walls have rank 3 (`_ranks` at rank_tol); only the points with
+    at least three incidences are ranked."""
+    many = np.bincount(point, minlength=n)[point] >= 3
+    return _ranks(cs.unit_normals, point[many], wall[many], rank_tol, n) == 3
+
+
 def _pinned(cs, pts, membership_tol, incidence_tol, rank_tol):
     """Indices of the points in the domain (membership at membership_tol)
-    pinned by active walls (incidence at incidence_tol) of rank 3 (`_ranks`
-    at rank_tol), all from one `_wall_pass`; only the points with at least
-    three incidences are ranked."""
+    pinned by active walls (incidence at incidence_tol) of rank 3
+    (`_rank_three` at rank_tol), all from one `_wall_pass`."""
     point, wall = _wall_pass(cs, pts, membership_tol, incidence_tol)[1]
-    many = np.bincount(point, minlength=len(pts))[point] >= 3
-    ranks = _ranks(cs.unit_normals, point[many], wall[many], rank_tol, len(pts))
-    return np.flatnonzero(ranks == 3)
+    return np.flatnonzero(_rank_three(cs, point, wall, rank_tol, len(pts)))
+
+
+def _decide_terms(cs: ConstraintSet, pts: np.ndarray, rows: np.ndarray, power, tol, incidence_tol):
+    """Membership and incidence of chart points on whole membership terms,
+    by the rules of `_wall_pass` (`_term_holds`, `_term_incidence`), each
+    point on its own chart values of the sigma^power images of `rows` (the
+    rows of whole terms, ascending; power broadcast against the points).
+    Returns, per point and term, whether the term holds at tol and whether
+    a wall of it is on its plane; the (points, rows) mask of the active
+    walls of the points where every one of those terms holds; the walls,
+    row for row; and the rows per term.  The terms are those of `_terms`
+    in `all_walls()` order: the union groups, whose walls
+    `_sigma_permutation` has checked to be the same letters in order, one
+    table (points, groups, letters), then each slab wall alone."""
+    walls = _sigma_power(cs, rows, np.asarray(power)[:, None])
+    lin = (cs.normals[walls] @ pts[:, :, None])[..., 0]
+    lin += cs.constants[walls]
+    row_tol = _row_tol(cs, incidence_tol)[walls]
+    n_letters = len(cs.groups[0])
+    split = np.searchsorted(rows, n_letters * len(cs.groups))  # the slab rows come last
+    holds, near, active = [], [], []
+    for part, side, width in ((slice(None, split), "I", n_letters), (slice(split, None), "H", 1)):
+        shape = (len(pts), -1, width)
+        values = lin[:, part].reshape(shape)
+        holds.append(_term_holds(values, side, tol, axis=2))
+        on, act = _term_incidence(values, row_tol[:, part].reshape(shape), axis=2)
+        near.append(on.any(axis=2))
+        active.append(act.reshape(len(pts), -1))
+    holds = np.hstack(holds)
+    active = np.hstack(active) & holds.all(axis=1)[:, None]
+    size = np.r_[np.full(split // n_letters, n_letters), np.ones(len(rows) - split, dtype=int)]
+    return holds, np.hstack(near), active, walls, size
 
 
 def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float, order=None):
@@ -526,33 +600,196 @@ def _seed_triples(cs: ConstraintSet) -> np.ndarray:
     )]
 
 
-def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
-    """Vertices of the domain: all valid triple-plane intersections.
+def _triple_keys(triples: np.ndarray, n_walls: int) -> np.ndarray:
+    """One integer per sorted wall triple, ascending in the lexicographic
+    order of the triples."""
+    return (triples[:, 0] * n_walls + triples[:, 1]) * n_walls + triples[:, 2]
+
+
+def _orbit_candidates(cs: ConstraintSet, seeds: np.ndarray):
+    """The candidates of `enumerate_vertices` in (s, x1, x2) order (ties
+    in triple order), each with its label (m, s): it is solved from the
+    sorted triple sigma^m (seed s), m the first power and then s the first
+    seed that gives the triple.  The seeds' sigma-orbits come from one
+    broadcast of the powers of sigma (`_sigma_power`); one integer key per
+    sorted triple deduplicates them into lexicographic order, and the
+    regular triples are solved (`_solve_triples`)."""
+    n_walls, period = len(cs.all_walls()), cs.period
+    images = np.sort(_sigma_power(cs, seeds, np.arange(period)[:, None, None]), axis=2)
+    keys, first = np.unique(_triple_keys(images.reshape(-1, 3), n_walls), return_index=True)
+    triples = np.column_stack([keys // n_walls**2, keys // n_walls % n_walls, keys % n_walls])
+    solved, candidates = _solve_triples(cs.unit_normals, cs.offsets, triples)
+    first = first[np.searchsorted(keys, _triple_keys(solved, n_walls))]
+    order = np.lexsort(
+        (
+            np.round(candidates[:, 1], 10),
+            np.round(candidates[:, 0], 10),
+            np.round(candidates[:, 2], 10),
+        )
+    )
+    return (candidates[order], *np.divmod(first[order], len(seeds)))
+
+
+def _orbit_match(cs: ConstraintSet, pts: np.ndarray, label_m, label_s):
+    """Per point, its representative (a row of pts) and the power n of
+    sigma with point = sigma^n rep within _ORBIT_TOL.
+
+    A point of label (m, s) is sigma^m of the point of seed s, up to
+    rounding, so sigma^-m turns it back to the seed's own frame.  In that
+    frame the first point of each seed stands for its seed, and a seed
+    joins the first seed (in seed order) that some sigma^d carries onto it
+    within _ORBIT_TOL, d read off their angles about the s-axis: seeds on
+    one vertex orbit join one representative, the first point of its
+    first seed.  Every point is then checked against its representative
+    turned by its power, and one that lies farther than _ORBIT_TOL raises
+    RuntimeError naming it (its row) and the residual; there is no other
+    path."""
+    period, step = cs.period, math.pi / cs.tri.p
+    _, first = np.unique(label_s, return_index=True)
+    base = _sigma_rotate(cs, pts[first], -label_m[first])
+    angle = np.arctan2(base[:, 1], base[:, 0])
+    turn = np.rint((angle[None, :] - angle[:, None]) / step).astype(int) % period
+    a, b = np.divmod(np.arange(len(first) ** 2), len(first))
+    gap = np.linalg.norm(_sigma_rotate(cs, base[a], turn[a, b]) - base[b], axis=1)
+    root = np.argmax(gap.reshape(len(first), -1) <= _ORBIT_TOL, axis=0)
+    seed = np.searchsorted(label_s[first], label_s)
+    rep = first[root[seed]]
+    power = (label_m + turn[root[seed], seed] - label_m[rep]) % period
+    resid = np.linalg.norm(pts - _sigma_rotate(cs, pts[rep], power), axis=1)
+    worst = int(np.argmax(resid))
+    if resid[worst] > _ORBIT_TOL:
+        raise RuntimeError(
+            f"vertex {worst} at {pts[worst].tolist()} lies {resid[worst]:.3g} from "
+            f"sigma^{power[worst]} of vertex {rep[worst]}: beyond {_ORBIT_TOL:g}"
+        )
+    return rep, power
+
+
+def _pin_orbits(cs: ConstraintSet, pts: np.ndarray, of: np.ndarray, power: np.ndarray):
+    """Which of the points `_pinned` keeps at the vertex setting
+    (membership at MEMBERSHIP_TOL, incidence at PLANE_INCIDENCE_TOL, rank
+    at 1e-8), and the (point, wall) incidence pairs of those it keeps,
+    each point being sigma^power of its representative (row `of`).
+
+    One walls-by-representatives table (`_decide_terms` on every row)
+    decides each representative's cone test and far terms, those with no
+    wall on its plane, and so those of its whole orbit; each point decides
+    its near terms, the sigma^power images of its representative's, on
+    its own chart values (`_decide_terms` on their rows).  A point
+    whose active walls are the images of its representative's has its
+    rank; the others are ranked (`_rank_three`)."""
+    reps = np.unique(of)
+    every = np.arange(len(cs.all_walls()))
+    holds, near, _, _, size = _decide_terms(
+        cs, pts[reps], every, np.zeros(len(reps), dtype=int), MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL
+    )
+    far_ok = _in_slab_cone(pts[reps]) & (holds | near).all(axis=1)
+    near = np.repeat(near, size, axis=1)
+    good = np.zeros(len(pts), dtype=bool)
+    point, wall = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for i, r in enumerate(reps.tolist()):
+        if not near[i].any():
+            continue  # no wall on its plane: nothing pins the orbit
+        members = np.flatnonzero(of == r)
+        holds, _, active, walls, _ = _decide_terms(
+            cs, pts[members], every[near[i]], power[members], MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL
+        )
+        own = np.searchsorted(members, r)
+        # the representative and the points whose active walls are not the images of its own
+        check = np.flatnonzero(~(active == active[own]).all(axis=1) | (members == r))
+        at, col = np.nonzero(active[check])
+        rank_three = _rank_three(cs, at, walls[check][at, col], 1e-8, len(check))
+        ranked = np.full(len(members), rank_three[np.searchsorted(check, own)])
+        ranked[check] = rank_three
+        good[members] = far_ok[i] & holds.all(axis=1) & ranked
+        at, col = np.nonzero(active & good[members][:, None])
+        point.append(members[at])
+        wall.append(walls[at, col])
+    return good, (np.concatenate(point), np.concatenate(wall))
+
+
+@dataclass(frozen=True)
+class VertexSet:
+    """The vertices of `enumerate_vertices`, with their active walls and
+    sigma-orbits.  point and wall are the (vertex, wall) incidence pairs,
+    sorted by vertex and then by wall; orbit numbers each vertex's
+    sigma-orbit, and power is the n with vertex = sigma^n (the orbit's
+    representative)."""
+
+    points: np.ndarray
+    point: np.ndarray
+    wall: np.ndarray
+    orbit: np.ndarray
+    power: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def enumerate_vertices(cs: ConstraintSet) -> VertexSet:
+    """Vertices of the domain: all valid triple-plane intersections, with
+    their active walls and sigma-orbits (`VertexSet`).
 
     Planes are the wall planes of every family member and the two slab
     planes.  A triple of planes yields a vertex when it is regular
     (`_solve_triples`), its point lies in the cone and passes the
     membership predicate, and the point is pinned by rank-3 many active
-    walls (`_pinned`: membership and the (point, wall) incidence pairs
-    from one `_wall_pass`, the ranks of the points with three or more
-    pairs from one batched SVD per pair count, `_ranks`).  No table of
-    walls by points is built, so the passes hold memory linear in the
-    points and their incidences.  The vertices are merged at
+    walls: what `_pinned` decides at MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL
+    and rank tolerance 1e-8, here decided per sigma-orbit (below).  No
+    table of walls by vertices is built.  The vertices are merged at
     VERTEX_MERGE_TOL, first candidate in (s, x1, x2) order wins (ties in
-    triple order), and returned in that order; the
-    greedy merge is decided on the close pairs of a sorted window
-    (`_merge_vertices`), not by a loop over the candidates.
+    triple order), and returned in that order; the greedy merge is
+    decided on the close pairs of a sorted window (`_merge_vertices`), not
+    by a loop over the candidates.
 
     The merge runs first and only its keepers are pinned.  A keeper that
-    fails `_pinned` is dropped, the rest merged again, and the new keepers
+    fails the pin is dropped, the rest merged again, and the new keepers
     pinned, until every keeper passes.  That is the merge of the pinned
     candidates.  Lemma: removing candidates that a greedy merge did not
     keep does not change it, since each candidate's fate depends only on
-    the earlier kept ones.  `_pinned` decides each point on its own, so
-    the candidates that fail it are either dropped keepers or candidates
-    the final merge does not keep, and removing the latter changes
-    nothing.  At Z14 the 1,364 candidates merge to 248 keepers, all
-    pinned, in one round.
+    the earlier kept ones.  The pin decides each point on its own, so the
+    candidates that fail it are either dropped keepers or candidates the
+    final merge does not keep, and removing the latter changes nothing.
+    At Z14 the 1,364 candidates merge to 248 keepers, all pinned, in one
+    round.
+
+    The keepers are pinned per sigma-orbit.  Each candidate is solved from
+    sigma^m of a seed triple (its label), so `_orbit_match` gives each
+    keeper a representative and the power n with keeper = sigma^n
+    (representative) within _ORBIT_TOL = 1e-11, in O(V), and raises
+    RuntimeError naming any keeper that lies farther; there is no other
+    path.  A keeper lies at most 2.5e-12 from its turned representative
+    (Z1856; 2.2e-12 at E3713, 1.2e-12 at Z1000).  A round after the first
+    matches only its stand-ins, so when there was one, the final keepers
+    are matched once more, all together: a stand-in then joins the orbit
+    of the keeper it replaces, whose power it fills (`detect_symmetry`
+    reads the orbits).  `_pin_orbits` decides what is far
+    from every threshold once per orbit, from one walls-by-representatives
+    table (2 representatives for E, 4 for Z), and what is not at each
+    keeper, on its own chart values.  The argument: sigma carries each
+    plane onto its image within _SIGMA_TOL per step, so in unit-normal
+    distance the wall sigma^n w reads at a keeper x within
+    _ORBIT_TOL + n _SIGMA_TOL (1 + |x|) of w at the representative: 1.6e-8
+    at most from the tolerances (n < period <= 7,436, |x| <= 1.15), and
+    3.2e-11 from the measured step residual (1.4e-15).  Every decision
+    carried to the orbit has a wider margin: the cone (a vertex lies at
+    least 1.6e-3 inside, in 1 + s^2 - x1^2 - x2^2), a far term, one with
+    no wall on its plane at the representative (each such wall lies at
+    least 7.4e-7 from the vertex, so the term's verdict, and its having
+    no wall on its plane, hold at every keeper), and the rank (the
+    smallest singular value of a vertex's active normals is at least
+    0.14, against 1e-8; a turn keeps it).  That is a factor of 46 or more from
+    the tolerances, 2.3e4 from the measured residuals.  The near terms
+    are decided at each keeper instead: their incidences clear the bound
+    (a wall on its plane reads at most 2.8e-12 and any other at least
+    7.4e-7, against 1e-9), but MEMBERSHIP_TOL is tested on the raw
+    functional, so in unit-normal distance a term held only by walls on
+    their planes holds with margin MEMBERSHIP_TOL / |n| less the reading:
+    7.6e-13 at E3713 and E3715 and 1.2e-17 at Z1400, inside the bound,
+    and at Z1400 and Z1856 some keepers fail it that their
+    representatives pass (8 and 137; stand-ins replace them).  (Margins over the vertices of every admissible
+    k <= 50 and of E80, E173, Z110, Z160, E400, E1000, Z449, E3713,
+    Z1000, E3715, Z1400 and Z1856.)
 
     Only O(W) of the C(W, 3) triples are solved.  There are only two
     slab walls, so some power of the rotation sigma (`_sigma_permutation`)
@@ -585,41 +822,42 @@ def enumerate_vertices(cs: ConstraintSet) -> np.ndarray:
     pinned artifact bytes.
 
     The seeds' sigma-orbits, sorted and deduplicated into
-    itertools.combinations order, then go through the filters at their
-    usual setting.  Every filter acts on each triple alone, so the
-    survivors, their points and their order are those of the full scan,
-    and so is the merge.  Every level tried has 14 seeds (E) or 44 (Z).
+    itertools.combinations order (`_orbit_candidates`), then go through the
+    filters at their usual setting.  Every filter acts on each triple
+    alone, so the survivors, their points and their order are those of
+    the full scan, and so is the merge.  Every level tried has 14 seeds
+    (E) or 44 (Z).
     """
-    perm = _sigma_permutation(cs)
-    images = [_seed_triples(cs)]
-    for _ in range(cs.period - 1):
-        images.append(perm[images[-1]])
-    triples = np.unique(np.sort(np.vstack(images), axis=1), axis=0)
-
-    _, candidates = _solve_triples(cs.unit_normals, cs.offsets, triples)
-    order = np.lexsort(
-        (
-            np.round(candidates[:, 1], 10),
-            np.round(candidates[:, 0], 10),
-            np.round(candidates[:, 2], 10),
-        )
-    )
-    candidates = candidates[order]
+    _sigma_permutation(cs)  # sigma must permute the walls' planes
+    candidates, label_m, label_s = _orbit_candidates(cs, _seed_triples(cs))
     alive = np.ones(len(candidates), dtype=bool)
-    pinned = np.zeros(len(candidates), dtype=bool)
+    rep = np.full(len(candidates), -1)  # per decided candidate, its representative
+    power = np.zeros(len(candidates), dtype=int)  # and the power of sigma to it
+    pairs = []  # (candidate, wall) incidences of the pinned candidates, per round
     kept = new = np.flatnonzero(_merge_vertices(candidates, VERTEX_MERGE_TOL))
     while len(new):
-        good = np.zeros(len(new), dtype=bool)
-        good[_pinned(cs, candidates[new], MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL, 1e-8)] = True
+        of, power[new] = _orbit_match(cs, candidates[new], label_m[new], label_s[new])
+        rep[new] = new[of]
+        good, found = _pin_orbits(cs, candidates[new], of, power[new])
+        pairs.append((new[found[0]], found[1]))
         if good.all():
             break
-        pinned[new[good]] = True
         alive[new[~good]] = False
         kept = np.flatnonzero(alive)[_merge_vertices(candidates[alive], VERTEX_MERGE_TOL)]
-        new = kept[~pinned[kept]]
+        new = kept[rep[kept] < 0]
     if not len(kept):
         raise RuntimeError("no vertices found; the constraint set is degenerate")
-    return candidates[kept]
+    if len(pairs) > 1:  # the stand-ins of later rounds join the orbits of the first
+        of, power[kept] = _orbit_match(cs, candidates[kept], label_m[kept], label_s[kept])
+        rep[kept] = kept[of]
+    at = np.full(len(candidates), -1)
+    at[kept] = np.arange(len(kept))
+    candidate, wall = (np.concatenate(x) for x in zip(*pairs))
+    keep = at[candidate] >= 0  # a pinned candidate a later merge dropped has none
+    point, wall = at[candidate[keep]], wall[keep]
+    order = np.argsort(point * len(cs.all_walls()) + wall)
+    orbit = np.unique(rep[kept], return_inverse=True)[1]
+    return VertexSet(candidates[kept], point[order], wall[order], orbit, power[kept])
 
 
 @dataclass(frozen=True)
@@ -635,34 +873,82 @@ class Face:
 
 @dataclass
 class Polyhedron:
+    """The face complex of a build.  orbit and power are its vertices'
+    sigma-orbits as `enumerate_vertices` matched them (`VertexSet`)."""
+
     vertices: np.ndarray
     faces: tuple
     edges: tuple
+    orbit: np.ndarray = field(compare=False, repr=False)
+    power: np.ndarray = field(compare=False, repr=False)
 
     @property
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.faces)
 
 
-def _newell_normal(verts: np.ndarray, loop) -> np.ndarray:
-    n = np.zeros(3)
-    for i, j in zip(loop, loop[1:] + loop[:1]):
-        a, c = verts[i], verts[j]
-        n[0] += (a[1] - c[1]) * (a[2] + c[2])
-        n[1] += (a[2] - c[2]) * (a[0] + c[0])
-        n[2] += (a[0] - c[0]) * (a[1] + c[1])
-    return n
+def _pairs_within(rows: np.ndarray, size: np.ndarray, values: np.ndarray):
+    """Per run of `size` consecutive entries of values starting at each of
+    rows, every two of its entries (i < j in run order), and the run's
+    first row; runs of one entry give none."""
+    first, second, run = ([np.empty(0, dtype=int)] for _ in range(3))
+    for c in np.unique(size[size >= 2]).tolist():
+        at = rows[size == c]
+        i, j = np.triu_indices(c, 1)
+        first.append(values[at[:, None] + i].ravel())
+        second.append(values[at[:, None] + j].ravel())
+        run.append(np.repeat(at, len(i)))
+    return np.concatenate(first), np.concatenate(second), np.concatenate(run)
 
 
-def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
+def _skeleton_loops(walls, skeleton: np.ndarray, nv: int):
+    """The loops of every wall's 1-skeleton, given as the keys
+    (wall nv + i) nv + j of its edges (i < j), without repeats.  Returns
+    each loop's wall and vertices, loop after loop, and where each loop
+    starts: walls ascending, and a wall's loops by least vertex, each from
+    it.  A vertex of degree other than two on a wall raises RuntimeError
+    naming the wall and those vertices, the least such wall first.
+
+    Each (wall, vertex) node has two neighbours.  Directed edge 2 n + e
+    leaves node n to its e-th neighbour, and its successor leaves that
+    neighbour by the other side; one walk per loop follows the successor
+    array from the loop's least node."""
+    node = np.r_[skeleton // nv, skeleton // nv**2 * nv + skeleton % nv]
+    neighbour = np.r_[skeleton % nv, skeleton // nv % nv]
+    order = np.lexsort((neighbour, node))
+    nodes, degree = np.unique(node[order], return_counts=True)
+    if (degree != 2).any():
+        bad = nodes[degree != 2]
+        first = bad[0] // nv
+        raise RuntimeError(
+            f"wall {walls[first].label}: 1-skeleton vertex degrees "
+            f"{(bad[bad // nv == first] % nv).tolist()} != 2"
+        )
+    near = np.searchsorted(nodes, (nodes // nv * nv)[:, None] + neighbour[order].reshape(-1, 2))
+    after = (2 * near + (near[near, 0] == np.arange(len(nodes))[:, None])).ravel().tolist()
+    seen, seq, starts = bytearray(len(nodes)), [], []
+    for n in range(len(nodes)):
+        if seen[n]:
+            continue
+        starts.append(len(seq))
+        e = 2 * n
+        while True:
+            seq.append(e >> 1)
+            seen[e >> 1] = 1
+            e = after[e]
+            if e == 2 * n:
+                break
+    seq = nodes[np.array(seq, dtype=int)]
+    return seq // nv, seq % nv, np.array(starts, dtype=int)
+
+
+def build_polyhedron(cs: ConstraintSet, vertices: VertexSet) -> Polyhedron:
     """Assemble the face complex and validate that it is a closed surface.
 
-    Faces are extracted per wall by walking the 1-skeleton.  Every vertex
-    must lie in the domain (membership at MEMBERSHIP_TOL), else this raises
-    RuntimeError naming it, and the walls at each vertex are its active
-    walls at PLANE_INCIDENCE_TOL, the (vertex, wall) pairs of the same
-    `_wall_pass`.  Every two walls at a vertex meet there, and two vertices
-    where the same two walls meet form an edge on every wall the two share;
+    The walls at each vertex are its active walls, the (vertex, wall)
+    pairs `enumerate_vertices` decided (`VertexSet`); no wall pass runs
+    here.  Every two walls at a vertex meet there, and two vertices where
+    the same two walls meet form an edge on every wall the two share;
     each wall's 1-skeleton is those edges.  The two ends of an edge lie on
     both its walls, so these pairs hold every edge.  A pair that is not an
     edge joins two vertices of one face that its boundary does not join,
@@ -675,95 +961,93 @@ def build_polyhedron(cs: ConstraintSet, vertices: np.ndarray) -> Polyhedron:
     characteristic must be 2; violations are hard errors, not warnings.
     With degree two, a wall's loops run along all its pairs: the pairs are
     the edges.
+
+    All of it runs in arrays: the wall pairs met at each vertex, sorted on
+    one integer key, give the meet table; the skeleton is the (wall,
+    vertex, vertex) rows of its runs without repeats, and its loops are
+    walked on a successor array (`_skeleton_loops`).  Each loop's Newell
+    normal, one sum per loop, against its wall's outward normal orients
+    it, and the directed-edge and stray-vertex checks are sorts.  A wall
+    with more than one loop labels them wall#0, wall#1, ... by least
+    vertex.
     """
     if len(vertices) == 0:
         raise RuntimeError("cannot build a polyhedron without vertices")
     walls = cs.all_walls()
-    nv = len(vertices)
-    inside, (vertex, row) = _wall_pass(cs, vertices, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
-    if not inside.all():
-        raise RuntimeError(f"vertex {int(np.argmin(inside))} lies outside the domain")
-    # per two walls, the vertices where they meet, ascending
-    meet: dict[tuple[int, int], list[int]] = {}
-    for v, at in itertools.groupby(zip(vertex.tolist(), row.tolist()), key=lambda p: p[0]):
-        for pair in itertools.combinations([w for _, w in at], 2):
-            meet.setdefault(pair, []).append(v)
-    skeleton: dict[int, dict[int, set[int]]] = {}
-    for pair, ends in meet.items():
-        for i, j in itertools.combinations(ends, 2):
-            for w in pair:
-                adj = skeleton.setdefault(w, {})
-                adj.setdefault(i, set()).add(j)
-                adj.setdefault(j, set()).add(i)
-    edges = sorted({e for ends in meet.values() for e in itertools.combinations(ends, 2)})
-
-    faces = []
-    for wi in sorted(skeleton):
-        wall, adj = walls[wi], skeleton[wi]
-        bad = {v: ns for v, ns in adj.items() if len(ns) != 2}
-        if bad:
-            raise RuntimeError(
-                f"wall {wall.label}: 1-skeleton vertex degrees {sorted(bad)} != 2"
-            )
-        seen = set()
-        loops = []
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            loop = [start]
-            seen.add(start)
-            prev, cur = None, start
-            while True:
-                nxt = next(v for v in adj[cur] if v != prev)
-                if nxt == start:
-                    break
-                loop.append(nxt)
-                seen.add(nxt)
-                prev, cur = cur, nxt
-            if len(loop) < 3:
-                raise RuntimeError(f"wall {wall.label}: degenerate loop {loop}")
-            loops.append(loop)
-        outward = cs.unit_normals[wi] if wall.side == "I" else -cs.unit_normals[wi]
-        for li, loop in enumerate(loops):
-            newell = _newell_normal(vertices, loop)
-            sense = float(newell @ outward)
-            if abs(sense) < 1e-12:
-                raise RuntimeError(f"wall {wall.label}: flat degenerate loop")
-            if sense < 0:
-                loop = loop[::-1]
-            pivot = loop.index(min(loop))
-            loop = loop[pivot:] + loop[:pivot]
-            label = wall.label if len(loops) == 1 else f"{wall.label}#{li}"
-            faces.append(Face(label=label, wall=wall, loop=tuple(loop)))
-
-    faces.sort(
-        key=lambda f: (
-            _LABEL_ORDER.get(f.label.split("[")[0], 9),
-            f.label,
-        )
+    pts, point, wall = vertices.points, vertices.point, vertices.wall
+    nv, n_walls = len(pts), len(walls)
+    # the meet table: per two walls at a vertex, the pair's key and the vertex, by key then vertex
+    count = np.bincount(point, minlength=nv)
+    w1, w2, at = _pairs_within(np.cumsum(count) - count, count, wall)
+    order = np.lexsort((point[at], w1 * n_walls + w2))
+    key, meet = (w1 * n_walls + w2)[order], point[at][order]
+    # two vertices where the same two walls meet: an edge, on both walls
+    runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    i, j, run = _pairs_within(runs, np.diff(np.r_[runs, len(key)]), meet)
+    edge_keys = np.unique(i * nv + j)
+    edges = tuple(zip((edge_keys // nv).tolist(), (edge_keys % nv).tolist()))
+    on = np.r_[key[run] // n_walls, key[run] % n_walls]
+    loop_wall, loop_vertex, first = _skeleton_loops(
+        walls, np.unique((on * nv + np.tile(i, 2)) * nv + np.tile(j, 2)), nv
     )
 
-    directed = {}
-    for fi, face in enumerate(faces):
-        for i, j in zip(face.loop, face.loop[1:] + face.loop[:1]):
-            if (i, j) in directed:
-                raise RuntimeError(
-                    f"directed edge {(i, j)} traversed twice; not orientable"
-                )
-            directed[(i, j)] = fi
-    for (i, j) in directed:
-        if (j, i) not in directed:
-            raise RuntimeError(f"edge {(i, j)} lacks its reversed twin; not closed")
-    # so each edge lies in exactly two faces, one per direction of travel
+    bounds = np.r_[first, len(loop_vertex)]
+    nxt = np.arange(1, len(loop_vertex) + 1)
+    nxt[bounds[1:] - 1] = first
+    a, c = pts[loop_vertex], pts[loop_vertex[nxt]]
+    newell = np.add.reduceat(np.column_stack([
+        (a[:, 1] - c[:, 1]) * (a[:, 2] + c[:, 2]),
+        (a[:, 2] - c[:, 2]) * (a[:, 0] + c[:, 0]),
+        (a[:, 0] - c[:, 0]) * (a[:, 1] + c[:, 1]),
+    ]), first, axis=0)
+    face_wall = loop_wall[first]
+    inward = np.array([w.side != "I" for w in walls])[face_wall]
+    sense = (newell * cs.unit_normals[face_wall]).sum(axis=1) * np.where(inward, -1.0, 1.0)
+    flat = np.abs(sense) < 1e-12
+    if flat.any():
+        raise RuntimeError(f"wall {walls[face_wall[np.argmax(flat)]].label}: flat degenerate loop")
 
-    touched = {v for f in faces for v in f.loop}
-    if touched != set(range(nv)):
+    faces = []
+    loops_on = np.bincount(face_wall, minlength=n_walls)
+    index = np.arange(len(first)) - np.searchsorted(face_wall, face_wall)
+    vertex_list = loop_vertex.tolist()
+    for w, li, lo, hi, forward in zip(
+        face_wall.tolist(), index.tolist(), first.tolist(), bounds[1:].tolist(),
+        (sense > 0).tolist(),
+    ):
+        loop = vertex_list[lo:hi]
+        if not forward:
+            loop = loop[:1] + loop[:0:-1]
+        label = walls[w].label if loops_on[w] == 1 else f"{walls[w].label}#{li}"
+        faces.append(Face(label=label, wall=walls[w], loop=tuple(loop)))
+    faces.sort(key=lambda f: (_LABEL_ORDER.get(f.label.split("[")[0], 9), f.label))
+
+    # every directed edge once, with its reversed twin: each edge lies in two faces
+    size = np.array([len(f.loop) for f in faces], dtype=int)
+    tail = np.fromiter(itertools.chain.from_iterable(f.loop for f in faces), int, size.sum())
+    head_at = np.arange(1, len(tail) + 1)
+    head_at[np.cumsum(size) - 1] = np.cumsum(size) - size
+    head = tail[head_at]
+    directed = tail * nv + head
+    order = np.argsort(directed, kind="stable")
+    twice = order[1:][directed[order][1:] == directed[order][:-1]]
+    if len(twice):
+        e = int(twice.min())
+        raise RuntimeError(
+            f"directed edge {(int(tail[e]), int(head[e]))} traversed twice; not orientable"
+        )
+    lonely = np.flatnonzero(~np.isin(head * nv + tail, directed))
+    if len(lonely):
+        e = int(lonely[0])
+        raise RuntimeError(
+            f"edge {(int(tail[e]), int(head[e]))} lacks its reversed twin; not closed"
+        )
+    if len(np.unique(tail)) != nv:
         raise RuntimeError("stray vertices not used by any face")
 
     poly = Polyhedron(
-        vertices=vertices,
-        faces=tuple(faces),
-        edges=tuple(edges),
+        vertices=pts, faces=tuple(faces), edges=edges,
+        orbit=vertices.orbit, power=vertices.power,
     )
     if poly.euler_characteristic != 2:
         raise RuntimeError(
@@ -793,13 +1077,16 @@ def _nearest_vertices(image: np.ndarray, vertices: np.ndarray, tol: float, order
 
 
 def detect_symmetry(poly: Polyhedron, cs: ConstraintSet) -> Optional[float]:
-    """Smallest chart rotation about the s-axis mapping vertices to vertices."""
-    order = np.argsort(poly.vertices[:, 0])
-    for psi in (math.pi / cs.tri.p, 2.0 * math.pi / cs.tri.p):
-        image = poly.vertices @ _s_axis_rotation(psi).T
-        if (_nearest_vertices(image, poly.vertices, 1e-8, order) >= 0).all():
-            return psi
-    return None
+    """The rotation sigma, through pi/p about the s-axis, when it maps the
+    vertices onto themselves, read off the build's own orbit match, else
+    None.  `enumerate_vertices` checked every vertex within _ORBIT_TOL of
+    sigma^n of its orbit's representative (`_orbit_match`); when each
+    orbit holds every power n = 0, ..., period - 1 once, sigma carries
+    each vertex to within 2 _ORBIT_TOL of the next power's, so the vertex
+    set is sigma-invariant."""
+    slots = (int(poly.orbit.max()) + 1) * cs.period
+    held = np.bincount(poly.orbit * cs.period + poly.power, minlength=slots)
+    return math.pi / cs.tri.p if (held == 1).all() else None
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ load no numpy.
 
 from __future__ import annotations
 
-import json
+import itertools
 import os
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -28,6 +29,8 @@ SVG_SIZE = 512
 SVG_MARGIN = 16.0
 
 _FACE_STROKE = {"a": "#b03030", "b": "#3050b0", "c": "#30a050"}
+
+_INFINITY = float("inf")
 
 
 def singularity_label(series: str, k: int) -> str:
@@ -145,7 +148,7 @@ def report_dict(
             "euler_characteristic": poly.euler_characteristic,
         },
         "symmetry_angle": None if symmetry_angle is None else float(symmetry_angle),
-        "vertices": [[float(c) for c in v] for v in poly.vertices],
+        "vertices": poly.vertices.tolist(),
         "faces": [
             {"label": f.label, "loop": list(f.loop), "slab": f.is_slab}
             for f in poly.faces
@@ -180,8 +183,99 @@ def report_dict(
     }
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _number_body(items, inner: str):
+    """The body of a list of floats or of ints, or of equally long lists
+    of them (vertices, vertex maps), one type throughout, as `json` writes
+    it with its items at the indent of inner; None for any other list.
+    Each item is one %-format: %r gives a float its `float.__repr__` and
+    %d an int its `int.__repr__`.  A float's repr holds an n only as nan
+    or inf, and those go item by item."""
+    kinds, item = set(map(type, items)), "%s"
+    if kinds == {list}:
+        size = set(map(len, items))
+        if len(size) != 1 or 0 in size:
+            return None
+        cell = inner + "  "
+        item = "[" + cell + ("," + cell).join(["%s"] * size.pop()) + inner + "]"
+        kinds = set(map(type, itertools.chain.from_iterable(items)))
+        items = map(tuple, items)
+    if kinds != {float} and kinds != {int}:
+        return None
+    item = item.replace("%s", "%r" if float in kinds else "%d")
+    text = ("," + inner).join(map(item.__mod__, items))
+    return None if "n" in text else text
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
+def _json(o, nl: str) -> str:
+    """The text `json.dumps(o, indent=2, sort_keys=True)` writes for o at
+    the indent of nl (a newline and the enclosing indent), for what a
+    report holds: the exact scalar types, by table, lists, tuples and
+    str-keyed dicts.  Anything else raises TypeError."""
+    write = _SCALARS.get(type(o))
+    if write is not None:
+        return write(o)
+    if type(o) in (list, tuple):
+        return _json_list(o, nl)
+    if type(o) is dict:
+        return _json_dict(o, nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_list(o, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    body = _number_body(o, inner)
+    if body is None:
+        body = ("," + inner).join([_json(v, inner) for v in o])
+    return "[" + inner + body + nl + "]"
+
+
+def _json_dict(o, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    items = []
+    for k in sorted(o):
+        if type(k) is not str:
+            raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+        v = o[k]
+        write = _SCALARS.get(type(v))
+        items.append(
+            encode_basestring_ascii(k) + ": " + (write(v) if write is not None else _json(v, inner))
+        )
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
 def json_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(report, indent=2, sort_keys=True)` and a newline, byte
+    for byte, without the pure-Python encoder that `indent` selects:
+    containers recurse, and each list of numbers, or of equally long
+    lists of them, is one join of %-formats (`_number_body`).  Strings go
+    through `json`'s own ASCII escaper and NaN and the infinities are
+    spelled as `json` spells them.  Only what a report holds is written
+    (`_json`): the types `json` rejects, and keys other than str, raise
+    TypeError."""
+    return _json(report, "\n") + "\n"
 
 
 def _svg_map(x: float, y: float) -> tuple:

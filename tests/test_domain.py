@@ -46,7 +46,6 @@ from lorentzdomains.domain import (
     _left_factor,
     _merge_vertices,
     _nearest_vertices,
-    _newell_normal,
     _partner_wall,
     _pinned,
     _ranks,
@@ -68,6 +67,13 @@ from lorentzdomains.halfspaces import _chart_cone, batch_wall
 from halfspace_oracle import chart_point, pairing_form
 from lifts import level_build, level_constraints, lift
 from cycle_oracle import scalar_edge_cycles
+from polyhedron_oracle import (
+    dict_polyhedron,
+    full_pass,
+    newell_normal,
+    rotation_scan_symmetry,
+    trivial_orbits,
+)
 from seed_oracle import SEED_BLOCK, sector_blocks, sector_seeds
 from word_oracle import (
     SchreierTree,
@@ -135,6 +141,18 @@ def test_e2_symmetry(e2):
     psi = detect_symmetry(poly, cs)
     assert psi is not None
     assert abs(psi - math.pi / 5.0) < 1e-12
+
+
+def test_symmetry_needs_one_vertex_per_power_of_sigma_in_each_orbit(e2):
+    """The angle comes from the orbit match only where every orbit holds
+    each power of sigma once; trivial orbits, each vertex alone, give
+    none."""
+    cs, poly, _ = e2
+    assert detect_symmetry(poly, cs) == rotation_scan_symmetry(poly, cs) == math.pi / 5.0
+    doubled = dataclasses.replace(poly, power=np.where(poly.power == 1, 0, poly.power))
+    assert detect_symmetry(doubled, cs) is None
+    orbit, power = trivial_orbits(len(poly.vertices))
+    assert detect_symmetry(dataclasses.replace(poly, orbit=orbit, power=power), cs) is None
 
 
 def test_counts_scale_with_rotation_order():
@@ -362,8 +380,8 @@ def _reference_membership(cs, pts, tol):
 
 
 def _reference_vertices(cs, banned=None):
-    """Every triple through the filters, then the merge; a `banned` point
-    is dropped with the filters."""
+    """Every triple through the filters, then the merge; the `banned`
+    points are dropped with the filters."""
     walls = cs.all_walls()
     normals, offsets = cs.unit_normals, cs.offsets
     triples = np.array(list(itertools.combinations(range(len(walls)), 3)), dtype=int)
@@ -388,7 +406,7 @@ def _reference_vertices(cs, banned=None):
     ]
     candidates = candidates[keep]
     if banned is not None:
-        candidates = candidates[(candidates != banned).any(axis=1)]
+        candidates = candidates[~(candidates[:, None, :] == banned[None]).all(axis=2).any(axis=1)]
     order = np.lexsort(
         (
             np.round(candidates[:, 1], 10),
@@ -668,10 +686,42 @@ def test_merge_vertices_matches_the_sequential_merge():
 def test_enumerate_vertices_matches_reference(series, k):
     """The sector scan against every triple of the full scan, bit for bit."""
     cs = level_constraints(series, k)
-    got = enumerate_vertices(cs)
+    got = enumerate_vertices(cs).points
     ref = _reference_vertices(cs)
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert got.tobytes() == ref.tobytes()
+
+
+def _banned_build(cs, banned, monkeypatch):
+    """`enumerate_vertices` with `_pin_orbits` rejecting the points
+    `banned` as well: the vertex set, the point count of each pin round,
+    and the vertices of filtering every candidate first (banned points
+    with the filters) and merging after.  The incidences are checked
+    against a full wall pass, and no banned point is kept."""
+    real, calls = domain._pin_orbits, []
+
+    def rejecting(cs, pts, of, power):
+        good, (point, wall) = real(cs, pts, of, power)
+        calls.append(len(pts))
+        good &= ~(pts[:, None, :] == banned[None]).all(axis=2).any(axis=1)
+        return good, (point[good[point]], wall[good[point]])
+
+    monkeypatch.setattr(domain, "_pin_orbits", rejecting)
+    got = enumerate_vertices(cs)
+    assert not (got.points[:, None, :] == banned[None]).all(axis=2).any()
+    _, (point, wall) = _wall_pass(cs, got.points, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
+    assert np.array_equal(got.point, point) and np.array_equal(got.wall, wall)
+    return got, calls, _reference_vertices(cs, banned)
+
+
+def _assert_orbits_restored(cs, got, found):
+    """Stand-ins that restore the vertex set join the orbits of the first
+    round: as many orbits as before, each holding every power of sigma
+    once, and the angle is the rotation scan's."""
+    assert got.orbit.max() == found.orbit.max()
+    assert (np.bincount(got.orbit * cs.period + got.power) == 1).all()
+    poly = build_polyhedron(cs, got)
+    assert detect_symmetry(poly, cs) == rotation_scan_symmetry(poly, cs) == math.pi / cs.tri.p
 
 
 @pytest.mark.parametrize(
@@ -680,33 +730,46 @@ def test_enumerate_vertices_matches_reference(series, k):
 def test_a_kept_vertex_that_fails_the_pin_gives_filter_then_merge(
     series, k, index, stand_in, monkeypatch
 ):
-    """The merge runs before the pin: when `_pinned` rejects one vertex
-    that the merge kept, the build drops it, merges again and pins the new
-    keepers, and the vertices are those of filtering every candidate
-    first and merging after, bit for bit.  Where another candidate lies
-    within the merge tolerance of the banned vertex, it stands in for it
-    and is pinned in a second round; else the vertex is gone."""
+    """The merge runs before the pin: when `_pin_orbits` rejects one
+    vertex that the merge kept, the build drops it, merges again and pins
+    the new keepers, and the vertices are those of filtering every
+    candidate first and merging after, bit for bit.  Where another
+    candidate lies within the merge tolerance of the banned vertex, it
+    stands in for it and is pinned in a second round, and joins the orbit
+    of the vertex it replaces; else the vertex is gone."""
     cs = level_constraints(series, k)
-    vertices = enumerate_vertices(cs)
-    banned = vertices[index]
-    real, calls = domain._pinned, []
-
-    def rejecting(cs, pts, *tols):
-        got = real(cs, pts, *tols)
-        if tols[0] != MEMBERSHIP_TOL:
-            return got  # the seed pass
-        calls.append(len(pts))
-        return got[(pts[got] != banned).any(axis=1)]
-
-    monkeypatch.setattr(domain, "_pinned", rejecting)
-    got = enumerate_vertices(cs)
-    ref = _reference_vertices(cs, banned)
-    assert got.tobytes() == ref.tobytes()
-    assert not (got == banned).all(axis=1).any()
+    found = enumerate_vertices(cs)
+    vertices = found.points
+    got, calls, ref = _banned_build(cs, vertices[[index]], monkeypatch)
+    assert got.points.tobytes() == ref.tobytes()
     if stand_in:
         assert len(got) == len(vertices) and len(calls) == 2 and calls[1] < calls[0]
+        _assert_orbits_restored(cs, got, found)
     else:
         assert len(got) == len(vertices) - 1 and len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "series,k,index,rounds,lost", [("E", 2, 5, 2, 0), ("Z", 4, 4, 3, 0), ("Z", 4, 5, 1, 22)]
+)
+def test_a_kept_orbit_that_fails_the_pin_gives_filter_then_merge(
+    series, k, index, rounds, lost, monkeypatch
+):
+    """As above, with the kept vertices of one whole sigma-orbit rejected:
+    stand-ins replace them over later rounds (at Z4 a stand-in with a
+    banned vertex's very coordinates is banned too, and a third round
+    pins the next), or the whole orbit is gone (22 vertices at Z4)."""
+    cs = level_constraints(series, k)
+    found = enumerate_vertices(cs)
+    vertices = found.points
+    banned = vertices[found.orbit == found.orbit[index]]
+    assert len(banned) == cs.period
+    got, calls, ref = _banned_build(cs, banned, monkeypatch)
+    assert got.points.tobytes() == ref.tobytes()
+    assert len(got) == len(vertices) - lost and len(calls) == rounds
+    assert all(later < calls[0] for later in calls[1:])
+    if not lost:
+        _assert_orbits_restored(cs, got, found)
 
 
 def _reference_polyhedron(cs, vertices):
@@ -771,7 +834,7 @@ def _reference_polyhedron(cs, vertices):
             loops.append(loop)
         outward = cs.unit_normals[wi] if wall.side == "I" else -cs.unit_normals[wi]
         for li, loop in enumerate(loops):
-            if _newell_normal(vertices, loop) @ outward < 0:
+            if newell_normal(vertices, loop) @ outward < 0:
                 loop = loop[::-1]
             pivot = loop.index(min(loop))
             label = wall.label if len(loops) == 1 else f"{wall.label}#{li}"
@@ -793,35 +856,43 @@ def test_build_polyhedron_matches_reference(series, k):
     cs = level_constraints(series, k)
     vertices = enumerate_vertices(cs)
     poly = build_polyhedron(cs, vertices)
-    edges, faces = _reference_polyhedron(cs, vertices)
+    edges, faces = _reference_polyhedron(cs, vertices.points)
     assert poly.edges == edges
     assert [(f.label, f.loop) for f in poly.faces] == faces
 
 
 @pytest.mark.parametrize("series,k", [("E", 2), ("Z", 1), ("Z", 4)])
 def test_build_polyhedron_rejects_a_broken_vertex_set(series, k):
-    """Each hard error of the assembly fires on a mutated vertex set.  An
-    edge's midpoint, a dropped vertex and a duplicated vertex each leave a
-    wall skeleton with a vertex of degree other than two; an interior point
-    lies on no face; a point beyond the slab lies outside the domain."""
+    """Each hard error of the assembly fires on a mutated vertex set, its
+    incidences from one full wall pass (`full_pass`), with the message of
+    the dict-of-sets assembly.  An edge's midpoint, a dropped vertex and a
+    duplicated vertex each leave a wall skeleton with a vertex of degree
+    other than two; an interior point lies on no face; a point beyond the
+    slab lies outside the domain, and the wall pass rejects it before any
+    assembly."""
     cs = level_constraints(series, k)
-    vertices = enumerate_vertices(cs)
-    poly = build_polyhedron(cs, vertices)
+    vertices = enumerate_vertices(cs).points
+    poly = build_polyhedron(cs, full_pass(cs, vertices))
     nv = len(vertices)
+
+    def both_raise(points, match):
+        with pytest.raises(RuntimeError, match=match) as got:
+            build_polyhedron(cs, full_pass(cs, points))
+        with pytest.raises(RuntimeError) as ref:
+            dict_polyhedron(cs, points)
+        assert str(got.value) == str(ref.value)
+
     for i, j in (poly.edges[0], poly.edges[len(poly.edges) // 2], poly.edges[-1]):
         for broken in (
             np.vstack([vertices, 0.5 * (vertices[i] + vertices[j])]),
             np.delete(vertices, j, axis=0),
             np.vstack([vertices, vertices[i]]),
         ):
-            with pytest.raises(RuntimeError, match="1-skeleton vertex degrees"):
-                build_polyhedron(cs, broken)
-    with pytest.raises(RuntimeError, match="stray vertices"):
-        build_polyhedron(cs, np.vstack([vertices, [0.0, 0.0, 0.0]]))
+            both_raise(broken, "1-skeleton vertex degrees")
+    both_raise(np.vstack([vertices, [0.0, 0.0, 0.0]]), "stray vertices")
     with pytest.raises(RuntimeError, match=f"vertex {nv} lies outside the domain"):
-        build_polyhedron(cs, np.vstack([vertices, [0.0, 0.0, 50.0]]))
-    with pytest.raises(RuntimeError, match="without vertices"):
-        build_polyhedron(cs, vertices[:0])
+        full_pass(cs, np.vstack([vertices, [0.0, 0.0, 50.0]]))
+    both_raise(vertices[:0], "without vertices")
 
 
 def _dense_rule_polyhedron(cs, vertices):
@@ -861,7 +932,7 @@ def _dense_rule_polyhedron(cs, vertices):
             loops.append(loop)
         outward = cs.unit_normals[wi] if wall.side == "I" else -cs.unit_normals[wi]
         for li, loop in enumerate(loops):
-            if _newell_normal(vertices, loop) @ outward < 0:
+            if newell_normal(vertices, loop) @ outward < 0:
                 loop = loop[::-1]
             pivot = loop.index(min(loop))
             label = wall.label if len(loops) == 1 else f"{wall.label}#{li}"
@@ -878,13 +949,109 @@ def test_build_polyhedron_matches_the_dense_rule_above_k50():
     cs = level_constraints("E", 173)
     vertices = enumerate_vertices(cs)
     poly = build_polyhedron(cs, vertices)
-    edges, faces, inc, edge_walls = _dense_rule_polyhedron(cs, vertices)
+    edges, faces, inc, edge_walls = _dense_rule_polyhedron(cs, vertices.points)
     assert poly.edges == edges
     assert [(f.label, f.loop) for f in poly.faces] == faces
     meet = inc.astype(np.int64) @ inc.T.astype(np.int64)
     np.fill_diagonal(meet, 0)
     assert meet.max() == 2
     assert (edge_walls.sum(axis=0) == 2).all()
+
+
+EQUIVARIANT_LEVELS = ADMISSIBLE_LEVELS + [
+    ("E", 80), ("E", 173), ("Z", 110), ("Z", 160), ("E", 400), ("E", 1000), ("Z", 449),
+    ("E", 3713),
+]
+
+
+@pytest.mark.parametrize("series,k", EQUIVARIANT_LEVELS)
+def test_equivariant_build_matches_the_full_passes(series, k):
+    """The incidences decided per sigma-orbit equal those of one full
+    `_wall_pass` over the vertices, every vertex inside; the array face
+    complex equals the dict-of-sets assembly (`dict_polyhedron`) edge for
+    edge and face for face; and the angle read off the orbit match is the
+    rotation scan's, bit for bit.  Each orbit holds one vertex per power
+    of sigma: 2 orbits (E) or 4 (Z)."""
+    cs = level_constraints(series, k)
+    found = enumerate_vertices(cs)
+    inside, (point, wall) = _wall_pass(cs, found.points, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
+    assert inside.all()
+    assert np.array_equal(found.point, point) and np.array_equal(found.wall, wall)
+    poly = build_polyhedron(cs, found)
+    ref = dict_polyhedron(cs, found.points)
+    assert poly.edges == ref.edges and poly.faces == ref.faces
+    psi = detect_symmetry(poly, cs)
+    assert psi is not None and psi == rotation_scan_symmetry(poly, cs)
+    assert found.orbit.max() + 1 == (2 if series == "E" else 4)
+    assert (np.bincount(found.orbit * cs.period + found.power) == 1).all()
+
+
+@pytest.mark.parametrize("series,k,dropped", [("Z", 1400, [8, 0]), ("Z", 1856, [137, 11, 0])])
+def test_stand_ins_join_the_orbits_of_the_first_round(series, k, dropped, monkeypatch):
+    """At Z1400 and Z1856 the pin drops keepers that their representatives
+    keep (a term held only by walls on their planes holds by about 1e-17
+    in unit-normal distance), and later rounds pin stand-ins for them.
+    The stand-ins join the orbits of the first round: 4 orbits, each
+    holding every power of sigma once, so the angle read off the orbit
+    match is the rotation scan's.  The incidences are those of a full
+    `_wall_pass`."""
+    real, rounds = domain._pin_orbits, []
+
+    def counting(cs, pts, of, power):
+        good, pairs = real(cs, pts, of, power)
+        rounds.append(int((~good).sum()))
+        return good, pairs
+
+    monkeypatch.setattr(domain, "_pin_orbits", counting)
+    cs = level_constraints(series, k)
+    found = enumerate_vertices(cs)
+    assert rounds == dropped
+    inside, (point, wall) = _wall_pass(cs, found.points, MEMBERSHIP_TOL, PLANE_INCIDENCE_TOL)
+    assert inside.all()
+    assert np.array_equal(found.point, point) and np.array_equal(found.wall, wall)
+    assert found.orbit.max() + 1 == 4
+    assert (np.bincount(found.orbit * cs.period + found.power) == 1).all()
+    poly = build_polyhedron(cs, found)
+    assert detect_symmetry(poly, cs) == rotation_scan_symmetry(poly, cs) == math.pi / cs.tri.p
+
+
+@pytest.mark.parametrize("series,k", [("E", 2), ("Z", 14), ("E", 40)])
+def test_a_keeper_off_its_rotated_representative_raises(series, k, monkeypatch):
+    """A keeper moved past _ORBIT_TOL from its representative turned by
+    its power of sigma fails the orbit check, which names the vertex and
+    the residual; moved by half the bound, it is kept where it was
+    solved, and the rest of the build is unchanged."""
+    cs = level_constraints(series, k)
+    vertices = enumerate_vertices(cs).points
+    index = len(vertices) - 1
+    real = domain._solve_triples
+
+    def moving(shift):
+        def solve(normals, offsets, triples, slack=1.0):
+            solved, pts = real(normals, offsets, triples, slack)
+            if slack == 1.0:
+                pts[(pts == vertices[index]).all(axis=1), 0] += shift
+            return solved, pts
+        return solve
+
+    monkeypatch.setattr(domain, "_solve_triples", moving(0.5 * domain._ORBIT_TOL))
+    got = enumerate_vertices(cs).points
+    assert (got[index] != vertices[index]).any()
+    assert np.delete(got, index, axis=0).tobytes() == np.delete(vertices, index, axis=0).tobytes()
+    monkeypatch.setattr(domain, "_solve_triples", moving(2.0 * domain._ORBIT_TOL))
+    with pytest.raises(RuntimeError, match=rf"vertex {index} at .* lies 2e-11 from sigma\^\d+ "
+                                           rf"of vertex \d+: beyond 1e-11"):
+        enumerate_vertices(cs)
+
+
+def test_an_orbit_whose_representative_lies_on_no_wall_is_not_pinned():
+    """A representative with no wall on its plane (the chart origin, inside
+    the domain) has nothing to pin it: its whole orbit fails the pin."""
+    cs = level_constraints("E", 2)
+    pts = np.zeros((2, 3))
+    good, (point, wall) = domain._pin_orbits(cs, pts, np.array([0, 0]), np.array([0, 1]))
+    assert not good.any() and len(point) == len(wall) == 0
+    assert membership_mask(cs, pts).all()
 
 
 def _sector_triples(n_first, n):
@@ -976,9 +1143,9 @@ def test_streamed_seed_pass_matches_the_one_shot_pass(series, k, monkeypatch):
     n_sector = len(cs.groups[0]) * len(cs.all_walls()) ** 2
     for size in [97, SEED_BLOCK, n_sector] + ([1] if k <= 2 else []):
         assert _same_seeds(sector_seeds(cs, size), ref_seeds)
-    vertices = enumerate_vertices(cs)
+    vertices = enumerate_vertices(cs).points
     monkeypatch.setattr(domain, "_seed_triples", lambda cs: ref_seeds)
-    assert enumerate_vertices(cs).tobytes() == vertices.tobytes()
+    assert enumerate_vertices(cs).points.tobytes() == vertices.tobytes()
 
 
 SEED_WINDOW_LEVELS = [(s, k) for s in ("E", "Z") for k in (1, 2, 4, 5)]

@@ -132,6 +132,62 @@ def test_json_report_round_trip(e1_run):
     assert "timestamp" not in text and "date" not in text
 
 
+def _dumps(o):
+    return json.dumps(o, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("series,k", [("E", 1), ("Z", 2), ("Z", 14), ("E", 40)])
+def test_json_text_is_the_indented_json_dump(series, k):
+    """The writer gives the bytes of `json.dumps(report, indent=2,
+    sort_keys=True)` on build reports."""
+    report = level_build(series, k).report
+    assert json_text(report) == _dumps(report)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(st.floats(), max_size=4) | st.lists(st.integers() | st.booleans(), max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_matches_json_dumps_on_any_value(value):
+    """Byte for byte against `json.dumps`: NaN and the infinities, bools,
+    None, empty containers, tuples, and strings escaped to ASCII."""
+    assert json_text(value) == _dumps(value)
+
+
+def test_json_text_escapes_and_keys_as_json_does():
+    strings = ["\u00e9\u4e2d\U0001f600\ud83d", "\"quote\" \\ \n\t\x00\x7f", ""]
+    value = {s: [s, [], {}, [[]], [{}], [True, False, None, 1, 1.0]] for s in strings}
+    value.update({"nan": math.nan, "inf": [math.inf, -math.inf], "zero": [-0.0, 0.0]})
+    assert json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value", [{1, 2}, b"x", np.int64(3), np.bool_(True), object(), [1, {2}], {"a": [1.0, 2j]}]
+)
+def test_json_text_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as ref:
+        _dumps(value)
+    with pytest.raises(TypeError) as got:
+        json_text(value)
+    assert str(got.value) == str(ref.value)
+
+
+def test_json_text_rejects_keys_other_than_str():
+    """A report's keys are all str; `json` writes numeric keys and rejects
+    the rest, the writer rejects every other key."""
+    for value in ({(1, 2): 0}, {"a": 0, 1: 0}, {1: 0}, {None: 0}):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
 def test_svg_render(e1_run):
     poly = e1_run.poly
     text = svg_text(e1_run.report)

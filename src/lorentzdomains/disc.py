@@ -149,12 +149,26 @@ def _canonical_order(points):
     return sorted(points, key=lambda x: (round(cmath.phase(x), 9), round(abs(x), 9)))
 
 
+# A twin of a point lies in the point's own cell unless the point lies
+# within twice the merge tolerance of the cell's edge, in cell units; the
+# second tolerance covers the rounding of the cell coordinates.
+_CELL_EDGE = 2.0 * ORBIT_DEDUP_TOL / _GRID
+
+
 def _dedup_insert(seen: dict, x: complex) -> bool:
-    """Insert x into the spatial hash; return False if a twin already exists."""
-    ci = round(x.real / _GRID)
-    cj = round(x.imag / _GRID)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
+    """Insert x into the spatial hash; return False if a twin already exists.
+
+    Only x's own cell is probed, or the 3 x 3 block around it when x lies
+    within _CELL_EDGE of the cell's edge: a twin, within ORBIT_DEDUP_TOL of
+    x, is in no other cell.
+    """
+    u = x.real / _GRID
+    v = x.imag / _GRID
+    ci = round(u)
+    cj = round(v)
+    steps = (0,) if max(abs(u - ci), abs(v - cj)) < 0.5 - _CELL_EDGE else (-1, 0, 1)
+    for di in steps:
+        for dj in steps:
             y = seen.get((ci + di, cj + dj))
             if y is not None and abs(x - y) <= ORBIT_DEDUP_TOL:
                 return False

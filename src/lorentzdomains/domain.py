@@ -522,21 +522,43 @@ def _decide_terms(cs: ConstraintSet, pts: np.ndarray, rows: np.ndarray, power, t
     return holds, np.hstack(near), active, walls, size
 
 
-def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float, order=None):
-    """The (row, point) index pairs whose first coordinates differ by at
-    most 2 tol, with the distance |points[point] - rows[row]| of each.
+# A fixed unit direction off every symmetry axis of the vertex sets: they
+# are mirror-symmetric, so many points share x1, and a window on x1 scans
+# about two pairs for each close one (Z1000).
+_WINDOW_DIRECTION = np.array([1.0, 1.0 / math.e, 1.0 / math.pi])
 
-    The points are sorted by their first coordinate (`order`, the argsort
-    of points[:, 0], when the caller has it) and each row's window found by
-    `searchsorted`, so every pair within tol is among them: the margin of
-    2 tol covers the rounding of the difference for coordinates far below
+
+def _window_key(points: np.ndarray) -> np.ndarray:
+    """The projections that `_close_pairs` windows on: points (n, d), d = 2
+    or 3, on the first d coordinates of _WINDOW_DIRECTION, normalised."""
+    u = _WINDOW_DIRECTION[: points.shape[1]]
+    return points @ (u / np.linalg.norm(u))
+
+
+def _window_order(points: np.ndarray) -> np.ndarray:
+    """The argsort of `_window_key(points)`, the `order` of `_close_pairs`."""
+    return np.argsort(_window_key(points))
+
+
+def _close_pairs(rows: np.ndarray, points: np.ndarray, tol: float, order=None):
+    """The (row, point) index pairs whose projections on a unit direction
+    (`_window_key`) differ by at most 2 tol, with the distance
+    |points[point] - rows[row]| of each.
+
+    The points are sorted by their projection (`order`, from
+    `_window_order(points)`, when the caller has it) and each row's window
+    found by `searchsorted`, so every pair within tol is among them: a
+    projection moves no more than the distance, and the margin of 2 tol
+    covers the rounding of the difference for coordinates far below
     tol / eps in size.
     """
+    x = _window_key(points)
     if order is None:
-        order = np.argsort(points[:, 0])
-    x = points[order, 0]
-    lo = np.searchsorted(x, rows[:, 0] - 2.0 * tol, side="left")
-    count = np.searchsorted(x, rows[:, 0] + 2.0 * tol, side="right") - lo
+        order = np.argsort(x)
+    x = x[order]
+    key = _window_key(rows)
+    lo = np.searchsorted(x, key - 2.0 * tol, side="left")
+    count = np.searchsorted(x, key + 2.0 * tol, side="right") - lo
     row = np.repeat(np.arange(len(rows)), count)
     point = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
     return row, point, np.linalg.norm(points[point] - rows[row], axis=1)
@@ -1367,7 +1389,7 @@ def find_pairings(poly: Polyhedron, cs: ConstraintSet):
     power = functools.cache(lambda letter, n: cover_pow(gens[letter], n))
     row_of = {w.label: r for r, w in enumerate(cs.all_walls())}
     h_gen = cover_pow(cs.D, cs.tri.p)
-    vertex_order = np.argsort(poly.vertices[:, 0])
+    vertex_order = _window_order(poly.vertices)
 
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
     order += [i for i, f in enumerate(poly.faces) if f.is_slab]

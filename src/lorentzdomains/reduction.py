@@ -222,77 +222,86 @@ def _slab_samples(config: LevelConfig, n_samples: int, seed: int) -> np.ndarray:
     return np.column_stack([z.real, z.imag, s])
 
 
-def _n_range(phi0, step: float, half_width: int, reach):
-    """Per point, the inclusive range lo..hi of the n in [-half_width,
-    half_width] with |phi0 + n step| <= reach (empty when lo > hi), as
-    whole numbers in float64."""
-    # in place: at 10^4 points each (2, n) temporary is 160 KB
-    lo = -reach - phi0
-    lo /= step
-    np.maximum(np.ceil(lo, out=lo), -half_width, out=lo)
-    hi = reach - phi0
-    hi /= step
-    np.minimum(np.floor(hi, out=hi), half_width, out=hi)
-    return lo, hi
+@dataclass(frozen=True)
+class _ScanState:
+    """The cone points of one request as every prism scan reads them, and
+    the work buffers every scan writes into.
 
-
-def _decided_ranges(phi0, step: float, half_width: int, r):
-    """The ranges of n in [-half_width, half_width] that the moduli r of a
-    prism's walls decide, from one (2, n) pass through `_n_range`.
-
-    Returns (lo, hi) as `_n_range` does, each of shape (2, n); write
-    B = BOUNDARY_BAND.  Row 0 is the open range |phi0 + n step| <=
-    arccos(min(1, (1 - 2B) / r)) + 2B: outside it a prism wall of modulus
-    r on the point neither captures the point nor puts it near a
-    boundary.  Row 1 is the decided-hit range
-    |phi0 + n step| <= arccos(min(1, (1 + 2B) / r)) - 2B, empty unless
-    r > 1 + 2B: inside it the wall holds strictly on the point and is not
-    near it (see `_prism_scan`).  r = inf gives the sheet window in row 0,
-    pi/2 + 2B: beyond pi/2 + B no wall captures or is near, and the second
-    band is the margin for the drift of the computed coordinate from the
-    line phi0 + n step.
+    Z/W, 1/|W| and max |PHI| are formed once per level.  The buffers are
+    the bracket, the scaled sheet coordinate t, one (2, n) range array and
+    the two masks of `_prism_scan`; the bracket's storage, read out before
+    the ranges are floored, also holds the upper floors.
     """
-    band = 2.0 * BOUNDARY_BAND
-    reach = np.array([[1.0 - band], [1.0 + band]]) / r
-    np.arccos(np.minimum(1.0, reach, out=reach), out=reach)
-    reach += np.array([[band], [-band]])
-    return _n_range(phi0, step, half_width, reach)
+
+    Z: np.ndarray
+    W: np.ndarray
+    PHI: np.ndarray
+    ZW: np.ndarray
+    W_inv: np.ndarray
+    phi_max: float
+    bracket: np.ndarray
+    t: np.ndarray
+    ranges: np.ndarray
+    hit: np.ndarray
+    open: np.ndarray
+
+    @classmethod
+    def of(cls, Z, W, PHI):
+        n = len(Z)
+        return cls(
+            Z, W, PHI, Z / W, 1.0 / np.abs(W), float(np.max(np.abs(PHI), initial=0.0)),
+            np.empty(n, dtype=complex), np.empty(n), np.empty((2, n)),
+            np.empty(n, dtype=bool), np.empty(n, dtype=bool),
+        )
 
 
-def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W, PHI):
-    """Violation masks of the prism over the corona lift g, and its
-    boundary mask, from one `batch_wall` call on every point and rows
-    only where the moduli leave some n undecided.
+def _prism_scan(x, g: CoverElement, D: CoverElement, N: int, step: float,
+                scan: _ScanState, in_prism_complement, near_boundary):
+    """Fold the prism over the corona point x, with lift g, into the
+    request's masks: its points that strictly violate no wall g D^n leave
+    `in_prism_complement`, and its points near the boundary of one join
+    `near_boundary`.
 
-    D is the wall-rotation step.  Returns (violated_n, violated_2n, near):
-    whether a point strictly violates some wall g D^n with |n| <= N, resp.
-    |n| <= 2N = two_n, and whether it lies near the boundary of any of them.
+    D is the wall-rotation step and N = 2 p_lcm the half-width of the wall
+    family; `scan` holds the cone points and the work buffers
+    (`_ScanState`), which every full-length pass writes into.
 
     The identity.  D^n is the axis rotation z = 0, w = exp(-i n step),
-    phi = -n step, so on a point p every wall g D^n has the same modulus
-    r = |conj(z_g) Z - conj(w_g) W| = |w_h|, h = g^{-1} p, the sheet
-    coordinate phi_n = phi_0 + n step and the value -r cos(phi_n); the
-    n = 0 wall, g itself, gives phi_0 and w_h, so r, with its value.  Write
-    B = BOUNDARY_BAND; the margins 2B below cover the rounding of values
-    and coordinates, which stays near 1e-13.
+    phi = -n step, so on a point p = (Z, W, PHI) every wall g D^n has the
+    same bracket beta = 1 + kappa Z/W, kappa = -conj(z_g) / conj(w_g), the
+    same modulus r = |conj(w_g) W beta| = |w_g| |W| |beta| = |w_h|,
+    h = g^{-1} p, the sheet coordinate phi_n = phi_0 + n step with
+    phi_0 = arg beta + PHI - phi_g, and the value -r cos(phi_n).  Re beta
+    must be positive on every point, else ArithmeticError, as in
+    `batch_wall`.  Write B = BOUNDARY_BAND; the margins 2B below cover the
+    rounding of values and coordinates, which stays near 1e-13.
 
     - Decided miss: |phi_n| > arccos(min(1, (1 - 2B) / r)) + 2B, outside
-      the open range of `_decided_ranges`.  Then r cos(phi_n) < 1 - 2B or
-      the window is shut, and the wall neither captures the point nor is
-      near it.
+      the open range.  Then r cos(phi_n) < 1 - 2B or the window is shut,
+      and the wall neither captures the point nor is near it.
     - Decided hit: |phi_n| <= arccos(min(1, (1 + 2B) / r)) - 2B, inside
-      its decided-hit range, which is empty unless r > 1 + 2B.  Then the
+      the decided-hit range, which is empty unless r > 1 + 2B.  Then the
       value lies below -1 - 2B inside the window, and the wall holds
-      strictly and is not near.  This is an interval of n: violated_2n is
-      set where it meets [-2N, 2N], and violated_n where it meets [-N, N].
-    - Evaluated: the n = 0 wall on every point, and the n != 0 walls
-      of the open range outside the decided-hit range, go through
-      `batch_wall` and `wall_masks`.  Those rows are listed only on the
-      points whose open range the decided-hit range does not cover, and
-      only the rows n read there are built, each as
+      strictly and is not near.
+    - With a = reach / step and t = phi_0 / step each range is the n from
+      -floor(a + t) to floor(a - t).  The hit range lies in the open one,
+      so a point is open exactly where its open range holds more lattice
+      points than its hit range.  There every n of the open range outside
+      the hit range, n = 0 too, goes through `batch_wall` and
+      `wall_masks`, and only the rows n read there are built, each as
       cover_mul(g, cover_pow(D, n)); with none, no power is built.  Each
       evaluated wall must keep its sheet coordinate within B of the line
       phi_0 + n step, or RuntimeError is raised.
+
+    The truncation premise.  A wall that holds or is near a point has
+    |phi_n| < pi/2 + 2B, and |phi_0| < max |PHI| + |phi_g| + pi/2, as beta
+    lies in the right half-plane.  So every n that is evaluated or decided
+    as a hit has |n| <= (max |PHI| + |phi_g| + pi + 2B) / step + 1 (the 1
+    absorbs the floors and rounding), and the prism's verdicts are those
+    of the whole family n in Z once that bound is at most N; else
+    RuntimeError names x.  Measured, the bound is at most 0.583 N (E1: 14
+    of 24) at every admissible k <= 50 of both series and at E173, Z110,
+    E400, E1000, Z449, E3713 and Z1000.
 
     The guard.  The identity needs every D^n to be that axis rotation, and
     the points to be cone points, exp(i PHI) = W/|W|.  D is checked once
@@ -309,42 +318,66 @@ def _prism_scan(g: CoverElement, D: CoverElement, two_n: int, step: float, Z, W,
             f"D is not the exact axis rotation through that step "
             f"(axis_turns {D.axis_turns}, |z| {abs(D.z):.3g}, phi off by {deviation:.3g})"
         )
-    val0, phi0, w_h = batch_wall(g, Z, W, PHI)
-    r = np.abs(w_h)
-    del w_h
-    violated_n, near = wall_masks(val0, phi0, BOUNDARY_BAND)
-    violated_2n = violated_n.copy()
-
-    (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
-    violated_2n |= sure_lo <= sure_hi
-    violated_n |= np.maximum(sure_lo, -(two_n // 2)) <= np.minimum(sure_hi, two_n // 2)
-
-    # the undecided (point, n): [lo, hi] less the decided-hit interval and n = 0
-    open_points = np.flatnonzero((lo <= hi) & ((sure_lo > lo) | (sure_hi < hi)))
-    bounds = (a[open_points].astype(np.int64).tolist() for a in (lo, hi, sure_lo, sure_hi))
-    pairs = [
-        (i, n)
-        for i, first, last, hit_first, hit_last in zip(open_points.tolist(), *bounds)
-        for n in range(first, last + 1)
-        if n and not hit_first <= n <= hit_last
-    ]
-    if not pairs:
-        return violated_n, violated_2n, near
-    point, n = np.array(pairs).T
-
-    rows, row_of = np.unique(n, return_inverse=True)
-    walls = _parts([cover_mul(g, cover_pow(D, row)) for row in rows])
-    wall = CoverElement(*(a[row_of] for a in walls))
-    val, phi = batch_wall(wall, Z[point], W[point], PHI[point])[:2]
-    if np.any(np.abs(phi - (phi0[point] + n * step)) > BOUNDARY_BAND):
+    band = 2.0 * BOUNDARY_BAND
+    reach_n = (scan.phi_max + abs(g.phi) + math.pi + band) / step + 1.0
+    if not reach_n <= N:
         raise RuntimeError(
-            f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}"
+            f"prism wall family |n| <= {N} too short for corona point {x}: "
+            f"walls up to |n| = {reach_n:.6g} may hold or be near a sample"
         )
-    hit, near_wall = wall_masks(val, phi, BOUNDARY_BAND)
-    near[point[near_wall]] = True
-    violated_2n[point[hit]] = True
-    violated_n[point[hit & (np.abs(n) <= two_n // 2)]] = True
-    return violated_n, violated_2n, near
+
+    beta, t, a = scan.bracket, scan.t, scan.ranges
+    np.multiply(scan.ZW, -np.conjugate(g.z) / np.conjugate(g.w), out=beta)
+    beta += 1.0
+    if not beta.real.min(initial=math.inf) > 0.0:
+        raise ArithmeticError("cocycle bracket left the principal branch")
+    np.arctan2(beta.imag, beta.real, out=t)
+    t += scan.PHI
+    t -= g.phi
+    t /= step
+    # 1 / r, scaled by 1 -+ 2B: the cosines of the open and the hit reach
+    np.abs(beta, out=a[1])
+    np.divide(scan.W_inv, a[1], out=a[1])
+    np.multiply(a[1], (1.0 - band) / abs(g.w), out=a[0])
+    a[1] *= (1.0 + band) / abs(g.w)
+    np.minimum(a, 1.0, out=a)
+    np.arccos(a, out=a)
+    a[0] += band
+    a[1] -= band
+    a /= step
+    up = beta.view(np.float64).reshape(a.shape)  # the bracket is read out
+    np.add(a, t, out=up)
+    np.floor(up, out=up)
+    a -= t
+    np.floor(a, out=a)
+    a += up  # lattice points in each range, less one; -1 or less when empty
+    np.maximum(a[1], -1.0, out=a[1])
+    hit = np.greater_equal(a[1], 0.0, out=scan.hit)
+    points = np.flatnonzero(np.greater(a[0], a[1], out=scan.open))
+
+    if len(points):
+        first = -up[:, points]
+        last = a[:, points] + first
+        bounds = (b.astype(np.int64).tolist() for b in (first[0], last[0], first[1], last[1]))
+        pairs = [
+            (i, n)
+            for i, lo, hi, hit_lo, hit_hi in zip(points.tolist(), *bounds)
+            for n in range(lo, hi + 1)
+            if not hit_lo <= n <= hit_hi
+        ]
+        point, n = np.array(pairs).T
+        rows, row_of = np.unique(n, return_inverse=True)
+        walls = _parts([cover_mul(g, cover_pow(D, row)) for row in rows])
+        wall = CoverElement(*(w[row_of] for w in walls))
+        val, phi = batch_wall(wall, scan.Z[point], scan.W[point], scan.PHI[point])[:2]
+        if np.any(np.abs(phi - (t[point] + n) * step) > BOUNDARY_BAND):
+            raise RuntimeError(
+                f"prism wall sheet coordinates leave the line phi_0 + n*{step:.6g}"
+            )
+        held, near = wall_masks(val, phi, BOUNDARY_BAND)
+        near_boundary[point[near]] = True
+        hit[point[held]] = True
+    in_prism_complement &= hit
 
 
 def _description_masks(cons, pts):
@@ -359,7 +392,14 @@ def _description_masks(cons, pts):
     makes the comparison stricter, as a point left in can fail it but never
     pass it falsely.  The verdict at MEMBERSHIP_TOL differs from the exact
     one only within MEMBERSHIP_TOL of a wall, inside its band.  Each scan
-    builds only the powers D^n that its modulus bounds leave undecided.
+    builds only the powers D^n that its ranges leave undecided.
+
+    The prism over a corona point is the intersection of its walls g D^n,
+    n in Z.  Each scan reads them off the family |n| <= N = 2 p_lcm, and
+    checks the premise that no wall beyond it can hold or be near a point
+    (`_prism_scan`); at most 0.583 N is needed at every level measured.
+    Z/W, 1/|W| and the work buffers are formed once per request
+    (`_ScanState`) and every scan folds its verdicts into the masks.
 
     The window edge |phi| = pi/2 of `wall_masks` needs no band of its own.
     Write B = BOUNDARY_BAND and h = g^{-1} p.  Then <g, p> = -|w_h| cos(phi),
@@ -369,8 +409,8 @@ def _description_masks(cons, pts):
     for every wall and corona lift on pts, else RuntimeError names the
     wall.  On 10^4 slab samples it is at most 68 over every admissible
     level k <= 50 of both series (Z50).  RuntimeError is also raised when
-    D is not the axis rotation `_prism_scan` needs, and when a prism
-    verdict off the boundary changes as the wall scan doubles.
+    D is not the axis rotation `_prism_scan` needs, and when the family
+    |n| <= N is too short for a prism.
     """
     config = cons.config
     Z, W, PHI = _chart_cone(pts)
@@ -396,26 +436,12 @@ def _description_masks(cons, pts):
 
     # Prism description: the point must escape the prism over every corona
     # point, i.e. strictly violate at least one of its translated walls.
-    # Walls are scanned over two window sizes; the verdicts must match once
-    # boundary-skin points are set aside, otherwise the truncation of the
-    # wall family was too short to trust.
-    two_n = 4 * config.p_lcm
+    N = 2 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
-    # Each scan's masks fold in at once; only the points whose verdict the
-    # doubling changes, usually none, wait for the whole boundary mask.
+    scan = _ScanState.of(Z, W, PHI)
     in_prism_complement = np.ones(len(Z), dtype=bool)
-    changed = []
     for x, g in lifts:
-        violated_n, violated_2n, near = _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
-        near_boundary |= near
-        in_prism_complement &= violated_2n
-        changed.append((x, np.flatnonzero(violated_n != violated_2n)))
-
-    for x, points in changed:
-        if not near_boundary[points].all():
-            raise RuntimeError(
-                f"prism wall scan did not stabilise for corona point {x}"
-            )
+        _prism_scan(x, g, cons.D, N, step, scan, in_prism_complement, near_boundary)
     return in_linear, in_prism_complement, near_boundary
 
 

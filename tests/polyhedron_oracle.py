@@ -26,6 +26,7 @@ from lorentzdomains.domain import (
     _nearest_vertices,
     _s_axis_rotation,
     _wall_pass,
+    _window_order,
 )
 
 
@@ -142,7 +143,7 @@ def dict_polyhedron(cs, vertices):
 def rotation_scan_symmetry(poly, cs):
     """Smallest chart rotation about the s-axis, pi/p or 2 pi/p, that
     maps every vertex within 1e-8 of a vertex, else None."""
-    order = np.argsort(poly.vertices[:, 0])
+    order = _window_order(poly.vertices)
     for psi in (math.pi / cs.tri.p, 2.0 * math.pi / cs.tri.p):
         image = poly.vertices @ _s_axis_rotation(psi).T
         if (_nearest_vertices(image, poly.vertices, 1e-8, order) >= 0).all():

@@ -1,12 +1,16 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentzdomains.disc import (
+    _GRID,
+    ORBIT_DEDUP_TOL,
     OrbitBudgetError,
+    _dedup_insert,
     build_triangle_group,
     edge_corona,
     group_inv,
@@ -17,6 +21,9 @@ from lorentzdomains.disc import (
 )
 
 from dirichlet_oracle import dirichlet_corona_oracle
+from lifts import lift
+from orbit_oracle import block_probe_orbit, dedup_insert
+from lorentzdomains.reduction import _closed_quantities
 
 # High-precision reference values (50-digit evaluation of the closed forms).
 COSH_L_533 = 1.7769014186686121
@@ -179,6 +186,46 @@ def test_orbit_deterministic():
     a = orbit(tri, 0.95)
     b = orbit(tri, 0.95)
     assert a == b
+
+
+def test_orbit_equals_the_block_probe_walk_up_to_k50():
+    """The walk returns the block-probe oracle's list, point for point, at
+    the radius R of `check_reduction_bound` at every admissible k <= 50."""
+    n_levels = 0
+    for series in "EZ":
+        for k in range(1, 51):
+            try:
+                config = lift(series, k)
+            except ValueError:
+                continue
+            R = _closed_quantities(config.p_tri, k, config.p_lcm, math)[0]
+            assert orbit(config.tri, R) == block_probe_orbit(config.tri, R), (series, k)
+            n_levels += 1
+    assert n_levels == 68
+
+
+def test_dedup_insert_decides_as_the_block_probe_near_cell_edges():
+    """Points at and near cell edges and corners, each with twins within
+    and just beyond ORBIT_DEDUP_TOL in every direction: every insert
+    decision and the final hash are the block probe's."""
+    rng = random.Random(4)
+    offsets = [0.0, 0.5, 0.9, 0.99, 1.01, 1.5, 2.5, 5.0]
+    points = []
+    for _ in range(400):
+        ci, cj = rng.randrange(-10**7, 10**7), rng.randrange(-10**7, 10**7)
+        du = rng.choice([0.5, -0.5, rng.uniform(-0.5, 0.5)])
+        dv = rng.choice([0.5, -0.5, rng.uniform(-0.5, 0.5)])
+        x = complex((ci + du) * _GRID, (cj + dv) * _GRID)
+        points.append(x)
+        for _ in range(3):
+            d = rng.choice(offsets) * ORBIT_DEDUP_TOL
+            points.append(x + d * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    rng.shuffle(points)
+    got, want = {}, {}
+    decisions = [(_dedup_insert(got, x), dedup_insert(want, x)) for x in points]
+    assert all(a == b for a, b in decisions)
+    assert got == want
+    assert 0 < sum(a for a, _ in decisions) < len(points)
 
 
 @pytest.mark.parametrize("p", [4, 5, 7, 9, 11])

@@ -41,6 +41,7 @@ from lorentzdomains.domain import (
     _SEED_SLACK,
     _certificate,
     _chart_images,
+    _close_pairs,
     _cyclic_adjacent,
     _in_slab_cone,
     _left_factor,
@@ -54,6 +55,8 @@ from lorentzdomains.domain import (
     _sigma_permutation,
     _solve_triples,
     _wall_pass,
+    _window_key,
+    _window_order,
     build_polyhedron,
     detect_symmetry,
     edge_cycle_check,
@@ -680,6 +683,26 @@ def test_merge_vertices_matches_the_sequential_merge():
         ref = _sequential_merge(points[order], tol)
         assert got.tobytes() == ref.tobytes()
     assert len(lone) < len(got) < len(points)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_close_pairs_window_a_mirror_symmetric_set(dim):
+    """On a set symmetric under the mirrors that keep x1, as the vertex sets
+    are, the window holds every pair within tol and scans few others; a
+    window on x1 would scan each point's mirror images too."""
+    rng = np.random.default_rng(3)
+    tol = VERTEX_MERGE_TOL
+    base = rng.uniform(-1.0, 1.0, size=(50, dim))
+    mirrors = [np.array(m[:dim]) for m in ((1, 1, 1), (1, -1, 1), (1, 1, -1), (1, -1, -1))]
+    pts = np.unique(np.vstack([base * m for m in mirrors]), axis=0)
+    pts = np.vstack([pts, pts + rng.normal(scale=tol / 4, size=pts.shape)])
+    row, point, dist = _close_pairs(pts, pts, tol)
+    brute = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= tol
+    near = dist <= tol
+    assert set(zip(row[near].tolist(), point[near].tolist())) == set(zip(*map(np.ndarray.tolist, np.nonzero(brute))))
+    assert brute.sum() == near.sum() <= len(row) < 1.2 * brute.sum()
+    x1 = np.abs(pts[:, None, 0] - pts[None, :, 0]) <= 2.0 * tol
+    assert x1.sum() > 1.8 * brute.sum()
 
 
 @pytest.mark.parametrize("series,k", ORACLE_LEVELS + [("Z", 10), ("E", 11)])
@@ -1764,7 +1787,7 @@ def _per_face_pairings(poly, cs):
     order = [i for i, f in enumerate(poly.faces) if not f.is_slab]
     order += [i for i, f in enumerate(poly.faces) if f.is_slab]
     loop_lookup = {frozenset(f.loop): i for i, f in enumerate(poly.faces)}
-    vertex_order = np.argsort(poly.vertices[:, 0])
+    vertex_order = _window_order(poly.vertices)
     paired = {}
     for fi in order:
         if fi in paired:
@@ -2322,7 +2345,7 @@ def test_nearest_vertices_matches_a_full_distance_scan():
         rng.uniform(-1.5, 1.5, size=(30, 3)),
         rng.uniform(5.0, 6.0, size=(10, 3)),
     ])
-    order = np.argsort(vertices[:, 0])
+    order = _window_order(vertices)
     for tol in (1e-8, 2e-3, 0.1):
         dists = np.linalg.norm(image[:, None, :] - vertices[None, :, :], axis=2)
         ref = np.where(dists.min(axis=1) <= tol, dists.argmin(axis=1), -1)
@@ -2335,15 +2358,16 @@ def test_nearest_vertices_matches_a_full_distance_scan():
 def test_nearest_vertices_breaks_ties_to_the_lowest_index():
     """Repeated vertices and rows equally far from two vertices go to the
     lowest index, as the argmin of a full distance row does, whichever
-    way a passed-in sort order puts equal first coordinates."""
+    way a passed-in sort order puts equal window keys."""
     rng = np.random.default_rng(7)
     base = rng.uniform(-1.0, 1.0, size=(20, 3))
     vertices = np.vstack([base, base[::-1], base[:5]])
     shift = np.array([0.0, 0.0, 1e-9])
     image = np.vstack([base, base + shift, base - shift, (base[:10] + base[10:]) / 2])
     index = np.arange(len(vertices))
-    # ties in x1 in ascending and in descending index order
-    orders = [np.lexsort((index, vertices[:, 0])), np.lexsort((-index, vertices[:, 0]))]
+    # ties in the window key in ascending and in descending index order
+    key = _window_key(vertices)
+    orders = [np.lexsort((index, key)), np.lexsort((-index, key))]
     for tol in (1e-8, 0.5, 2.0):
         dists = np.linalg.norm(image[:, None, :] - vertices[None, :, :], axis=2)
         ref = np.where(dists.min(axis=1) <= tol, dists.argmin(axis=1), -1)

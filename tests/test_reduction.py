@@ -23,8 +23,8 @@ from lorentzdomains.reduction import (
     BOUNDARY_BAND,
     PREMISE_SLACK,
     _closed_quantities,
+    _ScanState,
     _corona_lifts,
-    _decided_ranges,
     _description_masks,
     _prism_scan,
     _slab_samples,
@@ -34,6 +34,7 @@ from lorentzdomains.reduction import (
 )
 
 from lifts import level_constraints, lift
+from prism_oracle import decided_ranges, description_masks
 
 # high-precision references, evaluated at 40 digits
 E2_R = 0.9241763718304448
@@ -411,6 +412,52 @@ def _probe_points(cons, n_samples, seed):
     return np.vstack([samples, probes[in_slab & _in_slab_cone(probes)]])
 
 
+def _scan(x, g, D, N, step, Z, W, PHI):
+    """The masks (violated, near) of one prism: whether a point strictly
+    violates some wall g D^n, and whether it lies near one."""
+    violated, near = np.ones(len(Z), dtype=bool), np.zeros(len(Z), dtype=bool)
+    _prism_scan(x, g, D, N, step, _ScanState.of(Z, W, PHI), violated, near)
+    return violated, near
+
+
+def _has_lift(series, k):
+    try:
+        lift(series, k)
+    except ValueError:
+        return False
+    return True
+
+
+ADMISSIBLE_50 = [(s, k) for s in "EZ" for k in range(1, 51) if _has_lift(s, k)]
+
+
+@pytest.mark.parametrize("series, k", ADMISSIBLE_50)
+def test_description_masks_equal_the_oracle_up_to_k50(series, k):
+    """The three masks are the oracle's bit for bit on 2,000 slab samples
+    at every admissible level k <= 50, and the truncation premise needs
+    at most 0.583 of the family |n| <= N = 2 p_lcm for any slab point."""
+    cons = level_constraints(series, k)
+    pts = _slab_samples(cons.config, 2000, k)
+    for got, want in zip(_description_masks(cons, pts), description_masks(cons, pts)):
+        assert got.tobytes() == want.tobytes()
+    config = cons.config
+    step = math.pi * k / config.p_lcm
+    phi_max = step / 2.0  # arctan of the slab's half-height
+    for _, g in _corona_lifts(config):
+        reach_n = (phi_max + abs(g.phi) + math.pi + 2.0 * BOUNDARY_BAND) / step + 1.0
+        assert reach_n <= 0.5834 * 2 * config.p_lcm
+
+
+@pytest.mark.parametrize("series, k", [(s, k) for s in "EZ" for k in (1, 2, 4, 5)])
+def test_description_masks_equal_the_oracle_at_the_acceptance_cases(series, k):
+    """The three masks are the oracle's bit for bit on the 10^4 slab
+    samples `verify` draws at the acceptance cases."""
+    cons = level_constraints(series, k)
+    pts = _slab_samples(cons.config, 10_000, 0)
+    for got, want in zip(_description_masks(cons, pts), description_masks(cons, pts)):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "series, k",
     [(s, k) for s in "EZ" for k in (1, 2, 4, 5, 7)] + [("Z", 10), ("E", 11)],
@@ -471,9 +518,10 @@ def test_group_walls_are_prism_walls(series, k):
 
 @pytest.mark.parametrize("series, k", [("E", 1), ("Z", 4)])
 def test_skipped_prism_walls_are_inert(series, k):
-    """Every wall the scan skips has its sheet window closed on the point
-    and is not near it; every wall it keeps evaluates, one wall per point,
-    bit for bit as the one wall on all points."""
+    """Every wall outside the sheet window's range of n (the oracle's
+    `decided_ranges` at r = inf, the widest open range) has its window
+    closed on the point and is not near it; every wall inside evaluates,
+    one wall per point, bit for bit as the one wall on all points."""
     cons = level_constraints(series, k)
     config = cons.config
     Z, W, PHI = _chart_cone(_probe_points(cons, 1500, seed=3))
@@ -483,7 +531,7 @@ def test_skipped_prism_walls_are_inert(series, k):
     n_skipped = 0
     for _, g in _corona_lifts(config):
         _, phi0, _ = batch_wall(cover_mul(g, cover_pow(D, 0)), Z, W, PHI)
-        (lo, _), (hi, _) = _decided_ranges(phi0, step, two_n, np.inf)
+        (lo, _), (hi, _) = decided_ranges(phi0, step, two_n, np.inf)
         for n in range(-two_n, two_n + 1):
             wall = cover_mul(g, cover_pow(D, n))
             val, phi, _ = batch_wall(wall, Z, W, PHI)
@@ -508,12 +556,12 @@ def test_prism_scan_rejects_sheet_coordinates_off_the_line(monkeypatch):
     cons = level_constraints("E", 2)
     config = cons.config
     Z, W, PHI = _chart_cone(_probe_points(cons, 300, seed=1))
-    two_n = 4 * config.p_lcm
+    N = 2 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
-    _, g = _corona_lifts(config)[0]
-    _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
+    x, g = _corona_lifts(config)[0]
+    _scan(x, g, cons.D, N, step, Z, W, PHI)
     with pytest.raises(RuntimeError, match="sheet coordinates"):
-        _prism_scan(g, cons.D, two_n, step * (1.0 + 1e-3), Z, W, PHI)
+        _scan(x, g, cons.D, N, step * (1.0 + 1e-3), Z, W, PHI)
 
     rows = []
 
@@ -524,16 +572,17 @@ def test_prism_scan_rejects_sheet_coordinates_off_the_line(monkeypatch):
 
     monkeypatch.setattr(reduction, "cover_pow", drifting_pow)
     with pytest.raises(RuntimeError, match="sheet coordinates leave the line"):
-        _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
-    assert rows and 0 not in rows
+        _scan(x, g, cons.D, N, step, Z, W, PHI)
+    assert rows
 
 
 @pytest.mark.parametrize("series, k", [("E", 1), ("Z", 4), ("Z", 10)])
 def test_decided_prism_walls_match_their_evaluation(series, k):
     """Every wall the modulus bound decides as a hit holds strictly and is
     not near the point, and every wall it decides as a miss neither holds
-    nor is near; on plain slab samples almost no n != 0 wall is left to
-    evaluate."""
+    nor is near, in the ranges of the oracle (`decided_ranges`), which the
+    scan forms as floors; on plain slab samples almost no n != 0 wall is
+    left to evaluate."""
     cons = level_constraints(series, k)
     config = cons.config
     n_samples = 1500
@@ -546,8 +595,8 @@ def test_decided_prism_walls_match_their_evaluation(series, k):
     for _, g in _corona_lifts(config):
         _, phi0, _ = batch_wall(g, Z, W, PHI)
         r = np.abs(np.conjugate(g.z) * Z - np.conjugate(g.w) * W)
-        (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
-        (window_lo, _), (window_hi, _) = _decided_ranges(phi0, step, two_n, np.inf)
+        (lo, sure_lo), (hi, sure_hi) = decided_ranges(phi0, step, two_n, r)
+        (window_lo, _), (window_hi, _) = decided_ranges(phi0, step, two_n, np.inf)
         for n in range(-two_n, two_n + 1):
             val, phi, _ = batch_wall(cover_mul(g, d_list[n + two_n]), Z, W, PHI)
             inside, near = wall_masks(val, phi, BOUNDARY_BAND)
@@ -571,11 +620,11 @@ def test_prism_scan_rejects_a_d_off_the_axis_rotations():
     config = cons.config
     pts = _slab_samples(config, 200, 0)
     Z, W, PHI = _chart_cone(pts)
-    two_n = 4 * config.p_lcm
+    N = 2 * config.p_lcm
     step = math.pi * config.k / config.p_lcm
-    _, g = _corona_lifts(config)[0]
+    x, g = _corona_lifts(config)[0]
     D = cons.D
-    _prism_scan(g, D, two_n, step, Z, W, PHI)
+    _scan(x, g, D, N, step, Z, W, PHI)
     _description_masks(cons, pts)
     for bad in (
         dataclasses.replace(D, phi=D.phi + 1e-6),
@@ -583,7 +632,7 @@ def test_prism_scan_rejects_a_d_off_the_axis_rotations():
         CoverElement(D.z, D.w, D.phi),
     ):
         with pytest.raises(RuntimeError, match="sheet coordinates"):
-            _prism_scan(g, bad, two_n, step, Z, W, PHI)
+            _scan(x, g, bad, N, step, Z, W, PHI)
         with pytest.raises(RuntimeError, match="sheet coordinates"):
             _description_masks(dataclasses.replace(cons, D=bad), pts)
 
@@ -601,48 +650,68 @@ def test_description_masks_check_the_window_edge_premise():
         _description_masks(cons, pts)
 
 
-def _scan_against_every_wall(series, k, two_n, n_samples):
-    """Check that the scan returns what evaluating every wall g D^n,
-    |n| <= two_n, returns on probe points, and return the number of points
-    where the |n| <= N and |n| <= 2N verdicts differ."""
+@pytest.mark.parametrize("series, k", [("E", 1), ("Z", 5)])
+def test_prism_scan_matches_every_wall_of_the_full_family(series, k):
+    """On probe points the scan of the family |n| <= N = 2 p_lcm returns
+    what evaluating every wall g D^n, |n| <= 2N, returns, and the |n| <= N
+    and |n| <= 2N verdicts agree, as the truncation premise says."""
     cons = level_constraints(series, k)
     config = cons.config
-    Z, W, PHI = _chart_cone(_probe_points(cons, n_samples, seed=2))
-    d_list = [cover_pow(cons.D, n) for n in range(-two_n, two_n + 1)]
+    Z, W, PHI = _chart_cone(_probe_points(cons, 2000, seed=2))
+    N = 2 * config.p_lcm
+    d_list = [cover_pow(cons.D, n) for n in range(-2 * N, 2 * N + 1)]
     step = math.pi * config.k / config.p_lcm
-    n_differ = 0
-    for _, g in _corona_lifts(config):
+    for x, g in _corona_lifts(config):
         want_n, want_2n, want_near = (np.zeros(len(Z), dtype=bool) for _ in range(3))
-        for n, d in zip(range(-two_n, two_n + 1), d_list):
+        for n, d in zip(range(-2 * N, 2 * N + 1), d_list):
             inside, near = wall_masks(*batch_wall(cover_mul(g, d), Z, W, PHI)[:2], BOUNDARY_BAND)
             want_near |= near
             want_2n |= inside
-            if abs(n) <= two_n // 2:
+            if abs(n) <= N:
                 want_n |= inside
-        got = _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
-        for name, a, b in zip(("n", "2n", "near"), got, (want_n, want_2n, want_near)):
-            assert np.array_equal(a, b), name
-        n_differ += int((want_n != want_2n).sum())
-    return n_differ
+        assert np.array_equal(want_n, want_2n)
+        violated, near = _scan(x, g, cons.D, N, step, Z, W, PHI)
+        assert np.array_equal(violated, want_2n)
+        assert np.array_equal(near, want_near)
 
 
-def test_prism_scan_matches_every_wall_of_a_short_family():
-    """On a family short enough that the |n| <= N and |n| <= 2N verdicts
-    differ, the scan returns what evaluating every wall returns."""
-    assert _scan_against_every_wall("Z", 4, 2, 600) > 0
+def test_prism_scan_rejects_a_family_too_short_for_its_premise():
+    """A family |n| <= 2 is shorter than the truncation premise needs at Z4,
+    and the scan names the corona point before it evaluates a wall."""
+    cons = level_constraints("Z", 4)
+    config = cons.config
+    Z, W, PHI = _chart_cone(_probe_points(cons, 600, seed=2))
+    step = math.pi * config.k / config.p_lcm
+    x, g = _corona_lifts(config)[0]
+    _scan(x, g, cons.D, 2 * config.p_lcm, step, Z, W, PHI)
+    with pytest.raises(RuntimeError, match=re.escape(f"too short for corona point {x}:")):
+        _scan(x, g, cons.D, 2, step, Z, W, PHI)
 
 
-@pytest.mark.parametrize("series, k", [("E", 1), ("Z", 5)])
-def test_prism_scan_matches_every_wall_of_the_full_family(series, k):
-    """On the family |n| <= 4 p_lcm that `_description_masks` scans, the
-    scan returns what evaluating every wall returns."""
-    p_lcm = lift(series, k).p_lcm
-    _scan_against_every_wall(series, k, 4 * p_lcm, 2000)
+def test_prism_scan_rejects_a_bracket_off_the_right_half_plane(monkeypatch):
+    """A lift whose bracket beta = 1 + kappa Z/W has Re beta <= 0 at some
+    sample raises ArithmeticError, on its own and through `sample_equivalence`."""
+    cons = level_constraints("E", 2)
+    config = cons.config
+    pts = _slab_samples(config, 500, 0)
+    Z, W, PHI = _chart_cone(pts)
+    step = math.pi * config.k / config.p_lcm
+    x, g = _corona_lifts(config)[0]
+    # kappa = -2: Re beta = 1 - 2 Re(Z/W) < 0 wherever Re(Z/W) > 1/2
+    bad = CoverElement(-2.0 + 0j, 1.0 + 0j, g.phi)
+    assert np.any((Z / W).real > 0.5)
+    with pytest.raises(ArithmeticError, match="principal branch"):
+        _scan(x, bad, cons.D, 2 * config.p_lcm, step, Z, W, PHI)
+    lifts = _corona_lifts(config)
+    monkeypatch.setattr(reduction, "_corona_lifts", lambda config: lifts[:3] + [(x, bad)])
+    with pytest.raises(ArithmeticError, match="principal branch"):
+        sample_equivalence(cons, n_samples=500, seed=0)
 
 
 def test_prism_scan_builds_powers_only_for_undecided_rows(monkeypatch):
-    """On 10^4 slab samples a lift whose moduli decide every n != 0 builds
-    no power of D, and every other lift builds each undecided row once."""
+    """On 10^4 slab samples a lift whose moduli decide every n builds no
+    power of D, and every other lift builds each undecided row once, n = 0
+    too; the rows are those the oracle's ranges leave undecided."""
     cons = level_constraints("E", 1)
     config = cons.config
     Z, W, PHI = _chart_cone(_slab_samples(config, 10_000, 0))
@@ -656,16 +725,16 @@ def test_prism_scan_builds_powers_only_for_undecided_rows(monkeypatch):
 
     monkeypatch.setattr(reduction, "cover_pow", counted_pow)
     rows_per_lift = []
-    for _, g in _corona_lifts(config):
+    for x, g in _corona_lifts(config):
         _, phi0, w_h = batch_wall(g, Z, W, PHI)
         r = np.abs(w_h)
-        (lo, sure_lo), (hi, sure_hi) = _decided_ranges(phi0, step, two_n, r)
+        (lo, sure_lo), (hi, sure_hi) = decided_ranges(phi0, step, two_n, r)
         undecided = {
             n for n in range(-two_n, two_n + 1)
-            if n and np.any((lo <= n) & (n <= hi) & ~((sure_lo <= n) & (n <= sure_hi)))
+            if np.any((lo <= n) & (n <= hi) & ~((sure_lo <= n) & (n <= sure_hi)))
         }
         built.clear()
-        _prism_scan(g, cons.D, two_n, step, Z, W, PHI)
+        _scan(x, g, cons.D, two_n // 2, step, Z, W, PHI)
         assert sorted(built) == sorted(undecided)
         rows_per_lift.append(len(undecided))
     assert 0 in rows_per_lift and sum(rows_per_lift) > 0
